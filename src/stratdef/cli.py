@@ -305,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--precision-bits", type=int, default=4096,
                    help="cap for certified interval refinement")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker pool size (all work runs through it)")
     sub = p.add_subparsers(dest="command")
 
     t = sub.add_parser("transform", help="strategic transform of a "

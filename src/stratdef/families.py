@@ -23,9 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formula as fm
-from .solve import LPInstance, lp_solve
-
-FLOAT_TOL = 1e-9
+from .solve import FLOAT_TOL, LPInstance, lp_solve
 
 
 class FamilyError(Exception):

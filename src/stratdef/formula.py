@@ -12,7 +12,6 @@ Everything here is pure syntax; evaluation lives in :mod:`stratdef.solve`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -224,10 +223,6 @@ def atom(lhs: Term, rel: str, rhs: Term) -> Atom:
 TRUE = And(())  # empty conjunction
 
 
-def print_formula(f: Formula) -> str:
-    return str(f)
-
-
 # ---------------------------------------------------------------------------
 # Traversal helpers
 
@@ -356,10 +351,17 @@ def rename_witnesses(f: Formula, mapping: dict) -> Formula:
 # Parsing
 
 
+# Parenthesis nesting bounds the recursion depth of the reader and of every
+# later walk over the formula; deeper input is rejected rather than left to
+# exhaust the interpreter stack.
+MAX_NESTING = 200
+
+
 def _tokenize(text: str):
     toks = []
     i, line, col = 0, 1, 1
     n = len(text)
+    depth = 0
     while i < n:
         c = text[i]
         if c == "\n":
@@ -370,6 +372,10 @@ def _tokenize(text: str):
             i += 1
             col += 1
         elif c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}",
+                                 pos=i, line=line, col=col)
             toks.append((c, line, col))
             i += 1
             col += 1
@@ -571,13 +577,13 @@ class GraphForm:
     defs: tuple  # tuple[WitnessDef, ...] in dependency order
 
 
-def _term_has_exp(t: Term) -> bool:
+def term_has_exp(t: Term) -> bool:
     if isinstance(t, Exp):
         return True
     if isinstance(t, Sum):
-        return any(_term_has_exp(s) for s in t.terms)
+        return any(term_has_exp(s) for s in t.terms)
     if isinstance(t, Product):
-        return any(_term_has_exp(s) for s in t.factors)
+        return any(term_has_exp(s) for s in t.factors)
     return False
 
 
@@ -590,7 +596,7 @@ def is_graph_form(f: Formula) -> bool:
     if _has_quantifier(g):
         return False
     for at in formula_atoms(g):
-        if isinstance(at, Compare) and (_term_has_exp(at.lhs) or _term_has_exp(at.rhs)):
+        if isinstance(at, Compare) and (term_has_exp(at.lhs) or term_has_exp(at.rhs)):
             return False
     return True
 
@@ -811,7 +817,3 @@ def formula_to_json(f: Formula):
         return {"or": [formula_to_json(p) for p in f.parts]}
     key = "exists" if isinstance(f, Exists) else "forall"
     return {key: {"witnesses": list(f.indices), "body": formula_to_json(f.body)}}
-
-
-def formula_to_json_str(f: Formula) -> str:
-    return json.dumps(formula_to_json(f), sort_keys=True)

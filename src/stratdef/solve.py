@@ -1,31 +1,39 @@
 """Deciding and approximating formula semantics.
 
-Four layers, from exact to heuristic:
+Terms are read by two folds over the term grammar (variables, rational
+constants, +, *, exp): ``eval_term`` values a term in floats, Fractions or
+certified ``RatInterval`` enclosures, and ``affine`` reads a term as
+coefficients over chosen unknowns plus a constant.  Four layers, from exact
+to heuristic, share them:
 
 * ``eval_qf`` -- quantifier-free evaluation.  Exact rational path (no
   tolerance; exp handled by certified enclosure refinement) and a float path
   with boundary tolerance ``FLOAT_TOL``.
-* ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems,
-  the linear fragment of one-block quantifier elimination.
+* ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
+  (``linear_system_from_formula`` compiles them with ``affine``), the linear
+  fragment of one-block quantifier elimination.
 * ``lp_solve`` -- exact rational simplex with Bland's rule.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
-  sound when it reports a witness (the witness re-verifies under eval_qf),
-  inconclusive when it reports not_found.
+  definitional equalities are solved with float ``affine``, linear branches
+  go to ``lp_solve`` through rational ``affine``, the rest to Nelder-Mead on
+  the float fold.  Sound when it reports a witness (the witness re-verifies
+  under eval_qf), inconclusive when it reports not_found.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import formula as fm
-from .intervals import (RatInterval, UndecidedComparison, exp_enclosure,
-                        exp_interval)
+from .intervals import (RatInterval, UndecidedComparison, certified_sign,
+                        exp_enclosure, exp_interval)
 
 FLOAT_TOL = 1e-9
 MAX_BITS = 4096
@@ -73,69 +81,84 @@ def merge(x: Sequence = (), a: Sequence = (), w: Sequence = ()) -> Assignment:
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation
+# Term evaluation: one value fold and one affine fold over the term grammar
+
+
+def eval_term(t: fm.Term, sigma: Assignment, lift: Callable, exp: Callable):
+    """Value of a term in the domain that `lift` maps variable values and
+    rational constants into; the domain's own + and * combine subterms and
+    `exp` is its exponential.  Floats, Fractions and RatIntervals all read
+    terms through this fold.  Dispatch is on the exact node type because the
+    float instance is the inner loop of witness search."""
+    kind = type(t)
+    if kind is fm.Var:
+        return lift(sigma.lookup(t))
+    if kind is fm.Const:
+        return lift(t.value)
+    if kind is fm.Sum:
+        terms = iter(t.terms)
+        out = eval_term(next(terms), sigma, lift, exp)
+        for s in terms:
+            out = out + eval_term(s, sigma, lift, exp)
+        return out
+    if kind is fm.Product:
+        factors = iter(t.factors)
+        out = eval_term(next(factors), sigma, lift, exp)
+        for s in factors:
+            out = out * eval_term(s, sigma, lift, exp)
+        return out
+    return exp(eval_term(t.arg, sigma, lift, exp))
 
 
 def eval_term_float(t: fm.Term, sigma: Assignment) -> float:
-    if isinstance(t, fm.Var):
-        return float(sigma.lookup(t))
-    if isinstance(t, fm.Const):
-        return float(t.value)
-    if isinstance(t, fm.Sum):
-        return sum(eval_term_float(s, sigma) for s in t.terms)
-    if isinstance(t, fm.Product):
-        out = 1.0
-        for s in t.factors:
-            out *= eval_term_float(s, sigma)
-        return out
-    try:
-        return math.exp(eval_term_float(t.arg, sigma))
-    except OverflowError:
-        return math.inf
+    return eval_term(t, sigma, float, _safe_exp)
 
 
-def eval_term_exact(t: fm.Term, sigma: Assignment) -> Fraction:
-    """Exact value of an exp-free term under a rational assignment."""
-    if isinstance(t, fm.Var):
-        return Fraction(sigma.lookup(t))
-    if isinstance(t, fm.Const):
-        return t.value
-    if isinstance(t, fm.Sum):
-        return sum((eval_term_exact(s, sigma) for s in t.terms), Fraction(0))
-    if isinstance(t, fm.Product):
-        out = Fraction(1)
-        for s in t.factors:
-            out *= eval_term_exact(s, sigma)
-        return out
-    raise SolveError("exp term on the exact path requires enclosures")
-
-
-def eval_term_interval(t: fm.Term, sigma: Assignment, bits: int) -> RatInterval:
-    if isinstance(t, fm.Var):
-        return RatInterval.point(Fraction(sigma.lookup(t)))
-    if isinstance(t, fm.Const):
-        return RatInterval.point(t.value)
-    if isinstance(t, fm.Sum):
-        out = RatInterval.point(0)
-        for s in t.terms:
-            out = out + eval_term_interval(s, sigma, bits)
-        return out
-    if isinstance(t, fm.Product):
-        out = RatInterval.point(1)
-        for s in t.factors:
-            out = out * eval_term_interval(s, sigma, bits)
-        return out
-    return exp_interval(eval_term_interval(t.arg, sigma, bits), bits)
-
-
-def _term_has_exp(t: fm.Term) -> bool:
-    if isinstance(t, fm.Exp):
-        return True
-    if isinstance(t, fm.Sum):
-        return any(_term_has_exp(s) for s in t.terms)
-    if isinstance(t, fm.Product):
-        return any(_term_has_exp(s) for s in t.factors)
-    return False
+def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable,
+           exp: Optional[Callable] = None):
+    """(coefficients over the unknowns, constant) of a term affine in them,
+    or None when it is not.  `unknown` maps each unknown Var to its column;
+    `value` reads every other variable and `lift` maps values and constants
+    into the coefficient domain.  An exp subterm free of unknowns is valued
+    with `exp`; without `exp` every exp subterm makes the term non-affine.
+    Coefficients are read off structurally: a finite-difference slope
+    drowns in rounding when the constant is huge."""
+    kind = type(t)
+    if kind is fm.Var:
+        co = [lift(0)] * len(unknown)
+        col = unknown.get(t)
+        if col is None:
+            return co, lift(value(t))
+        co[col] = lift(1)
+        return co, lift(0)
+    if kind is fm.Const:
+        return [lift(0)] * len(unknown), lift(t.value)
+    if kind is fm.Exp:
+        arg = None if exp is None else affine(t.arg, unknown, value, lift, exp)
+        if arg is None or any(arg[0]):
+            return None
+        return arg[0], exp(arg[1])
+    parts = []
+    for s in (t.terms if kind is fm.Sum else t.factors):
+        part = affine(s, unknown, value, lift, exp)
+        if part is None:
+            return None
+        parts.append(part)
+    co, const = parts[0]
+    if kind is fm.Sum:
+        for c2, k2 in parts[1:]:
+            co = [u + v for u, v in zip(co, c2)]
+            const = const + k2
+        return co, const
+    for c2, k2 in parts[1:]:
+        if any(c2):
+            if any(co):
+                return None  # product of two non-constant factors
+            co = [const * v for v in c2]
+        else:
+            co = [k2 * v for v in co]
+        const = const * k2
+    return co, const
 
 
 def _compare(diff_sign: int, rel: str) -> bool:
@@ -159,18 +182,17 @@ def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
             bits *= 2
         raise UndecidedComparison(
             f"cannot decide {at.lhs} = exp({at.rhs}) at {max_bits} bits")
-    if not (_term_has_exp(at.lhs) or _term_has_exp(at.rhs)):
-        diff = eval_term_exact(at.lhs, sigma) - eval_term_exact(at.rhs, sigma)
+    if not (fm.term_has_exp(at.lhs) or fm.term_has_exp(at.rhs)):
+        diff = eval_term(at.lhs, sigma, Fraction, None) - \
+            eval_term(at.rhs, sigma, Fraction, None)
         return _compare((diff > 0) - (diff < 0), at.rel)
-    bits = 32
-    while bits <= max_bits:
-        iv = eval_term_interval(at.lhs, sigma, bits) - \
-            eval_term_interval(at.rhs, sigma, bits)
-        try:
-            return _compare(iv.sign(), at.rel)
-        except UndecidedComparison:
-            bits *= 2
-    raise UndecidedComparison(f"cannot decide atom {at} at {max_bits} bits")
+
+    def enclosure(bits: int) -> RatInterval:
+        exp = functools.partial(exp_interval, bits=bits)
+        return eval_term(at.lhs, sigma, RatInterval.point, exp) - \
+            eval_term(at.rhs, sigma, RatInterval.point, exp)
+
+    return _compare(certified_sign(enclosure, max_bits), at.rel)
 
 
 def _float_atom(at: fm.AtomKind, sigma: Assignment, tol: float) -> bool:
@@ -180,7 +202,8 @@ def _float_atom(at: fm.AtomKind, sigma: Assignment, tol: float) -> bool:
         if not math.isfinite(rhs):
             return False
         return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
-    d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
+    d = eval_term(at.lhs, sigma, float, _safe_exp) - \
+        eval_term(at.rhs, sigma, float, _safe_exp)
     if at.rel == "=":
         return abs(d) <= tol
     if at.rel in ("<", "<="):
@@ -402,41 +425,8 @@ def linear_system_from_formula(f: fm.Formula,
     idx = {v: i for i, v in enumerate(variables)}
     rows = []
 
-    def lin(term: fm.Term) -> tuple:
-        """returns (coeff vector, constant)"""
-        if isinstance(term, fm.Var):
-            if term not in idx:
-                raise SolveError(f"variable {term} not declared")
-            co = [Fraction(0)] * len(names)
-            co[idx[term]] = Fraction(1)
-            return co, Fraction(0)
-        if isinstance(term, fm.Const):
-            return [Fraction(0)] * len(names), term.value
-        if isinstance(term, fm.Sum):
-            co = [Fraction(0)] * len(names)
-            const = Fraction(0)
-            for s in term.terms:
-                c2, k2 = lin(s)
-                co = [u + v for u, v in zip(co, c2)]
-                const += k2
-            return co, const
-        if isinstance(term, fm.Product):
-            co = [Fraction(0)] * len(names)
-            const = Fraction(1)
-            seen_var = False
-            for s in term.factors:
-                c2, k2 = lin(s)
-                if any(v != 0 for v in c2):
-                    if seen_var:
-                        raise SolveError("nonlinear atom encountered")
-                    seen_var = True
-                    new_co = [v * const for v in c2]
-                    co = new_co
-                else:
-                    co = [v * k2 for v in co]
-                    const *= k2
-            return co, const
-        raise SolveError("nonlinear atom encountered")
+    def undeclared(v: fm.Var):
+        raise SolveError(f"variable {v} not declared")
 
     def visit(g: fm.Formula):
         if isinstance(g, fm.And):
@@ -444,10 +434,12 @@ def linear_system_from_formula(f: fm.Formula,
                 visit(p)
             return
         if isinstance(g, fm.Atom) and isinstance(g.atom, fm.Compare):
-            lc, lk = lin(g.atom.lhs)
-            rc, rk = lin(g.atom.rhs)
-            co = [u - v for u, v in zip(lc, rc)]
-            rows.append((co, g.atom.rel, rk - lk))
+            left = affine(g.atom.lhs, idx, undeclared, Fraction)
+            right = affine(g.atom.rhs, idx, undeclared, Fraction)
+            if left is None or right is None:
+                raise SolveError("nonlinear atom encountered")
+            co = [u - v for u, v in zip(left[0], right[0])]
+            rows.append((co, g.atom.rel, right[1] - left[1]))
             return
         raise SolveError("only conjunctions of linear atoms are supported")
 
@@ -608,7 +600,6 @@ def lp_solve(lp: LPInstance) -> LPResult:
             f = cost[basis[i]]
             cost = [c - f * v for c, v in zip(cost, tableau[i])]
     # forbid re-entering artificial columns
-    big = None
     tableau[m] = cost
     for j in range(total, n_total):
         if tableau[m][j] < 0:
@@ -679,7 +670,8 @@ def _violation(f: fm.Formula, sigma: Assignment) -> float:
             if not math.isfinite(v):
                 return math.inf
             return abs(u - v)
-        d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
+        d = eval_term(at.lhs, sigma, float, _safe_exp) - \
+            eval_term(at.rhs, sigma, float, _safe_exp)
         if at.rel == "=":
             return abs(d)
         if at.rel in ("<", "<="):
@@ -750,51 +742,13 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
             if len(pending) != 1:
                 continue
             wi = pending.pop()
-            # solve equalities that are linear in the one remaining unknown
-            diff = fm.sub(at.lhs, at.rhs)
-            if fm.term_degree_in(diff, fm.Var("w", wi)) != 1:
-                continue
-            base = val_assign()
-            wv = list(base.w) + [0.0] * max(0, wi + 1 - len(base.w))
-            slope, c0 = _linear_parts(
-                diff, fm.Var("w", wi), Assignment(base.x, base.a, tuple(wv)))
-            if slope != 0.0:
-                values[wi] = -c0 / slope
+            # solve equalities that are affine in the one remaining unknown
+            part = affine(fm.sub(at.lhs, at.rhs), {fm.Var("w", wi): 0},
+                          val_assign().lookup, float, _safe_exp)
+            if part is not None and part[0][0] != 0.0:
+                values[wi] = -part[1] / part[0][0]
                 changed = True
     return values
-
-
-def _linear_parts(t: fm.Term, var: fm.Var, sigma: Assignment):
-    """(slope, intercept) of a term linear in var, with the slope read off
-    structurally (a finite-difference slope drowns in rounding when the
-    intercept is huge).  Requires term_degree_in(t, var) == 1."""
-    if isinstance(t, fm.Var):
-        if t == var:
-            return 1.0, 0.0
-        return 0.0, float(sigma.lookup(t))
-    if isinstance(t, fm.Const):
-        return 0.0, float(t.value)
-    if isinstance(t, fm.Sum):
-        slope = intercept = 0.0
-        for s in t.terms:
-            a, b = _linear_parts(s, var, sigma)
-            slope += a
-            intercept += b
-        return slope, intercept
-    if isinstance(t, fm.Product):
-        slope, intercept = 0.0, 1.0
-        for s in t.factors:
-            a, b = _linear_parts(s, var, sigma)
-            if a != 0.0:
-                # degree 1 overall: at most one factor carries the variable
-                slope = slope * b + intercept * a
-                intercept *= b
-            else:
-                slope *= b
-                intercept *= b
-        return slope, intercept
-    # exp factor: the degree guard ensures var does not occur inside
-    return 0.0, eval_term_float(t, sigma)
 
 
 def _branches(f: fm.Formula, cap: int = 256):
@@ -823,50 +777,6 @@ def _branches(f: fm.Formula, cap: int = 256):
                 return None
         return out
     raise SolveError("quantifier inside witness-search body")
-
-
-def _linearize(term: fm.Term, env, rem: dict):
-    """(coeff vector over rem, constant) of a term linear in the remaining
-    unknowns, with known variables substituted exactly; None if nonlinear."""
-    zero = [Fraction(0)] * len(rem)
-    if isinstance(term, fm.Var):
-        if term.block == "w" and term.index in rem:
-            co = list(zero)
-            co[rem[term.index]] = Fraction(1)
-            return co, Fraction(0)
-        v = env(term)
-        if v is None:
-            return None
-        return list(zero), v
-    if isinstance(term, fm.Const):
-        return list(zero), Fraction(term.value)
-    if isinstance(term, fm.Sum):
-        co, const = list(zero), Fraction(0)
-        for s in term.terms:
-            part = _linearize(s, env, rem)
-            if part is None:
-                return None
-            co = [u + v for u, v in zip(co, part[0])]
-            const += part[1]
-        return co, const
-    if isinstance(term, fm.Product):
-        co, const = list(zero), Fraction(1)
-        for s in term.factors:
-            part = _linearize(s, env, rem)
-            if part is None:
-                return None
-            c2, k2 = part
-            if any(v != 0 for v in c2):
-                if any(v != 0 for v in co):
-                    return None  # product of two non-constant parts
-                co, const2 = c2, k2
-                co = [const * v for v in co]
-                const *= const2
-            else:
-                co = [k2 * v for v in co]
-                const *= k2
-        return co, const
-    return None  # exp terms are handled by propagation, not linearly
 
 
 def _strict_feasible_point(rows, n_rem):
@@ -943,41 +853,24 @@ def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
             return "unsat", None
         return "unknown", None
 
-    rem = {i: j for j, i in enumerate(rem_idx)}
+    rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
     base = sigma.with_w(build_w([0.0] * len(rem_idx)))
-
-    def env(v: fm.Var):
-        if v.block == "w" and v.index in forced:
-            return Fraction(forced[v.index])
-        if v.block == "w" and v.index in rem:
-            return None
-        return Fraction(float(base.lookup(v)))
 
     rows = []
     for lit in lits:
-        if isinstance(lit, fm.Not):
-            lit = lit.body
-            at = lit.atom if isinstance(lit, fm.Atom) else None
-            if isinstance(at, fm.ExpGraph):
-                # negated transcendental equality: the final eval of the
-                # full body checks it once all witnesses are fixed
-                touched = {v.index for v in (at.lhs, at.rhs)
-                           if v.block == "w" and v.index in rem}
-                if touched:
-                    return "unknown", None
-                continue
-            return "unknown", None
-        at = lit.atom
+        negated = isinstance(lit, fm.Not)
+        at = getattr(lit.body if negated else lit, "atom", None)
         if isinstance(at, fm.ExpGraph):
-            # an exp atom with an unresolved witness is beyond the linear
-            # fragment; resolved ones are checked by the final eval
-            touched = {v.index for v in (at.lhs, at.rhs)
-                       if v.block == "w" and v.index in rem}
-            if touched:
+            # an exp atom (negated or not) with an unresolved witness is
+            # beyond the linear fragment; resolved ones are checked by the
+            # final eval of the full body once all witnesses are fixed
+            if at.lhs in rem or at.rhs in rem:
                 return "unknown", None
             continue
-        left = _linearize(at.lhs, env, rem)
-        right = _linearize(at.rhs, env, rem)
+        if negated:
+            return "unknown", None
+        left = affine(at.lhs, rem, base.lookup, Fraction)
+        right = affine(at.rhs, rem, base.lookup, Fraction)
         if left is None or right is None:
             return "unknown", None
         coeffs = [u - v for u, v in zip(left[0], right[0])]

@@ -47,6 +47,10 @@ def test_parse_errors_carry_position():
         fm.parse("(exists (x0) (<= x0 1))")  # only w-vars are quantifiable
     with pytest.raises(fm.FormulaError):
         fm.parse("(and (<= w0 1) (<= x0 1))")  # unbound witness
+    # nesting past the cap is refused before it exhausts the stack
+    with pytest.raises(fm.ParseError) as exc:
+        fm.parse("(and " * 3000 + "(<= x0 1)" + ")" * 3000)
+    assert exc.value.line == 1
 
 
 # random formula generator for the round-trip property

@@ -61,6 +61,11 @@ def test_eval_exact_exp_comparisons_certified():
     sig = merge(x=[Fraction(1)])
     assert eval_qf(lt, sig, mode="exact") is True
     assert eval_qf(gt, sig, mode="exact") is True
+    # enclosures combined under + and *: e + 1 < 4 and 3 < 2e
+    in_sum = fm.parse("(< (+ (exp x0) x0) 4)")
+    in_product = fm.parse("(< 3 (* 2 (exp x0)))")
+    assert eval_qf(in_sum, sig, mode="exact") is True
+    assert eval_qf(in_product, sig, mode="exact") is True
 
 
 def test_eval_exact_exp_graph_equality_is_refutable_only():
@@ -196,6 +201,11 @@ def test_linear_system_from_formula():
     sys = linear_system_from_formula(f, [fm.x(0), fm.x(1)])
     assert sys.satisfied_by([Fraction(0), Fraction(1, 2)])
     assert not sys.satisfied_by([Fraction(1), Fraction(1)])
+    # a constant inside a factor that carries the variable: 2*x0 <= -6
+    for text in ("(<= (* 2 (+ x0 3)) 0)", "(<= (* (+ x0 3) 2) 0)"):
+        row, = linear_system_from_formula(fm.parse(text), [fm.x(0)]).constraints
+        assert (row.coeffs, row.rel, row.rhs) == ((Fraction(2),), "<=",
+                                                  Fraction(-6))
     with pytest.raises(solve.SolveError):
         linear_system_from_formula(fm.parse("(or (<= x0 0) (<= x1 0))"),
                                    [fm.x(0), fm.x(1)])
