@@ -39,7 +39,6 @@ class LabelMatrix:
 
     rows: tuple            # distinct label tuples
     points: tuple
-    provenance: str = "exact"
     flagged_rows: int = 0   # hypotheses with an undecidable label, excluded
 
     @property

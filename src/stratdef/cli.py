@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from . import capacity, constructions, families, learn, solve, transform
 from . import formula as fm
+from .intervals import DEFAULT_MAX_BITS, UndecidedComparison
 
 
 class UsageError(Exception):
@@ -63,6 +64,10 @@ def _atomic_write(path: str, data: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -180,8 +185,8 @@ def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
     if kind == "partition":
         return constructions.build_partition_pathology(args.n)
     if kind == "frac":
-        return constructions.build_frac_construction(args.n,
-                                                     Fraction(args.r))
+        return constructions.build_frac_construction(
+            args.n, Fraction(args.r), max_bits=args.precision_bits)
     raise UsageError(f"unknown construction {kind!r}")
 
 
@@ -200,6 +205,8 @@ def _instance_result(inst: constructions.ConstructionInstance) -> dict:
 
 
 def cmd_verify_blowup(args) -> int:
+    if args.r is None:
+        args.r = "1/4" if args.construction == "frac" else "1"
     inst = _build_construction(args.construction, args)
     config = {"command": "verify-blowup", "construction": args.construction,
               "n": args.n, "r": args.r, "rp": args.rp, "s": args.s,
@@ -219,7 +226,8 @@ def cmd_shatter(args) -> int:
     ns = argparse.Namespace(
         construction=kind, n=cfg.get("n"), r=cfg.get("r"),
         rp=cfg.get("rp"), s=cfg.get("s"), t=cfg.get("t"),
-        cert_cap=cfg.get("cert_cap", 10))
+        cert_cap=cfg.get("cert_cap", 10),
+        precision_bits=cfg.get("precision_bits", args.precision_bits))
     inst = _build_construction(kind, ns)
     stored = doc.get("result", {})
     match = stored.get("passed") == inst.passed()
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stratdef",
         description="Definability toolkit for strategic classification")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision-bits", type=int, default=4096,
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_MAX_BITS,
                    help="cap for certified interval refinement")
     sub = p.add_subparsers(dest="command")
 
@@ -328,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--construction", required=True,
                    choices=sorted(constructions.BUILDERS))
     v.add_argument("--n", type=int, default=3)
-    v.add_argument("--r", default="1")
+    v.add_argument("--r", default=None,
+                   help="radius (default 1; frac: 1/4)")
     v.add_argument("--rp", default="1/2")
     v.add_argument("--s", default=None,
                    help="radius (all-radii) or comma list (fixed)")
@@ -378,7 +387,7 @@ def main(argv=None) -> int:
         return 2
     except (constructions.ConstructionError, solve.SolveError,
             transform.TransformError, learn.LearnError,
-            capacity.CapacityError) as exc:
+            capacity.CapacityError, UndecidedComparison) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

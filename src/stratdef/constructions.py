@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .intervals import (RatInterval, UndecidedComparison, certified_floor,
-                        frac_enclosure, in_open_interval, sqrt2_enclosure)
+from .intervals import (DEFAULT_MAX_BITS, RatInterval, UndecidedComparison,
+                        certified_floor, frac_enclosure, in_open_interval,
+                        sqrt2_enclosure)
 
 
 class ConstructionError(Exception):
@@ -424,7 +425,9 @@ def _shrink_intervals(n: int, r: Fraction):
 
 
 def build_frac_construction(n: int = 3, r=Fraction(1, 4),
-                            m_cap: int = 2_000_000) -> ConstructionInstance:
+                            m_cap: int = 2_000_000,
+                            max_bits: int = DEFAULT_MAX_BITS
+                            ) -> ConstructionInstance:
     """One-parameter strategic shattering via fractional parts.
 
     The class is {h_t : t real} with h_t the indicator of
@@ -432,7 +435,8 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4),
     radius r and the anchors are b_i + 1/2.  Nested intervals I_A pin the
     trace of h_t to A whenever frac(t) lies in I_A, and for each A a
     parameter t_A = sqrt(2) * m_A with frac(t_A) in I_A is found by scanning
-    m and certified with exact enclosures of sqrt(2).
+    m and certified with exact enclosures of sqrt(2), refined up to
+    max_bits bits (UndecidedComparison beyond).
     """
     r = Fraction(r)
     if not 0 < r < Fraction(1, 2):
@@ -451,7 +455,7 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4),
     def frac_of_sqrt2(mult: int) -> Callable[[int], RatInterval]:
         def fn(bits: int) -> RatInterval:
             return frac_enclosure(
-                lambda bb: sqrt2_enclosure(bb).scale(mult), bits)
+                lambda bb: sqrt2_enclosure(bb).scale(mult), bits, max_bits)
         return fn
 
     witnesses = {}
@@ -462,7 +466,7 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4),
     for key, (lo, hi) in sorted(intervals.items()):
         m_a = None
         for m in range(1, m_cap + 1):
-            if in_open_interval(frac_of_sqrt2(m), lo, hi):
+            if in_open_interval(frac_of_sqrt2(m), lo, hi, max_bits):
                 m_a = m
                 break
         if m_a is None:
@@ -475,12 +479,13 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4),
         pts = []
         for i, b in enumerate(moduli, start=1):
             fn = frac_of_sqrt2(m_a * b)
-            inside = in_open_interval(fn, p_lo, p_hi)
+            inside = in_open_interval(fn, p_lo, p_hi, max_bits)
             want = i in set(key)
             if inside != want:
                 labels_ok = False
                 detail = f"subset {key}: anchor {i} mislabeled"
-            if not inside and not in_open_interval(fn, Fraction(0), p_lo):
+            if not inside and not in_open_interval(fn, Fraction(0), p_lo,
+                                                   max_bits):
                 labels_ok = False
                 detail = f"subset {key}: frac at anchor {i} outside (0, " \
                          f"{_fmt(p_lo)})"

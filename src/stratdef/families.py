@@ -7,9 +7,16 @@ system couples a membership test with an emitter over a doubled x block
 emitters are kept in lock-step so that formula-level reasoning and direct
 evaluation can be cross-checked against each other.
 
-Membership tests use exact rational arithmetic whenever the metric allows it
-(p in {1, 2, inf}, Gaussian location, transport cost); otherwise floats with
-a documented tolerance.
+Evaluators and membership tests write each formula once over a number type
+chosen from the inputs: Fraction when every coordinate is rational and the
+metric allows it (p in {1, 2, inf}, Gaussian location, transport cost),
+float otherwise.
+
+Strategic labels have one closed form, in reach_margin: a family that exposes
+a linear form (w, b), accepting iff w.x >= b, under a constant-radius l_p
+ball (p in {1, 2, inf}, intervals included) or the identity reaches
+acceptance iff x.w + r*||w||_q - b >= 0, q the dual exponent of p.  Every
+other pair falls back to neighborhood sampling.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ class HypothesisFamily:
     evaluate: Callable  # (params, x) -> bool
     emit_formula: Callable  # () -> fm.Formula
     param_box: tuple = ((-2, 2),)
-    batch_evaluate: Optional[Callable] = None  # (params, X ndarray) -> bools
+    # params -> (w, b) when the class is {x : w.x >= b}; enables reach_margin
+    linear: Optional[Callable] = None
 
     def formula(self) -> fm.Formula:
         return self.emit_formula()
@@ -65,23 +73,17 @@ def halfspace(l: int) -> HypothesisFamily:
     def evaluate(params, x):
         if len(params) != l + 1 or len(x) != l:
             raise FamilyError("halfspace arity mismatch")
-        s = sum(Fraction(p) * Fraction(v) for p, v in zip(params, x)) \
-            if _all_exact(params, x) else \
-            sum(float(p) * float(v) for p, v in zip(params, x))
-        return s >= (Fraction(params[l]) if _all_exact(params, x)
-                     else float(params[l]))
+        num = _field(params, x)
+        return sum(num(p) * num(v) for p, v in zip(params, x)) >= \
+            num(params[l])
 
     def emit():
         return fm.atom(_dot_term([fm.a(i) for i in range(l)],
                                  [fm.x(i) for i in range(l)]),
                        ">=", fm.a(l))
 
-    def batch(params, X):
-        w = np.asarray([float(v) for v in params[:l]])
-        return X @ w >= float(params[l])
-
     return HypothesisFamily("halfspace", l, l + 1, evaluate, emit,
-                            batch_evaluate=batch)
+                            linear=lambda params: (params[:l], params[l]))
 
 
 def threshold() -> HypothesisFamily:
@@ -93,11 +95,8 @@ def threshold() -> HypothesisFamily:
     def emit():
         return fm.atom(fm.x(0), ">=", fm.a(0))
 
-    def batch(params, X):
-        return X[:, 0] >= float(params[0])
-
     return HypothesisFamily("threshold", 1, 1, evaluate, emit,
-                            batch_evaluate=batch)
+                            linear=lambda params: ((1,), params[0]))
 
 
 def monomial_exponents(l: int, max_degree: int):
@@ -106,6 +105,23 @@ def monomial_exponents(l: int, max_degree: int):
     for d in range(max_degree + 1):
         out.extend(itertools.combinations_with_replacement(range(l), d))
     return out
+
+
+def _poly_value(coeffs, monos, x, num=float):
+    """sum_j coeffs[j] * prod_{i in monos[j]} x[i], in the number type num."""
+    total = num(0)
+    for th, mono in zip(coeffs, monos):
+        term = num(th)
+        for i in mono:
+            term *= num(x[i])
+        total += term
+    return total
+
+
+def _poly_term(base: int, monos) -> fm.Term:
+    """The same polynomial as a term, coefficients a{base}, a{base+1}, ..."""
+    return fm.add(*[fm.mul(fm.a(base + j), *[fm.x(i) for i in mono])
+                    for j, mono in enumerate(monos)])
 
 
 def polynomial_threshold(l: int, degree: int,
@@ -124,20 +140,10 @@ def polynomial_threshold(l: int, degree: int,
     def evaluate(params, x):
         if len(params) != k:
             raise FamilyError("coefficient arity mismatch")
-        exact = _all_exact(params, x)
-        total = Fraction(0) if exact else 0.0
-        for th, mono in zip(params, monos):
-            term = Fraction(th) if exact else float(th)
-            for i in mono:
-                term *= Fraction(x[i]) if exact else float(x[i])
-            total += term
-        return total > 0
+        return _poly_value(params, monos, x, _field(params, x)) > 0
 
     def emit():
-        terms = []
-        for j, mono in enumerate(monos):
-            terms.append(fm.mul(fm.a(j), *[fm.x(i) for i in mono]))
-        return fm.atom(fm.add(*terms), ">", fm.const(0))
+        return fm.atom(_poly_term(0, monos), ">", fm.const(0))
 
     return HypothesisFamily(f"ptf_deg{degree}", l, k, evaluate, emit)
 
@@ -166,29 +172,15 @@ def decision_tree(l: int, depth: int, split_degree: int,
         raise FamilyError(f"coefficient dimension {k} exceeds cap "
                           f"{max_params}")
 
-    def node_poly_value(params, node, x):
-        base = (node - 1) * block
-        total = 0.0
-        for j, mono in enumerate(monos):
-            term = float(params[base + j])
-            for i in mono:
-                term *= float(x[i])
-            total += term
-        return total
-
     def evaluate(params, x):
         if len(params) != k:
             raise FamilyError("coefficient arity mismatch")
         node = 1
         for _ in range(depth):
-            right = node_poly_value(params, node, x) >= 0
+            base = (node - 1) * block
+            right = _poly_value(params[base:base + block], monos, x) >= 0
             node = 2 * node + (1 if right else 0)
         return bool(leaf_labels[node - n_leaves])
-
-    def node_poly_term(node):
-        base = (node - 1) * block
-        return fm.add(*[fm.mul(fm.a(base + j), *[fm.x(i) for i in mono])
-                        for j, mono in enumerate(monos)])
 
     def emit():
         disjuncts = []
@@ -200,7 +192,7 @@ def decision_tree(l: int, depth: int, split_degree: int,
             while node > 1:
                 parent = node // 2
                 went_right = node % 2 == 1
-                term = node_poly_term(parent)
+                term = _poly_term((parent - 1) * block, monos)
                 conds.append(fm.atom(term, ">=" if went_right else "<",
                                      fm.const(0)))
                 node = parent
@@ -342,20 +334,34 @@ class NeighborhoodSystem:
         return self.emit_formula()
 
 
-def _all_exact(*seqs) -> bool:
-    return all(isinstance(v, (Fraction, int)) for s in seqs for v in s)
+def _field(*seqs) -> type:
+    """Fraction when every entry is rational, float otherwise."""
+    exact = all(isinstance(v, (Fraction, int)) for s in seqs for v in s)
+    return Fraction if exact else float
 
 
-def _src(i: int) -> fm.Var:
-    return fm.x(i)
+def _box_sampler(l: int, contains: Callable, radius_at: Callable) -> Callable:
+    """Sampler keeping uniform draws from the box of half-width
+    radius_at(x) around x that land in N_x."""
+
+    def sample(x, rng, budget):
+        xf = [float(v) for v in x]
+        r = float(radius_at(x))
+        out = [tuple(x)]
+        for _ in range(budget):
+            d = rng.uniform(-r, r, size=l) if r > 0 else np.zeros(l)
+            y = tuple(v + dv for v, dv in zip(xf, d))
+            if contains(xf, y):
+                out.append(y)
+        return out
+    return sample
 
 
 def identity(l: int) -> NeighborhoodSystem:
     def contains(x, y):
-        if _all_exact(x, y):
-            return tuple(map(Fraction, x)) == tuple(map(Fraction, y))
-        return all(abs(float(u) - float(v)) <= FLOAT_TOL
-                   for u, v in zip(x, y))
+        num = _field(x, y)
+        tol = 0 if num is Fraction else FLOAT_TOL
+        return all(abs(num(u) - num(v)) <= tol for u, v in zip(x, y))
 
     def emit():
         return fm.conj(*[fm.atom(fm.x(l + i), "=", fm.x(i))
@@ -389,17 +395,11 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
         raise FamilyError("general-exponent balls support radius 1 only")
 
     def contains(x, y):
-        if _all_exact(x, y) and special:
-            dx = [Fraction(u) - Fraction(v) for u, v in zip(x, y)]
-            if inf:
-                return max((abs(d) for d in dx), default=Fraction(0)) <= radius
-            if p == 1:
-                return sum(abs(d) for d in dx) <= radius
-            return sum(d * d for d in dx) <= radius * radius
-        dx = [float(u) - float(v) for u, v in zip(x, y)]
+        num = _field(x, y) if special else float
+        dx = [abs(num(u) - num(v)) for u, v in zip(x, y)]
         if inf:
-            return max((abs(d) for d in dx), default=0.0) <= float(radius)
-        return sum(abs(d) ** float(p) for d in dx) <= float(radius) ** float(p)
+            return max(dx, default=num(0)) <= num(radius)
+        return sum(d ** num(p) for d in dx) <= num(radius) ** num(p)
 
     def emit():
         xs = [fm.x(i) for i in range(l)]
@@ -448,19 +448,11 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
                              "<=", fm.const(1)))
         return fm.Exists(tuple(indices), fm.conj(*parts))
 
-    def sample(x, rng, budget):
-        out = [tuple(x)]
-        r = float(radius)
-        for _ in range(budget):
-            d = rng.uniform(-r, r, size=l)
-            y = tuple(float(v) + dv for v, dv in zip(x, d))
-            if contains([float(v) for v in x], y):
-                out.append(y)
-        return out
-
     name = f"l{'inf' if inf else p}_ball_r{radius}"
-    return NeighborhoodSystem(name, l, contains, emit, sample, kind="lp",
-                              p=(math.inf if inf else p), radius=radius)
+    return NeighborhoodSystem(name, l, contains, emit,
+                              _box_sampler(l, contains, lambda x: radius),
+                              kind="lp", p=(math.inf if inf else p),
+                              radius=radius)
 
 
 def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
@@ -468,17 +460,13 @@ def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
     if not 0 <= coord < l:
         raise FamilyError("radius coordinate out of range")
 
-    def radius_at(x):
-        r = Fraction(x[coord]) if _all_exact(x) else float(x[coord])
-        return max(r, 0)
+    def radius_at(x, num=float):
+        return max(num(x[coord]), 0)
 
     def contains(x, y):
-        r = radius_at(x)
-        if _all_exact(x, y):
-            dx = [Fraction(u) - Fraction(v) for u, v in zip(x, y)]
-            return sum(d * d for d in dx) <= Fraction(r) * Fraction(r)
-        dx = [float(u) - float(v) for u, v in zip(x, y)]
-        return sum(d * d for d in dx) <= float(r) ** 2
+        num = _field(x, y)
+        dx = [num(u) - num(v) for u, v in zip(x, y)]
+        return sum(d * d for d in dx) <= radius_at(x, num) ** 2
 
     def emit():
         xs = [fm.x(i) for i in range(l)]
@@ -492,18 +480,9 @@ def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
                          *[fm.atom(xi, "=", yi) for xi, yi in zip(xs, ys)])
         return fm.disj(moving, frozen)
 
-    def sample(x, rng, budget):
-        out = [tuple(x)]
-        r = float(radius_at(x))
-        for _ in range(budget):
-            d = rng.uniform(-r, r, size=l) if r > 0 else np.zeros(l)
-            y = tuple(float(v) + dv for v, dv in zip(x, d))
-            if contains([float(v) for v in x], y):
-                out.append(y)
-        return out
-
     return NeighborhoodSystem(f"l2_ball_var_x{coord}", l, contains, emit,
-                              sample, kind="lp_var", p=2, radius=coord)
+                              _box_sampler(l, contains, radius_at),
+                              kind="lp_var", p=2, radius=coord)
 
 
 def interval_radius(r) -> NeighborhoodSystem:
@@ -523,10 +502,8 @@ def gaussian_kl_location(radius) -> NeighborhoodSystem:
     radius = Fraction(radius)
 
     def contains(x, y):
-        if _all_exact(x, y):
-            d = Fraction(x[0]) - Fraction(y[0])
-            return d * d <= 2 * radius
-        return (float(x[0]) - float(y[0])) ** 2 <= 2 * float(radius)
+        num = _field(x, y)
+        return (num(x[0]) - num(y[0])) ** 2 <= 2 * num(radius)
 
     def emit():
         d = fm.sub(fm.x(0), fm.x(1))
@@ -544,14 +521,11 @@ def gaussian_kl_location(radius) -> NeighborhoodSystem:
 
 
 def _check_simplex(x, strict: bool = False):
-    if _all_exact(x):
-        vals = [Fraction(v) for v in x]
-        if sum(vals) != 1 or any(v < 0 for v in vals):
-            raise FamilyError(f"point {x} is not on the probability simplex")
-    else:
-        vals = [float(v) for v in x]
-        if abs(sum(vals) - 1) > 1e-7 or any(v < -1e-12 for v in vals):
-            raise FamilyError(f"point {x} is not on the probability simplex")
+    num = _field(x)
+    vals = [num(v) for v in x]
+    sum_tol, neg_tol = (0, 0) if num is Fraction else (1e-7, 1e-12)
+    if abs(sum(vals) - 1) > sum_tol or any(v < -neg_tol for v in vals):
+        raise FamilyError(f"point {x} is not on the probability simplex")
     if strict and any(v <= 0 for v in vals):
         raise FamilyError("point must have full support")
     return vals
@@ -746,50 +720,45 @@ def floor_partition() -> NeighborhoodSystem:
 # Closed-form strategic labels
 
 
-def reach_margin(family: HypothesisFamily, neigh: NeighborhoodSystem,
-                 params, x) -> Optional[float]:
-    """Signed margin of strategic acceptance in closed form, or None.
+# ord of the dual norm ||.||_q for each l_p exponent p (1/p + 1/q = 1)
+_DUAL_ORD = {1: math.inf, 2: 2, math.inf: 1}
 
-    Positive (or zero) margin means some neighbor is accepted.  Covered
-    cases: halfspaces under constant-radius l_p balls (the best neighbor
-    moves along the dual-norm direction) and thresholds under intervals.
+
+def reach_margin(family: HypothesisFamily, neigh: NeighborhoodSystem,
+                 params, X):
+    """Signed margin x.w + r*||w||_q - b of strategic acceptance, or None.
+
+    X is one point or a matrix with one point per row.  A nonnegative margin
+    means some neighbor is accepted: the best neighbor moves by r along the
+    dual-norm direction of w.  Covered: families with a linear form under
+    the identity (r = 0) and constant-radius l_p balls with p in {1, 2, inf},
+    intervals included.  Other pairs have no closed form here (None).
     """
-    if family.name == "halfspace" and neigh.kind in ("lp", "interval") \
-            and isinstance(neigh.radius, Fraction):
-        l = family.input_dim
-        w = [float(v) for v in params[:l]]
-        b = float(params[l])
-        r = float(neigh.radius)
-        if neigh.p == math.inf:
-            gain = r * sum(abs(v) for v in w)
-        elif neigh.p == 2:
-            gain = r * math.sqrt(sum(v * v for v in w))
-        elif neigh.p == 1:
-            gain = r * max((abs(v) for v in w), default=0.0)
-        else:
-            return None
-        return sum(wv * float(xv) for wv, xv in zip(w, x)) + gain - b
-    if family.name == "threshold" and neigh.kind in ("interval", "lp") \
-            and neigh.p == math.inf and isinstance(neigh.radius, Fraction):
-        return float(x[0]) + float(neigh.radius) - float(params[0])
-    if neigh.kind == "identity":
-        return None  # callers should evaluate the family directly
-    return None
+    if family.linear is None or \
+            neigh.kind not in ("identity", "lp", "interval") or \
+            neigh.radius and neigh.p not in _DUAL_ORD:
+        return None
+    w, b = family.linear(params)
+    w = np.asarray([float(v) for v in w])
+    gain = float(neigh.radius) * np.linalg.norm(w, _DUAL_ORD[neigh.p]) \
+        if neigh.radius else 0.0
+    return np.asarray(X, dtype=float) @ w + gain - float(b)
 
 
 def strategic_label(family: HypothesisFamily, neigh: NeighborhoodSystem,
                     params, x, rng=None, budget: int = 64) -> bool:
     """Label of x under the strategic version of the classifier.
 
-    Uses the closed-form margin when available, the identity shortcut, and
-    otherwise falls back to neighborhood sampling (a sound lower bound on
-    acceptance).
+    Under the identity the family is evaluated directly (exactly on
+    rational input); otherwise the closed-form margin decides when
+    reach_margin has one, and neighborhood sampling (a sound lower bound on
+    acceptance) decides the rest.
     """
     if neigh.kind == "identity":
         return bool(family.evaluate(params, x))
     m = reach_margin(family, neigh, params, x)
     if m is not None:
-        return m >= 0
+        return bool(m >= 0)
     if bool(family.evaluate(params, x)):
         return True
     if neigh.sample is None:
@@ -803,26 +772,11 @@ def strategic_label(family: HypothesisFamily, neigh: NeighborhoodSystem,
 def batch_strategic_labels(family: HypothesisFamily,
                            neigh: NeighborhoodSystem, params,
                            X: np.ndarray) -> np.ndarray:
-    """Vectorized strategic labels; falls back to a Python loop."""
-    if family.name == "halfspace" and neigh.kind in ("lp", "interval") \
-            and isinstance(neigh.radius, Fraction) \
-            and neigh.p in (1, 2, math.inf):
-        l = family.input_dim
-        w = np.asarray([float(v) for v in params[:l]])
-        b = float(params[l])
-        r = float(neigh.radius)
-        if neigh.p == math.inf:
-            gain = r * np.abs(w).sum()
-        elif neigh.p == 2:
-            gain = r * math.sqrt(float(w @ w))
-        else:
-            gain = r * (np.abs(w).max() if l else 0.0)
-        return X @ w + gain >= b
-    if family.name == "threshold" and neigh.p == math.inf \
-            and isinstance(neigh.radius, Fraction):
-        return X[:, 0] + float(neigh.radius) >= float(params[0])
-    if neigh.kind == "identity" and family.batch_evaluate is not None:
-        return np.asarray(family.batch_evaluate(params, X), dtype=bool)
+    """Strategic labels of the rows of X: the closed-form margin in one
+    matrix product, else strategic_label row by row."""
+    m = reach_margin(family, neigh, params, X)
+    if m is not None:
+        return m >= 0
     return np.asarray([strategic_label(family, neigh, params, row)
                        for row in X], dtype=bool)
 

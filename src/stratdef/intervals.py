@@ -157,18 +157,31 @@ def exp_interval(iv: RatInterval, bits: int) -> RatInterval:
 EnclosureFn = Callable[[int], RatInterval]
 
 
-def certified_sign(fn: EnclosureFn, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    """Sign of the real number enclosed by fn, refining precision as needed."""
+def _refine(fn: EnclosureFn, decide: Callable, max_bits: int, what: str):
+    """First non-None decide(fn(bits)) for bits = 16, 32, ... <= max_bits;
+    raises UndecidedComparison when every enclosure up to the cap leaves
+    the question open."""
     bits = 16
     last = None
     while bits <= max_bits:
         last = fn(bits)
-        try:
-            return last.sign()
-        except UndecidedComparison:
-            bits *= 2
+        out = decide(last)
+        if out is not None:
+            return out
+        bits *= 2
     raise UndecidedComparison(
-        f"sign undecided at {max_bits} bits: {last}", last)
+        f"{what} undecided at {max_bits} bits: {last}", last)
+
+
+def certified_sign(fn: EnclosureFn, max_bits: int = DEFAULT_MAX_BITS) -> int:
+    """Sign of the real number enclosed by fn, refining precision as needed."""
+
+    def decide(iv):
+        try:
+            return iv.sign()
+        except UndecidedComparison:
+            return None
+    return _refine(fn, decide, max_bits, "sign")
 
 
 def certified_floor(fn: EnclosureFn, max_bits: int = DEFAULT_MAX_BITS) -> int:
@@ -177,17 +190,11 @@ def certified_floor(fn: EnclosureFn, max_bits: int = DEFAULT_MAX_BITS) -> int:
     Fails (undecided) if the value is an integer or indistinguishably close
     to one at the precision cap.
     """
-    bits = 16
-    last = None
-    while bits <= max_bits:
-        last = fn(bits)
-        flo = math.floor(last.lo)
-        fhi = math.floor(last.hi)
-        if flo == fhi and last.hi < flo + 1:
-            return flo
-        bits *= 2
-    raise UndecidedComparison(
-        f"floor undecided at {max_bits} bits: {last}", last)
+
+    def decide(iv):
+        f = math.floor(iv.lo)
+        return f if math.floor(iv.hi) == f else None
+    return _refine(fn, decide, max_bits, "floor")
 
 
 def frac_enclosure(fn: EnclosureFn, bits: int,
@@ -206,14 +213,11 @@ def in_open_interval(fn: EnclosureFn, lo, hi,
     value cannot be separated from an endpoint at the precision cap.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    bits = 16
-    last = None
-    while bits <= max_bits:
-        last = fn(bits)
-        if last.strictly_inside(lo, hi):
+
+    def decide(iv):
+        if iv.strictly_inside(lo, hi):
             return True
-        if last.strictly_outside(lo, hi):
+        if iv.strictly_outside(lo, hi):
             return False
-        bits *= 2
-    raise UndecidedComparison(
-        f"membership in ({lo},{hi}) undecided at {max_bits} bits: {last}", last)
+        return None
+    return _refine(fn, decide, max_bits, f"membership in ({lo},{hi})")

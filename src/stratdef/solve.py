@@ -32,11 +32,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formula as fm
-from .intervals import (RatInterval, UndecidedComparison, certified_sign,
-                        exp_enclosure, exp_interval)
+from .intervals import (DEFAULT_MAX_BITS, RatInterval, UndecidedComparison,
+                        certified_sign, exp_enclosure, exp_interval)
 
 FLOAT_TOL = 1e-9
-MAX_BITS = 4096
+MAX_BITS = DEFAULT_MAX_BITS
 
 
 def _safe_exp(v: float) -> float:

@@ -4,6 +4,8 @@ and byte-identical replay."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -57,6 +59,11 @@ def test_construction_error_is_verification_failure(tmp_path, capsys):
               "--r", "1/2", "--rp", "1", "--out", tmp_path / "c.json"])
     assert rc == 1
     assert "verification failure:" in capsys.readouterr().err
+    # a comparison left open at the --precision-bits cap fails verification
+    rc = run(["--precision-bits", 16, "verify-blowup", "--construction",
+              "frac", "--n", 3, "--r", "1/4", "--out", tmp_path / "f.json"])
+    assert rc == 1
+    assert "undecided" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +74,13 @@ def test_transform_artifact_and_replay(tmp_path, capsys):
     out = tmp_path / "t.json"
     argv = ["transform", "--hypothesis", "halfspace:l=2",
             "--neighborhood", "lp:l=2,p=2,r=1/2", "--out", out]
-    assert run(argv) == 0
+    umask = os.umask(0o022)
+    try:
+        assert run(argv) == 0
+    finally:
+        os.umask(umask)
+    for path in (out, tmp_path / "t.json.meta.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
     doc = _read_artifact(out)
     assert doc["config"]["command"] == "transform"
     rep = doc["result"]["report"]
@@ -133,6 +146,13 @@ def test_verify_blowup_fixed_and_shatter_roundtrip(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "fixed_blowup: n=2 PASS" in summary
 
+    assert run(["shatter", "--instance", out]) == 0
+    assert "matches" in capsys.readouterr().out
+
+    # frac's default radius is valid (0 < r < 1/2)
+    assert run(["verify-blowup", "--construction", "frac", "--n", 2,
+                "--out", out]) == 0
+    assert _read_artifact(out)["config"]["r"] == "1/4"
     assert run(["shatter", "--instance", out]) == 0
     assert "matches" in capsys.readouterr().out
 

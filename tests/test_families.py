@@ -328,14 +328,24 @@ def test_strategic_label_matches_formula_transform():
 
 def test_batch_strategic_labels_match_scalar():
     rng = np.random.default_rng(13)
-    h = halfspace(2)
-    for desc in ("lp:l=2,p=2,r=1/2", "l1:l=2,r=1/2", "linf:l=2,r=1/2"):
+    h, t = halfspace(2), threshold()
+    ah = [Fraction(1), Fraction(-1), Fraction(1, 4)]
+    for family, desc, a in ((h, "lp:l=2,p=2,r=1/2", ah),
+                            (h, "l1:l=2,r=1/2", ah),
+                            (h, "linf:l=2,r=1/2", ah),
+                            (t, "lp:l=1,p=2,r=1/2", [Fraction(0)]),
+                            (t, "interval:r=1/2", [Fraction(0)]),
+                            (h, "identity:l=2", ah)):
         n = make_neighborhood(desc)
-        a = [Fraction(1), Fraction(-1), Fraction(1, 4)]
-        X = rng.uniform(-2, 2, size=(50, 2))
-        got = batch_strategic_labels(h, n, a, X)
-        want = [strategic_label(h, n, a, row) for row in X]
+        X = rng.uniform(-2, 2, size=(50, family.input_dim))
+        got = batch_strategic_labels(family, n, a, X)
+        want = [strategic_label(family, n, a, row) for row in X]
         assert list(got) == want
+    # a 1-D l2 ball is an interval: -0.499 reaches the threshold at 0
+    n = make_neighborhood("lp:l=1,p=2,r=1/2")
+    assert strategic_label(t, n, [0], [-0.499]) is True
+    assert list(batch_strategic_labels(t, n, [0], np.array([[-0.499]]))) \
+        == [True]
 
 
 def test_batch_identity_uses_base_class():
