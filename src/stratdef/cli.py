@@ -112,7 +112,6 @@ def _load_formula(spec: str) -> fm.Formula:
     path = Path(spec)
     if path.exists():
         return fm.parse(path.read_text())
-    name = spec.partition(":")[0]
     try:
         return families.make_family(spec).formula()
     except families.FamilyError:

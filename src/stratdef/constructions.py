@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .intervals import (DEFAULT_MAX_BITS, RatInterval, UndecidedComparison,
-                        certified_floor, frac_enclosure, in_open_interval,
-                        sqrt2_enclosure)
+from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_floor,
+                        frac_enclosure, in_open_interval, sqrt2_enclosure)
 
 
 class ConstructionError(Exception):

@@ -21,9 +21,10 @@ other pair falls back to neighborhood sampling.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -806,34 +807,67 @@ def _num(v: str):
         return Fraction(v)
 
 
+def _threshold(l="1") -> HypothesisFamily:
+    if int(l) != 1:
+        raise ValueError("threshold is one-dimensional: l must be 1")
+    return threshold()
+
+
+def _tree(l="2", depth="2", q="1", labels=None) -> HypothesisFamily:
+    if labels is None:
+        labels = "01" * (1 << (int(depth) - 1))
+    return decision_tree(int(l), int(depth), int(q), [int(c) for c in labels])
+
+
+# Spec name -> builder.  A builder's parameters are the keys its spec
+# accepts and their defaults stand in for omitted keys; any other key is an
+# error rather than silently ignored.
+_FAMILIES = {
+    "halfspace": lambda l="2": halfspace(int(l)),
+    "threshold": _threshold,
+    "ptf": lambda l="2", D="2": polynomial_threshold(int(l), int(D)),
+    "tree": _tree,
+    "nn": lambda widths="2-2-1": sigmoid_network(
+        [int(d) for d in widths.split("-")]),
+}
+
+_NEIGHBORHOODS = {
+    "identity": lambda l="2": identity(int(l)),
+    "lp": lambda l="2", p="2", r="1": lp_ball(int(l), _num(p), Fraction(r)),
+    "linf": lambda l="2", r="1": lp_ball(int(l), "inf", Fraction(r)),
+    "l1": lambda l="2", r="1": lp_ball(int(l), 1, Fraction(r)),
+    "lp_var": lambda l="2", coord="1": lp2_ball_variable_radius(int(l),
+                                                                int(coord)),
+    "interval": lambda r="1": interval_radius(Fraction(r)),
+    "kl": lambda l="3", r="1": kl_ball(int(l), Fraction(r)),
+    "gauss_kl": lambda r="1": gaussian_kl_location(Fraction(r)),
+    "emd": lambda r="1": emd_ball(footnote_metric(), Fraction(r)),
+    "floor": floor_partition,
+}
+
+
+def _from_spec(builders: dict, kind: str, spec: str):
+    name, _, body = spec.partition(":")
+    kw = _parse_kwargs(body)
+    if name not in builders:
+        raise FamilyError(f"unknown {kind} {name!r}")
+    unknown = set(kw) - set(inspect.signature(builders[name]).parameters)
+    if unknown:
+        raise FamilyError(f"bad {kind} spec {spec!r}: unknown key(s) "
+                          f"{', '.join(sorted(unknown))}")
+    try:
+        return builders[name](**kw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FamilyError(f"bad {kind} spec {spec!r}: {exc}") from exc
+
+
 def make_family(spec: str) -> HypothesisFamily:
     """Build a hypothesis family from a spec string.
 
     Examples: 'halfspace:l=2', 'threshold', 'ptf:l=2,D=3',
     'tree:l=2,depth=2,q=1,labels=0110', 'nn:widths=2-2-1'.
     """
-    name, _, body = spec.partition(":")
-    kw = _parse_kwargs(body)
-    try:
-        if name == "halfspace":
-            return halfspace(int(kw.get("l", 2)))
-        if name == "threshold":
-            return threshold()
-        if name == "ptf":
-            return polynomial_threshold(int(kw.get("l", 2)),
-                                        int(kw.get("D", 2)))
-        if name == "tree":
-            depth = int(kw.get("depth", 2))
-            labels = kw.get("labels", "01" * (1 << (depth - 1)))
-            return decision_tree(int(kw.get("l", 2)), depth,
-                                 int(kw.get("q", 1)),
-                                 [int(c) for c in labels])
-        if name == "nn":
-            widths = kw.get("widths", "2-2-1").split("-")
-            return sigmoid_network([int(d) for d in widths])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FamilyError(f"bad family spec {spec!r}: {exc}") from exc
-    raise FamilyError(f"unknown family {name!r}")
+    return _from_spec(_FAMILIES, "family", spec)
 
 
 def make_neighborhood(spec: str) -> NeighborhoodSystem:
@@ -843,32 +877,4 @@ def make_neighborhood(spec: str) -> NeighborhoodSystem:
     'l1:l=2,r=1', 'lp_var:l=2,coord=1', 'interval:r=1/2', 'kl:l=3,r=1',
     'gauss_kl:r=1/2', 'emd:r=1' (three-point ground metric), 'floor'.
     """
-    name, _, body = spec.partition(":")
-    kw = _parse_kwargs(body)
-    try:
-        if name == "identity":
-            return identity(int(kw.get("l", 2)))
-        if name == "lp":
-            return lp_ball(int(kw.get("l", 2)), _num(kw.get("p", "2")),
-                           Fraction(kw.get("r", "1")))
-        if name == "linf":
-            return lp_ball(int(kw.get("l", 2)), "inf",
-                           Fraction(kw.get("r", "1")))
-        if name == "l1":
-            return lp_ball(int(kw.get("l", 2)), 1, Fraction(kw.get("r", "1")))
-        if name == "lp_var":
-            return lp2_ball_variable_radius(int(kw.get("l", 2)),
-                                            int(kw.get("coord", 1)))
-        if name == "interval":
-            return interval_radius(Fraction(kw.get("r", "1")))
-        if name == "kl":
-            return kl_ball(int(kw.get("l", 3)), Fraction(kw.get("r", "1")))
-        if name == "gauss_kl":
-            return gaussian_kl_location(Fraction(kw.get("r", "1")))
-        if name == "emd":
-            return emd_ball(footnote_metric(), Fraction(kw.get("r", "1")))
-        if name == "floor":
-            return floor_partition()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FamilyError(f"bad neighborhood spec {spec!r}: {exc}") from exc
-    raise FamilyError(f"unknown neighborhood {name!r}")
+    return _from_spec(_NEIGHBORHOODS, "neighborhood", spec)

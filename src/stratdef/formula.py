@@ -7,13 +7,21 @@ fragment classification, the graph-form rewriting that isolates every
 exponential into an atom ``u = exp(v)``, and the syntactic format/degree
 complexity of a graph-form formula.
 
+Each structural decision is made in one place: ``split_exists`` is the only
+reader of the witness prefix (leading Exists blocks) and the matrix under
+it, ``compare`` the only recognizer of the exp-graph atom ``u = exp(v)``,
+and trees are rebuilt only by ``map_term`` (terms, bottom-up) and
+``map_atoms`` (formulas: atoms and quantifier indices), on which
+``map_vars``, ``rename_witnesses`` and the graph-form rewrite are built.
+Walks that only read use the ``subterms`` / ``subformulas`` iterators.
+
 Everything here is pure syntax; evaluation lives in :mod:`stratdef.solve`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -220,24 +228,55 @@ def atom(lhs: Term, rel: str, rhs: Term) -> Atom:
     return Atom(Compare(lhs, rel, rhs))
 
 
+def compare(lhs: Term, rel: str, rhs: Term) -> AtomKind:
+    """The atom (rel lhs rhs), as an ExpGraph when it reads u = exp(v) or
+    exp(v) = u for variables u and v."""
+    if rel == "=":
+        u, e = (rhs, lhs) if isinstance(lhs, Exp) else (lhs, rhs)
+        if isinstance(u, Var) and isinstance(e, Exp) and isinstance(e.arg, Var):
+            return ExpGraph(u, e.arg)
+    return Compare(lhs, rel, rhs)
+
+
 TRUE = And(())  # empty conjunction
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Reading and rebuilding
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """t and every term below it, each node before its children."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Sum):
+            stack.extend(reversed(t.terms))
+        elif isinstance(t, Product):
+            stack.extend(reversed(t.factors))
+        elif isinstance(t, Exp):
+            stack.append(t.arg)
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """f and every formula below it, each node before its children."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, (And, Or)):
+            stack.extend(reversed(f.parts))
+        elif not isinstance(f, Atom):
+            stack.append(f.body)
 
 
 def term_vars(t: Term) -> Iterator[Var]:
-    if isinstance(t, Var):
-        yield t
-    elif isinstance(t, Sum):
-        for s in t.terms:
-            yield from term_vars(s)
-    elif isinstance(t, Product):
-        for s in t.factors:
-            yield from term_vars(s)
-    elif isinstance(t, Exp):
-        yield from term_vars(t.arg)
+    return (s for s in subterms(t) if isinstance(s, Var))
+
+
+def term_has_exp(t: Term) -> bool:
+    return any(isinstance(s, Exp) for s in subterms(t))
 
 
 def atom_vars(at: AtomKind) -> Iterator[Var]:
@@ -250,15 +289,28 @@ def atom_vars(at: AtomKind) -> Iterator[Var]:
 
 
 def formula_atoms(f: Formula) -> Iterator[AtomKind]:
-    if isinstance(f, Atom):
-        yield f.atom
-    elif isinstance(f, Not):
-        yield from formula_atoms(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from formula_atoms(p)
-    elif isinstance(f, (Exists, ForAll)):
-        yield from formula_atoms(f.body)
+    return (g.atom for g in subformulas(f) if isinstance(g, Atom))
+
+
+def _has_quantifier(f: Formula) -> bool:
+    return any(isinstance(g, (Exists, ForAll)) for g in subformulas(f))
+
+
+def split_exists(f: Formula) -> tuple:
+    """(witness indices, matrix): the indices bound by the leading Exists
+    blocks of f, in order, and the formula under them (f itself when f does
+    not start with Exists)."""
+    indices = []
+    while isinstance(f, Exists):
+        indices.extend(f.indices)
+        f = f.body
+    return tuple(indices), f
+
+
+def max_index(f: Formula, block: str) -> int:
+    """Largest index of a ``block`` variable in the atoms of f; -1 if none."""
+    return max((v.index for at in formula_atoms(f) for v in atom_vars(at)
+                if v.block == block), default=-1)
 
 
 def free_vars(f: Formula) -> set:
@@ -287,64 +339,51 @@ def validate(f: Formula) -> None:
             raise FormulaError(f"unbound witness variable {v}")
 
 
+def map_term(t: Term, fn) -> Term:
+    """Rebuild t bottom-up: fn receives each node after its children have
+    been rebuilt, and its result replaces the node."""
+    if isinstance(t, Sum):
+        t = Sum(tuple(map_term(s, fn) for s in t.terms))
+    elif isinstance(t, Product):
+        t = Product(tuple(map_term(s, fn) for s in t.factors))
+    elif isinstance(t, Exp):
+        t = Exp(map_term(t.arg, fn))
+    return fn(t)
+
+
+def map_atoms(f: Formula, fn, index=None) -> Formula:
+    """Rebuild f with every atom replaced by fn(atom) and every quantifier
+    index i by index(i) (unchanged when index is None)."""
+    if isinstance(f, Atom):
+        return Atom(fn(f.atom))
+    if isinstance(f, Not):
+        return Not(map_atoms(f.body, fn, index))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(map_atoms(p, fn, index) for p in f.parts))
+    indices = f.indices if index is None else tuple(map(index, f.indices))
+    return type(f)(indices, map_atoms(f.body, fn, index))
+
+
 def map_vars(f: Formula, fn) -> Formula:
-    """Structurally rebuild f, replacing every Var v by the term fn(v)."""
+    """Rebuild f, replacing every Var v by the term fn(v); a quantified
+    witness index i becomes the index of fn(w_i), so fn must send bound
+    witnesses to witnesses."""
 
-    def t(term: Term) -> Term:
-        if isinstance(term, Var):
-            return fn(term)
-        if isinstance(term, Const):
-            return term
-        if isinstance(term, Sum):
-            return Sum(tuple(t(s) for s in term.terms))
-        if isinstance(term, Product):
-            return Product(tuple(t(s) for s in term.factors))
-        return Exp(t(term.arg))
+    def var(t: Term) -> Term:
+        return fn(t) if isinstance(t, Var) else t
 
-    def g(h: Formula) -> Formula:
-        if isinstance(h, Atom):
-            at = h.atom
-            if isinstance(at, Compare):
-                return Atom(Compare(t(at.lhs), at.rel, t(at.rhs)))
-            l, r = fn(at.lhs), fn(at.rhs)
-            if isinstance(l, Var) and isinstance(r, Var):
-                return Atom(ExpGraph(l, r))
-            return Atom(Compare(l, "=", Exp(r)))
-        if isinstance(h, Not):
-            return Not(g(h.body))
-        if isinstance(h, And):
-            return And(tuple(g(p) for p in h.parts))
-        if isinstance(h, Or):
-            return Or(tuple(g(p) for p in h.parts))
-        if isinstance(h, Exists):
-            return Exists(h.indices, g(h.body))
-        return ForAll(h.indices, g(h.body))
+    def atom_fn(at: AtomKind) -> AtomKind:
+        if isinstance(at, Compare):
+            return Compare(map_term(at.lhs, var), at.rel, map_term(at.rhs, var))
+        return compare(fn(at.lhs), "=", Exp(fn(at.rhs)))
 
-    return g(f)
+    return map_atoms(f, atom_fn, lambda i: fn(Var("w", i)).index)
 
 
 def rename_witnesses(f: Formula, mapping: dict) -> Formula:
     """Rename w-variable indices throughout (bound and free occurrences)."""
-
-    def fn(v: Var) -> Var:
-        if v.block == "w" and v.index in mapping:
-            return Var("w", mapping[v.index])
-        return v
-
-    def g(h: Formula) -> Formula:
-        if isinstance(h, Exists):
-            return Exists(tuple(mapping.get(i, i) for i in h.indices), g(h.body))
-        if isinstance(h, ForAll):
-            return ForAll(tuple(mapping.get(i, i) for i in h.indices), g(h.body))
-        if isinstance(h, Not):
-            return Not(g(h.body))
-        if isinstance(h, And):
-            return And(tuple(g(p) for p in h.parts))
-        if isinstance(h, Or):
-            return Or(tuple(g(p) for p in h.parts))
-        return map_vars(h, fn)
-
-    return g(f)
+    return map_vars(f, lambda v: Var("w", mapping[v.index])
+                    if v.block == "w" and v.index in mapping else v)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +512,7 @@ def _read_formula(r: _Reader) -> Formula:
         lhs = _read_term(r)
         rhs = _read_term(r)
         r.expect(")")
-        # recognize the canonical exp-graph atom (= u (exp v)) / (= (exp v) u)
-        if op == "=":
-            if isinstance(rhs, Exp) and isinstance(rhs.arg, Var) and isinstance(lhs, Var):
-                return Atom(ExpGraph(lhs, rhs.arg))
-            if isinstance(lhs, Exp) and isinstance(lhs.arg, Var) and isinstance(rhs, Var):
-                return Atom(ExpGraph(rhs, lhs.arg))
-        return Atom(Compare(lhs, op, rhs))
+        return Atom(compare(lhs, op, rhs))
     if op in ("and", "or"):
         parts = []
         while r.peek()[0] != ")":
@@ -530,25 +563,11 @@ EXISTENTIAL = "Existential"
 GENERAL = "General"
 
 
-def _has_quantifier(f: Formula) -> bool:
-    if isinstance(f, (Exists, ForAll)):
-        return True
-    if isinstance(f, Not):
-        return _has_quantifier(f.body)
-    if isinstance(f, (And, Or)):
-        return any(_has_quantifier(p) for p in f.parts)
-    return False
-
-
 def classify_fragment(f: Formula) -> str:
-    if not _has_quantifier(f):
-        return QUANTIFIER_FREE
-    g = f
-    while isinstance(g, Exists):
-        g = g.body
-    if not _has_quantifier(g):
-        return EXISTENTIAL
-    return GENERAL
+    _, matrix = split_exists(f)
+    if _has_quantifier(matrix):
+        return GENERAL
+    return QUANTIFIER_FREE if matrix is f else EXISTENTIAL
 
 
 # ---------------------------------------------------------------------------
@@ -577,28 +596,13 @@ class GraphForm:
     defs: tuple  # tuple[WitnessDef, ...] in dependency order
 
 
-def term_has_exp(t: Term) -> bool:
-    if isinstance(t, Exp):
-        return True
-    if isinstance(t, Sum):
-        return any(term_has_exp(s) for s in t.terms)
-    if isinstance(t, Product):
-        return any(term_has_exp(s) for s in t.factors)
-    return False
-
-
 def is_graph_form(f: Formula) -> bool:
     """True if f is (optionally) an Exists prefix over a body whose atoms are
     polynomial comparisons and ExpGraph atoms only."""
-    g = f
-    while isinstance(g, Exists):
-        g = g.body
-    if _has_quantifier(g):
-        return False
-    for at in formula_atoms(g):
-        if isinstance(at, Compare) and (term_has_exp(at.lhs) or term_has_exp(at.rhs)):
-            return False
-    return True
+    _, matrix = split_exists(f)
+    return not _has_quantifier(matrix) and not any(
+        isinstance(at, Compare) and (term_has_exp(at.lhs) or term_has_exp(at.rhs))
+        for at in formula_atoms(matrix))
 
 
 def to_graph_form(f: Formula) -> GraphForm:
@@ -610,77 +614,42 @@ def to_graph_form(f: Formula) -> GraphForm:
     body, so the new witnesses are determined functions of the remaining
     variables.
     """
-    frag = classify_fragment(f)
-    if frag == GENERAL:
+    prefix, matrix = split_exists(f)
+    if _has_quantifier(matrix):
         raise FormulaError("graph form requires an existential or "
                            "quantifier-free formula")
     if is_graph_form(f):
         return GraphForm(f, ())
 
-    prefix = []
-    g = f
-    while isinstance(g, Exists):
-        prefix.extend(g.indices)
-        g = g.body
-
-    used = [v.index for at in formula_atoms(g) for v in atom_vars(at)
-            if v.block == "w"]
-    counter = max(used + list(prefix), default=-1) + 1
+    base = max([max_index(matrix, "w"), *prefix]) + 1
     defs: list = []
-    memo: dict = {}
+    memo: dict = {}  # exp term -> its witness u
 
-    def fresh() -> int:
-        nonlocal counter
-        i = counter
-        counter += 1
-        return i
+    def define(kind: str, **kw) -> Var:
+        v = Var("w", base + len(defs))
+        defs.append(WitnessDef(v.index, kind, **kw))
+        return v
 
-    def rewrite_term(t: Term) -> Term:
-        if isinstance(t, (Var, Const)):
+    def exp_witness(t: Term) -> Term:
+        # bottom-up: the argument of t is already free of exp
+        if not isinstance(t, Exp):
             return t
-        if isinstance(t, Sum):
-            return Sum(tuple(rewrite_term(s) for s in t.terms))
-        if isinstance(t, Product):
-            return Product(tuple(rewrite_term(s) for s in t.factors))
-        arg = rewrite_term(t.arg)
-        key = ("exp", arg)
-        if key in memo:
-            return memo[key]
-        if isinstance(arg, Var):
-            src = arg
-        else:
-            vkey = ("term", arg)
-            if vkey in memo:
-                src = memo[vkey]
-            else:
-                src = Var("w", fresh())
-                defs.append(WitnessDef(src.index, "term", term=arg))
-                memo[vkey] = src
-        u = Var("w", fresh())
-        defs.append(WitnessDef(u.index, "exp", source=src))
-        memo[key] = u
-        return u
+        if t not in memo:
+            src = t.arg
+            if not isinstance(src, Var):
+                src = define("term", term=src)
+            memo[t] = define("exp", source=src)
+        return memo[t]
 
-    def rewrite(h: Formula) -> Formula:
-        if isinstance(h, Atom):
-            at = h.atom
-            if isinstance(at, ExpGraph):
-                return h
-            lhs, rhs = at.lhs, at.rhs
-            # recognize var = exp(var) before introducing witnesses
-            if at.rel == "=":
-                if isinstance(rhs, Exp) and isinstance(rhs.arg, Var) and isinstance(lhs, Var):
-                    return Atom(ExpGraph(lhs, rhs.arg))
-                if isinstance(lhs, Exp) and isinstance(lhs.arg, Var) and isinstance(rhs, Var):
-                    return Atom(ExpGraph(rhs, lhs.arg))
-            return Atom(Compare(rewrite_term(lhs), at.rel, rewrite_term(rhs)))
-        if isinstance(h, Not):
-            return Not(rewrite(h.body))
-        if isinstance(h, And):
-            return And(tuple(rewrite(p) for p in h.parts))
-        return Or(tuple(rewrite(p) for p in h.parts))
+    def rewrite(at: AtomKind) -> AtomKind:
+        if isinstance(at, Compare):
+            at = compare(at.lhs, at.rel, at.rhs)  # u = exp(v) needs no witness
+        if isinstance(at, Compare):
+            return Compare(map_term(at.lhs, exp_witness), at.rel,
+                           map_term(at.rhs, exp_witness))
+        return at
 
-    body = rewrite(g)
+    body = map_atoms(matrix, rewrite)
     def_atoms = []
     for d in defs:
         if d.kind == "term":
@@ -689,7 +658,7 @@ def to_graph_form(f: Formula) -> GraphForm:
             def_atoms.append(Atom(ExpGraph(Var("w", d.index), d.source)))
     if def_atoms:
         body = And(tuple([body] + def_atoms))
-    new_indices = tuple(prefix) + tuple(d.index for d in defs)
+    new_indices = prefix + tuple(d.index for d in defs)
     out = Exists(new_indices, body) if new_indices else body
     return GraphForm(out, tuple(defs))
 
@@ -751,17 +720,14 @@ def complexity(f: Formula, input_dim: Optional[int] = None,
     """
     if not is_graph_form(f):
         raise FormulaError("complexity requires a graph-form formula")
-    g = f
-    witnesses: set = set()
-    while isinstance(g, Exists):
-        witnesses.update(g.indices)
-        g = g.body
+    prefix, matrix = split_exists(f)
+    witnesses = set(prefix)
 
     free = free_vars(f)
     n = len(free)
     atoms = []
     seen = set()
-    for at in formula_atoms(g):
+    for at in formula_atoms(matrix):
         if at not in seen:
             seen.add(at)
             atoms.append(at)

@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formula as fm
-from .intervals import (DEFAULT_MAX_BITS, RatInterval, UndecidedComparison,
-                        certified_sign, exp_enclosure, exp_interval)
+from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
+                        exp_enclosure, exp_interval)
 
 FLOAT_TOL = 1e-9
 MAX_BITS = DEFAULT_MAX_BITS
@@ -174,14 +174,8 @@ def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
             return lhs == 1
         # exp(arg) is irrational for rational arg != 0: equality with a
         # rational lhs can only be refuted, by enclosure separation.
-        bits = 32
-        while bits <= max_bits:
-            enc = exp_enclosure(arg, bits)
-            if not enc.contains(lhs):
-                return False
-            bits *= 2
-        raise UndecidedComparison(
-            f"cannot decide {at.lhs} = exp({at.rhs}) at {max_bits} bits")
+        return certified_sign(lambda bits: exp_enclosure(arg, bits) -
+                              RatInterval.point(lhs), max_bits) == 0
     if not (fm.term_has_exp(at.lhs) or fm.term_has_exp(at.rhs)):
         diff = eval_term(at.lhs, sigma, Fraction, None) - \
             eval_term(at.rhs, sigma, Fraction, None)
@@ -573,7 +567,7 @@ def lp_solve(lp: LPInstance) -> LPResult:
     for i in range(m):
         cost = [c - v for c, v in zip(cost, tableau[i])]
     tableau.append(cost)
-    status = _simplex(tableau, basis, n_total)
+    _simplex(tableau, basis, n_total)
     if -tableau[m][-1] > 0:  # phase-1 objective positive: infeasible
         return LPResult("infeasible")
     # drive artificials out of the basis where possible
@@ -898,12 +892,8 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
     frag = fm.classify_fragment(f)
     if frag == fm.GENERAL:
         raise SolveError("witness_search requires an existential formula")
-    indices = []
-    g = f
-    while isinstance(g, fm.Exists):
-        indices.extend(g.indices)
-        g = g.body
-    body = _nnf(g)
+    indices, matrix = fm.split_exists(f)
+    body = _nnf(matrix)
     sigma0 = Assignment(tuple(float(v) for v in x_vals),
                         tuple(float(v) for v in a_vals), ())
     if not indices:

@@ -16,7 +16,7 @@ on the graph forms of the input and output formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import formula as fm
@@ -40,23 +40,6 @@ class StrategicClassSpec:
     fragment: str = fm.EXISTENTIAL
 
 
-def _strip_exists(f: fm.Formula):
-    indices = []
-    while isinstance(f, fm.Exists):
-        indices.extend(f.indices)
-        f = f.body
-    return tuple(indices), f
-
-
-def _max_block_index(f: fm.Formula, block: str) -> int:
-    out = -1
-    for at in fm.formula_atoms(f):
-        for v in fm.atom_vars(at):
-            if v.block == block:
-                out = max(out, v.index)
-    return out
-
-
 def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
                         input_dim: Optional[int] = None,
                         allow_general: bool = False) -> StrategicClassSpec:
@@ -75,45 +58,44 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
                 f"{name} formula is outside the existential fragment")
 
     if input_dim is None:
-        top = _max_block_index(phi_n, "x") + 1
+        top = fm.max_index(phi_n, "x") + 1
         if top % 2 != 0:
             raise TransformError(
                 "cannot infer input dimension: neighborhood formula has an "
                 "odd number of point coordinates; pass input_dim explicitly")
         input_dim = top // 2
     l = input_dim
-    if _max_block_index(phi_h, "x") + 1 > l:
+    if fm.max_index(phi_h, "x") + 1 > l:
         raise TransformError("hypothesis formula uses more input coordinates "
                              "than the declared input dimension")
-    if _max_block_index(phi_n, "x") + 1 > 2 * l:
+    if fm.max_index(phi_n, "x") + 1 > 2 * l:
         raise TransformError("neighborhood formula uses more than a doubled "
                              "input block")
 
     # disjoint witness blocks, then a fresh block for the target point y
-    n_idx, n_body = _strip_exists(phi_n)
-    h_idx, h_body = _strip_exists(phi_h)
-    n_map = {old: new for new, old in enumerate(n_idx)}
-    h_map = {old: len(n_idx) + new for new, old in enumerate(h_idx)}
-    n_body = fm.rename_witnesses(n_body, n_map)
-    h_body = fm.rename_witnesses(h_body, h_map)
+    n_idx, n_body = fm.split_exists(phi_n)
+    h_idx, h_body = fm.split_exists(phi_h)
     y_base = len(n_idx) + len(h_idx)
 
-    def n_sub(v: fm.Var) -> fm.Var:
-        if v.block == "x" and v.index >= l:
-            return fm.Var("w", y_base + (v.index - l))
-        return v
+    def relabel(indices: tuple, first: int, y_from: int):
+        """Witness indices[j] -> w(first + j); x_i with i >= y_from -> the
+        target coordinate y_(i - y_from)."""
+        ren = {old: first + new for new, old in enumerate(indices)}
 
-    def h_sub(v: fm.Var) -> fm.Var:
-        if v.block == "x":
-            return fm.Var("w", y_base + v.index)
-        return v
+        def fn(v: fm.Var) -> fm.Var:
+            if v.block == "w":
+                return fm.Var("w", ren.get(v.index, v.index))
+            if v.block == "x" and v.index >= y_from:
+                return fm.Var("w", y_base + v.index - y_from)
+            return v
+        return fn
 
-    n_body = fm.map_vars(n_body, n_sub)
-    h_body = fm.map_vars(h_body, h_sub)
+    n_body = fm.map_vars(n_body, relabel(n_idx, 0, l))
+    h_body = fm.map_vars(h_body, relabel(h_idx, len(n_idx), 0))
     all_idx = tuple(range(y_base + l))
     out = fm.Exists(all_idx, fm.conj(n_body, h_body))
 
-    k = _max_block_index(phi_h, "a") + 1
+    k = fm.max_index(phi_h, "a") + 1
 
     def profile(f: fm.Formula, **kw) -> Optional[fm.ComplexityProfile]:
         # format/degree accounting is only defined on the existential

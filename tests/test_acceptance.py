@@ -263,8 +263,8 @@ def test_criterion_07_fm_oracle():
 
 
 def _solve_support(sup, x, y, l):
-    """Unique coupling supported on sup, or None (requires full elimination
-    without free columns; non-vertex supports are covered by subsets)."""
+    """Unique coupling supported on sup, or None when sup leaves a free
+    column or the marginals are inconsistent with it."""
     rows = []
     rhs = []
     for i in range(l):
@@ -299,27 +299,43 @@ def _solve_support(sup, x, y, l):
     return rhs[:n]
 
 
+def _is_spanning_tree(sup, l):
+    """True when the 2l - 1 cells of sup, read as edges between l row nodes
+    and l column nodes, close no cycle (union-find), i.e. span K_{l,l}."""
+    root = list(range(2 * l))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+    for i, j in sup:
+        a, b = find(i), find(l + j)
+        if a == b:
+            return False
+        root[a] = b
+    return True
+
+
 def _emd_by_vertices(x, y, ground):
-    """Exact minimum-cost coupling by enumerating vertex supports (at most
-    2l - 1 cells, covering every row/column with positive mass)."""
+    """Exact minimum-cost coupling by enumerating vertex bases.
+
+    Every vertex of the transport polytope, degenerate ones included, is the
+    unique coupling on some basis of 2l - 1 cells that forms a spanning tree
+    of K_{l,l}; enumerating those bases visits every vertex."""
     l = len(ground)
     x = [Fraction(v) for v in x]
     y = [Fraction(v) for v in y]
     cells = [(i, j) for i in range(l) for j in range(l)]
-    need_rows = {i for i in range(l) if x[i] > 0}
-    need_cols = {j for j in range(l) if y[j] > 0}
     best = None
-    for k in range(max(len(need_rows), len(need_cols), 1), 2 * l):
-        for sup in itertools.combinations(cells, k):
-            if {i for i, _ in sup} < need_rows or \
-                    {j for _, j in sup} < need_cols:
-                continue
-            vals = _solve_support(sup, x, y, l)
-            if vals is None or any(v < 0 for v in vals):
-                continue
-            cost = sum(ground[i][j] * v for (i, j), v in zip(sup, vals))
-            if best is None or cost < best:
-                best = cost
+    for sup in itertools.combinations(cells, 2 * l - 1):
+        if not _is_spanning_tree(sup, l):
+            continue
+        vals = _solve_support(sup, x, y, l)
+        if vals is None or any(v < 0 for v in vals):
+            continue
+        cost = sum(ground[i][j] * v for (i, j), v in zip(sup, vals))
+        if best is None or cost < best:
+            best = cost
     return best
 
 

@@ -38,6 +38,11 @@ def test_unknown_spec_is_usage_error(tmp_path, capsys):
               "--out", tmp_path / "a.json"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    rc = run(["growth", "--family", "halfspace:l=2",
+              "--neighborhood", "lp:l=2,radius=1/2",
+              "--csv", tmp_path / "g.csv"])
+    assert rc == 2
+    assert "radius" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_usage_error(tmp_path, capsys):

@@ -397,3 +397,10 @@ def test_registry_rejects_unknown():
         make_family("nope")
     with pytest.raises(FamilyError):
         make_neighborhood("nope:l=2")
+    # a key the spec does not take is an error, not silently ignored
+    with pytest.raises(FamilyError):
+        make_neighborhood("lp:l=2,radius=1/2")
+    with pytest.raises(FamilyError):
+        make_family("threshold:l=5")
+    with pytest.raises(FamilyError):
+        make_family("halfspace:l=2,D=9")

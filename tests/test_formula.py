@@ -98,6 +98,12 @@ def test_fragment_classification():
     assert fm.classify_fragment(ge) == fm.GENERAL
     # a quantifier not in prefix position is outside the managed fragment
     assert fm.classify_fragment(nested) == fm.GENERAL
+    # an empty block and stacked blocks are still an existential prefix
+    for text in ("(exists () (<= x0 1))",
+                 "(exists (w0) (exists (w1) (<= w0 w1)))"):
+        assert fm.classify_fragment(fm.parse(text)) == fm.EXISTENTIAL
+    negated = fm.parse("(not (exists (w0) (<= w0 x0)))")
+    assert fm.classify_fragment(negated) == fm.GENERAL
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +249,13 @@ def test_rename_witnesses_keeps_semantics():
     f = fm.parse("(exists (w0) (<= (+ w0 x0) 1))")
     g = fm.rename_witnesses(f, {0: 5})
     assert str(g) == "(exists (w5) (<= (+ w5 x0) 1))"
+    # binders at every depth and exp-graph atoms are renamed too
+    f = fm.parse("(exists (w0 w1) (and (= w1 (exp w0)) "
+                 "(forall (w2) (<= w2 w1))))")
+    g = fm.rename_witnesses(f, {0: 5, 1: 6, 2: 7})
+    assert str(g) == ("(exists (w5 w6) (and (= w6 (exp w5)) "
+                      "(forall (w7) (<= w7 w6))))")
+    assert isinstance(g.body.parts[0].atom, fm.ExpGraph)
 
 
 def test_json_export_roundtrip_values():

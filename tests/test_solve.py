@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -77,6 +78,13 @@ def test_eval_exact_exp_graph_equality_is_refutable_only():
     # (except at argument 0, where exp is rational)
     assert eval_qf(f, merge(x=[Fraction(0)], w=[Fraction(1)]),
                    mode="exact") is True
+    # a witness within 2^-60 of e is refuted only past 32 bits
+    e = sum(Fraction(1, math.factorial(k)) for k in range(40))
+    near_e = Fraction(math.floor(e * 2 ** 60), 2 ** 60)
+    sigma = merge(x=[Fraction(1)], w=[near_e])
+    assert eval_qf(f, sigma, mode="exact") is False
+    with pytest.raises(UndecidedComparison):
+        eval_qf(f, sigma, mode="exact", max_bits=32)
 
 
 def test_eval_boolean_connectives():

@@ -52,6 +52,8 @@ def test_transform_rejects_universal_quantifiers():
         tr.strategic_transform(h, n, input_dim=1)
     spec = tr.strategic_transform(h, n, input_dim=1, allow_general=True)
     assert spec.fragment == fm.GENERAL
+    assert str(spec.transformed) == ("(exists (w0) (and (<= (+ w0 (* -1 x0)) 1) "
+                                     "(forall (w0) (<= w0 a0))))")
 
 
 def test_transform_witness_blocks_disjoint():
