@@ -16,13 +16,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
-import sympy
 
 from .intervals import UndecidedComparison
+
+if TYPE_CHECKING:  # sympy and mpmath are imported where they are used
+    import sympy
 
 
 class CapacityError(Exception):
@@ -174,6 +175,7 @@ def erm_threshold(C, k: int, eps, delta) -> int:
     Evaluated at 50 decimal digits; the winning m and its predecessor are
     re-verified so the scan cannot be fooled by rounding.
     """
+    import mpmath
     C = mpmath.mpf(str(C))
     eps_m = mpmath.mpf(str(eps))
     delta_m = mpmath.mpf(str(delta))
@@ -276,6 +278,7 @@ def sign_pattern_count(polys: Sequence, mode: str = "exact-univariate",
     rational point in every gap, below the smallest and above the largest
     root.  sampled: a seeded lower bound at uniform random points.
     """
+    import sympy
     t = sympy.Symbol("t")
     exprs = [sympy.Poly(p, t) if not isinstance(p, sympy.Poly)
              else p for p in polys]
@@ -334,6 +337,7 @@ def sign_pattern_count(polys: Sequence, mode: str = "exact-univariate",
 
 
 def _root_box(root, dx: Fraction):
+    import sympy
     if root.is_rational:
         r = sympy.Rational(root)
         v = Fraction(int(r.p), int(r.q))
@@ -347,11 +351,13 @@ def _root_box(root, dx: Fraction):
 
 
 def _sign_rational(p: sympy.Poly, q: Fraction) -> int:
+    import sympy
     v = p.eval(sympy.Rational(q.numerator, q.denominator))
     return int(sympy.sign(v))
 
 
 def _sign_at_root(p: sympy.Poly, root, t) -> int:
+    import sympy
     if p.degree() <= 0:
         return int(sympy.sign(p.eval(0)))
     if root.is_rational:

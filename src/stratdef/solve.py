@@ -18,6 +18,12 @@ to heuristic, share them:
   go to ``lp_solve`` through rational ``affine``, the rest to Nelder-Mead on
   the float fold.  Sound when it reports a witness (the witness re-verifies
   under eval_qf), inconclusive when it reports not_found.
+
+The exact linear layers share one row layer: ``_compare`` is the only
+relation table, ``LinConstraint.make`` the only normalization of >= and >,
+``_atom_row`` the only reading of an atom as a row, ``_combine`` the only
+row combination (FM substitution and pairing), and ``_pivot`` and ``_price``
+the only tableau pivot and objective pricing of the simplex.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -161,9 +168,13 @@ def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable,
     return co, const
 
 
-def _compare(diff_sign: int, rel: str) -> bool:
-    return {"<": diff_sign < 0, "<=": diff_sign <= 0, "=": diff_sign == 0,
-            ">=": diff_sign >= 0, ">": diff_sign > 0}[rel]
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+
+
+def _compare(d, rel: str) -> bool:
+    """d rel 0, for an exact difference d or its sign."""
+    return _RELATIONS[rel](d, 0)
 
 
 def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
@@ -179,7 +190,7 @@ def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
     if not (fm.term_has_exp(at.lhs) or fm.term_has_exp(at.rhs)):
         diff = eval_term(at.lhs, sigma, Fraction, None) - \
             eval_term(at.rhs, sigma, Fraction, None)
-        return _compare((diff > 0) - (diff < 0), at.rel)
+        return _compare(diff, at.rel)
 
     def enclosure(bits: int) -> RatInterval:
         exp = functools.partial(exp_interval, bits=bits)
@@ -252,6 +263,17 @@ class LinConstraint:
         if self.rel not in ("<", "<=", "="):
             raise SolveError(f"relation {self.rel!r} must be normalized")
 
+    @staticmethod
+    def make(coeffs: Sequence, rel: str, rhs) -> "LinConstraint":
+        """The row coeffs . v (rel) rhs with rel in {<, <=, =, >=, >};
+        >= and > are normalized to <= and < by negation."""
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        rhs = Fraction(rhs)
+        if rel in (">=", ">"):
+            return LinConstraint(tuple(-c for c in coeffs),
+                                 rel.replace(">", "<"), -rhs)
+        return LinConstraint(coeffs, rel, rhs)
+
 
 @dataclass
 class LinearSystem:
@@ -260,54 +282,50 @@ class LinearSystem:
 
     @staticmethod
     def make(variables: Sequence[str], rows: Sequence) -> "LinearSystem":
-        """rows: (coeffs, rel, rhs) with rel in {<, <=, =, >=, >}; >= and >
-        are normalized to <= and < by negation."""
+        """rows: (coeffs, rel, rhs) with rel in {<, <=, =, >=, >}."""
         out = []
         for coeffs, rel, rhs in rows:
-            coeffs = tuple(Fraction(c) for c in coeffs)
-            rhs = Fraction(rhs)
             if len(coeffs) != len(variables):
                 raise SolveError("coefficient/variable length mismatch")
-            if rel in (">=", ">"):
-                coeffs = tuple(-c for c in coeffs)
-                rhs = -rhs
-                rel = "<=" if rel == ">=" else "<"
-            out.append(LinConstraint(coeffs, rel, rhs))
+            out.append(LinConstraint.make(coeffs, rel, rhs))
         return LinearSystem(tuple(variables), out)
 
     def is_trivially_infeasible(self) -> bool:
-        for c in self.constraints:
-            if all(v == 0 for v in c.coeffs):
-                if (c.rel == "<=" and c.rhs < 0) or \
-                   (c.rel == "<" and c.rhs <= 0) or \
-                   (c.rel == "=" and c.rhs != 0):
-                    return True
-        return False
+        return any(not any(c.coeffs) and not _compare(-c.rhs, c.rel)
+                   for c in self.constraints)
 
     def satisfied_by(self, values: Sequence) -> bool:
         vals = [Fraction(v) for v in values]
-        for c in self.constraints:
-            lhs = sum(co * v for co, v in zip(c.coeffs, vals))
-            ok = {"<": lhs < c.rhs, "<=": lhs <= c.rhs, "=": lhs == c.rhs}[c.rel]
-            if not ok:
-                return False
-        return True
+        return all(_compare(sum(co * v for co, v in zip(c.coeffs, vals)) -
+                            c.rhs, c.rel) for c in self.constraints)
+
+
+def _atom_row(at: fm.Compare, unknown: dict,
+              value: Callable) -> Optional[LinConstraint]:
+    """The atom lhs rel rhs as a normalized row over the unknowns (columns
+    as in `affine`), or None when a side is not affine in them."""
+    left = affine(at.lhs, unknown, value, Fraction)
+    right = affine(at.rhs, unknown, value, Fraction)
+    if left is None or right is None:
+        return None
+    return LinConstraint.make([u - v for u, v in zip(left[0], right[0])],
+                              at.rel, right[1] - left[1])
+
+
+def _combine(c: LinConstraint, f: Fraction, d: LinConstraint,
+             rel: str) -> LinConstraint:
+    """The row c + f*d with relation rel."""
+    return LinConstraint(tuple(u + f * v for u, v in zip(c.coeffs, d.coeffs)),
+                         rel, c.rhs + f * d.rhs)
 
 
 def _normalize_row(c: LinConstraint) -> LinConstraint:
     """Scale so the coefficient vector is primitive with positive leading
     nonzero entry preserved in sign (scale by a positive rational only)."""
-    nz = [v for v in c.coeffs if v != 0]
-    if not nz:
+    if not any(c.coeffs):
         return c
-    den = 1
-    for v in c.coeffs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    nums = [int(v * den) for v in c.coeffs]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, abs(n))
-    scale = Fraction(den, g)
+    den = math.lcm(*(v.denominator for v in c.coeffs))
+    scale = Fraction(den, math.gcd(*(int(v * den) for v in c.coeffs)))
     return LinConstraint(tuple(v * scale for v in c.coeffs), c.rel,
                          c.rhs * scale)
 
@@ -316,33 +334,21 @@ def _prune(constraints: list) -> list:
     """Drop tautologies and constraints dominated by a single other row
     with the same (normalized) coefficient vector."""
     best = {}
-    order = []
     for c in constraints:
         c = _normalize_row(c)
-        if all(v == 0 for v in c.coeffs):
-            if (c.rel == "<=" and c.rhs >= 0) or (c.rel == "<" and c.rhs > 0):
-                continue  # tautology
-            key = (c.coeffs, c.rel, c.rhs)  # keep contradictions verbatim
-            if key not in best:
-                best[key] = c
-                order.append(key)
+        zero = not any(c.coeffs)
+        if zero and _compare(-c.rhs, c.rel):
+            continue  # tautology
+        if zero or c.rel == "=":
+            # contradictions and equalities are kept verbatim
+            best.setdefault((c.coeffs, c.rel, c.rhs), c)
             continue
-        if c.rel == "=":
-            key = (c.coeffs, "=", c.rhs)
-            if key not in best:
-                best[key] = c
-                order.append(key)
-            continue
-        key = c.coeffs
-        prev = best.get(key)
-        if prev is None:
-            best[key] = c
-            order.append(key)
-        else:
-            # tighter rhs wins; strict beats non-strict at equal rhs
-            if (c.rhs, c.rel == "<=") < (prev.rhs, prev.rel == "<="):
-                best[key] = c
-    return [best[k] for k in order]
+        prev = best.get(c.coeffs)
+        # tighter rhs wins; strict beats non-strict at equal rhs
+        if prev is None or \
+                (c.rhs, c.rel == "<=") < (prev.rhs, prev.rel == "<="):
+            best[c.coeffs] = c
+    return list(best.values())
 
 
 def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
@@ -356,7 +362,6 @@ def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
     for v in eliminate:
         if v not in var_index:
             raise SolveError(f"unknown variable {v!r}")
-    keep = [v for v in sys.variables if v not in set(eliminate)]
     constraints = list(sys.constraints)
 
     for var in eliminate:
@@ -365,57 +370,35 @@ def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
         eq = next((c for c in constraints if c.rel == "=" and c.coeffs[j] != 0),
                   None)
         if eq is not None:
-            cj = eq.coeffs[j]
-            new = []
-            for c in constraints:
-                if c is eq:
-                    continue
-                f = c.coeffs[j] / cj
-                if f == 0:
-                    new.append(c)
-                    continue
-                coeffs = tuple(cv - f * ev
-                               for cv, ev in zip(c.coeffs, eq.coeffs))
-                new.append(LinConstraint(coeffs, c.rel, c.rhs - f * eq.rhs))
-            constraints = _prune(new)
+            constraints = _prune([
+                c if c.coeffs[j] == 0 else
+                _combine(c, -c.coeffs[j] / eq.coeffs[j], eq, c.rel)
+                for c in constraints if c is not eq])
             continue
-        lowers, uppers, rest = [], [], []
-        for c in constraints:
-            cj = c.coeffs[j]
-            if cj == 0:
-                rest.append(c)
-            elif cj > 0:
-                uppers.append(c)   # var <= (rhs - ...)/cj
-            else:
-                lowers.append(c)
-        new = list(rest)
-        for up in uppers:
-            for lo in lowers:
-                f = -lo.coeffs[j] / up.coeffs[j]
-                coeffs = tuple(lv + f * uv
-                               for lv, uv in zip(lo.coeffs, up.coeffs))
-                rel = "<" if ("<" in (up.rel, lo.rel) and
-                              (up.rel == "<" or lo.rel == "<")) else "<="
-                new.append(LinConstraint(coeffs, rel, lo.rhs + f * up.rhs))
-        constraints = _prune(new)
+        rest = [c for c in constraints if c.coeffs[j] == 0]
+        uppers = [c for c in constraints if c.coeffs[j] > 0]  # var <= ...
+        lowers = [c for c in constraints if c.coeffs[j] < 0]
+        constraints = _prune(rest + [
+            _combine(lo, -lo.coeffs[j] / up.coeffs[j], up,
+                     "<" if "<" in (up.rel, lo.rel) else "<=")
+            for up in uppers for lo in lowers])
 
     # restrict coefficient vectors to the kept variables
-    keep_idx = [var_index[v] for v in keep]
+    dropped = {var_index[v] for v in eliminate}
+    keep = [i for i in range(len(sys.variables)) if i not in dropped]
     out = []
     for c in constraints:
-        for i, v in enumerate(c.coeffs):
-            if v != 0 and i not in keep_idx:
-                raise SolveError("internal: eliminated variable survived")
-        out.append(LinConstraint(tuple(c.coeffs[i] for i in keep_idx),
+        if any(c.coeffs[i] for i in dropped):
+            raise SolveError("internal: eliminated variable survived")
+        out.append(LinConstraint(tuple(c.coeffs[i] for i in keep),
                                  c.rel, c.rhs))
-    return LinearSystem(tuple(keep), _prune(out))
+    return LinearSystem(tuple(sys.variables[i] for i in keep), _prune(out))
 
 
 def linear_system_from_formula(f: fm.Formula,
                                variables: Sequence[fm.Var]) -> LinearSystem:
     """Conjunction of linear atoms -> LinearSystem (helper for the linear
     fragment; rejects disjunction, negation and nonlinear atoms)."""
-    names = [str(v) for v in variables]
     idx = {v: i for i, v in enumerate(variables)}
     rows = []
 
@@ -427,18 +410,15 @@ def linear_system_from_formula(f: fm.Formula,
             for p in g.parts:
                 visit(p)
             return
-        if isinstance(g, fm.Atom) and isinstance(g.atom, fm.Compare):
-            left = affine(g.atom.lhs, idx, undeclared, Fraction)
-            right = affine(g.atom.rhs, idx, undeclared, Fraction)
-            if left is None or right is None:
-                raise SolveError("nonlinear atom encountered")
-            co = [u - v for u, v in zip(left[0], right[0])]
-            rows.append((co, g.atom.rel, right[1] - left[1]))
-            return
-        raise SolveError("only conjunctions of linear atoms are supported")
+        if not (isinstance(g, fm.Atom) and isinstance(g.atom, fm.Compare)):
+            raise SolveError("only conjunctions of linear atoms are supported")
+        row = _atom_row(g.atom, idx, undeclared)
+        if row is None:
+            raise SolveError("nonlinear atom encountered")
+        rows.append(row)
 
     visit(f)
-    return LinearSystem.make(names, rows)
+    return LinearSystem(tuple(str(v) for v in variables), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -485,129 +465,93 @@ class LPResult:
     point: Optional[tuple] = None
 
 
-def _simplex(tableau, basis, n_total):
+def _pivot(tableau: list, basis: list, row: int, col: int) -> None:
+    """Make column col basic in row: scale the row to a unit pivot and
+    eliminate col from every other row, the objective row included."""
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tableau[i] = [v - f * p for v, p in zip(r, tableau[row])]
+    basis[row] = col
+
+
+def _price(cost: list, rows: list, basis: list) -> list:
+    """Reduced costs: cost with each basic column basis[i] priced out by
+    rows[i]; rows past the basis (the objective row) are ignored."""
+    for row, b in zip(rows, basis):
+        if cost[b] != 0:
+            f = cost[b]
+            cost = [c - f * v for c, v in zip(cost, row)]
+    return cost
+
+
+def _simplex(tableau: list, basis: list, n_cols: int) -> str:
     """Bland's rule simplex on a tableau in canonical form.
 
-    tableau: list of rows (lists of Fractions); last row is the objective
-    (reduced costs, with value in the last column, to be minimized).
-    Returns 'optimal' or 'unbounded'.
+    tableau: one row (list of Fractions, rhs last) per basis entry, then the
+    objective row of reduced costs (minus the value last), minimized over
+    the first n_cols columns.  Returns 'optimal' or 'unbounded'.
     """
-    m = len(tableau) - 1
+    m = len(basis)
     while True:
-        cost = tableau[m]
-        enter = next((j for j in range(n_total) if cost[j] < 0), None)
+        enter = next((j for j in range(n_cols) if tableau[m][j] < 0), None)
         if enter is None:
             return "optimal"
-        ratios = []
-        for i in range(m):
-            if tableau[i][enter] > 0:
-                ratios.append((tableau[i][-1] / tableau[i][enter], basis[i], i))
-        if not ratios:
-            return "unbounded"
         # Bland: among minimal ratios choose the row whose basic variable
         # has the smallest index
-        best = min(ratios, key=lambda t: (t[0], t[1]))
-        leave = best[2]
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(m + 1):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [v - f * p
-                              for v, p in zip(tableau[i], tableau[leave])]
-        basis[leave] = enter
+        ratios = [(row[-1] / row[enter], basis[i], i)
+                  for i, row in enumerate(tableau[:m]) if row[enter] > 0]
+        if not ratios:
+            return "unbounded"
+        _pivot(tableau, basis, min(ratios)[2], enter)
 
 
 def lp_solve(lp: LPInstance) -> LPResult:
     """Exact rational optimum via two-phase simplex with Bland's rule."""
-    n = len(lp.objective)
-    # shift lower bounds to zero: v = u + lower
-    shift = lp.lower
-    rows = []
-    rels = []
-    rhs = []
-    for row, rel, b in zip(lp.matrix, lp.relations, lp.rhs):
-        b2 = b - sum(c * s for c, s in zip(row, shift))
-        rows.append(list(row))
-        rels.append(rel)
-        rhs.append(b2)
-    obj_shift = sum(c * s for c, s in zip(lp.objective, shift))
-
-    # slack variables
-    slack_count = sum(1 for r in rels if r != "=")
+    n, m = len(lp.objective), len(lp.rhs)
+    slack_count = sum(1 for r in lp.relations if r != "=")
     total = n + slack_count
-    A = []
-    b_vec = []
-    si = 0
-    for row, rel, b2 in zip(rows, rels, rhs):
-        full = row + [Fraction(0)] * slack_count
-        if rel == "<=":
-            full[n + si] = Fraction(1)
+    zero = Fraction(0)
+    # one pass over the rows: shift lower bounds to zero (v = u + lower),
+    # add a slack column per inequality, make the rhs nonnegative and give
+    # the row its artificial column
+    tableau, si = [], n
+    for i, (row, rel, b) in enumerate(zip(lp.matrix, lp.relations, lp.rhs)):
+        full = [*row, *[zero] * (slack_count + m),
+                b - sum(c * s for c, s in zip(row, lp.lower))]
+        if rel != "=":
+            full[si] = Fraction(1 if rel == "<=" else -1)
             si += 1
-        elif rel == ">=":
-            full[n + si] = Fraction(-1)
-            si += 1
-        if b2 < 0:
+        if full[-1] < 0:
             full = [-v for v in full]
-            b2 = -b2
-        A.append(full)
-        b_vec.append(b2)
-
-    m = len(A)
-    # phase 1: artificial variables
-    n_total = total + m
-    tableau = []
-    for i in range(m):
-        row = A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        tableau.append(row + [b_vec[i]])
+        full[total + i] = Fraction(1)
+        tableau.append(full)
     basis = [total + i for i in range(m)]
-    # phase-1 objective: minimize the sum of artificials (cost 1 each),
-    # with the basic artificial columns priced out
-    cost = [Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):
-        cost = [c - v for c, v in zip(cost, tableau[i])]
-    tableau.append(cost)
-    _simplex(tableau, basis, n_total)
-    if -tableau[m][-1] > 0:  # phase-1 objective positive: infeasible
+    # phase 1: minimize the sum of the artificials (cost 1 each)
+    tableau.append(_price([zero] * total + [Fraction(1)] * m + [zero],
+                          tableau, basis))
+    _simplex(tableau, basis, total + m)
+    if tableau[m][-1] < 0:  # phase-1 objective positive: infeasible
         return LPResult("infeasible")
     # drive artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= total:
-            piv_col = next((j for j in range(total)
-                            if tableau[i][j] != 0), None)
-            if piv_col is None:
-                continue  # redundant row
-            piv = tableau[i][piv_col]
-            tableau[i] = [v / piv for v in tableau[i]]
-            for r in range(m + 1):
-                if r != i and tableau[r][piv_col] != 0:
-                    f = tableau[r][piv_col]
-                    tableau[r] = [v - f * p
-                                  for v, p in zip(tableau[r], tableau[i])]
-            basis[i] = piv_col
-
-    # phase 2: real objective on the (artificial-free) columns
-    obj = list(lp.objective) + [Fraction(0)] * slack_count
-    cost = obj + [Fraction(0)] * m + [Fraction(0)]
-    for i in range(m):
-        if basis[i] < total and cost[basis[i]] != 0:
-            f = cost[basis[i]]
-            cost = [c - f * v for c, v in zip(cost, tableau[i])]
-    # forbid re-entering artificial columns
-    tableau[m] = cost
-    for j in range(total, n_total):
-        if tableau[m][j] < 0:
-            tableau[m][j] = Fraction(0)
-    status = _simplex(tableau, basis, total)
-    if status == "unbounded":
+            col = next((j for j in range(total) if tableau[i][j] != 0), None)
+            if col is not None:  # None: a redundant row
+                _pivot(tableau, basis, i, col)
+    # phase 2: the real objective, never entering an artificial column
+    tableau[m] = _price([*lp.objective, *[zero] * (slack_count + m + 1)],
+                        tableau, basis)
+    if _simplex(tableau, basis, total) == "unbounded":
         return LPResult("unbounded")
-    point_u = [Fraction(0)] * total
-    for i in range(m):
-        if basis[i] < total:
-            point_u[basis[i]] = tableau[i][-1]
-    point = tuple(point_u[j] + shift[j] for j in range(n))
+    point = list(lp.lower)
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] += tableau[i][-1]
     value = sum(c * v for c, v in zip(lp.objective, point))
-    return LPResult("optimal", value, point)
+    return LPResult("optimal", value, tuple(point))
 
 
 # ---------------------------------------------------------------------------
@@ -750,56 +694,41 @@ def _branches(f: fm.Formula, cap: int = 256):
     disjuncts); None when the expansion exceeds the cap."""
     if isinstance(f, (fm.Atom, fm.Not)):
         return [[f]]
-    if isinstance(f, fm.And):
-        out = [[]]
-        for p in f.parts:
-            sub = _branches(p, cap)
-            if sub is None:
-                return None
-            out = [a + b for a in out for b in sub]
-            if len(out) > cap:
-                return None
-        return out
-    if isinstance(f, fm.Or):
-        out = []
-        for p in f.parts:
-            sub = _branches(p, cap)
-            if sub is None:
-                return None
-            out.extend(sub)
-            if len(out) > cap:
-                return None
-        return out
-    raise SolveError("quantifier inside witness-search body")
+    if not isinstance(f, (fm.And, fm.Or)):
+        raise SolveError("quantifier inside witness-search body")
+    conj = isinstance(f, fm.And)
+    out = [[]] if conj else []
+    for p in f.parts:
+        sub = _branches(p, cap)
+        if sub is None:
+            return None
+        out = [a + b for a in out for b in sub] if conj else out + sub
+        if len(out) > cap:
+            return None
+    return out
 
 
-def _strict_feasible_point(rows, n_rem):
+def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
     """Exact feasibility of linear rows over unbounded unknowns.
 
-    rows: (coeffs, rel, rhs) with rel in {<, <=, =, >=, >}.  Unknowns are
-    split v = p - q with p, q >= 0; strict rows get a shared slack t that is
-    maximized, so strict feasibility is certified by t > 0.  Returns a tuple
-    of Fractions, or None when the system has no solution.
+    Unknowns are split v = p - q with p, q >= 0; strict rows get a shared
+    slack t that is maximized, so strict feasibility is certified by t > 0.
+    Returns a tuple of Fractions, or None when the system has no solution.
     """
-    has_strict = any(rel in ("<", ">") for _, rel, _ in rows)
+    has_strict = any(c.rel == "<" for c in rows)
     n = 2 * n_rem + 1
     t_col = n - 1
     matrix, rels, rhs = [], [], []
-    for coeffs, rel, b in rows:
-        if rel in (">=", ">"):
-            coeffs = [-c for c in coeffs]
-            b = -b
-            rel = "<=" if rel == ">=" else "<"
+    for c in rows:
         row = [Fraction(0)] * n
-        for j, c in enumerate(coeffs):
-            row[2 * j] = c
-            row[2 * j + 1] = -c
-        if rel == "<":
+        for j, v in enumerate(c.coeffs):
+            row[2 * j] = v
+            row[2 * j + 1] = -v
+        if c.rel == "<":
             row[t_col] = Fraction(1)
-            rel = "<="
         matrix.append(tuple(row))
-        rels.append(rel)
-        rhs.append(Fraction(b))
+        rels.append("=" if c.rel == "=" else "<=")
+        rhs.append(c.rhs)
     cap = [Fraction(0)] * n
     cap[t_col] = Fraction(1)
     matrix.append(tuple(cap))
@@ -818,6 +747,18 @@ def _strict_feasible_point(rows, n_rem):
                  for j in range(n_rem))
 
 
+def _witness_vector(size: int, forced: dict, free: Sequence,
+                    vals: Sequence = ()) -> tuple:
+    """Float witness vector: forced values at their indices, vals at the
+    free indices in order, 0.0 everywhere else."""
+    wv = [0.0] * size
+    for i, v in forced.items():
+        wv[i] = v
+    for i, v in zip(free, vals):
+        wv[i] = float(v)
+    return tuple(wv)
+
+
 def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
                   cfg: "SearchConfig"):
     """Decide one disjunct selection exactly when possible.
@@ -830,17 +771,8 @@ def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
     if any(not math.isfinite(v) for v in forced.values()):
         return "unknown", None
     rem_idx = sorted(unknown - set(forced))
-
-    def build_w(rat_vals=()):
-        wv = [0.0] * size
-        for i, v in forced.items():
-            wv[i] = v
-        for i, v in zip(rem_idx, rat_vals):
-            wv[i] = float(v)
-        return tuple(wv)
-
     if not rem_idx:
-        wv = build_w()
+        wv = _witness_vector(size, forced, rem_idx)
         if eval_qf(body, sigma.with_w(wv), mode="float", tol=cfg.tol):
             return "sat", wv
         if not eval_qf(branch, sigma.with_w(wv), mode="float", tol=cfg.tol):
@@ -848,7 +780,7 @@ def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
         return "unknown", None
 
     rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
-    base = sigma.with_w(build_w([0.0] * len(rem_idx)))
+    base = sigma.with_w(_witness_vector(size, forced, rem_idx))
 
     rows = []
     for lit in lits:
@@ -863,16 +795,14 @@ def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
             continue
         if negated:
             return "unknown", None
-        left = affine(at.lhs, rem, base.lookup, Fraction)
-        right = affine(at.rhs, rem, base.lookup, Fraction)
-        if left is None or right is None:
+        row = _atom_row(at, rem, base.lookup)
+        if row is None:
             return "unknown", None
-        coeffs = [u - v for u, v in zip(left[0], right[0])]
-        rows.append((coeffs, at.rel, right[1] - left[1]))
+        rows.append(row)
     point = _strict_feasible_point(rows, len(rem_idx))
     if point is None:
         return "unsat", None
-    wv = build_w(point)
+    wv = _witness_vector(size, forced, rem_idx, point)
     if eval_qf(body, sigma.with_w(wv), mode="float", tol=cfg.tol):
         return "sat", wv
     return "unknown", None
@@ -921,19 +851,12 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
     forced = _propagate_definitions(body, sigma0, unknown)
     free = sorted(unknown - set(forced))
 
-    def build_w(vec) -> tuple:
-        wv = [0.0] * size
-        for i, v in forced.items():
-            wv[i] = v
-        for i, v in zip(free, vec):
-            wv[i] = float(v)
-        return tuple(wv)
-
     def margin(vec) -> float:
-        return _violation(body, sigma0.with_w(build_w(vec)))
+        return _violation(body, sigma0.with_w(
+            _witness_vector(size, forced, free, vec)))
 
     def finish(vec):
-        wv = build_w(vec)
+        wv = _witness_vector(size, forced, free, vec)
         if eval_qf(body, sigma0.with_w(wv), mode="float", tol=cfg.tol):
             return WitnessResult(True, wv, margin(vec))
         return None

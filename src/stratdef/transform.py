@@ -16,6 +16,7 @@ on the graph forms of the input and output formulas.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,22 +77,32 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
     n_idx, n_body = fm.split_exists(phi_n)
     h_idx, h_body = fm.split_exists(phi_h)
     y_base = len(n_idx) + len(h_idx)
+    fresh = itertools.count(y_base + l)
 
-    def relabel(indices: tuple, first: int, y_from: int):
-        """Witness indices[j] -> w(first + j); x_i with i >= y_from -> the
-        target coordinate y_(i - y_from)."""
+    def relabel(body: fm.Formula, indices: tuple, first: int, y_from: int):
+        """Witness indices[j] -> w(first + j); every other witness index of
+        the body (bound inside it or free) -> a fresh index past the y
+        block, so no quantifier in the body captures y; x_i with
+        i >= y_from -> the target coordinate y_(i - y_from)."""
         ren = {old: first + new for new, old in enumerate(indices)}
+        inner = {v.index for at in fm.formula_atoms(body)
+                 for v in fm.atom_vars(at) if v.block == "w"}
+        inner.update(i for g in fm.subformulas(body)
+                     if isinstance(g, (fm.Exists, fm.ForAll))
+                     for i in g.indices)
+        for i in sorted(inner - set(ren)):
+            ren[i] = next(fresh)
 
         def fn(v: fm.Var) -> fm.Var:
             if v.block == "w":
-                return fm.Var("w", ren.get(v.index, v.index))
+                return fm.Var("w", ren[v.index])
             if v.block == "x" and v.index >= y_from:
                 return fm.Var("w", y_base + v.index - y_from)
             return v
-        return fn
+        return fm.map_vars(body, fn)
 
-    n_body = fm.map_vars(n_body, relabel(n_idx, 0, l))
-    h_body = fm.map_vars(h_body, relabel(h_idx, len(n_idx), 0))
+    n_body = relabel(n_body, n_idx, 0, l)
+    h_body = relabel(h_body, h_idx, len(n_idx), 0)
     all_idx = tuple(range(y_base + l))
     out = fm.Exists(all_idx, fm.conj(n_body, h_body))
 

@@ -134,6 +134,14 @@ def test_fm_equality_substitution():
     assert out.satisfied_by([Fraction(3)])
     assert not out.satisfied_by([Fraction(19, 10)])
     assert not out.satisfied_by([Fraction(31, 10)])
+    # x - y = 0 substituted into 2x - 2y = 0 leaves 0 = 0, a tautology
+    sys = LinearSystem.make(
+        ("x", "y"),
+        [((1, -1), "=", 0), ((2, -2), "=", 0), ((0, 1), "<=", 3)],
+    )
+    out = fm_eliminate(sys, ["y"])
+    assert [(c.coeffs, c.rel, c.rhs) for c in out.constraints] == [
+        ((Fraction(1),), "<=", Fraction(3))]
 
 
 def test_fm_detects_infeasibility():
@@ -141,6 +149,13 @@ def test_fm_detects_infeasibility():
         ("x", "y"), [((0, 1), "<=", 0), ((0, -1), "<", 0)])
     out = fm_eliminate(sys, ["y"])
     assert out.is_trivially_infeasible()
+    # zero rows over one variable: 0 rel rhs
+    for rel, rhs, infeasible in (("<", 0, True), ("=", 1, True),
+                                 ("<=", -1, True), (">", 0, True),
+                                 ("<=", 0, False), ("=", 0, False),
+                                 (">=", 0, False)):
+        sys = LinearSystem.make(("x",), [((0,), rel, rhs)])
+        assert sys.is_trivially_infeasible() == infeasible, (rel, rhs)
 
 
 def test_fm_strict_relations_propagate():
@@ -214,6 +229,12 @@ def test_linear_system_from_formula():
         row, = linear_system_from_formula(fm.parse(text), [fm.x(0)]).constraints
         assert (row.coeffs, row.rel, row.rhs) == ((Fraction(2),), "<=",
                                                   Fraction(-6))
+    # > and >= are normalized to < and <= by negation
+    for text, want in (("(> x0 -3)", ((-1, 0), "<", 3)),
+                       ("(>= (* 2 x1) x0)", ((1, -2), "<=", 0))):
+        row, = linear_system_from_formula(fm.parse(text),
+                                          [fm.x(0), fm.x(1)]).constraints
+        assert (row.coeffs, row.rel, row.rhs) == want, text
     with pytest.raises(solve.SolveError):
         linear_system_from_formula(fm.parse("(or (<= x0 0) (<= x1 0))"),
                                    [fm.x(0), fm.x(1)])

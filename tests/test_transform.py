@@ -53,7 +53,12 @@ def test_transform_rejects_universal_quantifiers():
     spec = tr.strategic_transform(h, n, input_dim=1, allow_general=True)
     assert spec.fragment == fm.GENERAL
     assert str(spec.transformed) == ("(exists (w0) (and (<= (+ w0 (* -1 x0)) 1) "
-                                     "(forall (w0) (<= w0 a0))))")
+                                     "(forall (w1) (<= w1 a0))))")
+    # a quantifier of the hypothesis must not capture the target point y
+    h = fm.parse("(forall (w0) (<= w0 x0))")
+    spec = tr.strategic_transform(h, n, input_dim=1, allow_general=True)
+    assert str(spec.transformed) == ("(exists (w0) (and (<= (+ w0 (* -1 x0)) 1) "
+                                     "(forall (w1) (<= w1 w0))))")
 
 
 def test_transform_witness_blocks_disjoint():
