@@ -2,9 +2,9 @@
 
 The exact pieces (trace sets on finite classes, Sauer sums, the ERM sample
 threshold, the logarithmic bound lemmas, univariate sign-pattern counts) are
-implemented with rational or high-precision arithmetic and are suitable as
+decided over the rationals or with certified enclosures and are suitable as
 test oracles; the sampled pieces (growth estimation for parametric classes,
-multivariate sign patterns) report seeded lower bounds only.
+sampled sign patterns) report seeded lower bounds only.
 
 Logarithms in the bound lemmas are base 2; the ERM threshold inequality uses
 the natural exponential.
@@ -12,18 +12,17 @@ the natural exponential.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .intervals import UndecidedComparison
-
-if TYPE_CHECKING:  # sympy and mpmath are imported where they are used
-    import sympy
+from .intervals import (RatInterval, UndecidedComparison, certified_sign,
+                        exp_enclosure)
 
 
 class CapacityError(Exception):
@@ -172,27 +171,29 @@ def sauer_bound(m: int, d: int):
 def erm_threshold(C, k: int, eps, delta) -> int:
     """Smallest m with C * (2m)^k * exp(-eps*m/2) <= delta.
 
-    Evaluated at 50 decimal digits; the winning m and its predecessor are
-    re-verified so the scan cannot be fooled by rounding.
+    C, k, eps and delta are read exactly as Fractions.  Each comparison is
+    decided by certified_sign on an enclosure of exp, and the answer's
+    predecessor is one of the certified failures.
     """
-    import mpmath
-    C = mpmath.mpf(str(C))
-    eps_m = mpmath.mpf(str(eps))
-    delta_m = mpmath.mpf(str(delta))
-    if C < 1 or k < 1 or not 0 < eps_m or not 0 < delta_m:
-        raise CapacityError("need C >= 1, k >= 1, eps > 0, delta > 0")
-    with mpmath.workdps(50):
-        def value(m):
-            return C * (2 * mpmath.mpf(m)) ** k * mpmath.e ** (-eps_m * m / 2)
+    C, k, eps, delta = (Fraction(v) for v in (C, k, eps, delta))
+    if C < 1 or k < 1 or k.denominator != 1 or not 0 < eps or not 0 < delta:
+        raise CapacityError("need C >= 1, integer k >= 1, eps > 0, delta > 0")
 
-        m = 1
-        while value(m) > delta_m:
-            m += 1
-            if m > 10 ** 9:
-                raise CapacityError("threshold scan exceeded 10^9")
-        assert value(m) <= delta_m
-        assert m == 1 or value(m - 1) > delta_m
-        return m
+    def holds(m: int) -> bool:
+        lhs = RatInterval.point(C * (2 * m) ** k)
+        return certified_sign(lambda bits: exp_enclosure(
+            eps * m / 2, bits).scale(delta) - lhs) >= 0
+
+    # the left side rises up to m = 2k/eps and falls after it: if m = 1
+    # fails, so does every m <= 2k/eps, and past it the failures are a prefix.
+    # lo is 0 or an m certified to fail, hi is the next m to try
+    lo, hi = 0, 1
+    while not holds(hi):
+        lo, hi = hi, max(2 * hi, math.floor(2 * k / eps) + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def log_self_bound(a, b) -> float:
@@ -268,110 +269,91 @@ def vc_consistency_extremal(A, k, cap: int = 10 ** 7) -> int:
 
 
 def sign_pattern_count(polys: Sequence, mode: str = "exact-univariate",
-                       samples: int = 2000, seed: int = 0,
-                       n_vars: int = 1) -> int:
-    """Number of sign vectors (sign p_1(t), ..., sign p_M(t)).
+                       samples: int = 2000, seed: int = 0) -> int:
+    """Number of sign vectors (sign p_1(t), ..., sign p_M(t)) over real t.
 
-    exact-univariate: rational-coefficient polynomials in one variable; all
-    real roots are isolated (multiplicities merged: a repeated root yields
-    one root point) and the sign vector is evaluated at every root and at a
-    rational point in every gap, below the smallest and above the largest
-    root.  sampled: a seeded lower bound at uniform random points.
+    Each polynomial is a coefficient sequence, highest degree first (the
+    numpy.polyval order).  exact-univariate: decided over the rationals;
+    the distinct real roots of the product of the inputs are isolated with
+    Sturm sequences (a repeated root is one root point) and the sign vector
+    is taken at every root and at a rational point in every gap and on both
+    flanks.  sampled: a seeded lower bound at uniform random points.
     """
-    import sympy
-    t = sympy.Symbol("t")
-    exprs = [sympy.Poly(p, t) if not isinstance(p, sympy.Poly)
-             else p for p in polys]
+    ps = [_trim([Fraction(c) for c in p]) for p in polys]
     if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        syms = sorted(set().union(*[sympy.sympify(p).free_symbols
-                                    for p in polys]) or {t}, key=str)
-        if len(syms) > n_vars:
-            raise CapacityError(f"polynomials use {len(syms)} variables, "
-                                f"n_vars={n_vars}")
-        pts = rng.uniform(-100, 100, size=(samples, len(syms)))
-        seen = set()
-        fns = [sympy.lambdify(syms, sympy.sympify(p), "numpy")
-               for p in polys]
-        for row in pts:
-            vec = tuple(int(np.sign(f(*row))) for f in fns)
-            seen.add(vec)
-        return len(seen)
+        ts = np.random.default_rng(seed).uniform(-100, 100, size=samples)
+        vals = np.array([np.polyval([float(c) for c in p], ts)
+                         for p in ps]).reshape(len(ps), samples)
+        return len({tuple(col) for col in np.sign(vals).T})
     if mode != "exact-univariate":
         raise CapacityError(f"unknown mode {mode!r}")
-
-    roots = set()
-    for p in exprs:
-        if p.degree() <= 0:
-            continue
-        for root in sympy.real_roots(p.as_expr(), t):
-            roots.add(root)
-    ordered = sorted(roots, key=lambda r: r.evalf(50))
-    # rational sample points: strictly between consecutive roots and on
-    # both flanks, obtained from refined rational enclosures
-    samples_at = list(ordered)
-    rng_pts = []
-    if ordered:
-        # rational enclosure per root, refined until pairwise disjoint, so
-        # midpoints between enclosures separate consecutive roots
-        dx = Fraction(1, 2)
-        while True:
-            boxes = [_root_box(r, dx) for r in ordered]
-            if all(boxes[i][1] < boxes[i + 1][0]
-                   for i in range(len(boxes) - 1)):
-                break
-            dx /= 16
-        rng_pts.append(boxes[0][0] - 1)
-        for i in range(len(boxes) - 1):
-            rng_pts.append((boxes[i][1] + boxes[i + 1][0]) / 2)
-        rng_pts.append(boxes[-1][1] + 1)
-    else:
-        rng_pts.append(Fraction(0))
-
-    seen = set()
-    for q in rng_pts:
-        seen.add(tuple(_sign_rational(p, q) for p in exprs))
-    for r in samples_at:
-        seen.add(tuple(_sign_at_root(p, r, t) for p in exprs))
+    product = functools.reduce(np.polymul, [p for p in ps if len(p) > 1],
+                               [Fraction(1)])
+    roots = _isolate(_sturm(list(product)))
+    points = [x for ab in roots for x in ab] or [Fraction(0)]
+    seen = {tuple(_sign_at(p, x) for p in ps) for x in points}
+    chains = [_sturm(p) for p in ps]
+    for a, b in roots:
+        # (a, b) holds one root of the product and no other root of any
+        # input: p is 0 there iff it has a root in (a, b), else has p(b)'s sign
+        seen.add(tuple(_sign_at(p, b) if _variations(c, a) == _variations(c, b)
+                       else 0 for p, c in zip(ps, chains)))
     return len(seen)
 
 
-def _root_box(root, dx: Fraction):
-    import sympy
-    if root.is_rational:
-        r = sympy.Rational(root)
-        v = Fraction(int(r.p), int(r.q))
-        return (v, v)
-    if hasattr(root, "eval_rational"):
-        approx = Fraction(sympy.Rational(root.eval_rational(dx / 2)))
-        return (approx - dx, approx + dx)
-    digits = max(25, int(-math.log10(float(dx))) + 10)
-    approx = Fraction(sympy.Rational(sympy.N(root, digits)))
-    return (approx - dx, approx + dx)
+def _trim(p: list) -> list:
+    """p without leading zeros.  Polynomials here are lists of Fractions,
+    highest degree first (np.polymul multiplies them exactly); [] is 0."""
+    while p and p[0] == 0:
+        p = p[1:]
+    return p
 
 
-def _sign_rational(p: sympy.Poly, q: Fraction) -> int:
-    import sympy
-    v = p.eval(sympy.Rational(q.numerator, q.denominator))
-    return int(sympy.sign(v))
+def _sign_at(p: list, x: Fraction) -> int:
+    v = Fraction(0)
+    for c in p:
+        v = v * x + c
+    return (v > 0) - (v < 0)
 
 
-def _sign_at_root(p: sympy.Poly, root, t) -> int:
-    import sympy
-    if p.degree() <= 0:
-        return int(sympy.sign(p.eval(0)))
-    if root.is_rational:
-        is_zero = p.eval(root) == 0
-    else:
-        minpoly = sympy.minimal_polynomial(root, t)
-        is_zero = sympy.rem(p.as_expr(), minpoly, t) == 0
-    if is_zero:
-        return 0
-    v = p.as_expr().subs(t, root)
-    prec = 30
-    while prec <= 480:
-        approx = v.evalf(prec)
-        if abs(approx) > 10 ** (-(prec // 2)):
-            return int(sympy.sign(approx))
-        prec *= 2
-    raise CapacityError("could not certify a sign at an algebraic point")
+def _sturm(p: list) -> list:
+    """Sturm chain p, p', -rem(p, p'), ...  Its sign variations count the
+    distinct real roots of p between two non-roots even when p is not
+    squarefree (Basu, Pollack & Roy, ch. 2)."""
+    n = len(p) - 1
+    chain = [p, [c * (n - i) for i, c in enumerate(p[:-1])]]
+    while chain[-1]:
+        r, q = chain[-2], chain[-1]
+        while len(r) >= len(q):
+            f = r[0] / q[0]
+            r = _trim([c - f * d for c, d in zip(r, q)] + r[len(q):])
+        chain.append([-c for c in r])
+    return chain[:-1]
+
+
+def _variations(chain: list, x: Fraction) -> int:
+    """Sign changes along the Sturm chain at x.  For non-roots a < b,
+    _variations(a) - _variations(b) is the number of distinct roots of
+    chain[0] in (a, b)."""
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _isolate(chain: list) -> list:
+    """Disjoint open intervals (a, b), one per distinct real root of
+    chain[0], each holding exactly that root; no endpoint is a root."""
+    p = chain[0]
+    bound = 1 + max(map(abs, p[1:]), default=0) / abs(p[0])  # Cauchy bound
+    out = []
+    todo = [(-bound, bound)]
+    while todo:
+        a, b = todo.pop()
+        n = _variations(chain, a) - _variations(chain, b)
+        if n == 1:
+            out.append((a, b))
+        elif n > 1:
+            mid = (a + b) / 2
+            while _sign_at(p, mid) == 0:
+                mid = (a + mid) / 2
+            todo += [(mid, b), (a, mid)]
+    return out

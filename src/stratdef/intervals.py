@@ -93,9 +93,7 @@ class RatInterval:
 
 def sqrt2_enclosure(bits: int) -> RatInterval:
     """Enclosure of sqrt(2) of width 2^-bits, via integer square root."""
-    scale = 1 << bits
-    lo = math.isqrt(2 * scale * scale)
-    return RatInterval(Fraction(lo, scale), Fraction(lo + 1, scale))
+    return sqrt_enclosure(2, bits)
 
 
 def sqrt_enclosure(v, bits: int) -> RatInterval:

@@ -30,7 +30,6 @@ class DataSet:
     family: str
     neighborhood: str
     target_params: tuple
-    distribution: str
     seed: int
 
     def X(self) -> np.ndarray:
@@ -45,8 +44,6 @@ class ErmResult:
     params: tuple
     empirical_error: float
     budget_spent: int
-    heldout_error: Optional[float] = None
-    heldout_halfwidth: Optional[float] = None
     budget_exhausted_nonzero: bool = False
     kind: str = "approximate-ERM"
 
@@ -69,7 +66,7 @@ def generate_realizable(family: HypothesisFamily, neigh: NeighborhoodSystem,
     points = tuple((tuple(float(v) for v in row), bool(lab))
                    for row, lab in zip(X, labels))
     return DataSet(points, family.name, neigh.name,
-                   tuple(target_params), "uniform_box", seed)
+                   tuple(target_params), seed)
 
 
 def empirical_error(family: HypothesisFamily, neigh: NeighborhoodSystem,

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -189,7 +192,8 @@ def test_erm_threshold_known_value():
 def test_erm_threshold_definition_checked():
     import mpmath
     for C, k, eps, delta in ((1, 1, "0.5", "0.5"), (10, 2, "0.1", "0.05"),
-                             (100, 3, "0.25", "0.01")):
+                             (100, 3, "0.25", "0.01"),
+                             (1000, 3, "0.001", "0.001")):
         m = erm_threshold(C, k, eps, delta)
         with mpmath.workdps(60):
             f = lambda mm: mpmath.mpf(C) * (2 * mm) ** k * \
@@ -260,22 +264,31 @@ def test_bound_lemma_input_validation():
         vc_from_growth_bound(0.5, 1)
     with pytest.raises(CapacityError):
         vc_consistency_bound(1.5, 1)
+    with pytest.raises(CapacityError):
+        erm_threshold(1, 1.5, "0.5", "0.5")  # (2m)^1.5 is no rational
 
 
 # ---------------------------------------------------------------------------
 # Sign patterns
 
 
+def _coeffs(polys):
+    """Coefficient lists, highest degree first, of sympy polynomials in t."""
+    t = sympy.Symbol("t")
+    return [[Fraction(int(c.p), int(c.q))
+             for c in sympy.Poly(p, t).all_coeffs()] for p in polys]
+
+
 def test_sign_pattern_count_linear_family():
     t = sympy.Symbol("t")
     # t, t - 1: patterns (-,-), (0,-), (+,-), (+,0), (+,+) = 5
-    assert sign_pattern_count([t, t - 1]) == 5
+    assert sign_pattern_count(_coeffs([t, t - 1])) == 5
 
 
 def test_sign_pattern_count_single_poly():
     t = sympy.Symbol("t")
-    assert sign_pattern_count([t**2 + 1]) == 1  # always positive
-    assert sign_pattern_count([t**2]) == 2      # 0 at the double root, else +
+    assert sign_pattern_count(_coeffs([t**2 + 1])) == 1  # always positive
+    assert sign_pattern_count(_coeffs([t**2])) == 2  # 0 at the double root
 
 
 def test_sign_pattern_count_shared_irrational_root():
@@ -284,10 +297,17 @@ def test_sign_pattern_count_shared_irrational_root():
     # exactly at the algebraic point, not nearby
     p1 = t**2 - 2
     p2 = t**3 - 2 * t  # roots 0, +-sqrt(2)
-    got = sign_pattern_count([p1, p2])
+    got = sign_pattern_count(_coeffs([p1, p2]))
     # left to right: (+,-), (0,0) at -sqrt(2), (-,+), (-,0) at 0, (-,-),
     # (0,0) again at sqrt(2), (+,+) on the right flank -> 6 distinct
     assert got == 6
+    # p/q is the first convergent of sqrt(2) with q^2 > 10^270, so q*t - p
+    # has its root p/q about 10^-271 above sqrt(2): (+,-), (0,-) at
+    # -sqrt(2), (-,-), (0,-) at sqrt(2), (+,-), (+,0) at p/q, (+,+)
+    p, q = 1, 1
+    while q * q <= 10 ** 270:
+        p, q = p + 2 * q, p + q
+    assert sign_pattern_count(_coeffs([t**2 - 2, q * t - p])) == 5
 
 
 def test_sign_pattern_count_quadratics_bound():
@@ -302,14 +322,15 @@ def test_sign_pattern_count_quadratics_bound():
                  for p in polys]
         if any(p == 0 for p in polys):
             continue
-        assert sign_pattern_count(polys) <= 4 * M + 1
+        assert sign_pattern_count(_coeffs(polys)) <= 4 * M + 1
 
 
 def test_sign_pattern_sampled_is_lower_bound():
     t = sympy.Symbol("t")
     polys = [t, t - 1, t + 2]
-    exact = sign_pattern_count(polys)
-    sampled = sign_pattern_count(polys, mode="sampled", samples=500, seed=0)
+    exact = sign_pattern_count(_coeffs(polys))
+    sampled = sign_pattern_count(_coeffs(polys), mode="sampled", samples=500,
+                                 seed=0)
     assert sampled <= exact
     # sampling misses measure-zero patterns but finds all open cells
     assert sampled >= 4
@@ -318,4 +339,28 @@ def test_sign_pattern_sampled_is_lower_bound():
 def test_sign_pattern_count_rejects_unknown_mode():
     t = sympy.Symbol("t")
     with pytest.raises(CapacityError):
-        sign_pattern_count([t], mode="nope")
+        sign_pattern_count(_coeffs([t]), mode="nope")
+
+
+# ---------------------------------------------------------------------------
+# Runtime dependencies
+
+
+def test_runtime_loads_neither_sympy_nor_mpmath():
+    # sympy and mpmath are test-only oracles: importing every module of the
+    # package and running the exact capacity functions loads neither
+    import stratdef
+    code = (
+        "import importlib, pkgutil, sys, stratdef\n"
+        "for m in pkgutil.iter_modules(stratdef.__path__):\n"
+        "    importlib.import_module('stratdef.' + m.name)\n"
+        "from stratdef.capacity import erm_threshold, sign_pattern_count\n"
+        "assert sign_pattern_count([[1, 0, -2], [1, 0]]) == 7\n"
+        "assert erm_threshold(1, 1, '0.5', '0.5') == 17\n"
+        "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(stratdef.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
