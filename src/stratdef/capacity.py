@@ -114,22 +114,27 @@ def growth_estimate(label_fn: Callable, point_sampler: Callable,
                     seed: int = 0, param_draws: int = 2000) -> int:
     """Max distinct-trace count over sampled points and parameters.
 
-    label_fn(params, points) -> label tuple.  A seeded lower estimate of the
-    growth function at m.  Point and parameter streams use separate derived
-    seeds that do not depend on m or on the trial count, so the estimate is
+    label_fn(Theta, points) -> bool matrix [param_draws, m], one row of
+    labels per row of the parameter matrix Theta, which stacks param_draws
+    draws of param_sampler(rng).  A seeded lower estimate of the growth
+    function at m.  Point and parameter streams use separate derived seeds
+    that do not depend on m or on the trial count, so the estimate is
     monotone nondecreasing in both trials and m (larger point samples extend
     smaller ones, extra trials only add draws).
     """
+    if m < 1 or param_draws < 1:
+        raise CapacityError("m and param_draws must be positive")
     best = 0
     for trial in range(trials):
         point_rng = np.random.default_rng([seed, 1, trial])
         param_rng = np.random.default_rng([seed, 2, trial])
         points = point_sampler(m, point_rng)
-        rows = set()
-        for _ in range(param_draws):
-            params = param_sampler(param_rng)
-            rows.add(tuple(label_fn(params, points)))
-        best = max(best, len(rows))
+        theta = np.array([param_sampler(param_rng)
+                          for _ in range(param_draws)])
+        rows = np.packbits(label_fn(theta, points), axis=1)
+        # count distinct rows by sorting: np.unique imports numpy.ma (0.6 MB)
+        rows = rows[np.lexsort(rows.T)]
+        best = max(best, 1 + int((rows[1:] != rows[:-1]).any(1).sum()))
     return best
 
 
@@ -282,7 +287,7 @@ def sign_pattern_count(polys: Sequence, mode: str = "exact-univariate",
     ps = [_trim([Fraction(c) for c in p]) for p in polys]
     if mode == "sampled":
         ts = np.random.default_rng(seed).uniform(-100, 100, size=samples)
-        vals = np.array([np.polyval([float(c) for c in p], ts)
+        vals = np.array([np.polyval([_float(c) for c in p], ts)
                          for p in ps]).reshape(len(ps), samples)
         return len({tuple(col) for col in np.sign(vals).T})
     if mode != "exact-univariate":
@@ -299,6 +304,14 @@ def sign_pattern_count(polys: Sequence, mode: str = "exact-univariate",
         seen.add(tuple(_sign_at(p, b) if _variations(c, a) == _variations(c, b)
                        else 0 for p, c in zip(ps, chains)))
     return len(seen)
+
+
+def _float(c: Fraction) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        raise CapacityError(f"coefficient {c} is out of float range; "
+                            "use the exact mode") from None
 
 
 def _trim(p: list) -> list:

@@ -75,23 +75,24 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _write_with_sidecar(path: str, data: str) -> None:
+    _atomic_write(path, data)
+    meta = {"written_at_unix": time.time()}
+    _atomic_write(str(path) + ".meta.json", json.dumps(meta) + "\n")
+
+
 def write_artifact(path: str, config: dict, result) -> None:
     doc = {"version": __version__, "config": _jsonable(config),
            "result": _jsonable(result)}
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    meta = {"written_at_unix": time.time()}
-    _atomic_write(str(path) + ".meta.json", json.dumps(meta) + "\n")
+    _write_with_sidecar(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: str, header: list, rows: list, config: dict) -> None:
     lines = ["# version=" + __version__,
              "# config=" + json.dumps(_jsonable(config), sort_keys=True),
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-    meta = {"written_at_unix": time.time()}
-    _atomic_write(str(path) + ".meta.json", json.dumps(meta) + "\n")
+    lines += [",".join(_format_cell(v) for v in row) for row in rows]
+    _write_with_sidecar(path, "\n".join(lines) + "\n")
 
 
 def _format_cell(v) -> str:
@@ -112,14 +113,11 @@ def _load_formula(spec: str) -> fm.Formula:
     path = Path(spec)
     if path.exists():
         return fm.parse(path.read_text())
-    try:
-        return families.make_family(spec).formula()
-    except families.FamilyError:
-        pass
-    try:
-        return families.make_neighborhood(spec).formula()
-    except families.FamilyError:
-        pass
+    for make in (families.make_family, families.make_neighborhood):
+        try:
+            return make(spec).formula()
+        except families.FamilyError:
+            pass
     raise UsageError(f"{spec!r} is neither a readable file nor a known "
                      "family/neighborhood spec")
 
@@ -169,23 +167,40 @@ def cmd_fm_elim(args) -> int:
     return 0
 
 
+def _value(text, option: str, conv=Fraction, ok=None,
+           what: str = "a number"):
+    """conv(text), or a usage error naming the option unless it converts
+    and passes ok."""
+    try:
+        v = conv(text)
+        if ok is None or ok(v):
+            return v
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"--{option} must be {what}, got {text!r}")
+
+
+def _positive(text, option: str) -> int:
+    return _value(text, option, int, lambda v: v >= 1, "a positive integer")
+
+
 def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
     if kind == "fixed":
         radii = None
         if args.s:
-            radii = [Fraction(v) for v in args.s.split(",")]
+            radii = [_value(v, "s") for v in args.s.split(",")]
         return constructions.build_fixed_blowup(
-            args.n, Fraction(args.r), Fraction(args.rp), radii=radii)
+            args.n, _value(args.r, "r"), _value(args.rp, "rp"), radii=radii)
     if kind == "all-radii":
         if not args.s:
             raise UsageError("all-radii needs --s")
-        return constructions.build_all_radii(args.t, Fraction(args.s),
+        return constructions.build_all_radii(args.t, _value(args.s, "s"),
                                              args.n, cert_cap=args.cert_cap)
     if kind == "partition":
         return constructions.build_partition_pathology(args.n)
     if kind == "frac":
         return constructions.build_frac_construction(
-            args.n, Fraction(args.r), max_bits=args.precision_bits)
+            args.n, _value(args.r, "r"), max_bits=args.precision_bits)
     raise UsageError(f"unknown construction {kind!r}")
 
 
@@ -236,30 +251,25 @@ def cmd_shatter(args) -> int:
     return 0 if inst.passed() and match else 1
 
 
-def cmd_growth(args) -> int:
+def _family_pair(args) -> tuple:
     family = families.make_family(args.family)
     neigh = families.make_neighborhood(args.neighborhood) \
         if args.neighborhood else families.identity(family.input_dim)
     if neigh.dim != family.input_dim:
         raise UsageError("family and neighborhood dimensions differ")
-    m_values = [int(v) for v in args.m.split(",")]
-    box = family.param_box
+    return family, neigh
 
-    def label_fn(params, X):
-        return tuple(bool(b) for b in
-                     families.batch_strategic_labels(family, neigh, params,
-                                                     X))
 
-    def point_sampler(m, rng):
-        return rng.uniform(-1.0, 1.0, size=(m, family.input_dim))
-
-    def param_sampler(rng):
-        return [rng.uniform(*box[i % len(box)])
-                for i in range(family.param_dim)]
-
-    report = capacity.growth_series(label_fn, point_sampler, param_sampler,
-                                    m_values, args.trials, seed=args.seed,
-                                    param_draws=args.param_draws)
+def cmd_growth(args) -> int:
+    family, neigh = _family_pair(args)
+    m_values = [_positive(v, "m") for v in args.m.split(",")]
+    _positive(args.trials, "trials")
+    _positive(args.param_draws, "param-draws")
+    report = capacity.growth_series(
+        lambda params, X: families.batch_strategic_labels(family, neigh,
+                                                          params, X),
+        learn.uniform_box_sampler(family.input_dim), family.draw_params,
+        m_values, args.trials, seed=args.seed, param_draws=args.param_draws)
     config = {"command": "growth", "family": args.family,
               "neighborhood": args.neighborhood, "m": m_values,
               "trials": args.trials, "param_draws": args.param_draws,
@@ -273,16 +283,14 @@ def cmd_growth(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    family = families.make_family(args.family)
-    neigh = families.make_neighborhood(args.neighborhood) \
-        if args.neighborhood else families.identity(family.input_dim)
-    if neigh.dim != family.input_dim:
-        raise UsageError("family and neighborhood dimensions differ")
-    eps_grid = [float(v) for v in args.eps.split(",")]
-    rng = np.random.default_rng([args.seed, 0xA5])
-    box = family.param_box
-    target = [rng.uniform(*box[i % len(box)])
-              for i in range(family.param_dim)]
+    family, neigh = _family_pair(args)
+    eps_grid = [_value(v, "eps", float, lambda e: 0 < e <= 1,
+                       "a number in (0, 1]") for v in args.eps.split(",")]
+    _value(args.delta, "delta", float, lambda d: 0 <= d < 1,
+           "a number in [0, 1)")
+    _positive(args.trials, "trials")
+    _positive(args.budget, "budget")
+    target = family.draw_params(np.random.default_rng([args.seed, 0xA5]))
     report = learn.sample_complexity_sweep(
         family, neigh, target, eps_grid, args.delta, args.trials, args.seed,
         budget=args.budget)

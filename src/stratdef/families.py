@@ -10,13 +10,16 @@ evaluation can be cross-checked against each other.
 Evaluators and membership tests write each formula once over a number type
 chosen from the inputs: Fraction when every coordinate is rational and the
 metric allows it (p in {1, 2, inf}, Gaussian location, transport cost),
-float otherwise.
+float otherwise; evaluators also take numpy arrays, one element per
+(parameter row, point) pair, with the operations of the float path.
 
-Strategic labels have one closed form, in reach_margin: a family that exposes
-a linear form (w, b), accepting iff w.x >= b, under a constant-radius l_p
-ball (p in {1, 2, inf}, intervals included) or the identity reaches
-acceptance iff x.w + r*||w||_q - b >= 0, q the dual exponent of p.  Every
-other pair falls back to neighborhood sampling.
+Strategic labels have one kernel, batch_strategic_labels, over one parameter
+vector or a matrix of them.  Its closed form is reach_margin: a family with a
+linear form (w, b), accepting iff w.x >= b, under a constant-radius l_p ball
+(p in {1, 2, inf}, intervals included) or the identity reaches acceptance iff
+x.w + r*||w||_q - b >= 0, q the dual exponent of p.  Every other pair is
+labelled on each point's 64 fixed neighbor draws plus the point itself: a
+lower bound on acceptance (exact under the identity, x's only neighbor).
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ class HypothesisFamily:
     def formula(self) -> fm.Formula:
         return self.emit_formula()
 
+    def draw_params(self, rng: np.random.Generator, n: Optional[int] = None):
+        """One vector (or n, as matrix rows) uniform over the box, coordinate
+        i in param_box[i % len(param_box)], in the draw order of scalar
+        rng.uniform(lo, hi) calls."""
+        lo, hi = np.resize(np.asarray(self.param_box, dtype=float),
+                           (self.param_dim, 2)).T
+        return rng.uniform(lo, hi, None if n is None else (n, self.param_dim))
+
 
 def _dot_term(weights, xs) -> fm.Term:
     return fm.add(*[fm.mul(wv, xv) for wv, xv in zip(weights, xs)])
@@ -84,7 +95,7 @@ def halfspace(l: int) -> HypothesisFamily:
                        ">=", fm.a(l))
 
     return HypothesisFamily("halfspace", l, l + 1, evaluate, emit,
-                            linear=lambda params: (params[:l], params[l]))
+                            linear=lambda P: (P[..., :l], P[..., l]))
 
 
 def threshold() -> HypothesisFamily:
@@ -97,7 +108,7 @@ def threshold() -> HypothesisFamily:
         return fm.atom(fm.x(0), ">=", fm.a(0))
 
     return HypothesisFamily("threshold", 1, 1, evaluate, emit,
-                            linear=lambda params: ((1,), params[0]))
+                            linear=lambda P: (np.ones_like(P), P[..., 0]))
 
 
 def monomial_exponents(l: int, max_degree: int):
@@ -108,14 +119,14 @@ def monomial_exponents(l: int, max_degree: int):
     return out
 
 
-def _poly_value(coeffs, monos, x, num=float):
+def _poly_value(coeffs, monos, x, num):
     """sum_j coeffs[j] * prod_{i in monos[j]} x[i], in the number type num."""
     total = num(0)
     for th, mono in zip(coeffs, monos):
         term = num(th)
         for i in mono:
-            term *= num(x[i])
-        total += term
+            term = term * num(x[i])
+        total = total + term
     return total
 
 
@@ -172,16 +183,21 @@ def decision_tree(l: int, depth: int, split_degree: int,
     if k > max_params:
         raise FamilyError(f"coefficient dimension {k} exceeds cap "
                           f"{max_params}")
+    leaves = np.asarray(leaf_labels, dtype=bool)
 
     def evaluate(params, x):
         if len(params) != k:
             raise FamilyError("coefficient arity mismatch")
-        node = 1
+        num = _field(params, x)
+        # right[j]: x goes right at node j + 1; then walk from the root
+        right = np.asarray(np.broadcast_arrays(*[
+            _poly_value(params[j * block:(j + 1) * block], monos, x, num) >= 0
+            for j in range(n_nodes)]))
+        node = np.ones(right.shape[1:], dtype=int)
         for _ in range(depth):
-            base = (node - 1) * block
-            right = _poly_value(params[base:base + block], monos, x) >= 0
-            node = 2 * node + (1 if right else 0)
-        return bool(leaf_labels[node - n_leaves])
+            node = 2 * node + np.take_along_axis(right, node[None] - 1, 0)[0]
+        label = leaves[node - n_leaves]
+        return label if label.ndim else bool(label)
 
     def emit():
         disjuncts = []
@@ -225,33 +241,25 @@ def sigmoid_network(widths: Sequence[int],
     if k > max_params:
         raise FamilyError(f"weight dimension {k} exceeds cap {max_params}")
 
-    def param_layout():
-        """(layer, neuron) -> (weight base index, bias index)."""
-        out = {}
-        pos = 0
-        for j, (prev, d) in enumerate(zip(widths[:-1], widths[1:])):
-            for i in range(d):
-                out[(j, i)] = (pos, pos + prev)
-                pos += prev + 1
-        return out
-
-    layout = param_layout()
+    layout = {}  # (layer, neuron) -> (weight base index, bias index)
+    pos = 0
+    for j, (prev, d) in enumerate(zip(widths[:-1], widths[1:])):
+        for i in range(d):
+            layout[(j, i)] = (pos, pos + prev)
+            pos += prev + 1
 
     def evaluate(params, x):
         if len(params) != k:
             raise FamilyError("weight arity mismatch")
-        z = [float(v) for v in x]
-        r_out = 0.0
+        num, exp = (np.asarray, np.exp) if _field(params, x) is np.asarray \
+            else (float, math.exp)
+        z = [num(v) for v in x]
         for j, d in enumerate(layer_dims):
-            nxt = []
-            for i in range(d):
-                wbase, bidx = layout[(j, i)]
-                r = sum(float(params[wbase + s]) * z[s]
-                        for s in range(len(z))) + float(params[bidx])
-                r_out = r
-                nxt.append(1.0 / (1.0 + math.exp(-r)))
-            z = nxt
-        return r_out >= 0
+            r = [sum(num(params[wbase + s]) * v for s, v in enumerate(z)) +
+                 num(params[bidx])
+                 for wbase, bidx in (layout[(j, i)] for i in range(d))]
+            z = [1.0 / (1.0 + exp(-v)) for v in r]
+        return r[-1] >= 0
 
     def emit():
         indices = []
@@ -335,8 +343,12 @@ class NeighborhoodSystem:
         return self.emit_formula()
 
 
-def _field(*seqs) -> type:
-    """Fraction when every entry is rational, float otherwise."""
+def _field(*seqs) -> Callable:
+    """np.asarray when an input is an array of arrays (parameters and points
+    broadcast against each other), else Fraction when every entry is
+    rational, float otherwise."""
+    if any(isinstance(s, np.ndarray) and s.ndim > 1 for s in seqs):
+        return np.asarray
     exact = all(isinstance(v, (Fraction, int)) for s in seqs for v in s)
     return Fraction if exact else float
 
@@ -611,25 +623,13 @@ def emd_value(x, y, ground: Sequence) -> Fraction:
         raise FamilyError("mass vector dimension mismatch")
     if any(v < 0 for v in (*xv, *yv)) or sum(xv) != sum(yv):
         raise FamilyError("transport needs equal-mass nonnegative vectors")
-    nvars = l * l
-    obj = [ground[i][j] for i in range(l) for j in range(l)]
-    rows, rels, rhs = [], [], []
-    for i in range(l):
-        row = [Fraction(0)] * nvars
-        for j in range(l):
-            row[i * l + j] = Fraction(1)
-        rows.append(row)
-        rels.append("=")
-        rhs.append(xv[i])
-    for j in range(l):
-        row = [Fraction(0)] * nvars
-        for i in range(l):
-            row[i * l + j] = Fraction(1)
-        rows.append(row)
-        rels.append("=")
-        rhs.append(yv[j])
-    res = lp_solve(LPInstance(tuple(obj), tuple(rows), tuple(rels),
-                              tuple(rhs)))
+    cells = [(i, j) for i in range(l) for j in range(l)]
+    # one variable per cell (i, j); row k sums the mass leaving x_k, row
+    # l + k the mass reaching y_k
+    rows = tuple(tuple(Fraction(c[side] == k) for c in cells)
+                 for side in (0, 1) for k in range(l))
+    res = lp_solve(LPInstance(tuple(ground[i][j] for i, j in cells), rows,
+                              ("=",) * (2 * l), tuple(xv + yv)))
     if res.status != "optimal":
         raise FamilyError(f"transport program returned {res.status}")
     return res.value
@@ -718,68 +718,86 @@ def floor_partition() -> NeighborhoodSystem:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form strategic labels
+# Strategic labels
 
 
 # ord of the dual norm ||.||_q for each l_p exponent p (1/p + 1/q = 1)
 _DUAL_ORD = {1: math.inf, 2: 2, math.inf: 1}
+# neighbors drawn per point for a sampled label; the most (parameter row,
+# point) pairs labelled at once, which bounds the working set
+SAMPLED_NEIGHBORS = 64
+_BLOCK = 1 << 15
+
+
+def _closed_form(family: HypothesisFamily, neigh: NeighborhoodSystem) -> bool:
+    return family.linear is not None and \
+        neigh.kind in ("identity", "lp", "interval") and \
+        not (neigh.radius and neigh.p not in _DUAL_ORD)
 
 
 def reach_margin(family: HypothesisFamily, neigh: NeighborhoodSystem,
                  params, X):
     """Signed margin x.w + r*||w||_q - b of strategic acceptance, or None.
 
-    X is one point or a matrix with one point per row.  A nonnegative margin
-    means some neighbor is accepted: the best neighbor moves by r along the
-    dual-norm direction of w.  Covered: families with a linear form under
-    the identity (r = 0) and constant-radius l_p balls with p in {1, 2, inf},
-    intervals included.  Other pairs have no closed form here (None).
+    params is one vector or a matrix with one vector per row, X one point or
+    a matrix with one point per row; parameter rows come first, [draws, m].
+    A nonnegative margin means some neighbor is accepted: the best neighbor
+    moves by r along the dual-norm direction of w.  Covered: families with a
+    linear form under the identity (r = 0) and constant-radius l_p balls
+    with p in {1, 2, inf}, intervals included.  Other pairs give None.
     """
-    if family.linear is None or \
-            neigh.kind not in ("identity", "lp", "interval") or \
-            neigh.radius and neigh.p not in _DUAL_ORD:
+    if not _closed_form(family, neigh):
         return None
-    w, b = family.linear(params)
-    w = np.asarray([float(v) for v in w])
-    gain = float(neigh.radius) * np.linalg.norm(w, _DUAL_ORD[neigh.p]) \
-        if neigh.radius else 0.0
-    return np.asarray(X, dtype=float) @ w + gain - float(b)
-
-
-def strategic_label(family: HypothesisFamily, neigh: NeighborhoodSystem,
-                    params, x, rng=None, budget: int = 64) -> bool:
-    """Label of x under the strategic version of the classifier.
-
-    Under the identity the family is evaluated directly (exactly on
-    rational input); otherwise the closed-form margin decides when
-    reach_margin has one, and neighborhood sampling (a sound lower bound on
-    acceptance) decides the rest.
-    """
-    if neigh.kind == "identity":
-        return bool(family.evaluate(params, x))
-    m = reach_margin(family, neigh, params, x)
-    if m is not None:
-        return bool(m >= 0)
-    if bool(family.evaluate(params, x)):
-        return True
-    if neigh.sample is None:
-        raise FamilyError(f"no decision procedure for {family.name} under "
-                          f"{neigh.name}")
-    rng = rng or np.random.default_rng(0)
-    return any(family.evaluate(params, y)
-               for y in neigh.sample(x, rng, budget))
+    w, b = family.linear(np.asarray(params, dtype=float))
+    gain = float(neigh.radius) * \
+        np.linalg.norm(w, _DUAL_ORD[neigh.p], axis=-1) if neigh.radius else 0.0
+    # one matrix-vector product per parameter row, as for a single vector
+    dots = (np.asarray(X, dtype=float) @ w[..., None])[..., 0]
+    return (dots.T + gain - b).T
 
 
 def batch_strategic_labels(family: HypothesisFamily,
                            neigh: NeighborhoodSystem, params,
-                           X: np.ndarray) -> np.ndarray:
-    """Strategic labels of the rows of X: the closed-form margin in one
-    matrix product, else strategic_label row by row."""
-    m = reach_margin(family, neigh, params, X)
-    if m is not None:
-        return m >= 0
-    return np.asarray([strategic_label(family, neigh, params, row)
-                       for row in X], dtype=bool)
+                           X) -> np.ndarray:
+    """Strategic labels of the points X (one per row): shape [m] for one
+    parameter vector, [draws, m] for a matrix with one vector per row.
+
+    Closed-form pairs take reach_margin.  Otherwise each point's neighbors
+    neigh.sample(x, default_rng(0), SAMPLED_NEIGHBORS) are drawn once, and x
+    is accepted iff the family accepts one of them.  Parameter rows are
+    labelled in blocks of at most _BLOCK (rows x points) pairs.
+    """
+    P = np.asarray(params, dtype=float)
+    rows = P.reshape(-1, P.shape[-1])
+    if _closed_form(family, neigh):
+        Y = np.asarray(X, dtype=float)
+        label = lambda R: reach_margin(family, neigh, R, Y) >= 0
+    else:
+        if neigh.sample is None:
+            raise FamilyError(f"no decision procedure for {family.name} "
+                              f"under {neigh.name}")
+        sets = [np.asarray(neigh.sample(x, np.random.default_rng(0),
+                                        SAMPLED_NEIGHBORS), dtype=float)
+                for x in X]
+        Y = np.concatenate(sets)
+        starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
+        label = lambda R: np.logical_or.reduceat(np.broadcast_to(
+            family.evaluate(R.T[:, :, None], Y.T), (len(R), len(Y))),
+            starts, axis=1)
+    step = max(1, _BLOCK // max(1, len(Y)))
+    out = np.concatenate([label(rows[i:i + step])
+                          for i in range(0, len(rows), step)])
+    return out if P.ndim > 1 else out[0]
+
+
+def strategic_label(family: HypothesisFamily, neigh: NeighborhoodSystem,
+                    params, x) -> bool:
+    """Label of the point x: row 0 of batch_strategic_labels on [x], except
+    under the identity, where the family's own evaluation is exact on
+    rational input."""
+    if neigh.kind == "identity":
+        return bool(family.evaluate(params, x))
+    return bool(batch_strategic_labels(family, neigh, params, [x])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,7 @@ def generate_realizable(family: HypothesisFamily, neigh: NeighborhoodSystem,
     the target parameters.  Replaying the same seed reproduces the set."""
     rng = np.random.default_rng([seed, 0xD5])
     X = distribution(m, rng)
-    labels = batch_strategic_labels(family, neigh, target_params,
-                                    np.asarray(X, dtype=float))
+    labels = batch_strategic_labels(family, neigh, target_params, X)
     points = tuple((tuple(float(v) for v in row), bool(lab))
                    for row, lab in zip(X, labels))
     return DataSet(points, family.name, neigh.name,
@@ -70,11 +69,13 @@ def generate_realizable(family: HypothesisFamily, neigh: NeighborhoodSystem,
 
 
 def empirical_error(family: HypothesisFamily, neigh: NeighborhoodSystem,
-                    params, X: np.ndarray, y: np.ndarray) -> float:
+                    params, X: np.ndarray, y: np.ndarray):
+    """Fraction of points mislabeled: a float for one parameter vector, one
+    per row for a parameter matrix."""
     if len(y) == 0:
-        return 0.0
+        return 0.0 if np.ndim(params) == 1 else np.zeros(len(params))
     pred = batch_strategic_labels(family, neigh, params, X)
-    return float(np.mean(pred != y))
+    return np.mean(pred != y, axis=-1)
 
 
 def erm_fit(family: HypothesisFamily, neigh: NeighborhoodSystem,
@@ -82,51 +83,40 @@ def erm_fit(family: HypothesisFamily, neigh: NeighborhoodSystem,
             inject: Optional[Sequence] = None) -> ErmResult:
     """Approximate ERM by seeded multistart random search.
 
-    Candidates: uniform draws over the family's parameter box, Gaussian
-    perturbations of the incumbent, and finally the injected parameters
-    (the data's generator by default).  Deterministic given the seed.
+    Candidates: uniform draws over the family's parameter box (scored in one
+    call), Gaussian perturbations of the incumbent, and finally the injected
+    parameters (the data's generator by default).  Candidates count in
+    order: the search stops at the first zero-error one, and the incumbent
+    is the first candidate of least error.  Deterministic given the seed.
     """
     if budget <= 0:
         raise LearnError("budget must be positive")
     X, y = data.X(), data.y()
-    k = family.param_dim
-    box = [family.param_box[i % len(family.param_box)] for i in range(k)]
     rng = np.random.default_rng([seed, 0xE7])
-
-    def error(params) -> float:
-        return empirical_error(family, neigh, params, X, y)
-
     best_params: Optional[tuple] = None
     best_err = math.inf
     spent = 0
 
-    def consider(params) -> bool:
+    def consider(cands) -> bool:
         nonlocal best_params, best_err, spent
-        spent += 1
-        err = error(params)
-        if err < best_err:
-            best_params, best_err = tuple(params), err
+        errs = empirical_error(family, neigh, cands, X, y)
+        i = int(np.argmin(errs))  # the first zero, if there is one
+        spent += i + 1 if errs[i] == 0.0 else len(errs)
+        if errs[i] < best_err:
+            best_params, best_err = tuple(cands[i].tolist()), float(errs[i])
         return best_err == 0.0
 
-    n_uniform = max(1, budget // 2)
-    done = False
-    for _ in range(n_uniform):
-        cand = [rng.uniform(lo, hi) for lo, hi in box]
-        if consider(cand):
-            done = True
-            break
+    done = consider(family.draw_params(rng, max(1, budget // 2)))
+    scale = 0.25 * max(hi - lo for lo, hi in
+                       family.param_box[:family.param_dim])
     while not done and spent < budget - 1:
-        center = best_params if best_params is not None else \
-            [0.0] * k
-        scale = 0.25 * max(hi - lo for lo, hi in box)
-        cand = [c + rng.normal(0.0, scale) for c in center]
-        if consider(cand):
-            break
+        done = consider(np.asarray(
+            [[c + rng.normal(0.0, scale) for c in best_params]]))
     if inject is None:
         inject = data.target_params
     # an empty inject sequence disables the final injected candidate
     if inject is not None and len(inject) and best_err > 0.0:
-        consider([float(v) for v in inject])
+        consider(np.asarray([[float(v) for v in inject]]))
     return ErmResult(best_params, best_err, spent,
                      budget_exhausted_nonzero=best_err > 0.0)
 
@@ -139,8 +129,8 @@ def heldout_error(family: HypothesisFamily, neigh: NeighborhoodSystem,
     n = math.ceil(20.0 / eps)
     rng = np.random.default_rng([seed, 0xF1])
     X = np.asarray(distribution(n, rng), dtype=float)
-    truth = batch_strategic_labels(family, neigh, target_params, X)
-    pred = batch_strategic_labels(family, neigh, fitted, X)
+    truth, pred = batch_strategic_labels(family, neigh,
+                                         [target_params, fitted], X)
     err = float(np.mean(truth != pred))
     halfwidth = math.sqrt(math.log(2 / 0.05) / (2 * n))
     return err, halfwidth
@@ -195,28 +185,20 @@ def sample_complexity_sweep(family: HypothesisFamily,
 
     rows = []
     for eps in eps_grid:
-        lo, hi = 1, None
-        m = 4
-        rates = {}
+        lo, hi, m, rates = 1, None, 4, {}  # rates: m -> run_trials(eps, m)
         while m <= m_cap:
-            rate, zrate = run_trials(eps, m)
-            rates[m] = (rate, zrate)
-            if rate >= 1 - delta:
+            rates[m] = run_trials(eps, m)
+            if rates[m][0] >= 1 - delta:
                 hi = m
                 break
-            lo = m
-            m *= 2
+            lo, m = m, 2 * m
         if hi is None:
             raise LearnError(f"no m <= {m_cap} reached the target at "
                              f"eps={eps}")
         while hi - lo > max(1, hi // 8):
             mid = (lo + hi) // 2
-            rate, zrate = run_trials(eps, mid)
-            rates[mid] = (rate, zrate)
-            if rate >= 1 - delta:
-                hi = mid
-            else:
-                lo = mid
+            rates[mid] = run_trials(eps, mid)
+            lo, hi = (lo, mid) if rates[mid][0] >= 1 - delta else (mid, hi)
         rate, zrate = rates[hi]
         rows.append(SweepRow(float(eps), hi, hi * float(eps), rate, zrate))
 

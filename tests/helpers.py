@@ -186,3 +186,23 @@ def feasible_with_one_witness(sys: LinearSystem, witness: str,
 
 def system_holds_at(sys: LinearSystem, point: dict) -> bool:
     return sys.satisfied_by([point[v] for v in sys.variables])
+
+
+# ---------------------------------------------------------------------------
+# Sampled strategic labels
+
+
+def sampled_strategic_label(family, p, r: float, params, x,
+                            draws: int = 64) -> bool:
+    """Strategic label of x under an l_p ball of radius r, sampled: the
+    candidates are x and x + d for each of `draws` offsets d drawn uniformly
+    from [-r, r]^l by default_rng(0), kept when ||d||_p <= r; x is accepted
+    iff family.evaluate accepts a candidate."""
+    rng = np.random.default_rng(0)
+    x = np.asarray(x, dtype=float)
+    cands = [x]
+    for _ in range(draws):
+        y = x + rng.uniform(-r, r, size=len(x))
+        if np.linalg.norm(x - y, ord=p) <= r:
+            cands.append(y)
+    return any(bool(family.evaluate(params, list(y))) for y in cands)

@@ -407,8 +407,7 @@ def test_criterion_10_growth_shape():
     neigh = families.lp_ball(2, 2, Fraction(1, 2))
 
     def label_fn(params, X):
-        return tuple(bool(v) for v in
-                     families.batch_strategic_labels(fam, neigh, params, X))
+        return families.batch_strategic_labels(fam, neigh, params, X)
 
     def point_sampler(m, rng):
         return rng.uniform(-1.0, 1.0, size=(m, 2))

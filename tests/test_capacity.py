@@ -115,8 +115,8 @@ def test_vc_lower_bound_blowup_anchors_shattered_strategically():
 
 
 def _threshold_label_fn(params, points):
-    c = params[0]
-    return tuple(bool(p >= c) for p in points)
+    # one row of labels per parameter row
+    return np.asarray(points)[None, :] >= params[:, :1]
 
 
 def _point_sampler(m, rng):
@@ -334,6 +334,11 @@ def test_sign_pattern_sampled_is_lower_bound():
     assert sampled <= exact
     # sampling misses measure-zero patterns but finds all open cells
     assert sampled >= 4
+    # a coefficient beyond the float range is named, not an OverflowError
+    huge = [[10 ** 400, 1]]
+    assert sign_pattern_count(huge) == 3
+    with pytest.raises(CapacityError, match="coefficient 1000"):
+        sign_pattern_count(huge, mode="sampled", samples=10)
 
 
 def test_sign_pattern_count_rejects_unknown_mode():

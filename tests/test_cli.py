@@ -45,6 +45,25 @@ def test_unknown_spec_is_usage_error(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["growth", "--family", "threshold:l=1", "--m", "8,x"],
+    ["growth", "--family", "threshold:l=1", "--m", "-3"],
+    ["growth", "--family", "threshold:l=1", "--trials", "0"],
+    ["learn", "--family", "threshold:l=1", "--eps", "0"],
+    ["learn", "--family", "threshold:l=1", "--eps", "nan"],
+    ["learn", "--family", "threshold:l=1", "--trials", "0"],
+    ["verify-blowup", "--construction", "fixed", "--r", "abc"],
+])
+def test_hostile_arguments_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = run(argv + (["--out", out] if argv[0] == "verify-blowup"
+                     else ["--csv", out]))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
     rc = run(["fm-elim", "--in", tmp_path / "absent.json", "--drop", "x",
               "--out", tmp_path / "o.json"])

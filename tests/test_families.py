@@ -38,6 +38,8 @@ from stratdef.families import (
 )
 from stratdef.solve import Assignment, eval_qf, witness_search
 
+from helpers import sampled_strategic_label
+
 
 def _check_family_formula(family, rng, trials=40, margin=1e-6):
     """evaluate() and the emitted formula must agree away from boundaries."""
@@ -346,6 +348,30 @@ def test_batch_strategic_labels_match_scalar():
     assert strategic_label(t, n, [0], [-0.499]) is True
     assert list(batch_strategic_labels(t, n, [0], np.array([[-0.499]]))) \
         == [True]
+    # a parameter matrix gives one row of labels per parameter vector
+    n = make_neighborhood("lp:l=2,p=2,r=1/2")
+    A = rng.uniform(-2, 2, size=(4, 3))
+    X = rng.uniform(-2, 2, size=(50, 2))
+    got = batch_strategic_labels(h, n, A, X)
+    assert got.shape == (4, 50)
+    for a, row in zip(A, got):
+        assert list(row) == [x @ a[:2] + np.linalg.norm(a[:2]) / 2 >= a[2]
+                             for x in X]
+    # sampled pairs: each point's 64 neighbors, drawn by the oracle itself
+    for spec, desc, p in (("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4", 2),
+                          ("tree:l=2,depth=2,q=1,labels=0110",
+                           "linf:l=2,r=1/4", math.inf)):
+        family, n = make_family(spec), make_neighborhood(desc)
+        A = rng.uniform(-2, 2, size=(3, family.param_dim))
+        X = rng.uniform(-1, 1, size=(40, 2))
+        want = [[sampled_strategic_label(family, p, 0.25, a, x) for x in X]
+                for a in A]
+        assert batch_strategic_labels(family, n, A, X).tolist() == want
+        assert list(batch_strategic_labels(family, n, A[0], X)) == want[0]
+        assert [strategic_label(family, n, A[0], x) for x in X] == want[0]
+        # some point is accepted only through a neighbor
+        assert any(w and not family.evaluate(list(a), list(x))
+                   for a, row in zip(A, want) for x, w in zip(X, row))
 
 
 def test_batch_identity_uses_base_class():
