@@ -115,8 +115,9 @@ def growth_estimate(label_fn: Callable, point_sampler: Callable,
     """Max distinct-trace count over sampled points and parameters.
 
     label_fn(Theta, points) -> bool matrix [param_draws, m], one row of
-    labels per row of the parameter matrix Theta, which stacks param_draws
-    draws of param_sampler(rng).  A seeded lower estimate of the growth
+    labels per row of Theta.  param_sampler(rng, n) returns n parameter
+    vectors as the rows of a matrix, and each trial draws Theta with one
+    call, n = param_draws.  A seeded lower estimate of the growth
     function at m.  Point and parameter streams use separate derived seeds
     that do not depend on m or on the trial count, so the estimate is
     monotone nondecreasing in both trials and m (larger point samples extend
@@ -129,8 +130,7 @@ def growth_estimate(label_fn: Callable, point_sampler: Callable,
         point_rng = np.random.default_rng([seed, 1, trial])
         param_rng = np.random.default_rng([seed, 2, trial])
         points = point_sampler(m, point_rng)
-        theta = np.array([param_sampler(param_rng)
-                          for _ in range(param_draws)])
+        theta = np.asarray(param_sampler(param_rng, param_draws))
         rows = np.packbits(label_fn(theta, points), axis=1)
         # count distinct rows by sorting: np.unique imports numpy.ma (0.6 MB)
         rows = rows[np.lexsort(rows.T)]

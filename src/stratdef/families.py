@@ -18,8 +18,10 @@ vector or a matrix of them.  Its closed form is reach_margin: a family with a
 linear form (w, b), accepting iff w.x >= b, under a constant-radius l_p ball
 (p in {1, 2, inf}, intervals included) or the identity reaches acceptance iff
 x.w + r*||w||_q - b >= 0, q the dual exponent of p.  Every other pair is
-labelled on each point's 64 fixed neighbor draws plus the point itself: a
-lower bound on acceptance (exact under the identity, x's only neighbor).
+labelled on the point itself and 64 neighbor draws: one call draws them once
+for all its points, and each point keeps, through contains, the draws that
+land in its neighborhood.  The label is a lower bound on acceptance (exact
+under the identity, x's only neighbor).
 """
 
 from __future__ import annotations
@@ -251,14 +253,14 @@ def sigmoid_network(widths: Sequence[int],
     def evaluate(params, x):
         if len(params) != k:
             raise FamilyError("weight arity mismatch")
-        num, exp = (np.asarray, np.exp) if _field(params, x) is np.asarray \
-            else (float, math.exp)
+        num = _field(params, x, exact=False)
         z = [num(v) for v in x]
         for j, d in enumerate(layer_dims):
             r = [sum(num(params[wbase + s]) * v for s, v in enumerate(z)) +
                  num(params[bidx])
                  for wbase, bidx in (layout[(j, i)] for i in range(d))]
-            z = [1.0 / (1.0 + exp(-v)) for v in r]
+            with np.errstate(over="ignore"):  # exp(-v) = inf: the limit 0
+                z = [1.0 / (1.0 + np.exp(-v)) for v in r]
         return r[-1] >= 0
 
     def emit():
@@ -331,7 +333,10 @@ class NeighborhoodSystem:
     dim: int
     contains: Callable  # (x, y) -> bool
     emit_formula: Optional[Callable] = None  # () -> fm.Formula
-    sample: Optional[Callable] = None  # (x, rng, budget) -> list of points
+    # (X, rng, budget) -> (draws [m, budget, l], keep broadcasting to
+    # [m, budget]): a call's draws are shared by its m points, and keep[i, j]
+    # says whether draw j of point i lies in N_x
+    sample: Optional[Callable] = None
     definable: bool = True
     kind: str = "generic"
     p: Optional[object] = None
@@ -343,30 +348,33 @@ class NeighborhoodSystem:
         return self.emit_formula()
 
 
-def _field(*seqs) -> Callable:
-    """np.asarray when an input is an array of arrays (parameters and points
-    broadcast against each other), else Fraction when every entry is
-    rational, float otherwise."""
+def _field(*seqs, exact: bool = True) -> Callable:
+    """Conversion to float arrays when an input is an array of arrays (one
+    array per coordinate, broadcasting over parameter rows, points and
+    neighbor draws), else Fraction when exact and every entry is rational,
+    float otherwise."""
     if any(isinstance(s, np.ndarray) and s.ndim > 1 for s in seqs):
-        return np.asarray
-    exact = all(isinstance(v, (Fraction, int)) for s in seqs for v in s)
+        return _floats
+    exact = exact and all(isinstance(v, (Fraction, int))
+                          for s in seqs for v in s)
     return Fraction if exact else float
 
 
-def _box_sampler(l: int, contains: Callable, radius_at: Callable) -> Callable:
-    """Sampler keeping uniform draws from the box of half-width
-    radius_at(x) around x that land in N_x."""
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
 
-    def sample(x, rng, budget):
-        xf = [float(v) for v in x]
-        r = float(radius_at(x))
-        out = [tuple(x)]
-        for _ in range(budget):
-            d = rng.uniform(-r, r, size=l) if r > 0 else np.zeros(l)
-            y = tuple(v + dv for v, dv in zip(xf, d))
-            if contains(xf, y):
-                out.append(y)
-        return out
+
+def _box_sampler(l: int, contains: Callable, radius_at: Callable) -> Callable:
+    """Sampler drawing budget offsets uniform on [-1, 1]^l once per call,
+    each point scaling them by its half-width radius_at(x) and keeping the
+    draws that land in N_x."""
+
+    def sample(X, rng, budget):
+        Xc = _floats(X).T[:, :, None]  # [l, m, 1]
+        r = radius_at(Xc, _floats)
+        # -r + 2r*U is rng.uniform(-r, r) to the bit
+        Y = Xc + (-r + 2 * r * rng.random((budget, l)).T[:, None, :])
+        return Y.transpose(1, 2, 0), contains(Xc, Y)
     return sample
 
 
@@ -380,8 +388,8 @@ def identity(l: int) -> NeighborhoodSystem:
         return fm.conj(*[fm.atom(fm.x(l + i), "=", fm.x(i))
                          for i in range(l)])
 
-    def sample(x, rng, budget):
-        return [tuple(x)]
+    def sample(X, rng, budget):
+        return np.empty((len(X), 0, l)), True
 
     return NeighborhoodSystem("identity", l, contains, emit, sample,
                               kind="identity", radius=Fraction(0))
@@ -408,10 +416,10 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
         raise FamilyError("general-exponent balls support radius 1 only")
 
     def contains(x, y):
-        num = _field(x, y) if special else float
+        num = _field(x, y, exact=special)
         dx = [abs(num(u) - num(v)) for u, v in zip(x, y)]
         if inf:
-            return max(dx, default=num(0)) <= num(radius)
+            return np.logical_and.reduce([d <= num(radius) for d in dx])
         return sum(d ** num(p) for d in dx) <= num(radius) ** num(p)
 
     def emit():
@@ -463,7 +471,8 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
 
     name = f"l{'inf' if inf else p}_ball_r{radius}"
     return NeighborhoodSystem(name, l, contains, emit,
-                              _box_sampler(l, contains, lambda x: radius),
+                              _box_sampler(l, contains,
+                                           lambda x, num: num(radius)),
                               kind="lp", p=(math.inf if inf else p),
                               radius=radius)
 
@@ -473,8 +482,8 @@ def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
     if not 0 <= coord < l:
         raise FamilyError("radius coordinate out of range")
 
-    def radius_at(x, num=float):
-        return max(num(x[coord]), 0)
+    def radius_at(x, num):
+        return np.maximum(num(x[coord]), 0)
 
     def contains(x, y):
         num = _field(x, y)
@@ -522,12 +531,9 @@ def gaussian_kl_location(radius) -> NeighborhoodSystem:
         d = fm.sub(fm.x(0), fm.x(1))
         return fm.atom(fm.mul(d, d), "<=", fm.const(2 * radius))
 
-    def sample(x, rng, budget):
+    def sample(X, rng, budget):
         r = math.sqrt(2 * float(radius))
-        out = [tuple(x)]
-        for _ in range(budget):
-            out.append((float(x[0]) + rng.uniform(-r, r),))
-        return out
+        return _floats(X)[:, None] + rng.uniform(-r, r, (budget, 1)), True
 
     return NeighborhoodSystem(f"gauss_kl_r{radius}", 1, contains, emit,
                               sample, kind="gauss_kl", radius=radius)
@@ -591,19 +597,22 @@ def kl_ball(l: int, radius) -> NeighborhoodSystem:
                              "<=", fm.const(radius)))
         return fm.Exists(tuple(indices), fm.conj(*parts))
 
-    def sample(x, rng, budget):
-        xv = [float(v) for v in x]
-        out = [tuple(xv)]
-        for _ in range(budget):
-            u = rng.dirichlet(np.ones(l))
-            t = rng.uniform(0, 1)
-            y = tuple((1 - t) * xi + t * ui for xi, ui in zip(xv, u))
-            if contains(xv, y):
-                out.append(y)
-        return out
+    def sample(X, rng, budget):
+        U, t = _mixing_draws(rng, l, budget)
+        Y = (1 - t) * _floats(X)[:, None] + t * U
+        return Y, [[contains(x, y) for y in ys] for x, ys in zip(X, Y)]
 
     return NeighborhoodSystem(f"kl_r{radius}", l, contains, emit, sample,
                               kind="kl", radius=radius)
+
+
+def _mixing_draws(rng, l: int, budget: int):
+    """The kl and emd samplers' draws y = (1 - t) x + t u: U [budget, l]
+    with Dirichlet(1, ..., 1) rows, t [budget, 1] uniform on [0, 1), drawn
+    one (u, t) pair at a time."""
+    U, t = map(np.array, zip(*[(rng.dirichlet(np.ones(l)), rng.uniform(0, 1))
+                               for _ in range(budget)]))
+    return U, t[:, None]
 
 
 def footnote_metric() -> tuple:
@@ -676,20 +685,19 @@ def emd_ball(ground: Sequence, radius) -> NeighborhoodSystem:
         parts.append(fm.atom(fm.add(*cost_terms), "<=", fm.const(radius)))
         return fm.Exists(indices, fm.conj(*parts))
 
-    def sample(x, rng, budget):
-        xv = [float(v) for v in x]
-        total = sum(xv)
-        out = [tuple(xv)]
-        for _ in range(budget):
-            u = rng.dirichlet(np.ones(l)) * total
-            t = rng.uniform(0, 1)
-            y = tuple(Fraction(round((1 - t) * xi + t * ui, 6))
-                      for xi, ui in zip(xv, u))
-            gap = sum(Fraction(v) for v in x) - sum(y)
-            y = (y[0] + gap,) + y[1:]
-            if y[0] >= 0 and contains(x, y):
-                out.append(tuple(map(float, y)))
-        return out
+    def sample(X, rng, budget):
+        U, t = _mixing_draws(rng, l, budget)
+        draws, keep = [], []
+        for x in X:
+            xv = _floats(x)
+            mass = sum(Fraction(v) for v in x)
+            # masses rounded to 6 decimals, the rounding gap put on y_0
+            ys = [[Fraction(round(v, 6)) for v in row]
+                  for row in (1 - t) * xv + t * (U * sum(xv))]
+            ys = [(y[0] + mass - sum(y), *y[1:]) for y in ys]
+            draws.append(ys)
+            keep.append([y[0] >= 0 and contains(x, y) for y in ys])
+        return _floats(draws), keep
 
     return NeighborhoodSystem(f"emd_r{radius}", l, contains, emit, sample,
                               kind="emd", radius=radius)
@@ -706,12 +714,9 @@ def floor_partition() -> NeighborhoodSystem:
     def contains(x, y):
         return math.floor(x[0]) == math.floor(y[0])
 
-    def sample(x, rng, budget):
-        base = math.floor(float(x[0]))
-        out = [tuple(x)]
-        for _ in range(budget):
-            out.append((base + rng.uniform(0, 1),))
-        return out
+    def sample(X, rng, budget):
+        base = np.floor(_floats(X))[:, None]
+        return base + rng.uniform(0, 1, (budget, 1)), True
 
     return NeighborhoodSystem("floor_partition", 1, contains, None, sample,
                               definable=False, kind="floor")
@@ -723,8 +728,9 @@ def floor_partition() -> NeighborhoodSystem:
 
 # ord of the dual norm ||.||_q for each l_p exponent p (1/p + 1/q = 1)
 _DUAL_ORD = {1: math.inf, 2: 2, math.inf: 1}
-# neighbors drawn per point for a sampled label; the most (parameter row,
-# point) pairs labelled at once, which bounds the working set
+# neighbor draws of a sampled-label call, shared by its points; the most
+# (parameter row, candidate point) pairs labelled at once, which bounds the
+# working set
 SAMPLED_NEIGHBORS = 64
 _BLOCK = 1 << 15
 
@@ -762,29 +768,31 @@ def batch_strategic_labels(family: HypothesisFamily,
     """Strategic labels of the points X (one per row): shape [m] for one
     parameter vector, [draws, m] for a matrix with one vector per row.
 
-    Closed-form pairs take reach_margin.  Otherwise each point's neighbors
-    neigh.sample(x, default_rng(0), SAMPLED_NEIGHBORS) are drawn once, and x
-    is accepted iff the family accepts one of them.  Parameter rows are
-    labelled in blocks of at most _BLOCK (rows x points) pairs.
+    Closed-form pairs take reach_margin.  Otherwise one call
+    neigh.sample(X, default_rng(0), SAMPLED_NEIGHBORS) draws the neighbors of
+    every point, and x is accepted iff the family accepts x or one of its
+    kept draws.  Parameter rows are labelled in blocks of at most _BLOCK
+    (rows x candidates) pairs.
     """
     P = np.asarray(params, dtype=float)
     rows = P.reshape(-1, P.shape[-1])
     if _closed_form(family, neigh):
         Y = np.asarray(X, dtype=float)
+        cands = len(Y)
         label = lambda R: reach_margin(family, neigh, R, Y) >= 0
     else:
         if neigh.sample is None:
             raise FamilyError(f"no decision procedure for {family.name} "
                               f"under {neigh.name}")
-        sets = [np.asarray(neigh.sample(x, np.random.default_rng(0),
-                                        SAMPLED_NEIGHBORS), dtype=float)
-                for x in X]
-        Y = np.concatenate(sets)
-        starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
-        label = lambda R: np.logical_or.reduceat(np.broadcast_to(
-            family.evaluate(R.T[:, :, None], Y.T), (len(R), len(Y))),
-            starts, axis=1)
-    step = max(1, _BLOCK // max(1, len(Y)))
+        draws, keep = neigh.sample(X, np.random.default_rng(0),
+                                   SAMPLED_NEIGHBORS)
+        # each point in front of its draws: [l, m, 1 + budget]
+        Y = np.concatenate([_floats(X)[:, None], draws], 1).transpose(2, 0, 1)
+        keep = np.insert(np.broadcast_to(keep, draws.shape[:2]), 0, True, 1)
+        cands = keep.size
+        label = lambda R: (keep & family.evaluate(R.T[:, :, None, None],
+                                                  Y)).any(-1)
+    step = max(1, _BLOCK // max(1, cands))
     out = np.concatenate([label(rows[i:i + step])
                           for i in range(0, len(rows), step)])
     return out if P.ndim > 1 else out[0]

@@ -20,7 +20,6 @@ Everything here is pure syntax; evaluation lives in :mod:`stratdef.solve`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -696,19 +695,6 @@ def term_degree(t: Term) -> int:
         return sum(term_degree(s) for s in t.factors)
     raise FormulaError("exp term inside a polynomial atom; "
                        "call to_graph_form first")
-
-
-def term_degree_in(t: Term, v: Var) -> float:
-    """Degree of a term in one variable; infinite when v sits under exp."""
-    if isinstance(t, Var):
-        return 1 if t == v else 0
-    if isinstance(t, Const):
-        return 0
-    if isinstance(t, Sum):
-        return max((term_degree_in(s, v) for s in t.terms), default=0)
-    if isinstance(t, Product):
-        return sum(term_degree_in(s, v) for s in t.factors)
-    return math.inf if any(u == v for u in term_vars(t)) else 0
 
 
 def complexity(f: Formula, input_dim: Optional[int] = None,

@@ -412,8 +412,8 @@ def test_criterion_10_growth_shape():
     def point_sampler(m, rng):
         return rng.uniform(-1.0, 1.0, size=(m, 2))
 
-    def param_sampler(rng):
-        return list(rng.uniform(-2.0, 2.0, 3))
+    def param_sampler(rng, n):
+        return rng.uniform(-2.0, 2.0, (n, 3))
 
     report = capacity.growth_series(label_fn, point_sampler, param_sampler,
                                     [8, 16, 32, 64], trials=3, seed=10)

@@ -123,8 +123,8 @@ def _point_sampler(m, rng):
     return list(rng.uniform(-1, 1, size=m))
 
 
-def _param_sampler(rng):
-    return (float(rng.uniform(-1, 1)),)
+def _param_sampler(rng, n):
+    return rng.uniform(-1, 1, (n, 1))
 
 
 def test_growth_estimate_thresholds_hits_exact_value():

@@ -248,3 +248,28 @@ def test_learn_csv_and_replay(tmp_path, capsys):
     first = csv.read_bytes()
     assert run(argv) == 0
     assert csv.read_bytes() == first
+
+
+# sampled pairs, seed 1: counts and m_hat pinned so that a change to the
+# neighbor draws or to the parameter stream shows
+@pytest.mark.parametrize("family,neigh,counts", [
+    ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4", [56, 113]),
+    ("tree:l=2,depth=2,q=1,labels=0110", "linf:l=2,r=1/4", [49, 100]),
+    ("halfspace:l=2", "lp_var:l=2,coord=1", [34, 74]),
+    ("threshold", "gauss_kl:r=1/2", [9, 15]),
+])
+def test_growth_sampled_counts_pinned(tmp_path, capsys, family, neigh,
+                                      counts):
+    csv = tmp_path / "growth.csv"
+    assert run(["--seed", 1, "growth", "--family", family, "--neighborhood",
+                neigh, "--m", "8,16", "--trials", 1, "--param-draws", 200,
+                "--csv", csv]) == 0
+    assert _csv_lines(csv)[3:] == [f"{m},{c}" for m, c in zip((8, 16), counts)]
+
+
+def test_learn_sampled_m_hat_pinned(tmp_path, capsys):
+    csv = tmp_path / "learn.csv"
+    assert run(["--seed", 1, "learn", "--family", "ptf:l=2,D=2",
+                "--neighborhood", "lp:l=2,p=2,r=1/4", "--eps", 0.2,
+                "--trials", 3, "--budget", 40, "--csv", csv]) == 0
+    assert _csv_lines(csv)[3] == "0.2,10,2.0,1.0,1.0"

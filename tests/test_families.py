@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,21 @@ def test_sigmoid_network_family():
     # 2 hidden neurons x 3 + output x 3
     assert nn.param_dim == 9
     _check_family_formula(nn, random.Random(5), trials=25)
+
+
+def test_sigmoid_network_saturates_without_overflow():
+    # hidden inputs of -1200: exp(1200) overflows, the logistic limit is 0
+    nn = sigmoid_network((2, 2, 1))
+    x = [1.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, want in (([-400.0] * 9, False),
+                        # output -z0 - z1 >= 0 holds only at the limit 0
+                        ([-400.0] * 6 + [-1.0, -1.0, 0.0], True)):
+            assert bool(nn.evaluate(a, x)) is want
+            assert strategic_label(nn, identity(2), a, x) is want
+            assert batch_strategic_labels(nn, identity(2), a,
+                                          np.array([x])).tolist() == [want]
 
 
 def test_sigmoid_network_shape_validation():
@@ -358,13 +374,14 @@ def test_batch_strategic_labels_match_scalar():
         assert list(row) == [x @ a[:2] + np.linalg.norm(a[:2]) / 2 >= a[2]
                              for x in X]
     # sampled pairs: each point's 64 neighbors, drawn by the oracle itself
-    for spec, desc, p in (("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4", 2),
-                          ("tree:l=2,depth=2,q=1,labels=0110",
-                           "linf:l=2,r=1/4", math.inf)):
+    for spec, desc, p, r in (("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4", 2, 0.25),
+                             ("tree:l=2,depth=2,q=1,labels=0110",
+                              "linf:l=2,r=1/4", math.inf, 0.25),
+                             ("halfspace:l=2", "lp:l=2,p=3,r=1", 3, 1.0)):
         family, n = make_family(spec), make_neighborhood(desc)
         A = rng.uniform(-2, 2, size=(3, family.param_dim))
         X = rng.uniform(-1, 1, size=(40, 2))
-        want = [[sampled_strategic_label(family, p, 0.25, a, x) for x in X]
+        want = [[sampled_strategic_label(family, p, r, a, x) for x in X]
                 for a in A]
         assert batch_strategic_labels(family, n, A, X).tolist() == want
         assert list(batch_strategic_labels(family, n, A[0], X)) == want[0]
@@ -372,6 +389,36 @@ def test_batch_strategic_labels_match_scalar():
         # some point is accepted only through a neighbor
         assert any(w and not family.evaluate(list(a), list(x))
                    for a, row in zip(A, want) for x, w in zip(X, row))
+
+
+@pytest.mark.parametrize("spec,desc", [
+    ("ptf:l=2,D=2", "identity:l=2"),
+    ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4"),
+    ("ptf:l=2,D=2", "lp:l=2,p=3,r=1"),
+    ("ptf:l=2,D=2", "linf:l=2,r=1/4"),
+    ("ptf:l=2,D=2", "l1:l=2,r=1/4"),
+    ("ptf:l=2,D=2", "lp_var:l=2,coord=1"),
+    ("ptf:l=1,D=3", "interval:r=1/4"),
+    ("ptf:l=1,D=3", "gauss_kl:r=1/2"),
+    ("ptf:l=1,D=3", "floor"),
+    ("ptf:l=3,D=2", "kl:l=3,r=1/2"),
+    ("ptf:l=3,D=2", "emd:r=1/2"),
+])
+def test_batch_labels_match_per_row(spec, desc):
+    # one call shares its neighbor draws among its points, and each point
+    # keeps its own: labelling X at once equals labelling each row alone
+    family, n = make_family(spec), make_neighborhood(desc)
+    rng = np.random.default_rng(23)
+    if n.kind in ("kl", "emd"):
+        X = rng.dirichlet(np.ones(n.dim), size=4)
+    else:
+        X = rng.uniform(-1, 1, size=(30, n.dim))
+    A = family.draw_params(rng, 5)
+    got = batch_strategic_labels(family, n, A, X)
+    assert got.shape == (5, len(X))
+    for i, x in enumerate(X):
+        assert got[:, i].tolist() == \
+            batch_strategic_labels(family, n, A, x[None])[:, 0].tolist()
 
 
 def test_batch_identity_uses_base_class():

@@ -234,13 +234,6 @@ def test_complexity_dedupes_identical_atoms():
     assert fm.complexity(f).degree == 1
 
 
-def test_degree_in_single_variable():
-    t = fm.parse("(<= (+ (* x0 x0 x1) x1) 0)").atom.lhs
-    assert fm.term_degree_in(t, fm.x(0)) == 2
-    assert fm.term_degree_in(t, fm.x(1)) == 1
-    assert fm.term_degree_in(t, fm.x(2)) == 0
-
-
 # ---------------------------------------------------------------------------
 # Witness renaming
 
