@@ -185,22 +185,27 @@ def _positive(text, option: str) -> int:
 
 
 def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
+    """Validates every field it reads: shatter's fields come from a file."""
+    n = _positive(args.n, "n")
     if kind == "fixed":
         radii = None
         if args.s:
-            radii = [_value(v, "s") for v in args.s.split(",")]
+            radii = [_value(v, "s") for v in str(args.s).split(",")]
         return constructions.build_fixed_blowup(
-            args.n, _value(args.r, "r"), _value(args.rp, "rp"), radii=radii)
+            n, _value(args.r, "r"), _value(args.rp, "rp"), radii=radii)
     if kind == "all-radii":
         if not args.s:
             raise UsageError("all-radii needs --s")
-        return constructions.build_all_radii(args.t, _value(args.s, "s"),
-                                             args.n, cert_cap=args.cert_cap)
+        return constructions.build_all_radii(
+            _positive(args.t, "t"), _value(args.s, "s"), n,
+            _value(args.cert_cap, "cert-cap", int, what="an integer"))
     if kind == "partition":
-        return constructions.build_partition_pathology(args.n)
+        return constructions.build_partition_pathology(n)
     if kind == "frac":
+        bits = _value(args.precision_bits, "precision-bits", int,
+                      what="an integer")
         return constructions.build_frac_construction(
-            args.n, _value(args.r, "r"), max_bits=args.precision_bits)
+            n, _value(args.r, "r"), max_bits=bits)
     raise UsageError(f"unknown construction {kind!r}")
 
 
@@ -243,12 +248,15 @@ def cmd_shatter(args) -> int:
         cert_cap=cfg.get("cert_cap", 10),
         precision_bits=cfg.get("precision_bits", args.precision_bits))
     inst = _build_construction(kind, ns)
-    stored = doc.get("result", {})
-    match = stored.get("passed") == inst.passed()
+    fresh = _jsonable(_instance_result(inst))
+    stored = doc.get("result")
+    stored = stored if isinstance(stored, dict) else {}
+    key = min((k for k in fresh.keys() | stored.keys()
+               if stored.get(k) != fresh.get(k)), default=None)
     print(inst.summary())
-    print(f"shatter: stored verdict "
-          f"{'matches' if match else 'DIFFERS FROM'} re-verification")
-    return 0 if inst.passed() and match else 1
+    print("shatter: stored verdict matches re-verification" if key is None
+          else f"shatter: stored {key!r} DIFFERS FROM re-verification")
+    return 0 if inst.passed() and key is None else 1
 
 
 def _family_pair(args) -> tuple:

@@ -20,7 +20,9 @@ certificates:
                        certified with exact interval arithmetic.
 
 Certificates never rely on floating point: rational comparisons are exact
-and irrational quantities go through certified enclosures.
+and irrational quantities go through certified enclosures.  The blowup
+certificates compare integers: one common denominator scales all the points
+and radii of a block.
 """
 
 from __future__ import annotations
@@ -83,17 +85,18 @@ def _check_disjoint_supports(supports: dict) -> Certificate:
                        f"{distinct} distinct points out of {total}")
 
 
-def _check_class_vc_one(supports: dict) -> list:
+def _check_class_vc_one(supports: dict, unit: int = 1) -> list:
     """Disjoint finite supports + at least two hypotheses give VC exactly 1:
     no point lies in two hypotheses, so no pair can receive the label
     pattern (1, 0) and (1, 1) simultaneously, while any single support
-    point is shattered."""
+    point is shattered.  Points are in units of 1/unit."""
     certs = [_check_disjoint_supports(supports)]
     some_point = next((pt for v in supports.values() if v for pt in v), None)
     lower = some_point is not None and len(supports) >= 2
     certs.append(Certificate(
         "class_shatters_a_singleton", lower,
-        f"witness point { _fmt(some_point) }" if lower else "no point"))
+        f"witness point {_fmt(Fraction(some_point, unit))}" if lower
+        else "no point"))
     return certs
 
 
@@ -130,6 +133,22 @@ def _strategic_traces(anchors, supports: dict, captured) -> Certificate:
 # Fixed-radius blowup
 
 
+def _blowup_grid(n: int, r: Fraction, rp: Fraction, offset: Fraction,
+                 radii: Sequence) -> tuple:
+    """(u, anchors, supports): the blowup's points as integer multiples of
+    1/u, the lcm of the denominators of every point and of the radii."""
+    u = math.lcm(offset.denominator, 2 * r.denominator,
+                 (4 << n) * rp.denominator, *(s.denominator for s in radii))
+    R, RP = int(r * u), int(rp * u)
+    anchors = [int(offset * u) + 10 * R * i for i in range(1, n + 1)]
+    step = RP // (4 << n)  # jitter rp * (2^n - 1) / (4 * 2^n) < rp / 4
+    inner, outer = RP // 2, 3 * R // 2
+    supports = {key: tuple(p + step * t + (inner if t >> i & 1 else outer)
+                           for i, p in enumerate(anchors))
+                for t, key in _subsets(n)}
+    return u, anchors, supports
+
+
 def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
                        offset=0) -> ConstructionInstance:
     """Blowup at anchor spacing 10r with inner tolerance rp <= r.
@@ -149,25 +168,11 @@ def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
         raise ConstructionError("need 0 < rp <= r")
     if n < 1:
         raise ConstructionError("need n >= 1")
-    anchors = [offset + 10 * r * i for i in range(1, n + 1)]
-    supports = {}
-    denom = 4 << n  # jitter bound rp * (2^n - 1) / (4 * 2^n) < rp / 4
-    for t, key in _subsets(n):
-        jit = rp * t / denom
-        pts = []
-        for i in range(1, n + 1):
-            p = anchors[i - 1]
-            if i in set(key):
-                pts.append(p + rp / 2 + jit)
-            else:
-                pts.append(p + 3 * r / 2 + jit)
-        supports[key] = tuple(pts)
-    inst = ConstructionInstance(
-        "fixed_blowup", n,
-        {"r": r, "rp": rp, "offset": offset}, anchors, supports,
-        metadata={"cell_halfwidth": 2 * r})
-
-    certs = _check_class_vc_one(supports)
+    radii = [rp, (rp + r) / 2, r] if radii is None else \
+        [Fraction(s) for s in radii]
+    u, anchors, supports = _blowup_grid(n, r, rp, offset, radii)
+    R, RP = int(r * u), int(rp * u)
+    certs = _check_class_vc_one(supports, u)
 
     in_band = True
     detail = ""
@@ -175,28 +180,29 @@ def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
         sset = set(key)
         for i, (p, q) in enumerate(zip(anchors, pts), start=1):
             d = abs(q - p)
-            if d >= 2 * r:
+            if d >= 2 * R:
                 in_band, detail = False, f"point escapes cell at anchor {i}"
-            if i in sset and not d < rp:
+            if i in sset and not d < RP:
                 in_band, detail = False, f"inner point too far at anchor {i}"
-            if i not in sset and not d > r:
+            if i not in sset and not d > R:
                 in_band, detail = False, f"outer point too close at anchor {i}"
     certs.append(Certificate("support_placement", in_band,
                              detail or "all points in their distance bands"))
 
-    if radii is None:
-        radii = [rp, (rp + r) / 2, r]
     for s in radii:
-        s = Fraction(s)
         if not rp <= s <= r:
             raise ConstructionError(f"radius {s} outside [{rp}, {r}]")
-        cert = _strategic_traces(
-            anchors, supports,
-            lambda anc, pts, s=s: any(abs(q - anc) <= s for q in pts))
+        S = int(s * u)
+        cert = _strategic_traces(anchors, supports, lambda anc, pts: any(
+            abs(q - anc) <= S for q in pts))
         cert.name = f"strategic_shattering_s={_fmt(s)}"
         certs.append(cert)
-    inst.certificates = certs
-    return inst
+    return ConstructionInstance(
+        "fixed_blowup", n, {"r": r, "rp": rp, "offset": offset},
+        [Fraction(p, u) for p in anchors],
+        {key: tuple(Fraction(q, u) for q in pts)
+         for key, pts in supports.items()},
+        certs, metadata={"cell_halfwidth": 2 * r})
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +330,9 @@ def build_all_radii(t: int, s, n: int,
     all_ok = True
     for b in small:
         sub = fam.block_instance(b)
-        lo, hi = b.offset, b.offset + b.length
-        inside = all(lo < q < hi for pts in sub.supports.values()
-                     for q in pts)
+        u, _, grid = _blowup_grid(b.n, b.r, b.r / 2, b.offset, ())
+        lo, hi = int(b.offset * u), int((b.offset + b.length) * u)
+        inside = all(lo < q < hi for pts in grid.values() for q in pts)
         if not (sub.passed() and inside):
             all_ok = False
             detail = f"block (n={b.n}, m={b.m}) failed"

@@ -192,6 +192,44 @@ def test_shatter_detects_tampered_verdict(tmp_path, capsys):
     assert "DIFFERS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("path, value", [
+    (("supports", "1", 0), "999"),
+    (("certificates", 0, "detail"), "forged"),
+])
+def test_shatter_detects_forged_result(tmp_path, capsys, path, value):
+    # the stored verdict still reads passed; only the evidence is edited
+    out = tmp_path / "cert.json"
+    assert run(["verify-blowup", "--construction", "fixed", "--n", 2,
+                "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    node = doc["result"]
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["shatter", "--instance", out]) == 1
+    assert f"stored {path[0]!r} DIFFERS FROM re-verification" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, option", [
+    ("n", "--n"), ("t", "--t"), ("cert_cap", "--cert-cap")])
+def test_shatter_bad_stored_config_is_usage_error(tmp_path, capsys, field,
+                                                  option):
+    out = tmp_path / "cert.json"
+    assert run(["verify-blowup", "--construction", "all-radii", "--s", "1/3",
+                "--n", 2, "--t", 40, "--cert-cap", 2, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    doc["config"][field] = None
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["shatter", "--instance", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} must be ") and \
+        err.count("\n") == 1, err
+
+
 def test_verify_blowup_replay_is_byte_identical(tmp_path):
     out = tmp_path / "cert.json"
     argv = ["verify-blowup", "--construction", "frac", "--n", 3,

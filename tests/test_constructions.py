@@ -32,33 +32,44 @@ def test_fixed_blowup_passes_certificates():
     assert sum(1 for n in names if n.startswith("strategic_shattering")) == 3
 
 
+# (r, rp, offset, radii): dyadic, then denominators 3, 7, 9 and 5
+BLOWUP_INPUTS = [
+    (Fraction(1), Fraction(1, 2), 0,
+     (Fraction(1, 2), Fraction(3, 4), Fraction(1))),
+    (Fraction(1, 3), Fraction(1, 7), Fraction(2, 9),
+     (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3))),
+]
+
+
 def test_fixed_blowup_supports_disjoint_and_in_bands():
-    r, rp = Fraction(1), Fraction(1, 2)
-    inst = build_fixed_blowup(3, r, rp)
-    seen = set()
-    for key, pts in inst.supports.items():
-        for pt in pts:
-            assert pt not in seen
-            seen.add(pt)
-        sset = set(key)
-        for i, (anchor, pt) in enumerate(zip(inst.anchors, pts), start=1):
-            d = abs(pt - anchor)
-            if i in sset:
-                assert d < rp
-            else:
-                assert r < d < 2 * r
+    for r, rp, offset, radii in BLOWUP_INPUTS:
+        inst = build_fixed_blowup(3, r, rp, radii=radii, offset=offset)
+        assert inst.anchors == [offset + 10 * r * i for i in (1, 2, 3)]
+        seen = set()
+        for key, pts in inst.supports.items():
+            for pt in pts:
+                assert pt not in seen
+                seen.add(pt)
+            sset = set(key)
+            for i, (anchor, pt) in enumerate(zip(inst.anchors, pts),
+                                             start=1):
+                d = abs(pt - anchor)
+                if i in sset:
+                    assert d < rp
+                else:
+                    assert r < d < 2 * r
 
 
 def test_fixed_blowup_shatters_all_radii_in_window():
     # independent re-check of strategic shattering: at each radius in
     # [rp, r] the blown-up label of anchor i under h_S must be [i in S]
-    r, rp = Fraction(1), Fraction(1, 2)
-    inst = build_fixed_blowup(3, r, rp)
-    for s in (rp, Fraction(3, 4), r):
-        for key, pts in inst.supports.items():
-            for i, anchor in enumerate(inst.anchors, start=1):
-                reached = any(abs(q - anchor) <= s for q in pts)
-                assert reached == (i in set(key)), (s, key, i)
+    for r, rp, offset, radii in BLOWUP_INPUTS:
+        inst = build_fixed_blowup(3, r, rp, radii=radii, offset=offset)
+        for s in radii:
+            for key, pts in inst.supports.items():
+                for i, anchor in enumerate(inst.anchors, start=1):
+                    reached = any(abs(q - anchor) <= s for q in pts)
+                    assert reached == (i in set(key)), (s, key, i)
 
 
 def test_fixed_blowup_base_class_not_shattering_pairs():
