@@ -112,40 +112,45 @@ class GrowthReport:
 def growth_estimate(label_fn: Callable, point_sampler: Callable,
                     param_sampler: Callable, m: int, trials: int,
                     seed: int = 0, param_draws: int = 2000) -> int:
-    """Max distinct-trace count over sampled points and parameters.
-
-    label_fn(Theta, points) -> bool matrix [param_draws, m], one row of
-    labels per row of Theta.  param_sampler(rng, n) returns n parameter
-    vectors as the rows of a matrix, and each trial draws Theta with one
-    call, n = param_draws.  A seeded lower estimate of the growth
-    function at m.  Point and parameter streams use separate derived seeds
-    that do not depend on m or on the trial count, so the estimate is
-    monotone nondecreasing in both trials and m (larger point samples extend
-    smaller ones, extra trials only add draws).
-    """
-    if m < 1 or param_draws < 1:
-        raise CapacityError("m and param_draws must be positive")
-    best = 0
-    for trial in range(trials):
-        point_rng = np.random.default_rng([seed, 1, trial])
-        param_rng = np.random.default_rng([seed, 2, trial])
-        points = point_sampler(m, point_rng)
-        theta = np.asarray(param_sampler(param_rng, param_draws))
-        rows = np.packbits(label_fn(theta, points), axis=1)
-        # count distinct rows by sorting: np.unique imports numpy.ma (0.6 MB)
-        rows = rows[np.lexsort(rows.T)]
-        best = max(best, 1 + int((rows[1:] != rows[:-1]).any(1).sum()))
-    return best
+    """growth_series at the single sample size m: its count."""
+    return growth_series(label_fn, point_sampler, param_sampler, [m], trials,
+                         seed, param_draws).counts[0]
 
 
 def growth_series(label_fn: Callable, point_sampler: Callable,
                   param_sampler: Callable, m_values: Sequence[int],
                   trials: int, seed: int = 0,
                   param_draws: int = 2000) -> GrowthReport:
-    """Growth estimates over several m with a log-log slope fit."""
-    counts = [growth_estimate(label_fn, point_sampler, param_sampler,
-                              m, trials, seed, param_draws)
-              for m in m_values]
+    """Max distinct-trace count per m over sampled points and parameters,
+    with a log-log slope fit.
+
+    label_fn(Theta, points) -> bool matrix [param_draws, len(points)], one
+    row of labels per row of Theta.  param_sampler(rng, n) returns n
+    parameter vectors as the rows of a matrix.  Each trial draws Theta once
+    (n = param_draws), draws and labels max(m_values) points once, and
+    counts the distinct rows of the first m columns for each m.  A seeded
+    lower estimate of the growth function at each m.  Point and parameter
+    streams use separate derived seeds that do not depend on m or on the
+    trial count, so the estimate is monotone nondecreasing in both trials
+    and m (point_sampler's m points are the first m of a larger draw, a
+    point's labels do not depend on the other points, and extra trials
+    only add draws).
+    """
+    if any(m < 1 for m in m_values) or param_draws < 1:
+        raise CapacityError("m and param_draws must be positive")
+    counts = [0] * len(m_values)
+    for trial in range(trials if counts else 0):
+        points = point_sampler(max(m_values),
+                               np.random.default_rng([seed, 1, trial]))
+        theta = np.asarray(param_sampler(
+            np.random.default_rng([seed, 2, trial]), param_draws))
+        labels = np.asarray(label_fn(theta, points))
+        for j, m in enumerate(m_values):
+            rows = np.packbits(labels[:, :m], axis=1)
+            # distinct rows by sorting: np.unique imports numpy.ma (0.6 MB)
+            rows = rows[np.lexsort(rows.T)]
+            counts[j] = max(counts[j],
+                            1 + int((rows[1:] != rows[:-1]).any(1).sum()))
     slope = None
     if len(m_values) >= 2 and all(c > 0 for c in counts):
         xs = np.log2(np.asarray(m_values, dtype=float))

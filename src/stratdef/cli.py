@@ -180,8 +180,17 @@ def _value(text, option: str, conv=Fraction, ok=None,
     raise UsageError(f"--{option} must be {what}, got {text!r}")
 
 
+def _integer(v) -> int:
+    """int(v) for an int or a string: a float or a bool read from a stored
+    config is refused, where int would truncate it or read it as 0 or 1."""
+    if isinstance(v, (bool, float)):
+        raise TypeError
+    return int(v)
+
+
 def _positive(text, option: str) -> int:
-    return _value(text, option, int, lambda v: v >= 1, "a positive integer")
+    return _value(text, option, _integer, lambda v: v >= 1,
+                  "a positive integer")
 
 
 def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
@@ -198,11 +207,11 @@ def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
             raise UsageError("all-radii needs --s")
         return constructions.build_all_radii(
             _positive(args.t, "t"), _value(args.s, "s"), n,
-            _value(args.cert_cap, "cert-cap", int, what="an integer"))
+            _value(args.cert_cap, "cert-cap", _integer, what="an integer"))
     if kind == "partition":
         return constructions.build_partition_pathology(n)
     if kind == "frac":
-        bits = _value(args.precision_bits, "precision-bits", int,
+        bits = _value(args.precision_bits, "precision-bits", _integer,
                       what="an integer")
         return constructions.build_frac_construction(
             n, _value(args.r, "r"), max_bits=bits)
@@ -238,7 +247,10 @@ def cmd_verify_blowup(args) -> int:
 
 def cmd_shatter(args) -> int:
     doc = json.loads(Path(args.instance).read_text())
-    cfg = doc.get("config", {})
+    cfg = doc.get("config", {}) if isinstance(doc, dict) else None
+    if not isinstance(cfg, dict):
+        raise UsageError("instance file must be a JSON object whose config "
+                         "is an object")
     kind = cfg.get("construction")
     if kind is None:
         raise UsageError("instance file lacks a construction config")

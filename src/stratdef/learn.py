@@ -1,7 +1,10 @@
 """Realizable data generation, strategic ERM, and sample-complexity sweeps.
 
 The optimizer is an approximate ERM: multistart random search over the
-family's parameter box with Gaussian local refinement.  On realizable data
+family's parameter box with Gaussian local refinement.  The refinement's
+perturbations are one stream drawn up front, so it scores a block of
+candidates per label-kernel call and keeps the first that improves, which
+is the result a one-at-a-time search gives.  On realizable data
 the target parameters are injected into the candidate pool (last, so a
 zero-error candidate discovered by the search wins ties), which guarantees
 the returned empirical error never exceeds the target's.  Results are
@@ -88,6 +91,14 @@ def erm_fit(family: HypothesisFamily, neigh: NeighborhoodSystem,
     parameters (the data's generator by default).  Candidates count in
     order: the search stops at the first zero-error one, and the incumbent
     is the first candidate of least error.  Deterministic given the seed.
+
+    Perturbation k is the incumbent plus row k of one matrix of normal
+    draws taken after the uniform phase (as many rows as the budget leaves),
+    so it does not depend on which earlier perturbations were accepted.
+    Perturbations are scored in blocks: the first one strictly below the
+    incumbent's error is accepted and only it and those before it are
+    charged; the block starts at one row, doubles after a block without an
+    improvement and restarts at one after an improvement.
     """
     if budget <= 0:
         raise LearnError("budget must be positive")
@@ -109,9 +120,20 @@ def erm_fit(family: HypothesisFamily, neigh: NeighborhoodSystem,
     done = consider(family.draw_params(rng, max(1, budget // 2)))
     scale = 0.25 * max(hi - lo for lo, hi in
                        family.param_box[:family.param_dim])
-    while not done and spent < budget - 1:
-        done = consider(np.asarray(
-            [[c + rng.normal(0.0, scale) for c in best_params]]))
+    steps = rng.normal(0.0, scale, (max(0, budget - 1 - spent),
+                                    len(best_params)))
+    block = 1
+    while not done and len(steps):
+        cands = np.asarray(best_params) + steps[:block]
+        errs = empirical_error(family, neigh, cands, X, y)
+        better = np.flatnonzero(errs < best_err)
+        if len(better):  # the first improvement, as one at a time would
+            i = int(better[0])
+            best_params, best_err = tuple(cands[i].tolist()), float(errs[i])
+            done, block = best_err == 0.0, 1
+        else:
+            i, block = len(cands) - 1, 2 * block
+        steps, spent = steps[i + 1:], spent + i + 1
     if inject is None:
         inject = data.target_params
     # an empty inject sequence disables the final injected candidate

@@ -221,13 +221,26 @@ def test_shatter_bad_stored_config_is_usage_error(tmp_path, capsys, field,
     assert run(["verify-blowup", "--construction", "all-radii", "--s", "1/3",
                 "--n", 2, "--t", 40, "--cert-cap", 2, "--out", out]) == 0
     doc = json.loads(out.read_text())
-    doc["config"][field] = None
-    out.write_text(json.dumps(doc))
-    capsys.readouterr()
+    # int() would truncate 2.7 to 2 and read true as 1: a stored n of 2.7
+    # rebuilt at n = 2 would match
+    for value in (None, 2.7, True):
+        doc["config"][field] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["shatter", "--instance", out]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} must be ") and \
+            err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "3", '"cert"', '{"config": []}', '{"config": "fixed"}'])
+def test_shatter_non_object_instance_is_usage_error(tmp_path, capsys, text):
+    out = tmp_path / "cert.json"
+    out.write_text(text)
     assert run(["shatter", "--instance", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {option} must be ") and \
-        err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_blowup_replay_is_byte_identical(tmp_path):

@@ -13,6 +13,8 @@ from stratdef.families import (
     identity,
     interval_radius,
     lp_ball,
+    make_family,
+    make_neighborhood,
     threshold,
 )
 from stratdef.learn import (
@@ -113,6 +115,64 @@ def test_erm_fit_rejects_zero_budget():
     data = generate_realizable(fam, neigh, target, dist, 10, seed=1)
     with pytest.raises(LearnError):
         erm_fit(fam, neigh, data, budget=0, seed=0)
+
+
+HALFSPACE_TARGET = (Fraction(1), Fraction(-1), Fraction(1, 10))
+
+
+# (family, neighborhood, target: a tuple, or the seed of a draw as the CLI
+# makes it, m, data seed, budget, fit seed, inject) -> ErmResult fields
+@pytest.mark.parametrize("case, expected", [
+    # closed form, five improvements in the local phase
+    (("halfspace:l=2", "lp:l=2,p=2,r=1/4", HALFSPACE_TARGET, 150, 13, 60, 1,
+      ()),
+     ((2.2840690284974325, -1.8691346681120966, -0.10104955728199536),
+      0.05333333333333334, 59, True)),
+    # closed form, four improvements, the last one at zero error
+    (("halfspace:l=2", "lp:l=2,p=2,r=1/4", HALFSPACE_TARGET, 20, 3, 60, 5,
+      None),
+     ((2.778400175413757, -2.764651007650471, 0.3189177296814316),
+      0.0, 41, False)),
+    # sampled neighbors, two improvements in the local phase
+    (("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4", 1, 64, 9, 60, 1, ()),
+     ((0.38351700137028116, 1.520020609891587, -2.417101735531103,
+       -4.15552942988498, -0.2288362159519567, 0.3076698319794443),
+      0.046875, 59, True)),
+    (("tree:l=2,depth=2,q=1,labels=0110", "linf:l=2,r=1/4", 0, 64, 9, 60, 0,
+      ()),
+     ((0.35744994624867266, -0.422016326317635, 0.9566910387918158,
+       -2.2200997768223942, 1.2007553951545435, -2.501982743123141,
+       2.185549588693937, -2.321648086715437, 1.5778818180950225),
+      0.078125, 59, True)),
+    # budgets 1 and 2 leave the local phase no step
+    (("halfspace:l=2", "lp:l=2,p=2,r=1/4", HALFSPACE_TARGET, 150, 13, 1, 0,
+      ()),
+     ((1.9029142070142644, 0.8552616393730932, -1.3312210605718287),
+      0.43333333333333335, 1, True)),
+    (("halfspace:l=2", "lp:l=2,p=2,r=1/4", HALFSPACE_TARGET, 150, 13, 2, 0,
+      ()),
+     ((1.9029142070142644, 0.8552616393730932, -1.3312210605718287),
+      0.43333333333333335, 1, True)),
+    (("halfspace:l=2", "lp:l=2,p=2,r=1/4", HALFSPACE_TARGET, 150, 13, 2, 0,
+      None),
+     ((1.0, -1.0, 0.1), 0.0, 2, False)),
+    # the uniform phase reaches zero error at its eighth candidate
+    (("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4", 0, 32, 5, 50, 1, None),
+     ((-1.86058520481923, 0.11580822800904578, 0.23245730467618664,
+       -1.704994849107862, -1.166670925046498, -1.130477524456087),
+      0.0, 8, False)),
+])
+def test_erm_fit_results_pinned(case, expected):
+    fspec, nspec, target, m, data_seed, budget, seed, inject = case
+    fam, neigh = make_family(fspec), make_neighborhood(nspec)
+    if isinstance(target, int):
+        target = fam.draw_params(np.random.default_rng([target, 0xA5]))
+    data = generate_realizable(fam, neigh, target,
+                               uniform_box_sampler(fam.input_dim), m,
+                               data_seed)
+    fit = erm_fit(fam, neigh, data, budget, seed, inject=inject)
+    assert (fit.params, fit.empirical_error, fit.budget_spent,
+            fit.budget_exhausted_nonzero) == expected
 
 
 def test_erm_threshold_zero_error_on_50_points():
