@@ -1,17 +1,13 @@
 """Built-in hypothesis families and neighborhood systems.
 
-Each hypothesis family couples a semantic evaluator with a formula emitter
-over the variable blocks x (inputs) and a (parameters); each neighborhood
-system couples a membership test with an emitter over a doubled x block
-(source point x0..x{l-1}, target point x{l}..x{2l-1}).  Evaluators and
-emitters are kept in lock-step so that formula-level reasoning and direct
-evaluation can be cross-checked against each other.
-
-Evaluators and membership tests write each formula once over a number type
-chosen from the inputs: Fraction when every coordinate is rational and the
-metric allows it (p in {1, 2, inf}, Gaussian location, transport cost),
-float otherwise; evaluators also take numpy arrays, one element per
-(parameter row, point) pair, with the operations of the float path.
+A hypothesis family is a formula over the variable blocks x (inputs) and a
+(parameters); a neighborhood system a formula over a doubled x block (source
+point x0..x{l-1}, target point x{l}..x{2l-1}).  A quantifier-free formula is
+also the evaluator or membership test: eval_qf reads it exactly on rational
+values, else elementwise on float arrays (one entry per parameter row, point
+and neighbor draw).  The sigmoid network and the l1, general-exponent, KL and
+earth-mover balls, whose formulas have witnesses, and the floor partition,
+which has none, keep numeric bodies of their own.
 
 Strategic labels have one kernel, batch_strategic_labels, over one parameter
 vector or a matrix of them.  Its closed form is reach_margin: a family with a
@@ -26,9 +22,11 @@ under the identity, x's only neighbor).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -36,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formula as fm
-from .solve import FLOAT_TOL, LPInstance, lp_solve
+from .solve import LPInstance, _floats, eval_qf, lp_solve, merge
 
 
 class FamilyError(Exception):
@@ -52,19 +50,33 @@ MAX_PARAM_DIM = 5000
 
 @dataclass
 class HypothesisFamily:
-    """A parametric classifier family with a matching formula."""
+    """A parametric classifier family defined by its formula."""
 
     name: str
     input_dim: int
     param_dim: int
-    evaluate: Callable  # (params, x) -> bool
     emit_formula: Callable  # () -> fm.Formula
     param_box: tuple = ((-2, 2),)
     # params -> (w, b) when the class is {x : w.x >= b}; enables reach_margin
     linear: Optional[Callable] = None
+    # (params, x) -> bool when the formula has witnesses evaluate cannot read
+    numeric: Optional[Callable] = None
+
+    def __post_init__(self):
+        self.emit_formula = functools.cache(self.emit_formula)
 
     def formula(self) -> fm.Formula:
         return self.emit_formula()
+
+    def evaluate(self, params, x):
+        """Whether params accept x: a bool for scalar coordinates, a bool
+        array of their broadcast shape for array coordinates."""
+        if len(params) != self.param_dim or len(x) != self.input_dim:
+            raise FamilyError(f"{self.name} takes {self.param_dim} "
+                              f"parameters and {self.input_dim} inputs")
+        if self.numeric is not None:
+            return self.numeric(params, x)
+        return _holds(self.formula(), merge(x=x, a=params))
 
     def draw_params(self, rng: np.random.Generator, n: Optional[int] = None):
         """One vector (or n, as matrix rows) uniform over the box, coordinate
@@ -75,41 +87,26 @@ class HypothesisFamily:
         return rng.uniform(lo, hi, None if n is None else (n, self.param_dim))
 
 
-def _dot_term(weights, xs) -> fm.Term:
-    return fm.add(*[fm.mul(wv, xv) for wv, xv in zip(weights, xs)])
-
-
 def halfspace(l: int) -> HypothesisFamily:
     """a0*x0 + ... + a{l-1}*x{l-1} >= a{l}; param_dim = l + 1."""
     if l < 1:
         raise FamilyError("halfspace needs dimension >= 1")
 
-    def evaluate(params, x):
-        if len(params) != l + 1 or len(x) != l:
-            raise FamilyError("halfspace arity mismatch")
-        num = _field(params, x)
-        return sum(num(p) * num(v) for p, v in zip(params, x)) >= \
-            num(params[l])
-
     def emit():
-        return fm.atom(_dot_term([fm.a(i) for i in range(l)],
-                                 [fm.x(i) for i in range(l)]),
+        return fm.atom(fm.add(*[fm.mul(fm.a(i), fm.x(i)) for i in range(l)]),
                        ">=", fm.a(l))
 
-    return HypothesisFamily("halfspace", l, l + 1, evaluate, emit,
+    return HypothesisFamily("halfspace", l, l + 1, emit,
                             linear=lambda P: (P[..., :l], P[..., l]))
 
 
 def threshold() -> HypothesisFamily:
     """One-dimensional threshold x0 >= a0."""
 
-    def evaluate(params, x):
-        return x[0] >= params[0]
-
     def emit():
         return fm.atom(fm.x(0), ">=", fm.a(0))
 
-    return HypothesisFamily("threshold", 1, 1, evaluate, emit,
+    return HypothesisFamily("threshold", 1, 1, emit,
                             linear=lambda P: (np.ones_like(P), P[..., 0]))
 
 
@@ -121,19 +118,20 @@ def monomial_exponents(l: int, max_degree: int):
     return out
 
 
-def _poly_value(coeffs, monos, x, num):
-    """sum_j coeffs[j] * prod_{i in monos[j]} x[i], in the number type num."""
-    total = num(0)
-    for th, mono in zip(coeffs, monos):
-        term = num(th)
-        for i in mono:
-            term = term * num(x[i])
-        total = total + term
-    return total
+def _monomial_count(l: int, degree: int) -> int:
+    if l < 1 or degree < 0:
+        raise FamilyError(f"need l >= 1 and degree >= 0, got {l}, {degree}")
+    return math.comb(l + degree, degree)
+
+
+def _capped(k: int, max_params: int) -> int:
+    if k > max_params:
+        raise FamilyError(f"parameter dimension {k} exceeds cap {max_params}")
+    return k
 
 
 def _poly_term(base: int, monos) -> fm.Term:
-    """The same polynomial as a term, coefficients a{base}, a{base+1}, ..."""
+    """sum_j a{base+j} * prod_{i in monos[j]} x[i]."""
     return fm.add(*[fm.mul(fm.a(base + j), *[fm.x(i) for i in mono])
                     for j, mono in enumerate(monos)])
 
@@ -144,64 +142,41 @@ def polynomial_threshold(l: int, degree: int,
 
     param_dim = binomial(l + degree, degree), rejected above max_params.
     """
-    monos = monomial_exponents(l, degree)
-    k = len(monos)
-    assert k == math.comb(l + degree, degree)
-    if k > max_params:
-        raise FamilyError(f"coefficient dimension {k} exceeds cap "
-                          f"{max_params}")
-
-    def evaluate(params, x):
-        if len(params) != k:
-            raise FamilyError("coefficient arity mismatch")
-        return _poly_value(params, monos, x, _field(params, x)) > 0
+    k = _capped(_monomial_count(l, degree), max_params)
 
     def emit():
-        return fm.atom(_poly_term(0, monos), ">", fm.const(0))
+        return fm.atom(_poly_term(0, monomial_exponents(l, degree)), ">",
+                       fm.const(0))
 
-    return HypothesisFamily(f"ptf_deg{degree}", l, k, evaluate, emit)
+    return HypothesisFamily(f"ptf_deg{degree}", l, k, emit)
 
 
 def decision_tree(l: int, depth: int, split_degree: int,
-                  leaf_labels: Sequence[int],
+                  leaf_labels: Optional[Sequence[int]] = None,
                   max_params: int = MAX_PARAM_DIM) -> HypothesisFamily:
     """Complete binary tree with polynomial splits of the given degree.
 
     Each of the 2^depth - 1 internal nodes owns its own coefficient block
     (binomial(l + q, q) entries); x moves right iff the node polynomial is
-    >= 0.  Leaf labels are fixed at construction; parameters are the split
-    coefficients only, so param_dim = (2^depth - 1) * binomial(l + q, q).
+    >= 0.  Leaf labels are fixed at construction (default 0101...);
+    parameters are the split coefficients only, so param_dim =
+    (2^depth - 1) * binomial(l + q, q), rejected above max_params.
     """
     if depth < 1:
         raise FamilyError("tree depth must be >= 1")
+    block = _monomial_count(l, split_degree)
     n_leaves = 1 << depth
+    k = _capped((n_leaves - 1) * block, max_params)
+    if leaf_labels is None:
+        leaf_labels = [0, 1] * (n_leaves // 2)
     if len(leaf_labels) != n_leaves or \
             any(b not in (0, 1) for b in leaf_labels):
         raise FamilyError(f"need {n_leaves} leaf labels in {{0,1}}")
-    monos = monomial_exponents(l, split_degree)
-    block = len(monos)
-    n_nodes = n_leaves - 1
-    k = n_nodes * block
-    if k > max_params:
-        raise FamilyError(f"coefficient dimension {k} exceeds cap "
-                          f"{max_params}")
-    leaves = np.asarray(leaf_labels, dtype=bool)
-
-    def evaluate(params, x):
-        if len(params) != k:
-            raise FamilyError("coefficient arity mismatch")
-        num = _field(params, x)
-        # right[j]: x goes right at node j + 1; then walk from the root
-        right = np.asarray(np.broadcast_arrays(*[
-            _poly_value(params[j * block:(j + 1) * block], monos, x, num) >= 0
-            for j in range(n_nodes)]))
-        node = np.ones(right.shape[1:], dtype=int)
-        for _ in range(depth):
-            node = 2 * node + np.take_along_axis(right, node[None] - 1, 0)[0]
-        label = leaves[node - n_leaves]
-        return label if label.ndim else bool(label)
 
     def emit():
+        monos = monomial_exponents(l, split_degree)
+        # node j + 1 (heap order, root 1) splits on polys[j]
+        polys = [_poly_term(j * block, monos) for j in range(n_leaves - 1)]
         disjuncts = []
         for leaf in range(n_leaves):
             if not leaf_labels[leaf]:
@@ -209,19 +184,15 @@ def decision_tree(l: int, depth: int, split_degree: int,
             node = leaf + n_leaves
             conds = []
             while node > 1:
-                parent = node // 2
-                went_right = node % 2 == 1
-                term = _poly_term((parent - 1) * block, monos)
-                conds.append(fm.atom(term, ">=" if went_right else "<",
+                node, right = divmod(node, 2)
+                conds.append(fm.atom(polys[node - 1], ">=" if right else "<",
                                      fm.const(0)))
-                node = parent
             disjuncts.append(fm.conj(*reversed(conds)))
         if not disjuncts:
             return fm.atom(fm.const(0), ">", fm.const(1))  # empty class
         return fm.disj(*disjuncts)
 
-    return HypothesisFamily(f"tree_d{depth}_q{split_degree}", l, k,
-                            evaluate, emit)
+    return HypothesisFamily(f"tree_d{depth}_q{split_degree}", l, k, emit)
 
 
 def sigmoid_network(widths: Sequence[int],
@@ -238,10 +209,8 @@ def sigmoid_network(widths: Sequence[int],
         raise FamilyError("widths must be (input_dim, ..., 1)")
     l = widths[0]
     layer_dims = widths[1:]
-    k = sum(d * (prev + 1)
-            for prev, d in zip(widths[:-1], widths[1:]))
-    if k > max_params:
-        raise FamilyError(f"weight dimension {k} exceeds cap {max_params}")
+    k = _capped(sum(d * (prev + 1)
+                    for prev, d in zip(widths[:-1], widths[1:])), max_params)
 
     layout = {}  # (layer, neuron) -> (weight base index, bias index)
     pos = 0
@@ -250,9 +219,7 @@ def sigmoid_network(widths: Sequence[int],
             layout[(j, i)] = (pos, pos + prev)
             pos += prev + 1
 
-    def evaluate(params, x):
-        if len(params) != k:
-            raise FamilyError("weight arity mismatch")
+    def numeric(params, x):
         num = _field(params, x, exact=False)
         z = [num(v) for v in x]
         for j, d in enumerate(layer_dims):
@@ -289,8 +256,8 @@ def sigmoid_network(widths: Sequence[int],
         atoms.append(fm.atom(final_r, ">=", fm.const(0)))
         return fm.Exists(tuple(indices), fm.conj(*atoms))
 
-    return HypothesisFamily(f"nn_{'x'.join(map(str, widths))}", l, k,
-                            evaluate, emit)
+    return HypothesisFamily(f"nn_{'x'.join(map(str, widths))}", l, k, emit,
+                            numeric=numeric)
 
 
 @dataclass
@@ -327,11 +294,12 @@ class NeighborhoodSystem:
 
     The formula (when the system is definable) is over a doubled x block:
     coordinates 0..dim-1 are the source point, dim..2*dim-1 the target.
+    Without a contains of its own, membership reads that formula.
     """
 
     name: str
     dim: int
-    contains: Callable  # (x, y) -> bool
+    contains: Optional[Callable] = None  # (x, y) -> bool
     emit_formula: Optional[Callable] = None  # () -> fm.Formula
     # (X, rng, budget) -> (draws [m, budget, l], keep broadcasting to
     # [m, budget]): a call's draws are shared by its m points, and keep[i, j]
@@ -342,10 +310,34 @@ class NeighborhoodSystem:
     p: Optional[object] = None
     radius: Optional[object] = None
 
+    def __post_init__(self):
+        if self.contains is None:
+            f = self.formula()
+            self.contains = lambda x, y: _holds(f, merge(x=(*x, *y)))
+
     def formula(self) -> fm.Formula:
         if not self.definable or self.emit_formula is None:
             raise FamilyError(f"neighborhood {self.name} has no formula")
         return self.emit_formula()
+
+
+def _holds(f: fm.Formula, sigma):
+    """f at sigma: eval_qf exactly when every value is rational, else on
+    arrays, broadcast to the values' shape (a bool for scalar values)."""
+    if sigma.is_exact():
+        return eval_qf(f, sigma, mode="exact")
+    shape = np.broadcast_shapes(*{np.shape(v) for v in (*sigma.x, *sigma.a)})
+    out = eval_qf(f, sigma, mode="array")
+    return np.broadcast_to(out, shape) if shape else bool(out)
+
+
+def _radius(r) -> Fraction:
+    """r as a Fraction, rejected unless 0 <= 2r <= the largest float (2r is
+    the width the samplers draw over)."""
+    r = Fraction(r)
+    if not 0 <= 2 * r <= sys.float_info.max:
+        raise FamilyError("radius must be in [0, largest float / 2]")
+    return r
 
 
 def _field(*seqs, exact: bool = True) -> Callable:
@@ -360,30 +352,23 @@ def _field(*seqs, exact: bool = True) -> Callable:
     return Fraction if exact else float
 
 
-def _floats(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
-
-
-def _box_sampler(l: int, contains: Callable, radius_at: Callable) -> Callable:
-    """Sampler drawing budget offsets uniform on [-1, 1]^l once per call,
-    each point scaling them by its half-width radius_at(x) and keeping the
-    draws that land in N_x."""
+def _with_box_sampler(neigh: NeighborhoodSystem,
+                      radius_at: Callable) -> NeighborhoodSystem:
+    """neigh with a sampler drawing budget offsets uniform on [-1, 1]^l once
+    per call, each point scaling them by its half-width radius_at(x) and
+    keeping the draws that land in N_x."""
 
     def sample(X, rng, budget):
         Xc = _floats(X).T[:, :, None]  # [l, m, 1]
-        r = radius_at(Xc, _floats)
+        r = radius_at(Xc)
         # -r + 2r*U is rng.uniform(-r, r) to the bit
-        Y = Xc + (-r + 2 * r * rng.random((budget, l)).T[:, None, :])
-        return Y.transpose(1, 2, 0), contains(Xc, Y)
-    return sample
+        Y = Xc + (-r + 2 * r * rng.random((budget, neigh.dim)).T[:, None, :])
+        return Y.transpose(1, 2, 0), neigh.contains(Xc, Y)
+    neigh.sample = sample
+    return neigh
 
 
 def identity(l: int) -> NeighborhoodSystem:
-    def contains(x, y):
-        num = _field(x, y)
-        tol = 0 if num is Fraction else FLOAT_TOL
-        return all(abs(num(u) - num(v)) <= tol for u, v in zip(x, y))
-
     def emit():
         return fm.conj(*[fm.atom(fm.x(l + i), "=", fm.x(i))
                          for i in range(l)])
@@ -391,36 +376,31 @@ def identity(l: int) -> NeighborhoodSystem:
     def sample(X, rng, budget):
         return np.empty((len(X), 0, l)), True
 
-    return NeighborhoodSystem("identity", l, contains, emit, sample,
+    return NeighborhoodSystem("identity", l, emit_formula=emit, sample=sample,
                               kind="identity", radius=Fraction(0))
 
 
 def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
     """N_x = closed l_p ball of the given radius around x.
 
-    Exact membership for p in {1, 2, inf}; float membership (tolerance-free
-    comparison on floats) otherwise.  For p outside {1, 2, inf} the radius
-    must be 1: the formula encodes |x_i - y_i|^p through exp/log witnesses
-    and a general rational radius would need the irrational constant r^p.
+    Exact membership for p in {1, 2, inf}, tolerance-free on floats.  For p
+    outside {1, 2, inf} the radius must be 1: the formula encodes
+    |x_i - y_i|^p through exp/log witnesses and a general rational radius
+    would need the irrational constant r^p.
     """
     inf = p in ("inf", math.inf)
     if not inf:
         p = Fraction(p)
         if p <= 0:
             raise FamilyError("p must be positive")
-    radius = Fraction(radius)
-    if radius < 0:
-        raise FamilyError("radius must be nonnegative")
-    special = inf or p in (1, 2)
-    if not special and radius != 1:
+    radius = _radius(radius)
+    if not (inf or p in (1, 2)) and radius != 1:
         raise FamilyError("general-exponent balls support radius 1 only")
 
-    def contains(x, y):
-        num = _field(x, y, exact=special)
-        dx = [abs(num(u) - num(v)) for u, v in zip(x, y)]
-        if inf:
-            return np.logical_and.reduce([d <= num(radius) for d in dx])
-        return sum(d ** num(p) for d in dx) <= num(radius) ** num(p)
+    def contains(x, y):  # p = 1 or a general p: the formula has witnesses
+        num = _field(x, y, exact=p == 1)
+        return sum(abs(num(u) - num(v)) ** num(p) for u, v in zip(x, y)) \
+            <= num(radius) ** num(p)
 
     def emit():
         xs = [fm.x(i) for i in range(l)]
@@ -470,25 +450,17 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
         return fm.Exists(tuple(indices), fm.conj(*parts))
 
     name = f"l{'inf' if inf else p}_ball_r{radius}"
-    return NeighborhoodSystem(name, l, contains, emit,
-                              _box_sampler(l, contains,
-                                           lambda x, num: num(radius)),
-                              kind="lp", p=(math.inf if inf else p),
-                              radius=radius)
+    return _with_box_sampler(
+        NeighborhoodSystem(name, l, None if inf or p == 2 else contains, emit,
+                           kind="lp",
+                           p=(math.inf if inf else p), radius=radius),
+        lambda x: float(radius))
 
 
 def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
     """Euclidean ball whose radius is max(x_coord, 0) at the source point."""
     if not 0 <= coord < l:
         raise FamilyError("radius coordinate out of range")
-
-    def radius_at(x, num):
-        return np.maximum(num(x[coord]), 0)
-
-    def contains(x, y):
-        num = _field(x, y)
-        dx = [num(u) - num(v) for u, v in zip(x, y)]
-        return sum(d * d for d in dx) <= radius_at(x, num) ** 2
 
     def emit():
         xs = [fm.x(i) for i in range(l)]
@@ -502,9 +474,10 @@ def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
                          *[fm.atom(xi, "=", yi) for xi, yi in zip(xs, ys)])
         return fm.disj(moving, frozen)
 
-    return NeighborhoodSystem(f"l2_ball_var_x{coord}", l, contains, emit,
-                              _box_sampler(l, contains, radius_at),
-                              kind="lp_var", p=2, radius=coord)
+    return _with_box_sampler(
+        NeighborhoodSystem(f"l2_ball_var_x{coord}", l, emit_formula=emit,
+                           kind="lp_var", p=2, radius=coord),
+        lambda x: np.maximum(x[coord], 0))
 
 
 def interval_radius(r) -> NeighborhoodSystem:
@@ -521,11 +494,7 @@ def gaussian_kl_location(radius) -> NeighborhoodSystem:
     KL between unit-variance Gaussians with means m and m' is
     (m - m')^2 / 2, so the ball is defined by one quadratic atom.
     """
-    radius = Fraction(radius)
-
-    def contains(x, y):
-        num = _field(x, y)
-        return (num(x[0]) - num(y[0])) ** 2 <= 2 * num(radius)
+    radius = _radius(radius)
 
     def emit():
         d = fm.sub(fm.x(0), fm.x(1))
@@ -535,8 +504,8 @@ def gaussian_kl_location(radius) -> NeighborhoodSystem:
         r = math.sqrt(2 * float(radius))
         return _floats(X)[:, None] + rng.uniform(-r, r, (budget, 1)), True
 
-    return NeighborhoodSystem(f"gauss_kl_r{radius}", 1, contains, emit,
-                              sample, kind="gauss_kl", radius=radius)
+    return NeighborhoodSystem(f"gauss_kl_r{radius}", 1, emit_formula=emit,
+                              sample=sample, kind="gauss_kl", radius=radius)
 
 
 def _check_simplex(x, strict: bool = False):
@@ -557,7 +526,7 @@ def kl_ball(l: int, radius) -> NeighborhoodSystem:
     the formula realizes log(x_i / y_i) through one exp witness per
     coordinate.
     """
-    radius = Fraction(radius)
+    radius = _radius(radius)
 
     def contains(x, y):
         xv = _check_simplex(x)
@@ -660,7 +629,7 @@ def emd_ball(ground: Sequence, radius) -> NeighborhoodSystem:
             if g[i][j] != g[j][i] or g[i][j] < 0:
                 raise FamilyError("ground metric must be symmetric and "
                                   "nonnegative")
-    radius = Fraction(radius)
+    radius = _radius(radius)
 
     def contains(x, y):
         return emd_value(x, y, g) <= radius
@@ -801,7 +770,7 @@ def batch_strategic_labels(family: HypothesisFamily,
 def strategic_label(family: HypothesisFamily, neigh: NeighborhoodSystem,
                     params, x) -> bool:
     """Label of the point x: row 0 of batch_strategic_labels on [x], except
-    under the identity, where the family's own evaluation is exact on
+    under the identity, where family.evaluate reads the formula exactly on
     rational input."""
     if neigh.kind == "identity":
         return bool(family.evaluate(params, x))
@@ -840,9 +809,8 @@ def _threshold(l="1") -> HypothesisFamily:
 
 
 def _tree(l="2", depth="2", q="1", labels=None) -> HypothesisFamily:
-    if labels is None:
-        labels = "01" * (1 << (int(depth) - 1))
-    return decision_tree(int(l), int(depth), int(q), [int(c) for c in labels])
+    return decision_tree(int(l), int(depth), int(q),
+                         None if labels is None else [int(c) for c in labels])
 
 
 # Spec name -> builder.  A builder's parameters are the keys its spec

@@ -1,14 +1,14 @@
 """Deciding and approximating formula semantics.
 
 Terms are read by two folds over the term grammar (variables, rational
-constants, +, *, exp): ``eval_term`` values a term in floats, Fractions or
-certified ``RatInterval`` enclosures, and ``affine`` reads a term as
-coefficients over chosen unknowns plus a constant.  Four layers, from exact
-to heuristic, share them:
+constants, +, *, exp): ``eval_term`` values a term in floats, Fractions,
+certified ``RatInterval`` enclosures or float arrays, and ``affine`` reads a
+term as coefficients over chosen unknowns plus a constant.  Four layers,
+from exact to heuristic, share them:
 
 * ``eval_qf`` -- quantifier-free evaluation.  Exact rational path (no
-  tolerance; exp handled by certified enclosure refinement) and a float path
-  with boundary tolerance ``FLOAT_TOL``.
+  tolerance; exp handled by certified enclosure refinement), a float path
+  with boundary tolerance ``FLOAT_TOL``, and a strict array path for labels.
 * ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
   (``linear_system_from_formula`` compiles them with ``affine``), the linear
   fragment of one-block quantifier elimination.
@@ -94,9 +94,9 @@ def merge(x: Sequence = (), a: Sequence = (), w: Sequence = ()) -> Assignment:
 def eval_term(t: fm.Term, sigma: Assignment, lift: Callable, exp: Callable):
     """Value of a term in the domain that `lift` maps variable values and
     rational constants into; the domain's own + and * combine subterms and
-    `exp` is its exponential.  Floats, Fractions and RatIntervals all read
-    terms through this fold.  Dispatch is on the exact node type because the
-    float instance is the inner loop of witness search."""
+    `exp` is its exponential.  Floats, Fractions, RatIntervals and numpy
+    arrays all read terms through this fold.  Dispatch is on the exact node
+    type because the float instance is the inner loop of witness search."""
     kind = type(t)
     if kind is fm.Var:
         return lift(sigma.lookup(t))
@@ -172,9 +172,10 @@ _RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
               ">=": operator.ge, ">": operator.gt}
 
 
-def _compare(d, rel: str) -> bool:
-    """d rel 0, for an exact difference d or its sign."""
-    return _RELATIONS[rel](d, 0)
+def _compare(d, rel: str, rhs=0) -> bool:
+    """d rel rhs: an exact difference or its sign against 0, or two float
+    arrays elementwise."""
+    return _RELATIONS[rel](d, rhs)
 
 
 def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
@@ -216,35 +217,63 @@ def _float_atom(at: fm.AtomKind, sigma: Assignment, tol: float) -> bool:
     return d >= -tol
 
 
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
+
+
+def _array_atom(at: fm.AtomKind, sigma: Assignment, sides: dict):
+    """The atom elementwise on float arrays, with no tolerance.  Term values
+    are kept in `sides` by term object (f owns them for the whole call): a
+    tree shares each node's polynomial among the paths through the node."""
+
+    def side(t: fm.Term):
+        if id(t) not in sides:
+            sides[id(t)] = eval_term(t, sigma, _floats, np.exp)
+        return sides[id(t)]
+
+    if isinstance(at, fm.ExpGraph):
+        return side(at.lhs) == np.exp(side(at.rhs))
+    return _compare(side(at.lhs), at.rel, side(at.rhs))
+
+
+def _fold(g: fm.Formula, atom: Callable, array: bool):
+    """g from atom(at) per atom, as a bool or, when array is set, a bool
+    array.  Not a nested closure: its cycle would keep the arrays alive."""
+    if isinstance(g, fm.Atom):
+        return atom(g.atom)
+    if isinstance(g, fm.Not):
+        v = _fold(g.body, atom, array)
+        return ~v if array else not v
+    conj = isinstance(g, fm.And)
+    parts = (_fold(p, atom, array) for p in g.parts)
+    if array:
+        return functools.reduce(operator.and_ if conj else operator.or_,
+                                parts, np.bool_(conj))
+    return all(parts) if conj else any(parts)
+
+
 def eval_qf(f: fm.Formula, sigma: Assignment, mode: str = "auto",
-            tol: float = FLOAT_TOL, max_bits: int = MAX_BITS) -> bool:
+            tol: float = FLOAT_TOL, max_bits: int = MAX_BITS):
     """Evaluate a quantifier-free formula.
 
     mode 'exact' uses rational arithmetic with certified enclosure refinement
     for exp (no tolerance; raises UndecidedComparison when the enclosure
     cannot decide a comparison at max_bits).  mode 'float' uses floats with
     boundary tolerance tol.  'auto' picks the exact path iff all assignment
-    values are exact rationals.
+    values are exact rationals.  mode 'array' reads the values as float
+    numpy arrays and returns a bool array of their broadcast shape: atoms
+    compare strictly, Not/And/Or are ~/&/|.
     """
     if fm.classify_fragment(f) != fm.QUANTIFIER_FREE:
         raise SolveError("eval_qf requires a quantifier-free formula")
     if mode == "auto":
         mode = "exact" if sigma.is_exact() else "float"
-
-    def go(g: fm.Formula) -> bool:
-        if isinstance(g, fm.Atom):
-            if mode == "exact":
-                return _exact_atom(g.atom, sigma, max_bits)
-            return _float_atom(g.atom, sigma, tol)
-        if isinstance(g, fm.Not):
-            return not go(g.body)
-        if isinstance(g, fm.And):
-            return all(go(p) for p in g.parts)
-        if isinstance(g, fm.Or):
-            return any(go(p) for p in g.parts)
-        raise SolveError("quantifier in eval_qf")
-
-    return go(f)
+    if mode == "array":
+        sides: dict = {}
+        return _fold(f, lambda at: _array_atom(at, sigma, sides), True)
+    if mode == "exact":
+        return _fold(f, lambda at: _exact_atom(at, sigma, max_bits), False)
+    return _fold(f, lambda at: _float_atom(at, sigma, tol), False)
 
 
 # ---------------------------------------------------------------------------

@@ -206,3 +206,60 @@ def sampled_strategic_label(family, p, r: float, params, x,
         if np.linalg.norm(x - y, ord=p) <= r:
             cands.append(y)
     return any(bool(family.evaluate(params, list(y))) for y in cands)
+
+
+# ---------------------------------------------------------------------------
+# Plain-Python semantics of the registry families and quantifier-free
+# neighborhoods, on scalars (Fractions stay exact)
+
+
+def ref_monomials(l: int, degree: int) -> list:
+    """Exponent multisets of total degree <= degree, degree by degree."""
+    return [m for d in range(degree + 1)
+            for m in itertools.combinations_with_replacement(range(l), d)]
+
+
+def ref_poly(coeffs, monos, x):
+    """sum_j coeffs[j] * prod_{i in monos[j]} x[i]."""
+    total = 0
+    for c, mono in zip(coeffs, monos):
+        term = c
+        for i in mono:
+            term = term * x[i]
+        total = total + term
+    return total
+
+
+def ref_ptf(params, x, l: int, degree: int) -> bool:
+    return ref_poly(params, ref_monomials(l, degree), x) > 0
+
+
+def ref_tree(params, x, l: int, depth: int, degree: int, labels) -> bool:
+    """Walk from the root (node 1, children 2n and 2n + 1); node n owns
+    coefficient block n - 1 and sends x right iff its polynomial is >= 0;
+    labels is a string of 0s and 1s, leaf by leaf."""
+    monos = ref_monomials(l, degree)
+    b = len(monos)
+    node = 1
+    while node < 2 ** depth:
+        right = ref_poly(params[(node - 1) * b:node * b], monos, x) >= 0
+        node = 2 * node + int(right)
+    return labels[node - 2 ** depth] == "1"
+
+
+def ref_in_lp_ball(x, y, p, r) -> bool:
+    """Closed l_p ball of radius r around x, for p = 2 or p = inf."""
+    if p == 2:
+        return sum((u - v) * (u - v) for u, v in zip(x, y)) <= r * r
+    return max(abs(u - v) for u, v in zip(x, y)) <= r
+
+
+def ref_in_lp_var_ball(x, y, coord: int) -> bool:
+    """Euclidean ball of radius max(x[coord], 0)."""
+    rad = max(x[coord], 0)
+    return sum((u - v) * (u - v) for u, v in zip(x, y)) <= rad * rad
+
+
+def ref_in_gauss_kl_ball(x, y, r) -> bool:
+    """KL(N(x, 1) || N(y, 1)) = (x - y)^2 / 2 <= r."""
+    return (x[0] - y[0]) * (x[0] - y[0]) <= 2 * r

@@ -64,6 +64,25 @@ def test_hostile_arguments_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family,neigh", [
+    ("threshold", "gauss_kl:r=-1"),
+    ("halfspace:l=2", "lp:l=2,p=2,r=1e400"),
+    ("halfspace:l=2", "linf:l=2,r=1e400"),
+    ("threshold", "gauss_kl:r=1e400"),
+    ("threshold", "gauss_kl:r=1e308"),
+    ("threshold", "interval:r=1e400"),
+    ("tree:l=2,depth=2,q=-1", "identity:l=2"),
+    ("tree:l=2,depth=1000", "identity:l=2"),
+])
+def test_hostile_specs_are_usage_errors(tmp_path, capsys, family, neigh):
+    csv = tmp_path / "g.csv"
+    assert run(["growth", "--family", family, "--neighborhood", neigh,
+                "--m", 4, "--csv", csv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not csv.exists()
+
+
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
     rc = run(["fm-elim", "--in", tmp_path / "absent.json", "--drop", "x",
               "--out", tmp_path / "o.json"])
@@ -308,6 +327,11 @@ def test_learn_csv_and_replay(tmp_path, capsys):
     ("tree:l=2,depth=2,q=1,labels=0110", "linf:l=2,r=1/4", [49, 100]),
     ("halfspace:l=2", "lp_var:l=2,coord=1", [34, 74]),
     ("threshold", "gauss_kl:r=1/2", [9, 15]),
+    ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/3", [56, 110]),
+    ("tree:l=2,depth=3,q=2", "lp:l=2,p=2,r=1/4", [72, 138]),
+    ("ptf:l=2,D=2", "lp_var:l=2,coord=1", [50, 103]),
+    ("ptf:l=1,D=3", "gauss_kl:r=1/2", [17, 28]),
+    ("tree:l=2,depth=2,q=1,labels=0110", "linf:l=2,r=1/3", [45, 92]),
 ])
 def test_growth_sampled_counts_pinned(tmp_path, capsys, family, neigh,
                                       counts):
@@ -324,3 +348,17 @@ def test_learn_sampled_m_hat_pinned(tmp_path, capsys):
                 "--neighborhood", "lp:l=2,p=2,r=1/4", "--eps", 0.2,
                 "--trials", 3, "--budget", 40, "--csv", csv]) == 0
     assert _csv_lines(csv)[3] == "0.2,10,2.0,1.0,1.0"
+
+
+@pytest.mark.parametrize("family,neigh,row", [
+    ("tree:l=2,depth=2,q=1,labels=0110", "identity:l=2", "0.2,9,1.8,1.0,1.0"),
+    ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/3", "0.2,10,2.0,1.0,1.0"),
+    ("tree:l=2,depth=3,q=2", "lp:l=2,p=2,r=1/4",
+     "0.2,12,2.4000000000000004,1.0,1.0"),
+])
+def test_learn_sampled_rows_pinned(tmp_path, capsys, family, neigh, row):
+    csv = tmp_path / "learn.csv"
+    assert run(["--seed", 1, "learn", "--family", family, "--neighborhood",
+                neigh, "--eps", 0.2, "--trials", 3, "--budget", 40,
+                "--csv", csv]) == 0
+    assert _csv_lines(csv)[3:] == [row]

@@ -39,7 +39,9 @@ from stratdef.families import (
 )
 from stratdef.solve import Assignment, eval_qf, witness_search
 
-from helpers import sampled_strategic_label
+from helpers import (ref_in_gauss_kl_ball, ref_in_lp_ball,
+                     ref_in_lp_var_ball, ref_ptf, ref_tree,
+                     sampled_strategic_label)
 
 
 def _check_family_formula(family, rng, trials=40, margin=1e-6):
@@ -127,6 +129,96 @@ def test_decision_tree_rejects_bad_labels():
         decision_tree(1, 2, 1, [0, 1, 1])
     with pytest.raises(FamilyError):
         decision_tree(1, 0, 1, [0])
+
+
+@pytest.mark.parametrize("spec", ["halfspace:l=2", "threshold", "ptf:l=2,D=2",
+                                  "tree:l=2,depth=2,q=1,labels=0110",
+                                  "nn:widths=2-2-1"])
+def test_evaluate_checks_arity(spec):
+    family = make_family(spec)
+    a, x = [0] * family.param_dim, [0] * family.input_dim
+    for bad_a, bad_x in ((a[1:], x), (a + [0], x), (a, x[1:]), (a, x + [9])):
+        with pytest.raises(FamilyError):
+            family.evaluate(bad_a, bad_x)
+
+
+# the registry family against a plain-Python reading of its semantics
+_FAMILY_REFS = {
+    "tree:l=2,depth=2,q=1,labels=0110":
+        lambda a, x: ref_tree(a, x, 2, 2, 1, "0110"),
+    "tree:l=2,depth=3,q=1,labels=10011101":
+        lambda a, x: ref_tree(a, x, 2, 3, 1, "10011101"),
+    "tree:l=2,depth=3,q=2": lambda a, x: ref_tree(a, x, 2, 3, 2, "01" * 4),
+    "ptf:l=2,D=2": lambda a, x: ref_ptf(a, x, 2, 2),
+    "ptf:l=2,D=3": lambda a, x: ref_ptf(a, x, 2, 3),
+    "ptf:l=3,D=2": lambda a, x: ref_ptf(a, x, 3, 2),
+    "ptf:l=3,D=3": lambda a, x: ref_ptf(a, x, 3, 3),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_FAMILY_REFS))
+def test_family_evaluate_matches_reference(spec):
+    family, ref = make_family(spec), _FAMILY_REFS[spec]
+    rng = np.random.default_rng(31)
+    # the kernel's shapes: params [k, rows, 1, 1] against points
+    # [l, m, 1 + budget]
+    A = family.draw_params(rng, 4)
+    Y = rng.uniform(-1, 1, size=(family.input_dim, 5, 7))
+    got = family.evaluate(A.T[:, :, None, None], Y)
+    assert got.tolist() == [[[ref(list(a), list(Y[:, j, t]))
+                              for t in range(7)] for j in range(5)]
+                            for a in A]
+    assert 0 < got.sum() < got.size
+    # scalars: small rationals are exact and often land on a boundary
+    seen = set()
+    for _ in range(60):
+        a = [Fraction(int(v), 4) for v in rng.integers(-4, 5, len(A[0]))]
+        x = [Fraction(int(v), 2) for v in rng.integers(-2, 3, len(Y))]
+        want = ref(a, x)
+        assert family.evaluate(a, x) is want
+        assert family.evaluate([float(v) for v in a],
+                               [float(v) for v in x]) is want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+_NEIGHBORHOOD_REFS = {
+    "identity:l=2": lambda x, y: all(u == v for u, v in zip(x, y)),
+    "lp:l=2,p=2,r=1/3":
+        lambda x, y: ref_in_lp_ball(x, y, 2, Fraction(1, 3)),
+    "linf:l=2,r=1/3":
+        lambda x, y: ref_in_lp_ball(x, y, math.inf, Fraction(1, 3)),
+    "interval:r=1/7":
+        lambda x, y: ref_in_lp_ball(x, y, math.inf, Fraction(1, 7)),
+    "lp_var:l=2,coord=1": lambda x, y: ref_in_lp_var_ball(x, y, 1),
+    "gauss_kl:r=1/2":
+        lambda x, y: ref_in_gauss_kl_ball(x, y, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_NEIGHBORHOOD_REFS))
+def test_neighborhood_contains_matches_reference(spec):
+    n, ref = make_neighborhood(spec), _NEIGHBORHOOD_REFS[spec]
+    rng = np.random.default_rng(37)
+    # the samplers' shapes: points [l, m, 1] against draws [l, m, budget]
+    X = rng.uniform(-1, 1, size=(n.dim, 6, 1))
+    Y = X + rng.uniform(-0.6, 0.6, size=(n.dim, 6, 9))
+    Y[:, :, 0] = X[:, :, 0]  # the point itself
+    got = n.contains(X, Y)
+    assert got.tolist() == [[ref(list(X[:, j, 0]), list(Y[:, j, t]))
+                             for t in range(9)] for j in range(6)]
+    # scalar Fractions, offsets in 210ths that put y on the boundaries at
+    # r = 1/7, 1/3 (also (1/5, 4/15) on the l2 sphere), 3/7 and 1
+    steps = [0, 30, 42, 56, 70, 90, 100, 210, 250]
+    seen = set()
+    for _ in range(300):
+        x = [Fraction(int(v), 7) for v in rng.integers(-7, 8, n.dim)]
+        y = [u + Fraction(int(rng.choice(steps)) * int(rng.choice([-1, 1])),
+                          210) for u in x]
+        want = ref(x, y)
+        assert n.contains(x, y) is want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_sigmoid_network_family():
