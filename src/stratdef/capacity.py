@@ -3,8 +3,8 @@
 The exact pieces (trace sets on finite classes, Sauer sums, the ERM sample
 threshold, the logarithmic bound lemmas, univariate sign-pattern counts) are
 decided over the rationals or with certified enclosures and are suitable as
-test oracles; the sampled pieces (growth estimation for parametric classes,
-sampled sign patterns) report seeded lower bounds only.
+test oracles; the one sampled piece, growth estimation for parametric
+classes, reports seeded lower bounds only.
 
 Logarithms in the bound lemmas are base 2; the ERM threshold inequality uses
 the natural exponential.
@@ -278,25 +278,16 @@ def vc_consistency_extremal(A, k, cap: int = 10 ** 7) -> int:
 # Sign patterns
 
 
-def sign_pattern_count(polys: Sequence, mode: str = "exact-univariate",
-                       samples: int = 2000, seed: int = 0) -> int:
+def sign_pattern_count(polys: Sequence) -> int:
     """Number of sign vectors (sign p_1(t), ..., sign p_M(t)) over real t.
 
     Each polynomial is a coefficient sequence, highest degree first (the
-    numpy.polyval order).  exact-univariate: decided over the rationals;
-    the distinct real roots of the product of the inputs are isolated with
-    Sturm sequences (a repeated root is one root point) and the sign vector
-    is taken at every root and at a rational point in every gap and on both
-    flanks.  sampled: a seeded lower bound at uniform random points.
+    numpy.polyval order).  Decided over the rationals: the distinct real
+    roots of the product of the inputs are isolated with Sturm sequences (a
+    repeated root is one root point) and the sign vector is taken at every
+    root and at a rational point in every gap and on both flanks.
     """
     ps = [_trim([Fraction(c) for c in p]) for p in polys]
-    if mode == "sampled":
-        ts = np.random.default_rng(seed).uniform(-100, 100, size=samples)
-        vals = np.array([np.polyval([_float(c) for c in p], ts)
-                         for p in ps]).reshape(len(ps), samples)
-        return len({tuple(col) for col in np.sign(vals).T})
-    if mode != "exact-univariate":
-        raise CapacityError(f"unknown mode {mode!r}")
     product = functools.reduce(np.polymul, [p for p in ps if len(p) > 1],
                                [Fraction(1)])
     roots = _isolate(_sturm(list(product)))
@@ -309,14 +300,6 @@ def sign_pattern_count(polys: Sequence, mode: str = "exact-univariate",
         seen.add(tuple(_sign_at(p, b) if _variations(c, a) == _variations(c, b)
                        else 0 for p, c in zip(ps, chains)))
     return len(seen)
-
-
-def _float(c: Fraction) -> float:
-    try:
-        return float(c)
-    except OverflowError:
-        raise CapacityError(f"coefficient {c} is out of float range; "
-                            "use the exact mode") from None
 
 
 def _trim(p: list) -> list:

@@ -107,12 +107,21 @@ def _format_cell(v) -> str:
 # Subcommands
 
 
+def _read(path) -> str:
+    """The UTF-8 text of an input file; one that cannot be read is a usage
+    error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
 def _load_formula(spec: str) -> fm.Formula:
     """A registry spec string ('halfspace:l=2'), or a path to a file holding
     one s-expression formula."""
     path = Path(spec)
     if path.exists():
-        return fm.parse(path.read_text())
+        return fm.parse(_read(path))
     for make in (families.make_family, families.make_neighborhood):
         try:
             return make(spec).formula()
@@ -141,12 +150,15 @@ def cmd_transform(args) -> int:
 
 
 def _load_system(path: str) -> solve.LinearSystem:
-    doc = json.loads(Path(path).read_text())
-    rows = [(c["coeffs"], c["rel"], c["rhs"]) for c in doc["constraints"]]
-    return solve.LinearSystem.make(
-        doc["variables"],
-        [([Fraction(v) for v in co], rel, Fraction(rhs))
-         for co, rel, rhs in rows])
+    doc = json.loads(_read(path))
+    try:
+        return solve.LinearSystem.make(
+            doc["variables"],
+            [([Fraction(v) for v in c["coeffs"]], c["rel"], Fraction(c["rhs"]))
+             for c in doc["constraints"]])
+    except (TypeError, ValueError, ZeroDivisionError,
+            solve.SolveError) as exc:
+        raise UsageError(f"{path!r} is not a linear system: {exc}") from exc
 
 
 def cmd_fm_elim(args) -> int:
@@ -246,7 +258,7 @@ def cmd_verify_blowup(args) -> int:
 
 
 def cmd_shatter(args) -> int:
-    doc = json.loads(Path(args.instance).read_text())
+    doc = json.loads(_read(args.instance))
     cfg = doc.get("config", {}) if isinstance(doc, dict) else None
     if not isinstance(cfg, dict):
         raise UsageError("instance file must be a JSON object whose config "

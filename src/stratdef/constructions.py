@@ -406,6 +406,9 @@ def build_partition_pathology(n: int = 4) -> ConstructionInstance:
 # ---------------------------------------------------------------------------
 # One-parameter fractional-part construction
 
+# the largest multiplier m the frac construction scans for a witness
+FRAC_M_CAP = 2_000_000
+
 
 def _shrink_intervals(n: int, r: Fraction):
     """Nested open intervals I_A, one per subset A of {1..n}, and moduli b_i
@@ -430,7 +433,6 @@ def _shrink_intervals(n: int, r: Fraction):
 
 
 def build_frac_construction(n: int = 3, r=Fraction(1, 4),
-                            m_cap: int = 2_000_000,
                             max_bits: int = DEFAULT_MAX_BITS
                             ) -> ConstructionInstance:
     """One-parameter strategic shattering via fractional parts.
@@ -440,8 +442,8 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4),
     radius r and the anchors are b_i + 1/2.  Nested intervals I_A pin the
     trace of h_t to A whenever frac(t) lies in I_A, and for each A a
     parameter t_A = sqrt(2) * m_A with frac(t_A) in I_A is found by scanning
-    m and certified with exact enclosures of sqrt(2), refined up to
-    max_bits bits (UndecidedComparison beyond).
+    m up to FRAC_M_CAP and certified with exact enclosures of sqrt(2),
+    refined up to max_bits bits (UndecidedComparison beyond).
     """
     r = Fraction(r)
     if not 0 < r < Fraction(1, 2):
@@ -470,14 +472,14 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4),
     p_lo, p_hi = Fraction(1, 2) - r, Fraction(1, 2) + r
     for key, (lo, hi) in sorted(intervals.items()):
         m_a = None
-        for m in range(1, m_cap + 1):
+        for m in range(1, FRAC_M_CAP + 1):
             if in_open_interval(frac_of_sqrt2(m), lo, hi, max_bits):
                 m_a = m
                 break
         if m_a is None:
             certs.append(Certificate(
                 "witness_multipliers", False,
-                f"no multiplier below {m_cap} for subset {key}"))
+                f"no multiplier below {FRAC_M_CAP} for subset {key}"))
             break
         witnesses[key] = m_a
         # certify the trace of t = sqrt(2) * m_a anchor by anchor

@@ -42,6 +42,8 @@ class FamilyError(Exception):
 
 
 MAX_PARAM_DIM = 5000
+# every parameter coordinate is drawn uniform on this interval
+PARAM_BOX = (-2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +58,6 @@ class HypothesisFamily:
     input_dim: int
     param_dim: int
     emit_formula: Callable  # () -> fm.Formula
-    param_box: tuple = ((-2, 2),)
     # params -> (w, b) when the class is {x : w.x >= b}; enables reach_margin
     linear: Optional[Callable] = None
     # (params, x) -> bool when the formula has witnesses evaluate cannot read
@@ -79,12 +80,10 @@ class HypothesisFamily:
         return _holds(self.formula(), merge(x=x, a=params))
 
     def draw_params(self, rng: np.random.Generator, n: Optional[int] = None):
-        """One vector (or n, as matrix rows) uniform over the box, coordinate
-        i in param_box[i % len(param_box)], in the draw order of scalar
-        rng.uniform(lo, hi) calls."""
-        lo, hi = np.resize(np.asarray(self.param_box, dtype=float),
-                           (self.param_dim, 2)).T
-        return rng.uniform(lo, hi, None if n is None else (n, self.param_dim))
+        """One vector (or n, as matrix rows) with every coordinate uniform on
+        PARAM_BOX."""
+        return rng.uniform(*PARAM_BOX, (self.param_dim,) if n is None
+                           else (n, self.param_dim))
 
 
 def halfspace(l: int) -> HypothesisFamily:
@@ -124,9 +123,10 @@ def _monomial_count(l: int, degree: int) -> int:
     return math.comb(l + degree, degree)
 
 
-def _capped(k: int, max_params: int) -> int:
-    if k > max_params:
-        raise FamilyError(f"parameter dimension {k} exceeds cap {max_params}")
+def _capped(k: int) -> int:
+    if k > MAX_PARAM_DIM:
+        raise FamilyError(f"parameter dimension {k} exceeds cap "
+                          f"{MAX_PARAM_DIM}")
     return k
 
 
@@ -136,13 +136,12 @@ def _poly_term(base: int, monos) -> fm.Term:
                     for j, mono in enumerate(monos)])
 
 
-def polynomial_threshold(l: int, degree: int,
-                         max_params: int = MAX_PARAM_DIM) -> HypothesisFamily:
+def polynomial_threshold(l: int, degree: int) -> HypothesisFamily:
     """P_theta(x) > 0 over all monomials of total degree <= degree.
 
-    param_dim = binomial(l + degree, degree), rejected above max_params.
+    param_dim = binomial(l + degree, degree), rejected above MAX_PARAM_DIM.
     """
-    k = _capped(_monomial_count(l, degree), max_params)
+    k = _capped(_monomial_count(l, degree))
 
     def emit():
         return fm.atom(_poly_term(0, monomial_exponents(l, degree)), ">",
@@ -152,21 +151,21 @@ def polynomial_threshold(l: int, degree: int,
 
 
 def decision_tree(l: int, depth: int, split_degree: int,
-                  leaf_labels: Optional[Sequence[int]] = None,
-                  max_params: int = MAX_PARAM_DIM) -> HypothesisFamily:
+                  leaf_labels: Optional[Sequence[int]] = None
+                  ) -> HypothesisFamily:
     """Complete binary tree with polynomial splits of the given degree.
 
     Each of the 2^depth - 1 internal nodes owns its own coefficient block
     (binomial(l + q, q) entries); x moves right iff the node polynomial is
     >= 0.  Leaf labels are fixed at construction (default 0101...);
     parameters are the split coefficients only, so param_dim =
-    (2^depth - 1) * binomial(l + q, q), rejected above max_params.
+    (2^depth - 1) * binomial(l + q, q), rejected above MAX_PARAM_DIM.
     """
     if depth < 1:
         raise FamilyError("tree depth must be >= 1")
     block = _monomial_count(l, split_degree)
     n_leaves = 1 << depth
-    k = _capped((n_leaves - 1) * block, max_params)
+    k = _capped((n_leaves - 1) * block)
     if leaf_labels is None:
         leaf_labels = [0, 1] * (n_leaves // 2)
     if len(leaf_labels) != n_leaves or \
@@ -195,8 +194,7 @@ def decision_tree(l: int, depth: int, split_degree: int,
     return HypothesisFamily(f"tree_d{depth}_q{split_degree}", l, k, emit)
 
 
-def sigmoid_network(widths: Sequence[int],
-                    max_params: int = MAX_PARAM_DIM) -> HypothesisFamily:
+def sigmoid_network(widths: Sequence[int]) -> HypothesisFamily:
     """Fully connected network with logistic activations.
 
     widths = (input_dim, d1, ..., 1).  The classifier accepts iff the affine
@@ -210,7 +208,7 @@ def sigmoid_network(widths: Sequence[int],
     l = widths[0]
     layer_dims = widths[1:]
     k = _capped(sum(d * (prev + 1)
-                    for prev, d in zip(widths[:-1], widths[1:])), max_params)
+                    for prev, d in zip(widths[:-1], widths[1:])))
 
     layout = {}  # (layer, neuron) -> (weight base index, bias index)
     pos = 0
@@ -260,30 +258,6 @@ def sigmoid_network(widths: Sequence[int],
                             numeric=numeric)
 
 
-@dataclass
-class FiniteSupportClass:
-    """Hypotheses that are indicators of finite rational point sets."""
-
-    supports: tuple  # tuple of tuples of Fractions
-
-    def __post_init__(self):
-        self.supports = tuple(tuple(Fraction(v) for v in s)
-                              for s in self.supports)
-
-    def labelers(self):
-        return [(lambda x, s=frozenset(sup): Fraction(x) in s)
-                for sup in self.supports]
-
-    def pairwise_disjoint(self) -> bool:
-        seen = set()
-        for s in self.supports:
-            for v in s:
-                if v in seen:
-                    return False
-                seen.add(v)
-        return True
-
-
 # ---------------------------------------------------------------------------
 # Neighborhood systems
 
@@ -292,9 +266,12 @@ class FiniteSupportClass:
 class NeighborhoodSystem:
     """A map x -> N_x with membership test, emitter and sampler.
 
-    The formula (when the system is definable) is over a doubled x block:
-    coordinates 0..dim-1 are the source point, dim..2*dim-1 the target.
-    Without a contains of its own, membership reads that formula.
+    The formula, which a system that is not definable lacks, is over a
+    doubled x block: coordinates 0..dim-1 are the source point,
+    dim..2*dim-1 the target.  Without a contains of its own, membership
+    reads that formula.  radius is the constant radius of every N_x (0 for
+    the identity) and p the exponent of an l_p ball; either is None where
+    the system has none.
     """
 
     name: str
@@ -305,7 +282,6 @@ class NeighborhoodSystem:
     # [m, budget]): a call's draws are shared by its m points, and keep[i, j]
     # says whether draw j of point i lies in N_x
     sample: Optional[Callable] = None
-    definable: bool = True
     kind: str = "generic"
     p: Optional[object] = None
     radius: Optional[object] = None
@@ -316,7 +292,7 @@ class NeighborhoodSystem:
             self.contains = lambda x, y: _holds(f, merge(x=(*x, *y)))
 
     def formula(self) -> fm.Formula:
-        if not self.definable or self.emit_formula is None:
+        if self.emit_formula is None:
             raise FamilyError(f"neighborhood {self.name} has no formula")
         return self.emit_formula()
 
@@ -476,7 +452,7 @@ def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
 
     return _with_box_sampler(
         NeighborhoodSystem(f"l2_ball_var_x{coord}", l, emit_formula=emit,
-                           kind="lp_var", p=2, radius=coord),
+                           kind="lp_var"),
         lambda x: np.maximum(x[coord], 0))
 
 
@@ -688,7 +664,7 @@ def floor_partition() -> NeighborhoodSystem:
         return base + rng.uniform(0, 1, (budget, 1)), True
 
     return NeighborhoodSystem("floor_partition", 1, contains, None, sample,
-                              definable=False, kind="floor")
+                              kind="floor")
 
 
 # ---------------------------------------------------------------------------

@@ -676,12 +676,6 @@ class ComplexityProfile:
     exp_atoms: int
     free_vars: int
 
-    def to_json(self) -> dict:
-        return {"format": self.format, "degree": self.degree,
-                "input_dim": self.input_dim, "param_dim": self.param_dim,
-                "witness_dim": self.witness_dim, "exp_atoms": self.exp_atoms,
-                "free_vars": self.free_vars}
-
 
 def term_degree(t: Term) -> int:
     """Total polynomial degree after flattening; exp arguments are rejected."""

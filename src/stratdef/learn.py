@@ -19,12 +19,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .families import (HypothesisFamily, NeighborhoodSystem,
+from .families import (PARAM_BOX, HypothesisFamily, NeighborhoodSystem,
                        batch_strategic_labels)
 
 
 class LearnError(Exception):
     pass
+
+
+# the sweep's largest sample size
+M_CAP = 1 << 14
 
 
 @dataclass
@@ -51,9 +55,10 @@ class ErmResult:
     kind: str = "approximate-ERM"
 
 
-def uniform_box_sampler(l: int, lo: float = -1.0, hi: float = 1.0):
+def uniform_box_sampler(l: int):
+    """m points uniform on the box [-1, 1]^l, one per row."""
     def sample(m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(lo, hi, size=(m, l))
+        return rng.uniform(-1.0, 1.0, size=(m, l))
     return sample
 
 
@@ -118,8 +123,7 @@ def erm_fit(family: HypothesisFamily, neigh: NeighborhoodSystem,
         return best_err == 0.0
 
     done = consider(family.draw_params(rng, max(1, budget // 2)))
-    scale = 0.25 * max(hi - lo for lo, hi in
-                       family.param_box[:family.param_dim])
+    scale = 0.25 * (PARAM_BOX[1] - PARAM_BOX[0])
     steps = rng.normal(0.0, scale, (max(0, budget - 1 - spent),
                                     len(best_params)))
     block = 1
@@ -181,13 +185,11 @@ def sample_complexity_sweep(family: HypothesisFamily,
                             target_params: Sequence,
                             eps_grid: Sequence[float], delta: float,
                             trials: int, seed: int,
-                            distribution: Optional[Callable] = None,
-                            budget: int = 400,
-                            m_cap: int = 1 << 14) -> SweepReport:
-    """Smallest sample size reaching held-out error <= eps in >= (1-delta)
-    of seeded trials, per grid point, found by doubling plus bisection."""
-    if distribution is None:
-        distribution = uniform_box_sampler(family.input_dim)
+                            budget: int = 400) -> SweepReport:
+    """Smallest sample size up to M_CAP reaching held-out error <= eps in
+    >= (1-delta) of seeded trials, per grid point, found by doubling plus
+    bisection; points are drawn by uniform_box_sampler."""
+    distribution = uniform_box_sampler(family.input_dim)
 
     def run_trials(eps: float, m: int):
         wins = 0
@@ -208,14 +210,14 @@ def sample_complexity_sweep(family: HypothesisFamily,
     rows = []
     for eps in eps_grid:
         lo, hi, m, rates = 1, None, 4, {}  # rates: m -> run_trials(eps, m)
-        while m <= m_cap:
+        while m <= M_CAP:
             rates[m] = run_trials(eps, m)
             if rates[m][0] >= 1 - delta:
                 hi = m
                 break
             lo, m = m, 2 * m
         if hi is None:
-            raise LearnError(f"no m <= {m_cap} reached the target at "
+            raise LearnError(f"no m <= {M_CAP} reached the target at "
                              f"eps={eps}")
         while hi - lo > max(1, hi // 8):
             mid = (lo + hi) // 2

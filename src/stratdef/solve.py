@@ -6,18 +6,21 @@ certified ``RatInterval`` enclosures or float arrays, and ``affine`` reads a
 term as coefficients over chosen unknowns plus a constant.  Four layers,
 from exact to heuristic, share them:
 
-* ``eval_qf`` -- quantifier-free evaluation.  Exact rational path (no
-  tolerance; exp handled by certified enclosure refinement), a float path
-  with boundary tolerance ``FLOAT_TOL``, and a strict array path for labels.
+* ``eval_qf`` -- quantifier-free evaluation on the path the caller names:
+  exact rational (no tolerance; exp handled by certified enclosure
+  refinement), float with boundary tolerance ``FLOAT_TOL``, or a strict
+  array path for labels.
 * ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
   (``linear_system_from_formula`` compiles them with ``affine``), the linear
   fragment of one-block quantifier elimination.
 * ``lp_solve`` -- exact rational simplex with Bland's rule.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
   definitional equalities are solved with float ``affine``, linear branches
-  go to ``lp_solve`` through rational ``affine``, the rest to Nelder-Mead on
-  the float fold.  Sound when it reports a witness (the witness re-verifies
-  under eval_qf), inconclusive when it reports not_found.
+  go to ``lp_solve`` through rational ``affine``, the rest to a fixed search
+  (``SEARCH_GRID`` points per axis of ``SEARCH_BOX``, ``SEARCH_RESTARTS``
+  seeded random starts, ``REFINE_STEPS`` Nelder-Mead iterations) on the
+  float fold.  Sound when it reports a witness (the witness re-verifies under
+  eval_qf), inconclusive when it reports not_found.
 
 The exact linear layers share one row layer: ``_compare`` is the only
 relation table, ``LinConstraint.make`` the only normalization of >= and >,
@@ -44,6 +47,12 @@ from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
 
 FLOAT_TOL = 1e-9
 MAX_BITS = DEFAULT_MAX_BITS
+# witness search: the box every free witness is searched in, grid points per
+# axis, seeded random starts and Nelder-Mead iterations per refined start
+SEARCH_BOX = (-8, 8)
+SEARCH_GRID = 5
+SEARCH_RESTARTS = 20
+REFINE_STEPS = 200
 
 
 def _safe_exp(v: float) -> float:
@@ -201,20 +210,19 @@ def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
     return _compare(certified_sign(enclosure, max_bits), at.rel)
 
 
-def _float_atom(at: fm.AtomKind, sigma: Assignment, tol: float) -> bool:
+def _float_atom(at: fm.AtomKind, sigma: Assignment) -> bool:
     if isinstance(at, fm.ExpGraph):
         lhs = float(sigma.lookup(at.lhs))
         rhs = _safe_exp(float(sigma.lookup(at.rhs)))
         if not math.isfinite(rhs):
             return False
-        return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
-    d = eval_term(at.lhs, sigma, float, _safe_exp) - \
-        eval_term(at.rhs, sigma, float, _safe_exp)
+        return abs(lhs - rhs) <= FLOAT_TOL * max(1.0, abs(rhs))
+    d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
     if at.rel == "=":
-        return abs(d) <= tol
+        return abs(d) <= FLOAT_TOL
     if at.rel in ("<", "<="):
-        return d <= tol
-    return d >= -tol
+        return d <= FLOAT_TOL
+    return d >= -FLOAT_TOL
 
 
 def _floats(v) -> np.ndarray:
@@ -252,28 +260,27 @@ def _fold(g: fm.Formula, atom: Callable, array: bool):
     return all(parts) if conj else any(parts)
 
 
-def eval_qf(f: fm.Formula, sigma: Assignment, mode: str = "auto",
-            tol: float = FLOAT_TOL, max_bits: int = MAX_BITS):
+def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
+            max_bits: int = MAX_BITS):
     """Evaluate a quantifier-free formula.
 
     mode 'exact' uses rational arithmetic with certified enclosure refinement
     for exp (no tolerance; raises UndecidedComparison when the enclosure
     cannot decide a comparison at max_bits).  mode 'float' uses floats with
-    boundary tolerance tol.  'auto' picks the exact path iff all assignment
-    values are exact rationals.  mode 'array' reads the values as float
+    boundary tolerance FLOAT_TOL.  mode 'array' reads the values as float
     numpy arrays and returns a bool array of their broadcast shape: atoms
     compare strictly, Not/And/Or are ~/&/|.
     """
     if fm.classify_fragment(f) != fm.QUANTIFIER_FREE:
         raise SolveError("eval_qf requires a quantifier-free formula")
-    if mode == "auto":
-        mode = "exact" if sigma.is_exact() else "float"
     if mode == "array":
         sides: dict = {}
         return _fold(f, lambda at: _array_atom(at, sigma, sides), True)
     if mode == "exact":
         return _fold(f, lambda at: _exact_atom(at, sigma, max_bits), False)
-    return _fold(f, lambda at: _float_atom(at, sigma, tol), False)
+    if mode == "float":
+        return _fold(f, lambda at: _float_atom(at, sigma), False)
+    raise SolveError(f"unknown eval_qf mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +595,6 @@ def lp_solve(lp: LPInstance) -> LPResult:
 
 
 @dataclass
-class SearchConfig:
-    box: tuple = ((-8, 8),)          # per-witness (lo, hi); cycled if short
-    grid: int = 5                    # grid points per axis
-    restarts: int = 20
-    refine_steps: int = 200
-    seed: int = 0
-    tol: float = FLOAT_TOL
-
-
-@dataclass
 class WitnessResult:
     found: bool
     witness: Optional[tuple] = None
@@ -637,8 +634,7 @@ def _violation(f: fm.Formula, sigma: Assignment) -> float:
             if not math.isfinite(v):
                 return math.inf
             return abs(u - v)
-        d = eval_term(at.lhs, sigma, float, _safe_exp) - \
-            eval_term(at.rhs, sigma, float, _safe_exp)
+        d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
         if at.rel == "=":
             return abs(d)
         if at.rel in ("<", "<="):
@@ -788,8 +784,7 @@ def _witness_vector(size: int, forced: dict, free: Sequence,
     return tuple(wv)
 
 
-def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
-                  cfg: "SearchConfig"):
+def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int):
     """Decide one disjunct selection exactly when possible.
 
     Returns ("sat", w_vector), ("unsat", None) or ("unknown", None);
@@ -802,9 +797,9 @@ def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
     rem_idx = sorted(unknown - set(forced))
     if not rem_idx:
         wv = _witness_vector(size, forced, rem_idx)
-        if eval_qf(body, sigma.with_w(wv), mode="float", tol=cfg.tol):
+        if eval_qf(body, sigma.with_w(wv), mode="float"):
             return "sat", wv
-        if not eval_qf(branch, sigma.with_w(wv), mode="float", tol=cfg.tol):
+        if not eval_qf(branch, sigma.with_w(wv), mode="float"):
             return "unsat", None
         return "unknown", None
 
@@ -832,13 +827,13 @@ def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int,
     if point is None:
         return "unsat", None
     wv = _witness_vector(size, forced, rem_idx, point)
-    if eval_qf(body, sigma.with_w(wv), mode="float", tol=cfg.tol):
+    if eval_qf(body, sigma.with_w(wv), mode="float"):
         return "sat", wv
     return "unknown", None
 
 
-def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
-                   cfg: SearchConfig = None) -> WitnessResult:
+def witness_search(f: fm.Formula, x_vals: Sequence,
+                   a_vals: Sequence) -> WitnessResult:
     """Search for witnesses of an existential formula at (x, a).
 
     Layered: definitional equalities are propagated first (this fully decides
@@ -847,7 +842,6 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
     margin.  A returned witness always re-verifies under eval_qf (soundness);
     not_found is inconclusive.
     """
-    cfg = cfg or SearchConfig()
     frag = fm.classify_fragment(f)
     if frag == fm.GENERAL:
         raise SolveError("witness_search requires an existential formula")
@@ -856,7 +850,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
     sigma0 = Assignment(tuple(float(v) for v in x_vals),
                         tuple(float(v) for v in a_vals), ())
     if not indices:
-        ok = eval_qf(body, sigma0, mode="float", tol=cfg.tol)
+        ok = eval_qf(body, sigma0, mode="float")
         return WitnessResult(ok, () if ok else None, 0.0 if ok else None)
 
     size = max(indices) + 1
@@ -868,7 +862,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
     if branch_lits is not None:
         all_decided = True
         for lits in branch_lits:
-            status, wv = _solve_branch(lits, body, sigma0, unknown, size, cfg)
+            status, wv = _solve_branch(lits, body, sigma0, unknown, size)
             if status == "sat":
                 return WitnessResult(True, wv, _violation(body,
                                                           sigma0.with_w(wv)))
@@ -886,7 +880,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
 
     def finish(vec):
         wv = _witness_vector(size, forced, free, vec)
-        if eval_qf(body, sigma0.with_w(wv), mode="float", tol=cfg.tol):
+        if eval_qf(body, sigma0.with_w(wv), mode="float"):
             return WitnessResult(True, wv, margin(vec))
         return None
 
@@ -894,29 +888,25 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
         res = finish(())
         return res if res else WitnessResult(False)
 
-    boxes = [cfg.box[i % len(cfg.box)] for i in range(len(free))]
-    for lo, hi in boxes:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SolveError("unbounded search box requested without a cap")
-
+    lo, hi = SEARCH_BOX
     candidates = []
     # seed with the input coordinates cycled across the free slots: for
     # strategic transforms the witness block is a nearby point, and staying
     # put is often already feasible
     pool = [float(v) for v in (*x_vals, *a_vals)] or [0.0]
     candidates.append(tuple(pool[i % len(pool)] for i in range(len(free))))
-    axes = [np.linspace(float(lo), float(hi), cfg.grid) for lo, hi in boxes]
-    if cfg.grid ** len(free) <= 4096:
-        candidates.extend(itertools.product(*axes))
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts):
-        candidates.append(tuple(rng.uniform(lo, hi) for lo, hi in boxes))
+    if SEARCH_GRID ** len(free) <= 4096:
+        axis = np.linspace(float(lo), float(hi), SEARCH_GRID)
+        candidates.extend(itertools.product(axis, repeat=len(free)))
+    rng = np.random.default_rng(0)
+    for _ in range(SEARCH_RESTARTS):
+        candidates.append(tuple(rng.uniform(lo, hi) for _ in free))
 
     scored = []
     for cand in candidates:
         mval = margin(cand)
         scored.append((mval, cand))
-        if mval <= cfg.tol:
+        if mval <= FLOAT_TOL:
             res = finish(cand)
             if res:
                 return res
@@ -927,10 +917,10 @@ def witness_search(f: fm.Formula, x_vals: Sequence, a_vals: Sequence,
     for mval, cand in scored[:4]:
         res = minimize(margin, np.asarray(cand, dtype=float),
                        method="Nelder-Mead",
-                       options={"maxiter": cfg.refine_steps, "xatol": 1e-12,
+                       options={"maxiter": REFINE_STEPS, "xatol": 1e-12,
                                 "fatol": 1e-15})
         best_m = min(best_m, float(res.fun))
-        if res.fun <= cfg.tol:
+        if res.fun <= FLOAT_TOL:
             out = finish(tuple(res.x))
             if out:
                 return out

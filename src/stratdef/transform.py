@@ -35,26 +35,22 @@ class StrategicClassSpec:
     neighborhood: fm.Formula
     transformed: fm.Formula
     input_dim: int
-    hypothesis_profile: Optional[fm.ComplexityProfile]
-    neighborhood_profile: Optional[fm.ComplexityProfile]
-    transformed_profile: Optional[fm.ComplexityProfile]
-    fragment: str = fm.EXISTENTIAL
+    hypothesis_profile: fm.ComplexityProfile
+    neighborhood_profile: fm.ComplexityProfile
+    transformed_profile: fm.ComplexityProfile
 
 
 def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
-                        input_dim: Optional[int] = None,
-                        allow_general: bool = False) -> StrategicClassSpec:
+                        input_dim: Optional[int] = None) -> StrategicClassSpec:
     """Build the formula for the strategic version of a definable family.
 
     input_dim is the dimension l of a single input point; when omitted it is
     inferred from the neighborhood formula (whose x block has 2l variables).
-    Both inputs must be quantifier-free or existential; formulas with
-    universal quantifiers are rejected unless allow_general is set, in which
-    case the output carries no quantitative complexity guarantees.
+    Both inputs must be quantifier-free or existential, so the output is
+    existential; formulas with universal quantifiers are rejected.
     """
     for name, f in (("hypothesis", phi_h), ("neighborhood", phi_n)):
-        frag = fm.classify_fragment(f)
-        if frag == fm.GENERAL and not allow_general:
+        if fm.classify_fragment(f) == fm.GENERAL:
             raise TransformError(
                 f"{name} formula is outside the existential fragment")
 
@@ -80,16 +76,12 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
     fresh = itertools.count(y_base + l)
 
     def relabel(body: fm.Formula, indices: tuple, first: int, y_from: int):
-        """Witness indices[j] -> w(first + j); every other witness index of
-        the body (bound inside it or free) -> a fresh index past the y
-        block, so no quantifier in the body captures y; x_i with
+        """Witness indices[j] -> w(first + j); every other (free) witness
+        index of the body -> a fresh index past the y block; x_i with
         i >= y_from -> the target coordinate y_(i - y_from)."""
         ren = {old: first + new for new, old in enumerate(indices)}
         inner = {v.index for at in fm.formula_atoms(body)
                  for v in fm.atom_vars(at) if v.block == "w"}
-        inner.update(i for g in fm.subformulas(body)
-                     if isinstance(g, (fm.Exists, fm.ForAll))
-                     for i in g.indices)
         for i in sorted(inner - set(ren)):
             ren[i] = next(fresh)
 
@@ -108,19 +100,13 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
 
     k = fm.max_index(phi_h, "a") + 1
 
-    def profile(f: fm.Formula, **kw) -> Optional[fm.ComplexityProfile]:
-        # format/degree accounting is only defined on the existential
-        # fragment; formulas admitted via allow_general get no profile
-        if fm.classify_fragment(f) == fm.GENERAL:
-            return None
+    def profile(f: fm.Formula, **kw) -> fm.ComplexityProfile:
         return fm.complexity(fm.to_graph_form(f).formula, **kw)
 
     prof_h = profile(phi_h, input_dim=l, param_dim=k)
     prof_n = profile(phi_n, input_dim=2 * l)
     prof_out = profile(out, input_dim=l, param_dim=k)
-    frag = fm.classify_fragment(out)
-    return StrategicClassSpec(phi_h, phi_n, out, l, prof_h, prof_n, prof_out,
-                              fragment=frag)
+    return StrategicClassSpec(phi_h, phi_n, out, l, prof_h, prof_n, prof_out)
 
 
 def complexity_report(spec: StrategicClassSpec) -> dict:
@@ -132,26 +118,18 @@ def complexity_report(spec: StrategicClassSpec) -> dict:
     ph, pn, po = (spec.hypothesis_profile, spec.neighborhood_profile,
                   spec.transformed_profile)
 
-    def block(p: Optional[fm.ComplexityProfile]) -> dict:
-        if p is None:
-            return {"note": "outside the existential fragment; no "
-                            "format/degree accounting"}
+    def block(p: fm.ComplexityProfile) -> dict:
         return {"format": p.format, "degree": p.degree,
                 "witnesses": p.witness_dim, "exp_atoms": p.exp_atoms}
 
     rep = {
         "input_dim": spec.input_dim,
-        "param_dim": ph.param_dim if ph is not None else None,
-        "fragment": spec.fragment,
+        "param_dim": ph.param_dim,
+        "fragment": fm.EXISTENTIAL,
         "hypothesis": block(ph),
         "neighborhood": block(pn),
         "transformed": block(po),
     }
-    if spec.fragment == fm.GENERAL or po is None:
-        rep["symbolic_bounds"] = {
-            "note": "formula is outside the existential fragment; no "
-                    "quantitative bounds are claimed"}
-        return rep
     rep["format_additivity"] = {
         "expected_witnesses_upper":
             pn.witness_dim + ph.witness_dim + spec.input_dim,

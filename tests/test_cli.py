@@ -97,6 +97,40 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+_ROW = {"coeffs": ["1"], "rel": "<=", "rhs": "1"}
+
+
+@pytest.mark.parametrize("command, content", [
+    ("transform", None),
+    ("shatter", None),
+    ("transform", b"(<= x0 \xff)"),
+    ("fm-elim", json.dumps([_ROW]).encode()),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        dict(_ROW, rhs="abc")]}).encode()),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        dict(_ROW, rel="<>")]}).encode()),
+], ids=["transform-directory", "shatter-directory", "formula-not-utf8",
+        "fm-elim-list", "fm-elim-bad-rhs", "fm-elim-bad-rel"])
+def test_hostile_input_files_are_usage_errors(tmp_path, capsys, command,
+                                              content):
+    # content None: the input path names a directory
+    src = tmp_path / "input"
+    if content is None:
+        src.mkdir()
+    else:
+        src.write_bytes(content)
+    out = tmp_path / "o.json"
+    argv = {"transform": ["transform", "--hypothesis", src,
+                          "--neighborhood", "identity:l=1", "--out", out],
+            "shatter": ["shatter", "--instance", src],
+            "fm-elim": ["fm-elim", "--in", src, "--drop", "x",
+                        "--out", out]}[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_construction_error_is_verification_failure(tmp_path, capsys):
     rc = run(["verify-blowup", "--construction", "fixed", "--n", 2,
               "--r", "1/2", "--rp", "1", "--out", tmp_path / "c.json"])

@@ -14,7 +14,6 @@ from stratdef import families as fam
 from stratdef import formula as fm
 from stratdef.families import (
     FamilyError,
-    FiniteSupportClass,
     batch_strategic_labels,
     decision_tree,
     emd_ball,
@@ -250,15 +249,6 @@ def test_sigmoid_network_shape_validation():
         sigmoid_network((3,))
 
 
-def test_finite_support_class():
-    c = FiniteSupportClass((( Fraction(1), Fraction(2)), (Fraction(3),)))
-    assert c.pairwise_disjoint()
-    fns = c.labelers()
-    assert fns[0](1) and not fns[0](3) and fns[1](3)
-    overlap = FiniteSupportClass(((Fraction(1),), (Fraction(1), Fraction(2))))
-    assert not overlap.pairwise_disjoint()
-
-
 # ---------------------------------------------------------------------------
 # Neighborhood systems: membership
 
@@ -398,7 +388,6 @@ def test_emd_ball_rejects_bad_metric():
 
 def test_floor_partition_not_definable():
     n = floor_partition()
-    assert not n.definable
     assert n.contains([1.5], [1.9])
     assert not n.contains([1.5], [2.0])
     with pytest.raises(FamilyError):

@@ -150,9 +150,7 @@ def test_graph_form_preserves_semantics(f, seed):
     if _exp_overflows(f, sigma):
         # a saturated exp has no finite witness value in the graph form
         return
-    got = solve.witness_search(
-        g.formula, sigma.x, sigma.a,
-        solve.SearchConfig(grid=2, restarts=2, seed=0))
+    got = solve.witness_search(g.formula, sigma.x, sigma.a)
     if got.found:
         assert want or _near_boundary(f, sigma)
     else:

@@ -17,7 +17,6 @@ from stratdef.solve import (
     Assignment,
     LinearSystem,
     LPInstance,
-    SearchConfig,
     eval_qf,
     fm_eliminate,
     linear_system_from_formula,
@@ -104,7 +103,7 @@ def test_eval_float_tolerance_at_boundary():
 def test_eval_rejects_quantified_formula():
     f = fm.parse("(exists (w0) (<= w0 x0))")
     with pytest.raises(solve.SolveError):
-        eval_qf(f, merge(x=[Fraction(0)]))
+        eval_qf(f, merge(x=[Fraction(0)]), mode="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +363,7 @@ def test_witness_search_soundness_property(seed):
     body = fm.conj(*conjuncts) if len(conjuncts) > 1 else conjuncts[0]
     f = fm.Exists((0,), body)
     x0 = rng.uniform(-2, 2)
-    res = witness_search(f, [x0], [], SearchConfig(restarts=5))
+    res = witness_search(f, [x0], [])
     if res.found:
         sig = Assignment((x0,), (), res.witness)
         assert eval_qf(body, sig, mode="float") is True

@@ -11,7 +11,7 @@ import pytest
 from stratdef import formula as fm
 from stratdef import transform as tr
 from stratdef.families import lp_ball, halfspace, make_family, make_neighborhood
-from stratdef.solve import SearchConfig, witness_search
+from stratdef.solve import witness_search
 
 
 def _spec(l=2, p=2, r="1/2"):
@@ -50,15 +50,6 @@ def test_transform_rejects_universal_quantifiers():
     n = fm.parse("(<= (- x1 x0) 1)")
     with pytest.raises(tr.TransformError):
         tr.strategic_transform(h, n, input_dim=1)
-    spec = tr.strategic_transform(h, n, input_dim=1, allow_general=True)
-    assert spec.fragment == fm.GENERAL
-    assert str(spec.transformed) == ("(exists (w0) (and (<= (+ w0 (* -1 x0)) 1) "
-                                     "(forall (w1) (<= w1 a0))))")
-    # a quantifier of the hypothesis must not capture the target point y
-    h = fm.parse("(forall (w0) (<= w0 x0))")
-    spec = tr.strategic_transform(h, n, input_dim=1, allow_general=True)
-    assert str(spec.transformed) == ("(exists (w0) (and (<= (+ w0 (* -1 x0)) 1) "
-                                     "(forall (w1) (<= w1 w0))))")
 
 
 def test_transform_witness_blocks_disjoint():
@@ -202,11 +193,3 @@ def test_complexity_report_fields():
     assert rep["transformed"]["format"] == spec.transformed_profile.format
     assert "vc_dimension" in rep["symbolic_bounds"]
     assert "unspecified" in rep["symbolic_bounds"]["vc_dimension"]
-
-
-def test_complexity_report_general_fragment_has_no_bounds():
-    h = fm.parse("(forall (w0) (<= w0 a0))")
-    n = fm.parse("(<= (- x1 x0) 1)")
-    spec = tr.strategic_transform(h, n, input_dim=1, allow_general=True)
-    rep = tr.complexity_report(spec)
-    assert set(rep["symbolic_bounds"]) == {"note"}
