@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import capacity, constructions, families, learn, solve, transform
 from . import formula as fm
-from .intervals import DEFAULT_MAX_BITS, UndecidedComparison
+from .intervals import UndecidedComparison
 
 
 class UsageError(Exception):
@@ -117,16 +117,17 @@ def _read(path) -> str:
 
 
 def _load_formula(spec: str) -> fm.Formula:
-    """A registry spec string ('halfspace:l=2'), or a path to a file holding
+    """A registry spec string ('halfspace:l=2') when the name before ':' is
+    a registered family or neighborhood, otherwise a path to a file holding
     one s-expression formula."""
+    name = spec.partition(":")[0]
+    for make, names in ((families.make_family, families._FAMILIES),
+                        (families.make_neighborhood, families._NEIGHBORHOODS)):
+        if name in names:
+            return make(spec).formula()
     path = Path(spec)
     if path.exists():
         return fm.parse(_read(path))
-    for make in (families.make_family, families.make_neighborhood):
-        try:
-            return make(spec).formula()
-        except families.FamilyError:
-            pass
     raise UsageError(f"{spec!r} is neither a readable file nor a known "
                      "family/neighborhood spec")
 
@@ -137,12 +138,10 @@ def cmd_transform(args) -> int:
     spec = transform.strategic_transform(phi_h, phi_n,
                                          input_dim=args.input_dim)
     report = transform.complexity_report(spec)
-    result = {"formula": str(spec.transformed),
-              "formula_json": fm.formula_to_json(spec.transformed),
-              "report": report}
+    result = {"formula": str(spec.transformed), "report": report}
     config = {"command": "transform", "hypothesis": args.hypothesis,
               "neighborhood": args.neighborhood, "input_dim": args.input_dim,
-              "seed": args.seed, "precision_bits": args.precision_bits}
+              "seed": args.seed}
     write_artifact(args.out, config, result)
     print(f"transform: F_out={report['transformed']['format']} "
           f"D_out={report['transformed']['degree']} -> {args.out}")
@@ -172,7 +171,7 @@ def cmd_fm_elim(args) -> int:
         "trivially_infeasible": out.is_trivially_infeasible(),
     }
     config = {"command": "fm-elim", "in": args.infile, "drop": drop,
-              "seed": args.seed, "precision_bits": args.precision_bits}
+              "seed": args.seed}
     write_artifact(args.out, config, result)
     print(f"fm-elim: {len(sys_in.constraints)} -> {len(out.constraints)} "
           f"constraints over {list(out.variables)} -> {args.out}")
@@ -223,10 +222,7 @@ def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
     if kind == "partition":
         return constructions.build_partition_pathology(n)
     if kind == "frac":
-        bits = _value(args.precision_bits, "precision-bits", _integer,
-                      what="an integer")
-        return constructions.build_frac_construction(
-            n, _value(args.r, "r"), max_bits=bits)
+        return constructions.build_frac_construction(n, _value(args.r, "r"))
     raise UsageError(f"unknown construction {kind!r}")
 
 
@@ -250,8 +246,7 @@ def cmd_verify_blowup(args) -> int:
     inst = _build_construction(args.construction, args)
     config = {"command": "verify-blowup", "construction": args.construction,
               "n": args.n, "r": args.r, "rp": args.rp, "s": args.s,
-              "t": args.t, "cert_cap": args.cert_cap, "seed": args.seed,
-              "precision_bits": args.precision_bits}
+              "t": args.t, "cert_cap": args.cert_cap, "seed": args.seed}
     write_artifact(args.out, config, _instance_result(inst))
     print(inst.summary())
     return 0 if inst.passed() else 1
@@ -269,8 +264,7 @@ def cmd_shatter(args) -> int:
     ns = argparse.Namespace(
         construction=kind, n=cfg.get("n"), r=cfg.get("r"),
         rp=cfg.get("rp"), s=cfg.get("s"), t=cfg.get("t"),
-        cert_cap=cfg.get("cert_cap", 10),
-        precision_bits=cfg.get("precision_bits", args.precision_bits))
+        cert_cap=cfg.get("cert_cap", 10))
     inst = _build_construction(kind, ns)
     fresh = _jsonable(_instance_result(inst))
     stored = doc.get("result")
@@ -305,7 +299,7 @@ def cmd_growth(args) -> int:
     config = {"command": "growth", "family": args.family,
               "neighborhood": args.neighborhood, "m": m_values,
               "trials": args.trials, "param_draws": args.param_draws,
-              "seed": args.seed, "precision_bits": args.precision_bits}
+              "seed": args.seed}
     rows = [(m, c) for m, c in zip(report.m_values, report.counts)]
     write_csv(args.csv, ["m", "distinct_traces"], rows, config)
     slope = "n/a" if report.slope is None else f"{report.slope:.3f}"
@@ -329,8 +323,7 @@ def cmd_learn(args) -> int:
     config = {"command": "learn", "family": args.family,
               "neighborhood": args.neighborhood, "eps": eps_grid,
               "delta": args.delta, "trials": args.trials,
-              "budget": args.budget, "seed": args.seed,
-              "precision_bits": args.precision_bits}
+              "budget": args.budget, "seed": args.seed}
     rows = [(r.eps, r.m_hat, r.product, r.success_rate, r.zero_error_rate)
             for r in report.rows]
     write_csv(args.csv,
@@ -350,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stratdef",
         description="Definability toolkit for strategic classification")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_MAX_BITS,
-                   help="cap for certified interval refinement")
     sub = p.add_subparsers(dest="command")
 
     t = sub.add_parser("transform", help="strategic transform of a "

@@ -730,36 +730,3 @@ def complexity(f: Formula, input_dim: Optional[int] = None,
         exp_atoms=r,
         free_vars=n,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-
-
-def term_to_json(t: Term):
-    if isinstance(t, Var):
-        return {"var": str(t)}
-    if isinstance(t, Const):
-        return {"const": str(Const(t.value))}
-    if isinstance(t, Sum):
-        return {"sum": [term_to_json(s) for s in t.terms]}
-    if isinstance(t, Product):
-        return {"product": [term_to_json(s) for s in t.factors]}
-    return {"exp": term_to_json(t.arg)}
-
-
-def formula_to_json(f: Formula):
-    if isinstance(f, Atom):
-        at = f.atom
-        if isinstance(at, Compare):
-            return {"atom": {"rel": at.rel, "lhs": term_to_json(at.lhs),
-                             "rhs": term_to_json(at.rhs)}}
-        return {"exp_graph": {"lhs": str(at.lhs), "rhs": str(at.rhs)}}
-    if isinstance(f, Not):
-        return {"not": formula_to_json(f.body)}
-    if isinstance(f, And):
-        return {"and": [formula_to_json(p) for p in f.parts]}
-    if isinstance(f, Or):
-        return {"or": [formula_to_json(p) for p in f.parts]}
-    key = "exists" if isinstance(f, Exists) else "forall"
-    return {key: {"witnesses": list(f.indices), "body": formula_to_json(f.body)}}

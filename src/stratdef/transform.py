@@ -16,7 +16,6 @@ on the graph forms of the input and output formulas.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +52,12 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
         if fm.classify_fragment(f) == fm.GENERAL:
             raise TransformError(
                 f"{name} formula is outside the existential fragment")
+        # the matrix is quantifier-free, so every witness must be bound by
+        # the exists prefix that relabel renames
+        try:
+            fm.validate(f)
+        except fm.FormulaError as exc:
+            raise TransformError(f"{name} formula: {exc}") from exc
 
     if input_dim is None:
         top = fm.max_index(phi_n, "x") + 1
@@ -73,17 +78,11 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
     n_idx, n_body = fm.split_exists(phi_n)
     h_idx, h_body = fm.split_exists(phi_h)
     y_base = len(n_idx) + len(h_idx)
-    fresh = itertools.count(y_base + l)
 
     def relabel(body: fm.Formula, indices: tuple, first: int, y_from: int):
-        """Witness indices[j] -> w(first + j); every other (free) witness
-        index of the body -> a fresh index past the y block; x_i with
-        i >= y_from -> the target coordinate y_(i - y_from)."""
+        """Witness indices[j] -> w(first + j); x_i with i >= y_from -> the
+        target coordinate y_(i - y_from)."""
         ren = {old: first + new for new, old in enumerate(indices)}
-        inner = {v.index for at in fm.formula_atoms(body)
-                 for v in fm.atom_vars(at) if v.block == "w"}
-        for i in sorted(inner - set(ren)):
-            ren[i] = next(fresh)
 
         def fn(v: fm.Var) -> fm.Var:
             if v.block == "w":

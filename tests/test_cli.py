@@ -9,7 +9,8 @@ import stat
 
 import pytest
 
-from stratdef import __version__
+from stratdef import __version__, families, transform
+from stratdef import formula as fm
 from stratdef.cli import main
 
 
@@ -89,6 +90,28 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("hypothesis, neighborhood, message", [
+    ("threshold", "floor", "has no formula"),
+    ("threshold", "interval:r=1/2", None),
+    ("halfspace:l=2,q=1", "identity:l=2", "unknown key(s) q"),
+], ids=["formula-less-neighborhood", "spec-beside-directory", "unknown-key"])
+def test_registry_specs_resolve_before_files(tmp_path, monkeypatch, capsys,
+                                             hypothesis, neighborhood,
+                                             message):
+    # a directory named like a registry spec does not shadow the spec, and
+    # a spec's own error is the one reported
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "threshold").mkdir()
+    rc = run(["transform", "--hypothesis", hypothesis,
+              "--neighborhood", neighborhood, "--out", "t.json"])
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == 0, err
+    else:
+        assert rc == 2
+        assert message in err, err
+
+
 def test_malformed_json_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -136,11 +159,6 @@ def test_construction_error_is_verification_failure(tmp_path, capsys):
               "--r", "1/2", "--rp", "1", "--out", tmp_path / "c.json"])
     assert rc == 1
     assert "verification failure:" in capsys.readouterr().err
-    # a comparison left open at the --precision-bits cap fails verification
-    rc = run(["--precision-bits", 16, "verify-blowup", "--construction",
-              "frac", "--n", 3, "--r", "1/4", "--out", tmp_path / "f.json"])
-    assert rc == 1
-    assert "undecided" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +196,9 @@ def test_transform_reads_formula_files(tmp_path):
               "--neighborhood", "identity:l=2", "--out", out])
     assert rc == 0
     doc = _read_artifact(out)
-    assert "exists" in doc["result"]["formula"]
+    spec = transform.strategic_transform(fm.parse(h.read_text()),
+                                         families.identity(2).formula())
+    assert fm.parse(doc["result"]["formula"]) == spec.transformed
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stratdef import constructions as C
 from stratdef.constructions import (
@@ -244,6 +246,20 @@ def test_frac_construction_multipliers_verify_independently():
                 assert in_open_interval(fn, p_lo, p_hi), (key, i)
             else:
                 assert in_open_interval(fn, Fraction(0), p_lo), (key, i)
+
+
+_unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6), _unit_fractions, _unit_fractions)
+def test_frac_window_test_matches_enclosures(m, a, b):
+    # the exact integer test against refined enclosures of frac(m*sqrt(2))
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    fn = lambda bits: frac_enclosure(
+        lambda bb: sqrt2_enclosure(bb).scale(m), bits)
+    assert C._frac_sqrt2_between(m, lo, hi) == in_open_interval(fn, lo, hi)
 
 
 def test_frac_construction_rejects_bad_radius():

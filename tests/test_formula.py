@@ -247,9 +247,3 @@ def test_rename_witnesses_keeps_semantics():
     assert str(g) == ("(exists (w5 w6) (and (= w6 (exp w5)) "
                       "(forall (w7) (<= w7 w6))))")
     assert isinstance(g.body.parts[0].atom, fm.ExpGraph)
-
-
-def test_json_export_roundtrip_values():
-    f = fm.parse("(<= (* 2/3 x0) 1)")
-    doc = fm.formula_to_json(f)
-    assert "2/3" in str(doc)

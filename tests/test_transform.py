@@ -52,6 +52,16 @@ def test_transform_rejects_universal_quantifiers():
         tr.strategic_transform(h, n, input_dim=1)
 
 
+def test_transform_rejects_unbound_witnesses():
+    # x0 + w3 >= 0 with w3 bound by no exists prefix (the parser refuses
+    # it, the constructors do not): a free witness would reach the output,
+    # where witness_search cannot evaluate it
+    h = fm.atom(fm.add(fm.x(0), fm.w(3)), ">=", fm.const(0))
+    n = fm.parse("(<= (- x1 x0) 1)")
+    with pytest.raises(tr.TransformError, match="w3"):
+        tr.strategic_transform(h, n, input_dim=1)
+
+
 def test_transform_witness_blocks_disjoint():
     # hypothesis and neighborhood witness blocks must not collide after
     # renaming; every witness index below the quantifier must be distinct
