@@ -91,16 +91,8 @@ def write_csv(path: str, header: list, rows: list, config: dict) -> None:
     lines = ["# version=" + __version__,
              "# config=" + json.dumps(_jsonable(config), sort_keys=True),
              ",".join(header)]
-    lines += [",".join(_format_cell(v) for v in row) for row in rows]
+    lines += [",".join(str(_jsonable(v)) for v in row) for row in rows]
     _write_with_sidecar(path, "\n".join(lines) + "\n")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,15 @@ class HypothesisFamily:
                            else (n, self.param_dim))
 
 
+def _dimension(l: int) -> None:
+    """Reject a point dimension l < 1: R^l needs a coordinate."""
+    if l < 1:
+        raise FamilyError(f"dimension l must be >= 1, got {l}")
+
+
 def halfspace(l: int) -> HypothesisFamily:
     """a0*x0 + ... + a{l-1}*x{l-1} >= a{l}; param_dim = l + 1."""
-    if l < 1:
-        raise FamilyError("halfspace needs dimension >= 1")
+    _dimension(l)
 
     def emit():
         return fm.atom(fm.add(*[fm.mul(fm.a(i), fm.x(i)) for i in range(l)]),
@@ -345,6 +350,8 @@ def _with_box_sampler(neigh: NeighborhoodSystem,
 
 
 def identity(l: int) -> NeighborhoodSystem:
+    _dimension(l)
+
     def emit():
         return fm.conj(*[fm.atom(fm.x(l + i), "=", fm.x(i))
                          for i in range(l)])
@@ -364,11 +371,14 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
     |x_i - y_i|^p through exp/log witnesses and a general rational radius
     would need the irrational constant r^p.
     """
+    _dimension(l)
     inf = p in ("inf", math.inf)
     if not inf:
         p = Fraction(p)
-        if p <= 0:
-            raise FamilyError("p must be positive")
+        # membership on floats raises |x - y| to float(p)
+        if not 0 < p <= sys.float_info.max or float(p) == 0:
+            raise FamilyError("p must be positive with a nonzero, finite "
+                              "float value")
     radius = _radius(radius)
     if not (inf or p in (1, 2)) and radius != 1:
         raise FamilyError("general-exponent balls support radius 1 only")
@@ -484,14 +494,12 @@ def gaussian_kl_location(radius) -> NeighborhoodSystem:
                               sample=sample, kind="gauss_kl", radius=radius)
 
 
-def _check_simplex(x, strict: bool = False):
+def _check_simplex(x):
     num = _field(x)
     vals = [num(v) for v in x]
     sum_tol, neg_tol = (0, 0) if num is Fraction else (1e-7, 1e-12)
     if abs(sum(vals) - 1) > sum_tol or any(v < -neg_tol for v in vals):
         raise FamilyError(f"point {x} is not on the probability simplex")
-    if strict and any(v <= 0 for v in vals):
-        raise FamilyError("point must have full support")
     return vals
 
 
@@ -502,6 +510,7 @@ def kl_ball(l: int, radius) -> NeighborhoodSystem:
     the formula realizes log(x_i / y_i) through one exp witness per
     coordinate.
     """
+    _dimension(l)
     radius = _radius(radius)
 
     def contains(x, y):

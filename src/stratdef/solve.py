@@ -8,8 +8,11 @@ from exact to heuristic, share them:
 
 * ``eval_qf`` -- quantifier-free evaluation on the path the caller names:
   exact rational (no tolerance; exp handled by certified enclosure
-  refinement), float with boundary tolerance ``FLOAT_TOL``, or a strict
-  array path for labels.
+  refinement, and an exp-graph atom u = exp(v) read as the comparison
+  (= u (exp v)) it abbreviates), float, or a strict array path for labels.
+  The float verdict is the witness-search margin: a formula holds when its
+  ``_violation`` is at most ``FLOAT_TOL``, one absolute tolerance for every
+  atom.
 * ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
   (``linear_system_from_formula`` compiles them with ``affine``), the linear
   fragment of one-block quantifier elimination.
@@ -19,8 +22,9 @@ from exact to heuristic, share them:
   go to ``lp_solve`` through rational ``affine``, the rest to a fixed search
   (``SEARCH_GRID`` points per axis of ``SEARCH_BOX``, ``SEARCH_RESTARTS``
   seeded random starts, ``REFINE_STEPS`` Nelder-Mead iterations) on the
-  float fold.  Sound when it reports a witness (the witness re-verifies under
-  eval_qf), inconclusive when it reports not_found.
+  float fold.  Sound when it reports a witness (its margin is within
+  ``FLOAT_TOL``, so it re-verifies under the float eval_qf), inconclusive
+  when it reports not_found.
 
 The exact linear layers share one row layer: ``_compare`` is the only
 relation table, ``LinConstraint.make`` the only normalization of >= and >,
@@ -43,7 +47,10 @@ import numpy as np
 
 from . import formula as fm
 from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
-                        exp_enclosure, exp_interval)
+                        exp_interval)
+# unused here: perfbench/spans.py patches this name on this module, and a
+# traced benchmark round fails when it is missing
+from .intervals import exp_enclosure
 
 FLOAT_TOL = 1e-9
 MAX_BITS = DEFAULT_MAX_BITS
@@ -187,21 +194,23 @@ def _compare(d, rel: str, rhs=0) -> bool:
     return _RELATIONS[rel](d, rhs)
 
 
-def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
+def _as_compare(at: fm.AtomKind) -> fm.Compare:
+    """The atom as a comparison of terms: an exp-graph atom u = exp(v) is
+    the comparison (= u (exp v)) it abbreviates."""
     if isinstance(at, fm.ExpGraph):
-        lhs = Fraction(sigma.lookup(at.lhs))
-        arg = Fraction(sigma.lookup(at.rhs))
-        if arg == 0:
-            return lhs == 1
-        # exp(arg) is irrational for rational arg != 0: equality with a
-        # rational lhs can only be refuted, by enclosure separation.
-        return certified_sign(lambda bits: exp_enclosure(arg, bits) -
-                              RatInterval.point(lhs), max_bits) == 0
+        return fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
+    return at
+
+
+def _exact_atom(at: fm.Compare, sigma: Assignment, max_bits: int) -> bool:
     if not (fm.term_has_exp(at.lhs) or fm.term_has_exp(at.rhs)):
         diff = eval_term(at.lhs, sigma, Fraction, None) - \
             eval_term(at.rhs, sigma, Fraction, None)
         return _compare(diff, at.rel)
 
+    # exp(v) is irrational for rational v != 0, so an equality with exp can
+    # only be refuted, by enclosure separation; at v = 0 the enclosure is
+    # the point 1
     def enclosure(bits: int) -> RatInterval:
         exp = functools.partial(exp_interval, bits=bits)
         return eval_term(at.lhs, sigma, RatInterval.point, exp) - \
@@ -210,19 +219,35 @@ def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
     return _compare(certified_sign(enclosure, max_bits), at.rel)
 
 
-def _float_atom(at: fm.AtomKind, sigma: Assignment) -> bool:
-    if isinstance(at, fm.ExpGraph):
-        lhs = float(sigma.lookup(at.lhs))
-        rhs = _safe_exp(float(sigma.lookup(at.rhs)))
-        if not math.isfinite(rhs):
-            return False
-        return abs(lhs - rhs) <= FLOAT_TOL * max(1.0, abs(rhs))
-    d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
-    if at.rel == "=":
-        return abs(d) <= FLOAT_TOL
-    if at.rel in ("<", "<="):
-        return d <= FLOAT_TOL
-    return d >= -FLOAT_TOL
+def _violation(f: fm.Formula, sigma: Assignment) -> float:
+    """The float reading of a quantifier-free formula: a margin that is 0
+    when f holds exactly, f holding when it is at most FLOAT_TOL.  An atom
+    reads the difference d of its sides (u - exp(v) for u = exp(v)): |d|
+    for =, max(0, d) for < and <=, max(0, -d) for > and >=, inf for a nan d
+    (inf - inf).  And takes the largest margin, Or the smallest, and Not
+    holds when its body's margin exceeds FLOAT_TOL (after NNF it wraps only
+    exp-graph atoms)."""
+    if isinstance(f, fm.Atom):
+        at = f.atom
+        if isinstance(at, fm.ExpGraph):
+            d = float(sigma.lookup(at.lhs)) - \
+                _safe_exp(float(sigma.lookup(at.rhs)))
+            rel = "="
+        else:
+            d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
+            rel = at.rel
+        if d != d:
+            return math.inf
+        if rel == "=":
+            return abs(d)
+        return max(0.0, d if rel in ("<", "<=") else -d)
+    if isinstance(f, fm.Not):
+        return 0.0 if _violation(f.body, sigma) > FLOAT_TOL else 1.0
+    if isinstance(f, fm.And):
+        return max((_violation(p, sigma) for p in f.parts), default=0.0)
+    if isinstance(f, fm.Or):
+        return min((_violation(p, sigma) for p in f.parts), default=1.0)
+    raise SolveError("quantifier inside a quantifier-free reading")
 
 
 def _floats(v) -> np.ndarray:
@@ -265,11 +290,13 @@ def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
     """Evaluate a quantifier-free formula.
 
     mode 'exact' uses rational arithmetic with certified enclosure refinement
-    for exp (no tolerance; raises UndecidedComparison when the enclosure
-    cannot decide a comparison at max_bits).  mode 'float' uses floats with
-    boundary tolerance FLOAT_TOL.  mode 'array' reads the values as float
-    numpy arrays and returns a bool array of their broadcast shape: atoms
-    compare strictly, Not/And/Or are ~/&/|.
+    for exp, an exp-graph atom u = exp(v) read as the comparison
+    (= u (exp v)) (no tolerance; raises UndecidedComparison when the
+    enclosure cannot decide a comparison at max_bits).  mode 'float' is the
+    margin witness search gates on: f holds when _violation(f, sigma) <=
+    FLOAT_TOL, one absolute tolerance for every atom.  mode 'array' reads
+    the values as float numpy arrays and returns a bool array of their
+    broadcast shape: atoms compare strictly, Not/And/Or are ~/&/|.
     """
     if fm.classify_fragment(f) != fm.QUANTIFIER_FREE:
         raise SolveError("eval_qf requires a quantifier-free formula")
@@ -277,9 +304,10 @@ def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
         sides: dict = {}
         return _fold(f, lambda at: _array_atom(at, sigma, sides), True)
     if mode == "exact":
-        return _fold(f, lambda at: _exact_atom(at, sigma, max_bits), False)
+        return _fold(f, lambda at: _exact_atom(_as_compare(at), sigma,
+                                               max_bits), False)
     if mode == "float":
-        return _fold(f, lambda at: _float_atom(at, sigma), False)
+        return _violation(f, sigma) <= FLOAT_TOL
     raise SolveError(f"unknown eval_qf mode {mode!r}")
 
 
@@ -624,32 +652,6 @@ def _nnf(f: fm.Formula, positive: bool = True) -> fm.Formula:
     raise SolveError("quantifier inside witness-search body")
 
 
-def _violation(f: fm.Formula, sigma: Assignment) -> float:
-    """0 when satisfied; positive distance-to-satisfaction proxy otherwise."""
-    if isinstance(f, fm.Atom):
-        at = f.atom
-        if isinstance(at, fm.ExpGraph):
-            u = float(sigma.lookup(at.lhs))
-            v = _safe_exp(float(sigma.lookup(at.rhs)))
-            if not math.isfinite(v):
-                return math.inf
-            return abs(u - v)
-        d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
-        if at.rel == "=":
-            return abs(d)
-        if at.rel in ("<", "<="):
-            return max(0.0, d)
-        return max(0.0, -d)
-    if isinstance(f, fm.Not):
-        # only negated exp-graph equalities survive NNF
-        return 0.0 if _violation(f.body, sigma) > 0 else 1.0
-    if isinstance(f, fm.And):
-        return max((_violation(p, sigma) for p in f.parts), default=0.0)
-    if isinstance(f, fm.Or):
-        return min((_violation(p, sigma) for p in f.parts), default=1.0)
-    raise SolveError("quantifier inside witness-search body")
-
-
 def _conjunctive_atoms(f: fm.Formula):
     """Atoms that hold in every model of f (top-level conjunction spine)."""
     if isinstance(f, fm.Atom):
@@ -670,13 +672,10 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
             return True
         return v.index in values or v.index not in unknown
 
-    def val_assign() -> Assignment:
-        wvec = list(sigma.w)
-        size = max([len(wvec)] + [i + 1 for i in values])
-        wvec = wvec + [0.0] * (size - len(wvec))
-        for i, v in values.items():
-            wvec[i] = v
-        return Assignment(sigma.x, sigma.a, tuple(wvec))
+    def value(v: fm.Var) -> float:
+        if v.block == "w" and v.index in values:
+            return values[v.index]
+        return float(sigma.lookup(v))
 
     changed = True
     while changed:
@@ -685,13 +684,12 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
             if isinstance(at, fm.ExpGraph):
                 if at.lhs.block == "w" and at.lhs.index in unknown \
                         and at.lhs.index not in values and known(at.rhs):
-                    values[at.lhs.index] = _safe_exp(
-                        float(val_assign().lookup(at.rhs)))
+                    values[at.lhs.index] = _safe_exp(value(at.rhs))
                     changed = True
                 elif at.rhs.block == "w" and at.rhs.index in unknown \
                         and at.rhs.index not in values and known(at.lhs):
                     # invert the graph atom: rhs = log(lhs) when lhs > 0
-                    u = float(val_assign().lookup(at.lhs))
+                    u = value(at.lhs)
                     if u > 0:
                         values[at.rhs.index] = math.log(u)
                         changed = True
@@ -707,7 +705,7 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
             wi = pending.pop()
             # solve equalities that are affine in the one remaining unknown
             part = affine(fm.sub(at.lhs, at.rhs), {fm.Var("w", wi): 0},
-                          val_assign().lookup, float, _safe_exp)
+                          value, float, _safe_exp)
             if part is not None and part[0][0] != 0.0:
                 values[wi] = -part[1] / part[0][0]
                 changed = True
@@ -784,41 +782,44 @@ def _witness_vector(size: int, forced: dict, free: Sequence,
     return tuple(wv)
 
 
+def _accept(body: fm.Formula, sigma: Assignment,
+            wv: tuple) -> Optional[WitnessResult]:
+    """The witness wv of body when its margin is within FLOAT_TOL, with the
+    margin from the same walk; None otherwise."""
+    m = _violation(body, sigma.with_w(wv))
+    return WitnessResult(True, wv, m) if m <= FLOAT_TOL else None
+
+
 def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int):
     """Decide one disjunct selection exactly when possible.
 
-    Returns ("sat", w_vector), ("unsat", None) or ("unknown", None);
+    Returns ("sat", WitnessResult), ("unsat", None) or ("unknown", None);
     sat results are re-verified against the full body.
     """
-    branch = fm.And(tuple(lits))
-    forced = _propagate_definitions(branch, sigma, set(unknown))
+    forced = _propagate_definitions(fm.And(tuple(lits)), sigma, set(unknown))
     if any(not math.isfinite(v) for v in forced.values()):
         return "unknown", None
     rem_idx = sorted(unknown - set(forced))
     if not rem_idx:
-        wv = _witness_vector(size, forced, rem_idx)
-        if eval_qf(body, sigma.with_w(wv), mode="float"):
-            return "sat", wv
-        if not eval_qf(branch, sigma.with_w(wv), mode="float"):
-            return "unsat", None
-        return "unknown", None
+        # the NNF body is monotone in its literals: when it fails at the
+        # only candidate, the branch fails there too
+        res = _accept(body, sigma, _witness_vector(size, forced, rem_idx))
+        return ("sat", res) if res else ("unsat", None)
 
     rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
     base = sigma.with_w(_witness_vector(size, forced, rem_idx))
 
     rows = []
     for lit in lits:
-        negated = isinstance(lit, fm.Not)
-        at = getattr(lit.body if negated else lit, "atom", None)
+        # after NNF a Not wraps only an exp-graph atom
+        at = (lit.body if isinstance(lit, fm.Not) else lit).atom
         if isinstance(at, fm.ExpGraph):
             # an exp atom (negated or not) with an unresolved witness is
             # beyond the linear fragment; resolved ones are checked by the
-            # final eval of the full body once all witnesses are fixed
+            # final reading of the full body once all witnesses are fixed
             if at.lhs in rem or at.rhs in rem:
                 return "unknown", None
             continue
-        if negated:
-            return "unknown", None
         row = _atom_row(at, rem, base.lookup)
         if row is None:
             return "unknown", None
@@ -826,10 +827,8 @@ def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int):
     point = _strict_feasible_point(rows, len(rem_idx))
     if point is None:
         return "unsat", None
-    wv = _witness_vector(size, forced, rem_idx, point)
-    if eval_qf(body, sigma.with_w(wv), mode="float"):
-        return "sat", wv
-    return "unknown", None
+    res = _accept(body, sigma, _witness_vector(size, forced, rem_idx, point))
+    return ("sat", res) if res else ("unknown", None)
 
 
 def witness_search(f: fm.Formula, x_vals: Sequence,
@@ -862,10 +861,9 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     if branch_lits is not None:
         all_decided = True
         for lits in branch_lits:
-            status, wv = _solve_branch(lits, body, sigma0, unknown, size)
+            status, res = _solve_branch(lits, body, sigma0, unknown, size)
             if status == "sat":
-                return WitnessResult(True, wv, _violation(body,
-                                                          sigma0.with_w(wv)))
+                return res
             if status == "unknown":
                 all_decided = False
         if all_decided:
@@ -874,19 +872,14 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     forced = _propagate_definitions(body, sigma0, unknown)
     free = sorted(unknown - set(forced))
 
-    def margin(vec) -> float:
-        return _violation(body, sigma0.with_w(
-            _witness_vector(size, forced, free, vec)))
+    def vector(vec) -> tuple:
+        return _witness_vector(size, forced, free, vec)
 
-    def finish(vec):
-        wv = _witness_vector(size, forced, free, vec)
-        if eval_qf(body, sigma0.with_w(wv), mode="float"):
-            return WitnessResult(True, wv, margin(vec))
-        return None
+    def margin(vec) -> float:
+        return _violation(body, sigma0.with_w(vector(vec)))
 
     if not free:
-        res = finish(())
-        return res if res else WitnessResult(False)
+        return _accept(body, sigma0, vector(())) or WitnessResult(False)
 
     lo, hi = SEARCH_BOX
     candidates = []
@@ -905,11 +898,9 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     scored = []
     for cand in candidates:
         mval = margin(cand)
-        scored.append((mval, cand))
         if mval <= FLOAT_TOL:
-            res = finish(cand)
-            if res:
-                return res
+            return WitnessResult(True, vector(cand), mval)
+        scored.append((mval, cand))
     scored.sort(key=lambda t: t[0])
     best_m = scored[0][0]
     # local refinement from the most promising starts
@@ -921,7 +912,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
                                 "fatol": 1e-15})
         best_m = min(best_m, float(res.fun))
         if res.fun <= FLOAT_TOL:
-            out = finish(tuple(res.x))
+            out = _accept(body, sigma0, vector(res.x))
             if out:
                 return out
     return WitnessResult(False, None, best_m)

@@ -42,15 +42,15 @@ def np_eval_term(t, env):
 
 
 def np_eval_formula(f, env):
-    """Boolean array; env maps block -> (N, dim) arrays. Equalities and
-    non-strict comparisons get the same float boundary tolerance as the
-    scalar evaluator."""
+    """Boolean array; env maps block -> (N, dim) arrays. Every atom gets
+    the same absolute float boundary tolerance as the scalar evaluator,
+    an exp-graph atom u = exp(v) included."""
     if isinstance(f, fm.Atom):
         at = f.atom
         if isinstance(at, fm.ExpGraph):
             lhs = np_eval_term(at.lhs, env)
             rhs = np.exp(np_eval_term(at.rhs, env))
-            return np.abs(lhs - rhs) <= TOL * np.maximum(1.0, np.abs(rhs))
+            return np.abs(lhs - rhs) <= TOL
         d = np_eval_term(at.lhs, env) - np_eval_term(at.rhs, env)
         if at.rel == "=":
             return np.abs(d) <= TOL

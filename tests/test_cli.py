@@ -74,6 +74,8 @@ def test_hostile_arguments_are_usage_errors(tmp_path, capsys, argv):
     ("threshold", "interval:r=1e400"),
     ("tree:l=2,depth=2,q=-1", "identity:l=2"),
     ("tree:l=2,depth=1000", "identity:l=2"),
+    ("halfspace:l=2", "lp:l=2,p=1e400,r=1"),
+    ("halfspace:l=2", "lp:l=2,p=1e-400,r=1"),
 ])
 def test_hostile_specs_are_usage_errors(tmp_path, capsys, family, neigh):
     csv = tmp_path / "g.csv"
@@ -82,6 +84,18 @@ def test_hostile_specs_are_usage_errors(tmp_path, capsys, family, neigh):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("neigh", ["identity:l=0", "lp:l=0", "linf:l=0",
+                                   "l1:l=0", "kl:l=0", "lp:l=-1"])
+def test_neighborhoods_without_coordinates_are_usage_errors(tmp_path, capsys,
+                                                            neigh):
+    out = tmp_path / "t.json"
+    assert run(["transform", "--hypothesis", "threshold",
+                "--neighborhood", neigh, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_missing_input_file_is_usage_error(tmp_path, capsys):

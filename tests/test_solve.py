@@ -100,6 +100,24 @@ def test_eval_float_tolerance_at_boundary():
     assert eval_qf(f, sig, mode="float") is True
 
 
+def test_eval_float_exp_graph_gets_the_absolute_tolerance():
+    # an exp-graph atom shares the one absolute boundary tolerance: at
+    # e^3 ~ 20.1 a witness 1e-8 off is refuted, so its negation holds
+    f = fm.Atom(fm.ExpGraph(fm.w(0), fm.x(0)))
+    sig = Assignment((3.0,), (), (math.exp(3.0) + 1e-8,))
+    assert eval_qf(f, sig, mode="float") is False
+    assert eval_qf(fm.Not(f), sig, mode="float") is True
+
+
+def test_eval_float_overflowed_difference_never_holds():
+    # exp(1000) overflows on both sides: inf - inf has no reading, so the
+    # atom fails and its negation holds
+    f = fm.parse("(<= (exp x0) (exp x0))")
+    sig = Assignment((1000.0,), (), ())
+    assert eval_qf(f, sig, mode="float") is False
+    assert eval_qf(fm.Not(f), sig, mode="float") is True
+
+
 def test_eval_rejects_quantified_formula():
     f = fm.parse("(exists (w0) (<= w0 x0))")
     with pytest.raises(solve.SolveError):
@@ -335,6 +353,18 @@ def test_witness_search_propagates_equalities():
     assert res.witness[1] == pytest.approx(2.718281828, abs=1e-6)
     res2 = witness_search(f, [0.0], [3.0])
     assert not res2.found
+
+
+def test_witness_search_resolved_exp_atom_beside_linear_witness():
+    # w0 and w1 = exp(w0) are forced, w2 is left to the exact LP, and the
+    # resolved exp atom is checked when the whole body is read
+    f = fm.parse(
+        "(exists (w0 w1 w2) (and (= w0 x0) (= w1 (exp w0)) "
+        "(<= w2 w1) (>= w2 0)))")
+    res = witness_search(f, [0.0], [])
+    assert res.found
+    w0, w1, w2 = res.witness
+    assert (w0, w1) == (0.0, 1.0) and 0 <= w2 <= 1
 
 
 def test_witness_search_quantifier_free_input():
