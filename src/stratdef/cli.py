@@ -75,16 +75,19 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _write_with_sidecar(path: str, data: str) -> None:
+def _write_with_sidecar(path: str, data: str, meta=None) -> None:
     _atomic_write(path, data)
-    meta = {"written_at_unix": time.time()}
+    meta = {"written_at_unix": time.time(), **(meta or {})}
     _atomic_write(str(path) + ".meta.json", json.dumps(meta) + "\n")
 
 
-def write_artifact(path: str, config: dict, result) -> None:
+def write_artifact(path: str, config: dict, result, meta=None) -> None:
+    """The artifact at path, and its sidecar with the write time and the
+    run's counters `meta`, which do not belong in the replayable bytes."""
     doc = {"version": __version__, "config": _jsonable(config),
            "result": _jsonable(result)}
-    _write_with_sidecar(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_with_sidecar(path, json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                        meta)
 
 
 def write_csv(path: str, header: list, rows: list, config: dict) -> None:
@@ -140,14 +143,30 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _rational(v) -> Fraction:
+    """Fraction(v) for a JSON number or string; a bool, which Fraction
+    would read as 0 or 1, is refused."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
+    return Fraction(v)
+
+
 def _load_system(path: str) -> solve.LinearSystem:
     doc = json.loads(_read(path))
     try:
-        return solve.LinearSystem.make(
-            doc["variables"],
-            [([Fraction(v) for v in c["coeffs"]], c["rel"], Fraction(c["rhs"]))
-             for c in doc["constraints"]])
-    except (TypeError, ValueError, ZeroDivisionError,
+        names = doc["variables"]
+        if not (isinstance(names, list) and
+                all(isinstance(v, str) for v in names) and
+                len(set(names)) == len(names)):
+            raise ValueError("variables must be a list of distinct names")
+        rows = []
+        for c in doc["constraints"]:
+            if not isinstance(c["coeffs"], list):
+                raise ValueError("coeffs must be a list")
+            rows.append(([_rational(v) for v in c["coeffs"]], c["rel"],
+                         _rational(c["rhs"])))
+        return solve.LinearSystem.make(names, rows)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError,
             solve.SolveError) as exc:
         raise UsageError(f"{path!r} is not a linear system: {exc}") from exc
 
@@ -155,6 +174,11 @@ def _load_system(path: str) -> solve.LinearSystem:
 def cmd_fm_elim(args) -> int:
     sys_in = _load_system(args.infile)
     drop = [v.strip() for v in args.drop.split(",") if v.strip()]
+    if len(set(drop)) != len(drop):
+        raise UsageError(f"--drop names a variable twice: {args.drop!r}")
+    unknown = [v for v in drop if v not in sys_in.variables]
+    if unknown:
+        raise UsageError(f"--drop names unknown variables {unknown}")
     out = solve.fm_eliminate(sys_in, drop)
     result = {
         "variables": list(out.variables),
@@ -164,7 +188,7 @@ def cmd_fm_elim(args) -> int:
     }
     config = {"command": "fm-elim", "in": args.infile, "drop": drop,
               "seed": args.seed}
-    write_artifact(args.out, config, result)
+    write_artifact(args.out, config, result, {"fm_steps": list(out.steps)})
     print(f"fm-elim: {len(sys_in.constraints)} -> {len(out.constraints)} "
           f"constraints over {list(out.variables)} -> {args.out}")
     return 0

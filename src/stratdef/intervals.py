@@ -147,7 +147,10 @@ def exp_enclosure(x, bits: int) -> RatInterval:
 
 
 def exp_interval(iv: RatInterval, bits: int) -> RatInterval:
-    """Enclosure of exp over an interval (exp is increasing)."""
+    """Enclosure of exp over an interval (exp is increasing); a point
+    interval takes one enclosure."""
+    if iv.lo == iv.hi:
+        return exp_enclosure(iv.lo, bits)
     return RatInterval(exp_enclosure(iv.lo, bits).lo,
                        exp_enclosure(iv.hi, bits).hi)
 

@@ -15,7 +15,13 @@ from exact to heuristic, share them:
   atom.
 * ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
   (``linear_system_from_formula`` compiles them with ``affine``), the linear
-  fragment of one-block quantifier elimination.
+  fragment of one-block quantifier elimination.  Rows are pruned to
+  primitive integer coefficient tuples with a Fraction rhs, each with its
+  history (the input inequalities it was combined from), and pairing skips
+  the pairs that Chernikov's history rule proves redundant (Chernikov 1965;
+  Imbert's first acceleration theorem, PPCP 1993).  The output defines the
+  exact projection; ``is_trivially_infeasible`` reports a contradiction row
+  in it, so True proves the input empty and False proves nothing.
 * ``lp_solve`` -- exact rational simplex with Bland's rule.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
   definitional equalities are solved with float ``affine``, linear branches
@@ -29,8 +35,9 @@ from exact to heuristic, share them:
 The exact linear layers share one row layer: ``_compare`` is the only
 relation table, ``LinConstraint.make`` the only normalization of >= and >,
 ``_atom_row`` the only reading of an atom as a row, ``_combine`` the only
-row combination (FM substitution and pairing), and ``_pivot`` and ``_price``
-the only tableau pivot and objective pricing of the simplex.
+row combination (FM substitution and pairing), ``_prune`` the only
+normalization and pruning of FM rows, and ``_pivot`` and ``_price`` the
+only tableau pivot and objective pricing of the simplex.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -341,8 +348,12 @@ class LinConstraint:
 
 @dataclass
 class LinearSystem:
+    """Rows over named variables.  A system that fm_eliminate returns also
+    carries its `steps`: one dict of counters per eliminated variable."""
+
     variables: tuple
     constraints: list
+    steps: tuple = ()
 
     @staticmethod
     def make(variables: Sequence[str], rows: Sequence) -> "LinearSystem":
@@ -355,6 +366,8 @@ class LinearSystem:
         return LinearSystem(tuple(variables), out)
 
     def is_trivially_infeasible(self) -> bool:
+        """Whether a row reads 0 rel rhs and is false: True proves the
+        system empty, False proves nothing."""
         return any(not any(c.coeffs) and not _compare(-c.rhs, c.rel)
                    for c in self.constraints)
 
@@ -376,87 +389,127 @@ def _atom_row(at: fm.Compare, unknown: dict,
                               at.rel, right[1] - left[1])
 
 
-def _combine(c: LinConstraint, f: Fraction, d: LinConstraint,
-             rel: str) -> LinConstraint:
-    """The row c + f*d with relation rel."""
-    return LinConstraint(tuple(u + f * v for u, v in zip(c.coeffs, d.coeffs)),
-                         rel, c.rhs + f * d.rhs)
+class _Row(NamedTuple):
+    """A Fourier-Motzkin row: coeffs . v (rel) rhs, and its history, the
+    indices of the input inequalities it was combined from (empty for an
+    equality).  Pruned rows have primitive integer coefficients."""
+
+    coeffs: tuple
+    rel: str
+    rhs: Fraction
+    history: frozenset
 
 
-def _normalize_row(c: LinConstraint) -> LinConstraint:
-    """Scale so the coefficient vector is primitive with positive leading
-    nonzero entry preserved in sign (scale by a positive rational only)."""
-    if not any(c.coeffs):
-        return c
-    den = math.lcm(*(v.denominator for v in c.coeffs))
-    scale = Fraction(den, math.gcd(*(int(v * den) for v in c.coeffs)))
-    return LinConstraint(tuple(v * scale for v in c.coeffs), c.rel,
-                         c.rhs * scale)
+def _combine(c: _Row, d: _Row, j: int, rel: str) -> _Row:
+    """The row c - (c_j/d_j)*d, which is 0 in column j, with relation rel
+    and the joined history.  A nonzero row comes scaled by |d_j|, so that
+    integer rows stay integer (pruning makes it primitive); a zero row,
+    which pruning keeps verbatim, comes unscaled."""
+    m, n = d.coeffs[j], -c.coeffs[j]
+    if m < 0:
+        m, n = -m, -n
+    coeffs = tuple(m * u + n * v for u, v in zip(c.coeffs, d.coeffs))
+    rhs = m * c.rhs + n * d.rhs
+    return _Row(coeffs, rel, rhs if any(coeffs) else rhs / m,
+                c.history | d.history)
 
 
-def _prune(constraints: list) -> list:
-    """Drop tautologies and constraints dominated by a single other row
-    with the same (normalized) coefficient vector."""
+def _prune(rows: list) -> list:
+    """Scale every nonzero row to primitive integer coefficients (by a
+    positive factor), drop tautologies, and of rows with the same
+    coefficients and history keep the tightest (smaller rhs, then strict
+    before non-strict).  Equalities and contradictions are kept verbatim,
+    once each.  Only rows with the same history compete: dropping a row for
+    a parallel row with another history could skip a pair the history rule
+    needs."""
     best = {}
-    for c in constraints:
-        c = _normalize_row(c)
-        zero = not any(c.coeffs)
-        if zero and _compare(-c.rhs, c.rel):
+    for co, rel, rhs, hist in rows:
+        if any(co):
+            den = math.lcm(*(v.denominator for v in co))
+            ints = [int(v * den) for v in co]
+            g = math.gcd(*ints)
+            co, rhs = tuple(v // g for v in ints), Fraction(rhs * den, g)
+        elif _compare(-rhs, rel):
             continue  # tautology
-        if zero or c.rel == "=":
-            # contradictions and equalities are kept verbatim
-            best.setdefault((c.coeffs, c.rel, c.rhs), c)
+        if rel == "=" or not any(co):
+            best.setdefault((co, rel, rhs), _Row(co, rel, rhs, hist))
             continue
-        prev = best.get(c.coeffs)
-        # tighter rhs wins; strict beats non-strict at equal rhs
-        if prev is None or \
-                (c.rhs, c.rel == "<=") < (prev.rhs, prev.rel == "<="):
-            best[c.coeffs] = c
+        prev = best.get((co, hist))
+        if prev is None or (rhs, rel == "<=") < (prev.rhs, prev.rel == "<="):
+            best[co, hist] = _Row(co, rel, rhs, hist)
     return list(best.values())
 
 
 def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
     """Project a linear system onto the variables not in `eliminate`.
 
-    Equalities involving an eliminated variable are removed by substitution
-    first; the remaining inequalities go through standard Fourier-Motzkin
-    combination (strict + anything -> strict).
+    Variables go in the order given.  One that an equality contains is
+    substituted away with the first such equality; otherwise every row that
+    bounds it from above is paired with every row that bounds it from below
+    (strict + anything -> strict).  Pairing follows Chernikov's history
+    rule (Chernikov, The convolution of finite systems of linear
+    inequalities, USSR Comput. Math. 1965; Imbert's first acceleration
+    theorem in Fourier's elimination: which to choose?, PPCP 1993): at the
+    k-th pairing step a pair whose rows were combined from more than k + 1
+    input inequalities in all is implied by the other rows, so it is
+    skipped without being formed, unless its rows are opposite and would
+    form a zero row.  The output defines the exact projection; it holds a
+    contradiction row (is_trivially_infeasible) only when one was formed,
+    so on an empty projection it may have none.
+
+    The returned system's `steps` holds, per eliminated variable, its
+    name, whether it was substituted or paired, the pairs formed and
+    skipped, and the rows kept after pruning.
     """
     var_index = {v: i for i, v in enumerate(sys.variables)}
     for v in eliminate:
         if v not in var_index:
             raise SolveError(f"unknown variable {v!r}")
-    constraints = list(sys.constraints)
-
+    rows = [_Row(c.coeffs, c.rel, c.rhs,
+                 frozenset() if c.rel == "=" else frozenset([i]))
+            for i, c in enumerate(sys.constraints)]
+    steps = []
+    paired = 0
     for var in eliminate:
         j = var_index[var]
-        # substitution via an equality containing var
-        eq = next((c for c in constraints if c.rel == "=" and c.coeffs[j] != 0),
+        eq = next((r for r in rows if r.rel == "=" and r.coeffs[j] != 0),
                   None)
         if eq is not None:
-            constraints = _prune([
-                c if c.coeffs[j] == 0 else
-                _combine(c, -c.coeffs[j] / eq.coeffs[j], eq, c.rel)
-                for c in constraints if c is not eq])
+            rows = _prune([r if r.coeffs[j] == 0 else
+                           _combine(r, eq, j, r.rel)
+                           for r in rows if r is not eq])
+            steps.append({"variable": var, "method": "substituted",
+                          "pairs": 0, "skipped": 0, "rows": len(rows)})
             continue
-        rest = [c for c in constraints if c.coeffs[j] == 0]
-        uppers = [c for c in constraints if c.coeffs[j] > 0]  # var <= ...
-        lowers = [c for c in constraints if c.coeffs[j] < 0]
-        constraints = _prune(rest + [
-            _combine(lo, -lo.coeffs[j] / up.coeffs[j], up,
-                     "<" if "<" in (up.rel, lo.rel) else "<=")
-            for up in uppers for lo in lowers])
+        paired += 1
+        uppers = [r for r in rows if r.coeffs[j] > 0]  # var <= ...
+        lowers = [r for r in rows if r.coeffs[j] < 0]
+        # rows are primitive from the first prune on, and before the second
+        # pairing step no pair has more than two input inequalities
+        formed = [_combine(lo, up, j, "<" if "<" in (up.rel, lo.rel) else "<=")
+                  for up in uppers for lo in lowers
+                  if len(up.history | lo.history) <= paired + 1 or
+                  all(u == -v for u, v in zip(up.coeffs, lo.coeffs))]
+        rows = _prune([r for r in rows if r.coeffs[j] == 0] + formed)
+        steps.append({"variable": var, "method": "paired",
+                      "pairs": len(formed),
+                      "skipped": len(uppers) * len(lowers) - len(formed),
+                      "rows": len(rows)})
 
-    # restrict coefficient vectors to the kept variables
+    # drop the eliminated columns, then prune across histories, which no
+    # later step reads
     dropped = {var_index[v] for v in eliminate}
     keep = [i for i in range(len(sys.variables)) if i not in dropped]
     out = []
-    for c in constraints:
-        if any(c.coeffs[i] for i in dropped):
+    for r in rows:
+        if any(r.coeffs[i] for i in dropped):
             raise SolveError("internal: eliminated variable survived")
-        out.append(LinConstraint(tuple(c.coeffs[i] for i in keep),
-                                 c.rel, c.rhs))
-    return LinearSystem(tuple(sys.variables[i] for i in keep), _prune(out))
+        out.append(_Row(tuple(r.coeffs[i] for i in keep), r.rel, r.rhs,
+                        frozenset()))
+    return LinearSystem(tuple(sys.variables[i] for i in keep),
+                        [LinConstraint(tuple(map(Fraction, r.coeffs)), r.rel,
+                                       r.rhs) for r in _prune(out)],
+                        tuple(steps))
 
 
 def linear_system_from_formula(f: fm.Formula,

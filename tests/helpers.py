@@ -9,6 +9,7 @@ separate computation paths.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,65 @@ def feasible_with_one_witness(sys: LinearSystem, witness: str,
 
 def system_holds_at(sys: LinearSystem, point: dict) -> bool:
     return sys.satisfied_by([point[v] for v in sys.variables])
+
+
+# ---------------------------------------------------------------------------
+# Plain Fourier-Motzkin projection: every upper bound with every lower bound
+
+
+def _ref_add(c, f, d, rel):
+    """The row c + f*d with relation rel; rows are (coeffs, rel, rhs)."""
+    return ([u + f * v for u, v in zip(c[0], d[0])], rel, c[2] + f * d[2])
+
+
+def _ref_prune(rows):
+    """Scale each nonzero row by a positive factor to primitive integer
+    coefficients, drop rows 0 rel rhs that hold, and keep the tightest of
+    rows with equal coefficients (smaller rhs, then strict); equalities and
+    false zero rows are kept as they are, once each."""
+    out = {}
+    for coeffs, rel, rhs in rows:
+        if any(coeffs):
+            den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+            g = math.gcd(*(int(c * den) for c in coeffs))
+            coeffs = [c * den / g for c in coeffs]
+            rhs = rhs * den / g
+        elif {"<": 0 < rhs, "<=": 0 <= rhs, "=": rhs == 0}[rel]:
+            continue
+        key = tuple(coeffs)
+        if rel == "=" or not any(coeffs):
+            out.setdefault((key, rel, rhs), (coeffs, rel, rhs))
+        elif key not in out or rhs < out[key][2] or \
+                (rhs == out[key][2] and rel == "<"):
+            out[key] = (coeffs, rel, rhs)
+    return list(out.values())
+
+
+def ref_fm_eliminate(sys: LinearSystem, eliminate) -> LinearSystem:
+    """Project onto the variables not in `eliminate`, in the order given: a
+    variable that an equality contains is substituted with the first such
+    equality, any other is removed by adding every row that bounds it from
+    below to a positive multiple of every row that bounds it from above
+    (strict if either is), and the rows are pruned after each step."""
+    names = list(sys.variables)
+    rows = [(list(c.coeffs), c.rel, c.rhs) for c in sys.constraints]
+    for var in eliminate:
+        j = names.index(var)
+        eq = next((r for r in rows if r[1] == "=" and r[0][j] != 0), None)
+        if eq is not None:
+            rows = _ref_prune([r if r[0][j] == 0 else
+                               _ref_add(r, -r[0][j] / eq[0][j], eq, r[1])
+                               for r in rows if r is not eq])
+            continue
+        rows = _ref_prune([r for r in rows if r[0][j] == 0] + [
+            _ref_add(lo, -lo[0][j] / up[0][j], up,
+                     "<" if "<" in (lo[1], up[1]) else "<=")
+            for up in rows if up[0][j] > 0
+            for lo in rows if lo[0][j] < 0])
+    keep = [i for i, v in enumerate(names) if v not in eliminate]
+    return LinearSystem.make([names[i] for i in keep],
+                             [([c[i] for i in keep], rel, rhs)
+                              for c, rel, rhs in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,28 @@ _ROW = {"coeffs": ["1"], "rel": "<=", "rhs": "1"}
         dict(_ROW, rhs="abc")]}).encode()),
     ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
         dict(_ROW, rel="<>")]}).encode()),
+    ("fm-elim", json.dumps({"variables": ["x", "x"], "constraints": [
+        dict(_ROW, coeffs=["1", "1"])]}).encode()),
+    ("fm-elim", json.dumps({"variables": "xy", "constraints": [
+        dict(_ROW, coeffs=["1", "1"])]}).encode()),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        dict(_ROW, coeffs=[True])]}).encode()),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        dict(_ROW, rhs=True)]}).encode()),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        dict(_ROW, rhs=float("inf"))]}).encode()),
+    ("fm-elim", json.dumps({"variables": ["x", "y"], "constraints": [
+        dict(_ROW, coeffs="12")]}).encode()),
+    ("fm-elim-drop-twice", json.dumps({"variables": ["x"], "constraints": [
+        _ROW]}).encode()),
+    ("fm-elim", json.dumps({"variables": ["y"], "constraints": [
+        _ROW]}).encode()),
 ], ids=["transform-directory", "shatter-directory", "formula-not-utf8",
-        "fm-elim-list", "fm-elim-bad-rhs", "fm-elim-bad-rel"])
+        "fm-elim-list", "fm-elim-bad-rhs", "fm-elim-bad-rel",
+        "fm-elim-repeated-variable", "fm-elim-variables-string",
+        "fm-elim-bool-coeff", "fm-elim-bool-rhs", "fm-elim-infinite-rhs",
+        "fm-elim-coeffs-string", "fm-elim-drop-twice",
+        "fm-elim-drop-unknown"])
 def test_hostile_input_files_are_usage_errors(tmp_path, capsys, command,
                                               content):
     # content None: the input path names a directory
@@ -161,7 +181,9 @@ def test_hostile_input_files_are_usage_errors(tmp_path, capsys, command,
                           "--neighborhood", "identity:l=1", "--out", out],
             "shatter": ["shatter", "--instance", src],
             "fm-elim": ["fm-elim", "--in", src, "--drop", "x",
-                        "--out", out]}[command]
+                        "--out", out],
+            "fm-elim-drop-twice": ["fm-elim", "--in", src, "--drop", "x,x",
+                                   "--out", out]}[command]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -240,6 +262,36 @@ def test_fm_elim_projects_and_reports(tmp_path, capsys):
     assert run(["fm-elim", "--in", infile, "--drop", "y",
                 "--out", out]) == 0
     assert out.read_bytes() == first
+
+
+def test_fm_elim_sidecar_counts_each_step(tmp_path):
+    # x = y is substituted away; z, bounded by two rows above and one below,
+    # is paired; the counters go to the sidecar, not the artifact
+    system = {
+        "variables": ["x", "y", "z"],
+        "constraints": [
+            {"coeffs": ["1", "-1", "0"], "rel": "=", "rhs": "0"},
+            {"coeffs": ["1", "0", "1"], "rel": "<=", "rhs": "4"},
+            {"coeffs": ["0", "1", "1"], "rel": "<=", "rhs": "3"},
+            {"coeffs": ["0", "0", "-1"], "rel": "<=", "rhs": "0"},
+        ],
+    }
+    infile = tmp_path / "sys.json"
+    infile.write_text(json.dumps(system))
+    out = tmp_path / "proj.json"
+    assert run(["fm-elim", "--in", infile, "--drop", "x,z",
+                "--out", out]) == 0
+    doc = _read_artifact(out)
+    assert set(doc["result"]) == {"variables", "constraints",
+                                  "trivially_infeasible"}
+    meta = json.loads((tmp_path / "proj.json.meta.json").read_text())
+    assert set(meta) == {"written_at_unix", "fm_steps"}
+    assert meta["fm_steps"] == [
+        {"variable": "x", "method": "substituted", "pairs": 0,
+         "skipped": 0, "rows": 3},
+        {"variable": "z", "method": "paired", "pairs": 2, "skipped": 0,
+         "rows": 2},
+    ]
 
 
 # ---------------------------------------------------------------------------

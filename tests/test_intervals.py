@@ -99,6 +99,21 @@ def test_exp_interval_encloses_endpoints():
     assert float(e.hi) >= math.exp(2.0)
 
 
+def test_exp_interval_of_a_point_is_one_enclosure(monkeypatch):
+    x = Fraction(7, 3)
+    original = iv.exp_enclosure
+    want = original(x, 48)
+    calls = []
+
+    def counted(v, bits):
+        calls.append((v, bits))
+        return original(v, bits)
+
+    monkeypatch.setattr(iv, "exp_enclosure", counted)
+    assert iv.exp_interval(RatInterval.point(x), 48) == want
+    assert calls == [(x, 48)]
+
+
 def test_certified_sign_and_floor():
     # sqrt(2) - 1.4 > 0, sqrt(2) - 1.5 < 0
     assert iv.certified_sign(

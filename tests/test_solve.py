@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from stratdef.solve import (
 from helpers import (
     feasible_with_one_witness,
     lp_by_vertex_enumeration,
+    ref_fm_eliminate,
     system_holds_at,
 )
 
@@ -166,6 +168,14 @@ def test_fm_detects_infeasibility():
         ("x", "y"), [((0, 1), "<=", 0), ((0, -1), "<", 0)])
     out = fm_eliminate(sys, ["y"])
     assert out.is_trivially_infeasible()
+    # eliminating x leaves y + z <= -1 and -y - z <= 0, combined from four
+    # input rows; the history rule would skip their pair at the second
+    # pairing step, but a pair that forms a zero row is always formed
+    sys = LinearSystem.make(
+        ("x", "y", "z"), [((1, 1, 0), "<=", 0), ((-1, 0, 1), "<=", -1),
+                          ((1, -1, 0), "<=", 0), ((-1, 0, -1), "<=", 0)])
+    out = fm_eliminate(sys, ["x", "y"])
+    assert out.is_trivially_infeasible()
     # zero rows over one variable: 0 rel rhs
     for rel, rhs, infeasible in (("<", 0, True), ("=", 1, True),
                                  ("<=", -1, True), (">", 0, True),
@@ -184,16 +194,17 @@ def test_fm_strict_relations_propagate():
     assert not out.satisfied_by([Fraction(1, 2)])
 
 
-def _random_system(rng: random.Random, n_vars: int, n_rows: int
+def _random_system(rng: random.Random, n_vars: int, n_rows: int,
+                   rels=("<=", "<", "=", ">=", ">"), rhs=(-4, 4)
                    ) -> LinearSystem:
     names = tuple(f"v{i}" for i in range(n_vars))
     rows = []
     for _ in range(n_rows):
         coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n_vars))
-        rel = rng.choice(["<=", "<", "=", ">=", ">"])
+        rel = rng.choice(rels)
         if rel == "=" and all(c == 0 for c in coeffs):
             rel = "<="
-        rows.append((coeffs, rel, Fraction(rng.randint(-4, 4))))
+        rows.append((coeffs, rel, Fraction(rng.randint(*rhs))))
     return LinearSystem.make(names, rows)
 
 
@@ -234,6 +245,68 @@ def test_fm_sequential_elimination_consistent():
         seq = fm_eliminate(fm_eliminate(sys, ["v1"]), ["v2"])
         for x in grid:
             assert both.satisfied_by([x]) == seq.satisfied_by([x])
+
+
+def _rows(sys: LinearSystem) -> list:
+    return [(c.coeffs, c.rel, c.rhs) for c in sys.constraints]
+
+
+def test_fm_single_elimination_rows_match_reference():
+    # one pairing step skips nothing: the rows are the plain projection's
+    rng = random.Random(5)
+    for _ in range(200):
+        sys = _random_system(rng, rng.randint(2, 5), rng.randint(1, 8))
+        gone = rng.choice(sys.variables)
+        out = fm_eliminate(sys, [gone])
+        assert _rows(out) == _rows(ref_fm_eliminate(sys, [gone])), sys
+        assert out.steps[0]["skipped"] == 0
+
+
+def test_fm_history_rule_matches_reference_on_grid():
+    # eliminating 2-4 of 4-6 variables from systems with equalities and
+    # strict rows: the same set as the plain projection at every grid point,
+    # and a contradiction row only where the plain projection has one too;
+    # few equalities and mostly positive rhs leave most projections
+    # nonempty and most systems two or more pairing steps
+    rng = random.Random(13)
+    grid = _grid(-2, 2, Fraction(1, 2))
+    skipped = 0
+    for trial in range(40):
+        n_vars = rng.randint(4, 6)
+        sys = _random_system(rng, n_vars, rng.randint(7, 10),
+                             ("<=", "<=", "<=", "<", ">=", "="), (-1, 6))
+        gone = rng.sample(sys.variables, n_vars - 2)
+        out = fm_eliminate(sys, gone)
+        ref = ref_fm_eliminate(sys, gone)
+        assert out.variables == ref.variables
+        assert [s["variable"] for s in out.steps] == gone
+        skipped += sum(s["skipped"] for s in out.steps)
+        if out.is_trivially_infeasible():
+            assert ref.is_trivially_infeasible(), (trial, sys, gone)
+        for pt in itertools.product(grid, repeat=len(out.variables)):
+            assert out.satisfied_by(pt) == ref.satisfied_by(pt), \
+                (trial, sys, gone, pt)
+    assert skipped > 0
+
+
+def test_fm_history_rule_shrinks_benchmark_shaped_system():
+    # 24 rows a.v <= b over 6 variables, b > 0, v0 bounded above by half
+    # of the rows and below by the other half, no zero coefficient
+    rng = random.Random(24)
+    signs = [1] * 12 + [-1] * 12
+    rng.shuffle(signs)
+    rows = [([s * rng.randint(1, 9)] +
+             [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(5)],
+             "<=", rng.randint(1, 20)) for s in signs]
+    sys = LinearSystem.make([f"v{i}" for i in range(6)], rows)
+    out = fm_eliminate(sys, ["v0", "v1"])
+    ref = ref_fm_eliminate(sys, ["v0", "v1"])
+    assert len(out.constraints) < len(ref.constraints) / 4
+    first, second = out.steps
+    assert (first["method"], first["pairs"], first["skipped"]) == \
+        ("paired", 144, 0)
+    assert second["skipped"] > second["pairs"]
+    assert second["rows"] == len(out.constraints)
 
 
 def test_linear_system_from_formula():
