@@ -151,20 +151,36 @@ def _rational(v) -> Fraction:
     return Fraction(v)
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] of a JSON object read from a file; the error names `where`
+    when obj is not an object or has no key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    return obj[key]
+
+
 def _load_system(path: str) -> solve.LinearSystem:
     doc = json.loads(_read(path))
     try:
-        names = doc["variables"]
+        names = _field(doc, "variables", "the file")
         if not (isinstance(names, list) and
                 all(isinstance(v, str) for v in names) and
                 len(set(names)) == len(names)):
             raise ValueError("variables must be a list of distinct names")
+        constraints = _field(doc, "constraints", "the file")
+        if not isinstance(constraints, list):
+            raise ValueError("constraints must be a list")
         rows = []
-        for c in doc["constraints"]:
-            if not isinstance(c["coeffs"], list):
-                raise ValueError("coeffs must be a list")
-            rows.append(([_rational(v) for v in c["coeffs"]], c["rel"],
-                         _rational(c["rhs"])))
+        for i, c in enumerate(constraints):
+            where = f"constraint {i}"
+            coeffs = _field(c, "coeffs", where)
+            if not isinstance(coeffs, list):
+                raise ValueError(f"{where}: coeffs must be a list")
+            rows.append(([_rational(v) for v in coeffs],
+                         _field(c, "rel", where),
+                         _rational(_field(c, "rhs", where))))
         return solve.LinearSystem.make(names, rows)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError,
             solve.SolveError) as exc:
@@ -428,7 +444,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, families.FamilyError, fm.FormulaError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (constructions.ConstructionError, solve.SolveError,

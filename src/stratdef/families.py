@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formula as fm
-from .solve import LPInstance, _floats, eval_qf, lp_solve, merge
+from .solve import LinConstraint, _floats, eval_qf, lp_solve, merge
 
 
 class FamilyError(Exception):
@@ -589,10 +589,11 @@ def emd_value(x, y, ground: Sequence) -> Fraction:
     cells = [(i, j) for i in range(l) for j in range(l)]
     # one variable per cell (i, j); row k sums the mass leaving x_k, row
     # l + k the mass reaching y_k
-    rows = tuple(tuple(Fraction(c[side] == k) for c in cells)
-                 for side in (0, 1) for k in range(l))
-    res = lp_solve(LPInstance(tuple(ground[i][j] for i, j in cells), rows,
-                              ("=",) * (2 * l), tuple(xv + yv)))
+    rows = [LinConstraint(tuple(Fraction(c[side] == k) for c in cells), "=",
+                          mass)
+            for side, masses in enumerate((xv, yv))
+            for k, mass in enumerate(masses)]
+    res = lp_solve([ground[i][j] for i, j in cells], rows)
     if res.status != "optimal":
         raise FamilyError(f"transport program returned {res.status}")
     return res.value

@@ -22,7 +22,7 @@ from exact to heuristic, share them:
   Imbert's first acceleration theorem, PPCP 1993).  The output defines the
   exact projection; ``is_trivially_infeasible`` reports a contradiction row
   in it, so True proves the input empty and False proves nothing.
-* ``lp_solve`` -- exact rational simplex with Bland's rule.
+* ``lp_solve`` -- exact rational simplex with Bland's rule over v >= 0.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
   definitional equalities are solved with float ``affine``, linear branches
   go to ``lp_solve`` through rational ``affine``, the rest to a fixed search
@@ -32,12 +32,14 @@ from exact to heuristic, share them:
   ``FLOAT_TOL``, so it re-verifies under the float eval_qf), inconclusive
   when it reports not_found.
 
-The exact linear layers share one row layer: ``_compare`` is the only
-relation table, ``LinConstraint.make`` the only normalization of >= and >,
-``_atom_row`` the only reading of an atom as a row, ``_combine`` the only
-row combination (FM substitution and pairing), ``_prune`` the only
-normalization and pruning of FM rows, and ``_pivot`` and ``_price`` the
-only tableau pivot and objective pricing of the simplex.
+The exact linear layers share one row layer: ``LinConstraint`` is the only
+row (Fourier-Motzkin rows carry their history in it, and the simplex reads
+the same rows), ``_compare`` the only relation table, ``LinConstraint.make``
+the only normalization of >= and >, ``_atom_row`` the only reading of an
+atom as a row, ``_combine`` the only row combination (FM substitution and
+pairing), ``_prune`` the only normalization and pruning of FM rows, and
+``_pivot`` and ``_price`` the only tableau pivot and objective pricing of
+the simplex.
 """
 
 from __future__ import annotations
@@ -322,22 +324,23 @@ def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
 # Linear systems and Fourier-Motzkin elimination
 
 
-@dataclass(frozen=True)
-class LinConstraint:
-    """sum_i coeffs[i]*v_i (rel) rhs, with rel in {<, <=, =}."""
+class LinConstraint(NamedTuple):
+    """sum_i coeffs[i]*v_i (rel) rhs, with rel in {<, <=, =}: the one row of
+    the exact linear layer.  Its history, read only by fm_eliminate, holds
+    the indices of the input inequalities the row was combined from (empty
+    for an equality and outside elimination)."""
 
     coeffs: tuple
     rel: str
     rhs: Fraction
-
-    def __post_init__(self):
-        if self.rel not in ("<", "<=", "="):
-            raise SolveError(f"relation {self.rel!r} must be normalized")
+    history: frozenset = frozenset()
 
     @staticmethod
     def make(coeffs: Sequence, rel: str, rhs) -> "LinConstraint":
         """The row coeffs . v (rel) rhs with rel in {<, <=, =, >=, >};
         >= and > are normalized to <= and < by negation."""
+        if rel not in _RELATIONS:
+            raise SolveError(f"unknown relation {rel!r}")
         coeffs = tuple(Fraction(c) for c in coeffs)
         rhs = Fraction(rhs)
         if rel in (">=", ">"):
@@ -359,9 +362,10 @@ class LinearSystem:
     def make(variables: Sequence[str], rows: Sequence) -> "LinearSystem":
         """rows: (coeffs, rel, rhs) with rel in {<, <=, =, >=, >}."""
         out = []
-        for coeffs, rel, rhs in rows:
+        for i, (coeffs, rel, rhs) in enumerate(rows):
             if len(coeffs) != len(variables):
-                raise SolveError("coefficient/variable length mismatch")
+                raise SolveError(f"row {i} has {len(coeffs)} coefficients "
+                                 f"for {len(variables)} variables")
             out.append(LinConstraint.make(coeffs, rel, rhs))
         return LinearSystem(tuple(variables), out)
 
@@ -372,6 +376,10 @@ class LinearSystem:
                    for c in self.constraints)
 
     def satisfied_by(self, values: Sequence) -> bool:
+        """Whether every row holds at values, one per variable."""
+        if len(values) != len(self.variables):
+            raise SolveError(f"{len(values)} values for "
+                             f"{len(self.variables)} variables")
         vals = [Fraction(v) for v in values]
         return all(_compare(sum(co * v for co, v in zip(c.coeffs, vals)) -
                             c.rhs, c.rel) for c in self.constraints)
@@ -389,18 +397,8 @@ def _atom_row(at: fm.Compare, unknown: dict,
                               at.rel, right[1] - left[1])
 
 
-class _Row(NamedTuple):
-    """A Fourier-Motzkin row: coeffs . v (rel) rhs, and its history, the
-    indices of the input inequalities it was combined from (empty for an
-    equality).  Pruned rows have primitive integer coefficients."""
-
-    coeffs: tuple
-    rel: str
-    rhs: Fraction
-    history: frozenset
-
-
-def _combine(c: _Row, d: _Row, j: int, rel: str) -> _Row:
+def _combine(c: LinConstraint, d: LinConstraint, j: int,
+             rel: str) -> LinConstraint:
     """The row c - (c_j/d_j)*d, which is 0 in column j, with relation rel
     and the joined history.  A nonzero row comes scaled by |d_j|, so that
     integer rows stay integer (pruning makes it primitive); a zero row,
@@ -410,8 +408,8 @@ def _combine(c: _Row, d: _Row, j: int, rel: str) -> _Row:
         m, n = -m, -n
     coeffs = tuple(m * u + n * v for u, v in zip(c.coeffs, d.coeffs))
     rhs = m * c.rhs + n * d.rhs
-    return _Row(coeffs, rel, rhs if any(coeffs) else rhs / m,
-                c.history | d.history)
+    return LinConstraint(coeffs, rel, rhs if any(coeffs) else rhs / m,
+                         c.history | d.history)
 
 
 def _prune(rows: list) -> list:
@@ -432,11 +430,11 @@ def _prune(rows: list) -> list:
         elif _compare(-rhs, rel):
             continue  # tautology
         if rel == "=" or not any(co):
-            best.setdefault((co, rel, rhs), _Row(co, rel, rhs, hist))
+            best.setdefault((co, rel, rhs), LinConstraint(co, rel, rhs, hist))
             continue
         prev = best.get((co, hist))
         if prev is None or (rhs, rel == "<=") < (prev.rhs, prev.rel == "<="):
-            best[co, hist] = _Row(co, rel, rhs, hist)
+            best[co, hist] = LinConstraint(co, rel, rhs, hist)
     return list(best.values())
 
 
@@ -465,8 +463,8 @@ def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
     for v in eliminate:
         if v not in var_index:
             raise SolveError(f"unknown variable {v!r}")
-    rows = [_Row(c.coeffs, c.rel, c.rhs,
-                 frozenset() if c.rel == "=" else frozenset([i]))
+    rows = [c._replace(history=frozenset() if c.rel == "=" else
+                       frozenset([i]))
             for i, c in enumerate(sys.constraints)]
     steps = []
     paired = 0
@@ -504,12 +502,11 @@ def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
     for r in rows:
         if any(r.coeffs[i] for i in dropped):
             raise SolveError("internal: eliminated variable survived")
-        out.append(_Row(tuple(r.coeffs[i] for i in keep), r.rel, r.rhs,
-                        frozenset()))
+        out.append(LinConstraint(tuple(r.coeffs[i] for i in keep), r.rel,
+                                 r.rhs))
     return LinearSystem(tuple(sys.variables[i] for i in keep),
-                        [LinConstraint(tuple(map(Fraction, r.coeffs)), r.rel,
-                                       r.rhs) for r in _prune(out)],
-                        tuple(steps))
+                        [r._replace(coeffs=tuple(map(Fraction, r.coeffs)))
+                         for r in _prune(out)], tuple(steps))
 
 
 def linear_system_from_formula(f: fm.Formula,
@@ -540,39 +537,6 @@ def linear_system_from_formula(f: fm.Formula,
 
 # ---------------------------------------------------------------------------
 # Exact rational LP (simplex, Bland's rule)
-
-
-@dataclass
-class LPInstance:
-    """minimize objective . v  subject to  A v (rel) b,  v_i >= lower[i].
-
-    All data exact rationals; lower bounds default to 0. rel in {<=,=,>=}.
-    """
-
-    objective: tuple
-    matrix: tuple
-    relations: tuple
-    rhs: tuple
-    lower: Optional[tuple] = None
-
-    def __post_init__(self):
-        n = len(self.objective)
-        self.objective = tuple(Fraction(c) for c in self.objective)
-        self.matrix = tuple(tuple(Fraction(v) for v in row)
-                            for row in self.matrix)
-        self.rhs = tuple(Fraction(v) for v in self.rhs)
-        if self.lower is None:
-            self.lower = tuple(Fraction(0) for _ in range(n))
-        else:
-            self.lower = tuple(Fraction(v) for v in self.lower)
-        if not (len(self.matrix) == len(self.relations) == len(self.rhs)):
-            raise SolveError("LP row dimension mismatch")
-        for row in self.matrix:
-            if len(row) != n:
-                raise SolveError("LP column dimension mismatch")
-        for rel in self.relations:
-            if rel not in ("<=", "=", ">="):
-                raise SolveError(f"bad LP relation {rel!r}")
 
 
 @dataclass
@@ -625,21 +589,28 @@ def _simplex(tableau: list, basis: list, n_cols: int) -> str:
         _pivot(tableau, basis, min(ratios)[2], enter)
 
 
-def lp_solve(lp: LPInstance) -> LPResult:
-    """Exact rational optimum via two-phase simplex with Bland's rule."""
-    n, m = len(lp.objective), len(lp.rhs)
-    slack_count = sum(1 for r in lp.relations if r != "=")
+def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
+    """Exact rational optimum via two-phase simplex with Bland's rule:
+    minimize objective . v over v >= 0 subject to rows, each with relation
+    <= or =.  The objective and the rows are read as Fractions."""
+    objective = tuple(Fraction(c) for c in objective)
+    n, m = len(objective), len(rows)
+    for r in rows:
+        if r.rel not in ("<=", "="):
+            raise SolveError(f"LP rows are <= or =, not {r.rel!r}")
+        if len(r.coeffs) != n:
+            raise SolveError("LP column dimension mismatch")
+    slack_count = sum(1 for r in rows if r.rel == "<=")
     total = n + slack_count
     zero = Fraction(0)
-    # one pass over the rows: shift lower bounds to zero (v = u + lower),
-    # add a slack column per inequality, make the rhs nonnegative and give
-    # the row its artificial column
+    # one pass over the rows: add a slack column per inequality, make the
+    # rhs nonnegative and give the row its artificial column
     tableau, si = [], n
-    for i, (row, rel, b) in enumerate(zip(lp.matrix, lp.relations, lp.rhs)):
-        full = [*row, *[zero] * (slack_count + m),
-                b - sum(c * s for c, s in zip(row, lp.lower))]
-        if rel != "=":
-            full[si] = Fraction(1 if rel == "<=" else -1)
+    for i, r in enumerate(rows):
+        full = [*map(Fraction, r.coeffs), *[zero] * (slack_count + m),
+                Fraction(r.rhs)]
+        if r.rel == "<=":
+            full[si] = Fraction(1)
             si += 1
         if full[-1] < 0:
             full = [-v for v in full]
@@ -659,15 +630,15 @@ def lp_solve(lp: LPInstance) -> LPResult:
             if col is not None:  # None: a redundant row
                 _pivot(tableau, basis, i, col)
     # phase 2: the real objective, never entering an artificial column
-    tableau[m] = _price([*lp.objective, *[zero] * (slack_count + m + 1)],
+    tableau[m] = _price([*objective, *[zero] * (slack_count + m + 1)],
                         tableau, basis)
     if _simplex(tableau, basis, total) == "unbounded":
         return LPResult("unbounded")
-    point = list(lp.lower)
+    point = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] += tableau[i][-1]
-    value = sum(c * v for c, v in zip(lp.objective, point))
+            point[b] = tableau[i][-1]
+    value = sum(c * v for c, v in zip(objective, point))
     return LPResult("optimal", value, tuple(point))
 
 
@@ -794,26 +765,21 @@ def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
     has_strict = any(c.rel == "<" for c in rows)
     n = 2 * n_rem + 1
     t_col = n - 1
-    matrix, rels, rhs = [], [], []
+    zero = Fraction(0)
+    lp_rows = []
     for c in rows:
-        row = [Fraction(0)] * n
+        row = [zero] * n
         for j, v in enumerate(c.coeffs):
             row[2 * j] = v
             row[2 * j + 1] = -v
         if c.rel == "<":
             row[t_col] = Fraction(1)
-        matrix.append(tuple(row))
-        rels.append("=" if c.rel == "=" else "<=")
-        rhs.append(c.rhs)
-    cap = [Fraction(0)] * n
-    cap[t_col] = Fraction(1)
-    matrix.append(tuple(cap))
-    rels.append("<=")
-    rhs.append(Fraction(1))
-    obj = [Fraction(0)] * n
-    obj[t_col] = Fraction(-1)
-    res = lp_solve(LPInstance(tuple(obj), tuple(matrix), tuple(rels),
-                              tuple(rhs)))
+        rel = "=" if c.rel == "=" else "<="
+        lp_rows.append(LinConstraint(tuple(row), rel, c.rhs))
+    # maximize t (minimize -t) subject to t <= 1
+    unit = (zero,) * t_col + (Fraction(1),)
+    lp_rows.append(LinConstraint(unit, "<=", Fraction(1)))
+    res = lp_solve([-v for v in unit], lp_rows)
     if res.status != "optimal":
         return None
     t = res.point[t_col]

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from stratdef import formula as fm
-from stratdef.solve import LinearSystem, LPInstance
+from stratdef.solve import LinearSystem
 
 TOL = 1e-9
 
@@ -98,42 +98,40 @@ def gauss_solve(rows, rhs):
     return [a[r][n] for r in range(n)]
 
 
-def lp_by_vertex_enumeration(lp: LPInstance):
+def lp_by_vertex_enumeration(objective, rows):
     """Exact optimum of a bounded LP by enumerating basic feasible points.
 
-    Treats rows and the lower bounds as the constraint set; assumes the
-    feasible region is a bounded polytope (every vertex is an intersection
-    of n constraint hyperplanes).  Returns (value, point) or None when
-    infeasible.
+    Minimizes objective . v over v >= 0 subject to rows, each with
+    .coeffs, .rel in {<=, =} and .rhs; assumes the feasible region is a
+    bounded polytope (every vertex is an intersection of n constraint
+    hyperplanes).  Returns (value, point) or None when infeasible.
     """
-    n = len(lp.objective)
+    n = len(objective)
     planes = []
-    for row, rel, b in zip(lp.matrix, lp.relations, lp.rhs):
-        planes.append((list(row), Fraction(b)))
-    for i, lb in enumerate(lp.lower):
+    for c in rows:
+        planes.append((list(c.coeffs), Fraction(c.rhs)))
+    for i in range(n):
         row = [Fraction(0)] * n
         row[i] = Fraction(1)
-        planes.append((row, Fraction(lb)))
+        planes.append((row, Fraction(0)))
 
     def feasible(pt):
-        for row, rel, b in zip(lp.matrix, lp.relations, lp.rhs):
-            lhs = sum(c * v for c, v in zip(row, pt))
-            if rel == "<=" and lhs > b:
+        for c in rows:
+            lhs = sum(co * v for co, v in zip(c.coeffs, pt))
+            if c.rel == "<=" and lhs > c.rhs:
                 return False
-            if rel == ">=" and lhs < b:
+            if c.rel == "=" and lhs != c.rhs:
                 return False
-            if rel == "=" and lhs != b:
-                return False
-        return all(v >= lb for v, lb in zip(pt, lp.lower))
+        return all(v >= 0 for v in pt)
 
     best = None
     for combo in itertools.combinations(range(len(planes)), n):
-        rows = [planes[i][0] for i in combo]
-        rhs = [planes[i][1] for i in combo]
-        pt = gauss_solve(rows, rhs)
+        a = [planes[i][0] for i in combo]
+        b = [planes[i][1] for i in combo]
+        pt = gauss_solve(a, b)
         if pt is None or not feasible(pt):
             continue
-        val = sum(c * v for c, v in zip(lp.objective, pt))
+        val = sum(c * v for c, v in zip(objective, pt))
         if best is None or val < best[0]:
             best = (val, tuple(pt))
     return best

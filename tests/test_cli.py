@@ -137,40 +137,58 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
 _ROW = {"coeffs": ["1"], "rel": "<=", "rhs": "1"}
 
 
-@pytest.mark.parametrize("command, content", [
-    ("transform", None),
-    ("shatter", None),
-    ("transform", b"(<= x0 \xff)"),
-    ("fm-elim", json.dumps([_ROW]).encode()),
+@pytest.mark.parametrize("command, content, message", [
+    ("transform", None, None),
+    ("shatter", None, None),
+    ("transform", b"(<= x0 \xff)", None),
+    ("fm-elim", json.dumps([_ROW]).encode(), "must be a JSON object"),
     ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
-        dict(_ROW, rhs="abc")]}).encode()),
+        dict(_ROW, rhs="abc")]}).encode(), None),
     ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
-        dict(_ROW, rel="<>")]}).encode()),
+        dict(_ROW, rel="<>")]}).encode(), "unknown relation '<>'"),
     ("fm-elim", json.dumps({"variables": ["x", "x"], "constraints": [
-        dict(_ROW, coeffs=["1", "1"])]}).encode()),
+        dict(_ROW, coeffs=["1", "1"])]}).encode(), None),
     ("fm-elim", json.dumps({"variables": "xy", "constraints": [
-        dict(_ROW, coeffs=["1", "1"])]}).encode()),
+        dict(_ROW, coeffs=["1", "1"])]}).encode(), None),
     ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
-        dict(_ROW, coeffs=[True])]}).encode()),
+        dict(_ROW, coeffs=[True])]}).encode(), None),
     ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
-        dict(_ROW, rhs=True)]}).encode()),
+        dict(_ROW, rhs=True)]}).encode(), None),
     ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
-        dict(_ROW, rhs=float("inf"))]}).encode()),
+        dict(_ROW, rhs=float("inf"))]}).encode(), None),
     ("fm-elim", json.dumps({"variables": ["x", "y"], "constraints": [
-        dict(_ROW, coeffs="12")]}).encode()),
+        dict(_ROW, coeffs="12")]}).encode(), None),
     ("fm-elim-drop-twice", json.dumps({"variables": ["x"], "constraints": [
-        _ROW]}).encode()),
+        _ROW]}).encode(), None),
     ("fm-elim", json.dumps({"variables": ["y"], "constraints": [
-        _ROW]}).encode()),
+        _ROW]}).encode(), None),
+    ("fm-elim", json.dumps({"constraints": [_ROW]}).encode(),
+     "the file has no 'variables'"),
+    ("fm-elim", json.dumps({"variables": ["x"]}).encode(),
+     "the file has no 'constraints'"),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        _ROW, {"coeffs": ["1"], "rel": "<="}]}).encode(),
+     "constraint 1 has no 'rhs'"),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        {"rel": "<=", "rhs": "1"}]}).encode(),
+     "constraint 0 has no 'coeffs'"),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        _ROW, "x <= 1"]}).encode(), "constraint 1 must be a JSON object"),
+    ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
+        _ROW, dict(_ROW, coeffs=["1", "2"])]}).encode(),
+     "row 1 has 2 coefficients for 1 variables"),
 ], ids=["transform-directory", "shatter-directory", "formula-not-utf8",
         "fm-elim-list", "fm-elim-bad-rhs", "fm-elim-bad-rel",
         "fm-elim-repeated-variable", "fm-elim-variables-string",
         "fm-elim-bool-coeff", "fm-elim-bool-rhs", "fm-elim-infinite-rhs",
         "fm-elim-coeffs-string", "fm-elim-drop-twice",
-        "fm-elim-drop-unknown"])
+        "fm-elim-drop-unknown", "fm-elim-no-variables",
+        "fm-elim-no-constraints", "fm-elim-no-rhs", "fm-elim-no-coeffs",
+        "fm-elim-constraint-string", "fm-elim-long-row"])
 def test_hostile_input_files_are_usage_errors(tmp_path, capsys, command,
-                                              content):
-    # content None: the input path names a directory
+                                              content, message):
+    # content None: the input path names a directory; a message, when
+    # given, is part of the error line
     src = tmp_path / "input"
     if content is None:
         src.mkdir()
@@ -187,6 +205,7 @@ def test_hostile_input_files_are_usage_errors(tmp_path, capsys, command,
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message is None or message in err, err
     assert not out.exists()
 
 

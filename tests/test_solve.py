@@ -16,8 +16,8 @@ from stratdef import solve
 from stratdef.intervals import UndecidedComparison
 from stratdef.solve import (
     Assignment,
+    LinConstraint,
     LinearSystem,
-    LPInstance,
     eval_qf,
     fm_eliminate,
     linear_system_from_formula,
@@ -309,6 +309,15 @@ def test_fm_history_rule_shrinks_benchmark_shaped_system():
     assert second["rows"] == len(out.constraints)
 
 
+def test_satisfied_by_refuses_wrong_length():
+    sys = LinearSystem.make(["x", "y"], [((1, 1), "<=", 1)])
+    assert sys.satisfied_by([0, 1])
+    # one value too few (y would be dropped) and one too many (99 ignored)
+    for values in ([5], [0, 0, 99]):
+        with pytest.raises(solve.SolveError):
+            sys.satisfied_by(values)
+
+
 def test_linear_system_from_formula():
     f = fm.parse("(and (<= (+ x0 x1) 1) (< (- x0 x1) 0))")
     sys = linear_system_from_formula(f, [fm.x(0), fm.x(1)])
@@ -334,36 +343,41 @@ def test_linear_system_from_formula():
 # Exact linear programming
 
 
+def _lp_rows(*rows):
+    return [LinConstraint.make(*row) for row in rows]
+
+
 def test_lp_known_optimum():
     # min -x - y  s.t.  x + 2y <= 4, 3x + y <= 6, x,y >= 0  -> opt at (8/5,6/5)
-    lp = LPInstance(objective=(-1, -1),
-                    matrix=((1, 2), (3, 1)),
-                    relations=("<=", "<="),
-                    rhs=(4, 6))
-    res = lp_solve(lp)
+    res = lp_solve((-1, -1), _lp_rows(((1, 2), "<=", 4), ((3, 1), "<=", 6)))
     assert res.status == "optimal"
     assert res.value == Fraction(-14, 5)
     assert res.point == (Fraction(8, 5), Fraction(6, 5))
 
 
 def test_lp_infeasible_and_unbounded():
-    bad = LPInstance(objective=(1,), matrix=((1,), (-1,)),
-                     relations=("<=", "<="), rhs=(0, -1))
-    assert lp_solve(bad).status == "infeasible"
-    unb = LPInstance(objective=(-1,), matrix=((0,),),
-                     relations=("<=",), rhs=(1,))
-    assert lp_solve(unb).status == "unbounded"
+    bad = _lp_rows(((1,), "<=", 0), ((-1,), "<=", -1))
+    assert lp_solve((1,), bad).status == "infeasible"
+    assert lp_solve((-1,), _lp_rows(((0,), "<=", 1))).status == "unbounded"
 
 
-def test_lp_equality_rows_and_shifted_lower_bounds():
-    # min x + y  s.t.  x + y = 2, x >= 1/2, y >= -1
-    lp = LPInstance(objective=(1, 1), matrix=((1, 1),),
-                    relations=("=",), rhs=(2,),
-                    lower=(Fraction(1, 2), Fraction(-1)))
-    res = lp_solve(lp)
+def test_lp_equality_rows():
+    # min x + y  s.t.  x + y = 2, x >= 1/2
+    res = lp_solve((1, 1), _lp_rows(((1, 1), "=", 2),
+                                    ((1, 0), ">=", Fraction(1, 2))))
     assert res.status == "optimal"
     assert res.value == 2
     assert sum(res.point) == 2 and res.point[0] >= Fraction(1, 2)
+
+
+@pytest.mark.parametrize("row", [
+    LinConstraint.make((1, 1), "<", 1),
+    LinConstraint.make((1,), "<=", 1),
+    LinConstraint.make((1, 1, 1), "=", 1),
+], ids=["strict", "short", "long"])
+def test_lp_refuses_strict_and_misshapen_rows(row):
+    with pytest.raises(solve.SolveError):
+        lp_solve((1, 1), [LinConstraint.make((1, 0), "<=", 1), row])
 
 
 def test_lp_matches_vertex_enumeration_randomized():
@@ -373,31 +387,28 @@ def test_lp_matches_vertex_enumeration_randomized():
         m = rng.randint(1, 4)
         # a box row keeps the feasible region bounded so vertex
         # enumeration is a complete oracle (no unbounded cases)
-        lp = LPInstance(
-            objective=tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)),
-            matrix=tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
-                         for _ in range(m)) + ((Fraction(1),) * n,),
-            relations=tuple(rng.choice(["<=", ">=", "="])
-                            for _ in range(m)) + ("<=",),
-            rhs=tuple(Fraction(rng.randint(-3, 3))
-                      for _ in range(m)) + (Fraction(10),),
-        )
-        got = lp_solve(lp)
-        want = lp_by_vertex_enumeration(lp)
+        objective = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+        matrix = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                  for _ in range(m)]
+        rels = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+        rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
+        rows = [LinConstraint.make(*row) for row in zip(matrix, rels, rhs)]
+        rows.append(LinConstraint.make((1,) * n, "<=", 10))
+        got = lp_solve(objective, rows)
+        want = lp_by_vertex_enumeration(objective, rows)
         if want is None:
-            assert got.status == "infeasible", (trial, lp)
+            assert got.status == "infeasible", (trial, rows)
             continue
         want_value, _ = want
-        assert got.status == "optimal", (trial, lp)
-        assert got.value == want_value, (trial, lp)
+        assert got.status == "optimal", (trial, rows)
+        assert got.value == want_value, (trial, rows)
         # returned point must be feasible and attain the value
         pt = got.point
-        assert all(v >= lo for v, lo in zip(pt, lp.lower))
-        for row, rel, rhs in zip(lp.matrix, lp.relations, lp.rhs):
-            lhs = sum(c * v for c, v in zip(row, pt))
-            assert {"<=": lhs <= rhs, ">=": lhs >= rhs,
-                    "=": lhs == rhs}[rel]
-        assert sum(c * v for c, v in zip(lp.objective, pt)) == want_value
+        assert all(v >= 0 for v in pt)
+        for c in rows:
+            lhs = sum(co * v for co, v in zip(c.coeffs, pt))
+            assert {"<=": lhs <= c.rhs, "=": lhs == c.rhs}[c.rel]
+        assert sum(c * v for c, v in zip(objective, pt)) == want_value
 
 
 # ---------------------------------------------------------------------------
