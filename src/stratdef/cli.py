@@ -1,6 +1,7 @@
 """Command-line entry point.
 
 Subcommands: transform, fm-elim, verify-blowup, shatter, growth, learn.
+growth, learn and transform (its registry lookup) alone load numpy, when run.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Artifacts are written atomically (temp file + rename) and are byte-identical
@@ -20,10 +21,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import capacity, constructions, families, learn, solve, transform
+from . import constructions, solve, transform
 from . import formula as fm
 from .intervals import UndecidedComparison
 
@@ -115,6 +114,7 @@ def _load_formula(spec: str) -> fm.Formula:
     """A registry spec string ('halfspace:l=2') when the name before ':' is
     a registered family or neighborhood, otherwise a path to a file holding
     one s-expression formula."""
+    from . import families
     name = spec.partition(":")[0]
     for make, names in ((families.make_family, families._FAMILIES),
                         (families.make_neighborhood, families._NEIGHBORHOODS)):
@@ -250,7 +250,8 @@ def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
             raise UsageError("all-radii needs --s")
         return constructions.build_all_radii(
             _positive(args.t, "t"), _value(args.s, "s"), n,
-            _value(args.cert_cap, "cert-cap", _integer, what="an integer"))
+            _value(args.cert_cap, "cert-cap", _integer, lambda v: v >= 0,
+                   "a nonnegative integer"))
     if kind == "partition":
         return constructions.build_partition_pathology(n)
     if kind == "frac":
@@ -310,6 +311,7 @@ def cmd_shatter(args) -> int:
 
 
 def _family_pair(args) -> tuple:
+    from . import families
     family = families.make_family(args.family)
     neigh = families.make_neighborhood(args.neighborhood) \
         if args.neighborhood else families.identity(family.input_dim)
@@ -319,6 +321,7 @@ def _family_pair(args) -> tuple:
 
 
 def cmd_growth(args) -> int:
+    from . import capacity, families, learn
     family, neigh = _family_pair(args)
     m_values = [_positive(v, "m") for v in args.m.split(",")]
     _positive(args.trials, "trials")
@@ -341,6 +344,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    import numpy as np
+    from . import learn
     family, neigh = _family_pair(args)
     eps_grid = [_value(v, "eps", float, lambda e: 0 < e <= 1,
                        "a number in (0, 1]") for v in args.eps.split(",")]
@@ -443,15 +448,18 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (UsageError, families.FamilyError, fm.FormulaError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (constructions.ConstructionError, solve.SolveError,
-            transform.TransformError, learn.LearnError,
-            capacity.CapacityError, UndecidedComparison) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        from . import capacity, families, learn  # for their error classes
+        if isinstance(exc, (UsageError, families.FamilyError, fm.FormulaError,
+                            FileNotFoundError, json.JSONDecodeError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, (constructions.ConstructionError, solve.SolveError,
+                            transform.TransformError, learn.LearnError,
+                            capacity.CapacityError, UndecidedComparison)):
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 1
+        raise
 
 
 if __name__ == "__main__":

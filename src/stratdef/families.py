@@ -4,10 +4,11 @@ A hypothesis family is a formula over the variable blocks x (inputs) and a
 (parameters); a neighborhood system a formula over a doubled x block (source
 point x0..x{l-1}, target point x{l}..x{2l-1}).  A quantifier-free formula is
 also the evaluator or membership test: eval_qf reads it exactly on rational
-values, else elementwise on float arrays (one entry per parameter row, point
-and neighbor draw).  The sigmoid network and the l1, general-exponent, KL and
-earth-mover balls, whose formulas have witnesses, and the floor partition,
-which has none, keep numeric bodies of their own.
+values, else this module reads it elementwise on float arrays (one entry per
+parameter row, point and neighbor draw), which keeps numpy out of solve.
+The sigmoid network and the l1, general-exponent, KL and earth-mover balls,
+whose formulas have witnesses, and the floor partition, which has none, keep
+numeric bodies of their own.
 
 Strategic labels have one kernel, batch_strategic_labels, over one parameter
 vector or a matrix of them.  Its closed form is reach_margin: a family with a
@@ -34,7 +35,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formula as fm
-from .solve import LinConstraint, _floats, eval_qf, lp_solve, merge
+from .solve import (LinConstraint, _compare, _fold, _require_qf, eval_qf,
+                    eval_term, lp_solve, merge)
 
 
 class FamilyError(Exception):
@@ -302,13 +304,33 @@ class NeighborhoodSystem:
         return self.emit_formula()
 
 
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
+
+
 def _holds(f: fm.Formula, sigma):
-    """f at sigma: eval_qf exactly when every value is rational, else on
-    arrays, broadcast to the values' shape (a bool for scalar values)."""
+    """f at sigma: eval_qf exactly when every value is rational, else
+    elementwise on float arrays with no tolerance (Not/And/Or are ~/&/|),
+    broadcast to the values' shape (a bool for scalar values).  Term values
+    are kept by term object (f owns them for the whole call): a tree shares
+    each node's polynomial among the paths through the node."""
     if sigma.is_exact():
         return eval_qf(f, sigma, mode="exact")
     shape = np.broadcast_shapes(*{np.shape(v) for v in (*sigma.x, *sigma.a)})
-    out = eval_qf(f, sigma, mode="array")
+    _require_qf(f)
+    sides = {}
+
+    def side(t: fm.Term):
+        if id(t) not in sides:
+            sides[id(t)] = eval_term(t, sigma, _floats, np.exp)
+        return sides[id(t)]
+
+    def atom(at: fm.AtomKind):
+        if isinstance(at, fm.ExpGraph):
+            return side(at.lhs) == np.exp(side(at.rhs))
+        return _compare(side(at.lhs), at.rel, side(at.rhs))
+
+    out = _fold(f, atom, np.bool_)
     return np.broadcast_to(out, shape) if shape else bool(out)
 
 
@@ -624,11 +646,8 @@ def emd_ball(ground: Sequence, radius) -> NeighborhoodSystem:
         xs = [fm.x(i) for i in range(l)]
         ys = [fm.x(l + i) for i in range(l)]
         idx = lambda i, j: i * l + j
-        parts = []
         indices = tuple(range(l * l))
-        for i in range(l):
-            for j in range(l):
-                parts.append(fm.atom(fm.w(idx(i, j)), ">=", fm.const(0)))
+        parts = [fm.atom(fm.w(k), ">=", fm.const(0)) for k in indices]
         for i in range(l):
             parts.append(fm.atom(fm.add(*[fm.w(idx(i, j)) for j in range(l)]),
                                  "=", xs[i]))

@@ -6,13 +6,13 @@ certified ``RatInterval`` enclosures or float arrays, and ``affine`` reads a
 term as coefficients over chosen unknowns plus a constant.  Four layers,
 from exact to heuristic, share them:
 
-* ``eval_qf`` -- quantifier-free evaluation on the path the caller names:
+* ``eval_qf`` -- quantifier-free evaluation, exactly or as a float margin:
   exact rational (no tolerance; exp handled by certified enclosure
   refinement, and an exp-graph atom u = exp(v) read as the comparison
-  (= u (exp v)) it abbreviates), float, or a strict array path for labels.
-  The float verdict is the witness-search margin: a formula holds when its
-  ``_violation`` is at most ``FLOAT_TOL``, one absolute tolerance for every
-  atom.
+  (= u (exp v)) it abbreviates), or as the float witness-search margin: a
+  formula holds when its ``_violation`` is at most ``FLOAT_TOL``, one
+  absolute tolerance for every atom.  ``families`` owns the elementwise
+  reading on float arrays, folding atoms with the same ``_fold``.
 * ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
   (``linear_system_from_formula`` compiles them with ``affine``), the linear
   fragment of one-block quantifier elimination.  Rows are pruned to
@@ -51,8 +51,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from . import formula as fm
 from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
@@ -203,15 +201,9 @@ def _compare(d, rel: str, rhs=0) -> bool:
     return _RELATIONS[rel](d, rhs)
 
 
-def _as_compare(at: fm.AtomKind) -> fm.Compare:
-    """The atom as a comparison of terms: an exp-graph atom u = exp(v) is
-    the comparison (= u (exp v)) it abbreviates."""
-    if isinstance(at, fm.ExpGraph):
-        return fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
-    return at
-
-
-def _exact_atom(at: fm.Compare, sigma: Assignment, max_bits: int) -> bool:
+def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
+    if isinstance(at, fm.ExpGraph):  # u = exp(v) abbreviates (= u (exp v))
+        at = fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
     if not (fm.term_has_exp(at.lhs) or fm.term_has_exp(at.rhs)):
         diff = eval_term(at.lhs, sigma, Fraction, None) - \
             eval_term(at.rhs, sigma, Fraction, None)
@@ -259,28 +251,9 @@ def _violation(f: fm.Formula, sigma: Assignment) -> float:
     raise SolveError("quantifier inside a quantifier-free reading")
 
 
-def _floats(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
-
-
-def _array_atom(at: fm.AtomKind, sigma: Assignment, sides: dict):
-    """The atom elementwise on float arrays, with no tolerance.  Term values
-    are kept in `sides` by term object (f owns them for the whole call): a
-    tree shares each node's polynomial among the paths through the node."""
-
-    def side(t: fm.Term):
-        if id(t) not in sides:
-            sides[id(t)] = eval_term(t, sigma, _floats, np.exp)
-        return sides[id(t)]
-
-    if isinstance(at, fm.ExpGraph):
-        return side(at.lhs) == np.exp(side(at.rhs))
-    return _compare(side(at.lhs), at.rel, side(at.rhs))
-
-
-def _fold(g: fm.Formula, atom: Callable, array: bool):
-    """g from atom(at) per atom, as a bool or, when array is set, a bool
-    array.  Not a nested closure: its cycle would keep the arrays alive."""
+def _fold(g: fm.Formula, atom: Callable, array=None):
+    """g from atom(at) per atom: a bool, or a bool array when array is
+    np.bool_.  Not a nested closure: its cycle would keep arrays alive."""
     if isinstance(g, fm.Atom):
         return atom(g.atom)
     if isinstance(g, fm.Not):
@@ -290,8 +263,13 @@ def _fold(g: fm.Formula, atom: Callable, array: bool):
     parts = (_fold(p, atom, array) for p in g.parts)
     if array:
         return functools.reduce(operator.and_ if conj else operator.or_,
-                                parts, np.bool_(conj))
+                                parts, array(conj))
     return all(parts) if conj else any(parts)
+
+
+def _require_qf(f: fm.Formula) -> None:
+    if fm.classify_fragment(f) != fm.QUANTIFIER_FREE:
+        raise SolveError("eval_qf requires a quantifier-free formula")
 
 
 def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
@@ -303,18 +281,11 @@ def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
     (= u (exp v)) (no tolerance; raises UndecidedComparison when the
     enclosure cannot decide a comparison at max_bits).  mode 'float' is the
     margin witness search gates on: f holds when _violation(f, sigma) <=
-    FLOAT_TOL, one absolute tolerance for every atom.  mode 'array' reads
-    the values as float numpy arrays and returns a bool array of their
-    broadcast shape: atoms compare strictly, Not/And/Or are ~/&/|.
+    FLOAT_TOL, one absolute tolerance for every atom.
     """
-    if fm.classify_fragment(f) != fm.QUANTIFIER_FREE:
-        raise SolveError("eval_qf requires a quantifier-free formula")
-    if mode == "array":
-        sides: dict = {}
-        return _fold(f, lambda at: _array_atom(at, sigma, sides), True)
+    _require_qf(f)
     if mode == "exact":
-        return _fold(f, lambda at: _exact_atom(_as_compare(at), sigma,
-                                               max_bits), False)
+        return _fold(f, lambda at: _exact_atom(at, sigma, max_bits))
     if mode == "float":
         return _violation(f, sigma) <= FLOAT_TOL
     raise SolveError(f"unknown eval_qf mode {mode!r}")
@@ -900,6 +871,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     if not free:
         return _accept(body, sigma0, vector(())) or WitnessResult(False)
 
+    import numpy as np  # here, so that exact commands never load it
     lo, hi = SEARCH_BOX
     candidates = []
     # seed with the input coordinates cycled across the free slots: for

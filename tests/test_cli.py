@@ -6,9 +6,12 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import stratdef
 from stratdef import __version__, families, transform
 from stratdef import formula as fm
 from stratdef.cli import main
@@ -54,6 +57,8 @@ def test_unknown_spec_is_usage_error(tmp_path, capsys):
     ["learn", "--family", "threshold:l=1", "--eps", "nan"],
     ["learn", "--family", "threshold:l=1", "--trials", "0"],
     ["verify-blowup", "--construction", "fixed", "--r", "abc"],
+    ["verify-blowup", "--construction", "all-radii", "--s", "3/10", "--n",
+     "2", "--cert-cap", "-1"],
 ])
 def test_hostile_arguments_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -214,6 +219,84 @@ def test_construction_error_is_verification_failure(tmp_path, capsys):
               "--r", "1/2", "--rp", "1", "--out", tmp_path / "c.json"])
     assert rc == 1
     assert "verification failure:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Cold processes: the command as a fresh interpreter runs it, with only the
+# modules the command itself imports
+
+
+def _cold_env():
+    src = os.path.dirname(os.path.dirname(stratdef.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _edit_certificate(path):
+    doc = json.loads(path.read_text())
+    doc["result"]["certificates"][0]["passed"] = False
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("setup, argv, code, message", [
+    (lambda d: (d / "sys.json").write_text('{"variables": ["x"]}'),
+     ["fm-elim", "--in", "sys.json", "--drop", "x", "--out", "o.json"], 2,
+     "error: 'sys.json' is not a linear system: the file has no "
+     "'constraints'"),
+    (None, ["verify-blowup", "--construction", "all-radii", "--out",
+            "o.json"], 2, "error: all-radii needs --s"),
+    (None, ["transform", "--hypothesis", "threshold", "--neighborhood",
+            "nosuch:l=2", "--out", "o.json"], 2,
+     "error: 'nosuch:l=2' is neither a readable file"),
+    (None, ["verify-blowup", "--construction", "fixed", "--n", 2, "--r",
+            "1/2", "--rp", 1, "--out", "o.json"], 1,
+     "verification failure: "),
+    (lambda d: (run(["verify-blowup", "--construction", "fixed", "--n", 2,
+                     "--out", d / "c.json"]),
+                _edit_certificate(d / "c.json")),
+     ["shatter", "--instance", "c.json"], 1, None),
+], ids=["fm-elim-no-constraints", "all-radii-no-s", "unknown-neighborhood",
+        "fixed-bad-radii", "shatter-edited-certificate"])
+def test_cold_process_sorts_errors(tmp_path, capsys, setup, argv, code,
+                                   message):
+    # in-process tests run with every module already imported, so they
+    # cannot see a handler that names a module the command did not load
+    if setup is not None:
+        setup(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "stratdef.cli",
+                           *map(str, argv)], env=_cold_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert message is None or proc.stderr.startswith(message), proc.stderr
+
+
+def test_exact_commands_load_no_numpy(tmp_path):
+    code = """
+import json, sys
+numeric = {"numpy", "scipy"}
+import stratdef.constructions, stratdef.solve, stratdef.transform
+assert not numeric & set(sys.modules), "import"
+from stratdef.cli import main
+json.dump({"variables": ["x", "y"], "constraints": [
+    {"coeffs": ["1", "-1"], "rel": "<=", "rhs": "0"},
+    {"coeffs": ["-1", "0"], "rel": "<", "rhs": "-1"}]}, open("sys.json", "w"))
+for name, extra in (("fixed", []), ("all-radii", ["--s", "1/3", "--t", "40"]),
+                    ("partition", []), ("frac", [])):
+    assert main(["verify-blowup", "--construction", name, "--n", "2",
+                 "--out", name + ".json", *extra]) == 0, name
+    assert main(["shatter", "--instance", name + ".json"]) == 0, name
+assert main(["fm-elim", "--in", "sys.json", "--drop", "x",
+             "--out", "fm.json"]) == 0
+assert not numeric & set(sys.modules), sorted(numeric & set(sys.modules))
+assert main(["growth", "--family", "threshold", "--m", "4", "--trials", "1",
+             "--param-draws", "10", "--csv", "g.csv"]) == 0
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=_cold_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +464,7 @@ def test_shatter_bad_stored_config_is_usage_error(tmp_path, capsys, field,
     doc = json.loads(out.read_text())
     # int() would truncate 2.7 to 2 and read true as 1: a stored n of 2.7
     # rebuilt at n = 2 would match
-    for value in (None, 2.7, True):
+    for value in (None, 2.7, True, -1):
         doc["config"][field] = value
         out.write_text(json.dumps(doc))
         capsys.readouterr()
