@@ -110,6 +110,15 @@ def _read(path) -> str:
         raise UsageError(f"cannot read {str(path)!r}: {exc}") from exc
 
 
+def _read_json(path):
+    """The JSON document of an input file; one that is not JSON is a usage
+    error naming the file."""
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{str(path)!r} is not JSON: {exc}") from exc
+
+
 def _load_formula(spec: str) -> fm.Formula:
     """A registry spec string ('halfspace:l=2') when the name before ':' is
     a registered family or neighborhood, otherwise a path to a file holding
@@ -162,7 +171,7 @@ def _field(obj, key: str, where: str):
 
 
 def _load_system(path: str) -> solve.LinearSystem:
-    doc = json.loads(_read(path))
+    doc = _read_json(path)
     try:
         names = _field(doc, "variables", "the file")
         if not (isinstance(names, list) and
@@ -286,7 +295,7 @@ def cmd_verify_blowup(args) -> int:
 
 
 def cmd_shatter(args) -> int:
-    doc = json.loads(_read(args.instance))
+    doc = _read_json(args.instance)
     cfg = doc.get("config", {}) if isinstance(doc, dict) else None
     if not isinstance(cfg, dict):
         raise UsageError("instance file must be a JSON object whose config "
@@ -440,6 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _loaded_errors(*names) -> tuple:
+    """The error classes 'module.Class' of this package's modules that are
+    already imported: a module never imported raised nothing, and importing
+    it here would load numpy on the error path."""
+    out = []
+    for name in names:
+        module, _, cls = name.rpartition(".")
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            out.append(getattr(loaded, cls))
+    return tuple(out)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -449,14 +471,14 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception as exc:
-        from . import capacity, families, learn  # for their error classes
-        if isinstance(exc, (UsageError, families.FamilyError, fm.FormulaError,
-                            FileNotFoundError, json.JSONDecodeError)):
+        if isinstance(exc, (UsageError, fm.FormulaError, FileNotFoundError,
+                            *_loaded_errors("families.FamilyError"))):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if isinstance(exc, (constructions.ConstructionError, solve.SolveError,
-                            transform.TransformError, learn.LearnError,
-                            capacity.CapacityError, UndecidedComparison)):
+                            transform.TransformError, UndecidedComparison,
+                            *_loaded_errors("learn.LearnError",
+                                            "capacity.CapacityError"))):
             print(f"verification failure: {exc}", file=sys.stderr)
             return 1
         raise

@@ -21,14 +21,20 @@ certificates:
 
 Certificates never rely on floating point, and every comparison is exact.
 The blowup certificates compare integers: one common denominator scales all
-the points and radii of a block.  The frac certificates compare squares of
-integers: a window on frac(m * sqrt(2)) becomes a window on 2 * m^2.
+the points and radii of a block.  A strategic trace is an anchor bitmask,
+the OR of its support points' masks; a blowup point's mask is found by
+bisection among the endpoints a - s, a + s + 1 on that integer grid, and a
+partition point's by its cell.  The all-radii sibling blocks are checked on
+their integer grids alone, with no Fraction points.  The frac certificates
+compare squares of integers: a window on frac(m * sqrt(2)) becomes a window
+on 2 * m^2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -108,26 +114,29 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _strategic_traces(anchors, supports: dict, captured) -> Certificate:
-    """captured(anchor, points) -> bool; passes iff the strategic labels
-    realize all 2^n subsets, each by its own hypothesis."""
-    n = len(anchors)
-    ok = True
-    bad = ""
+def _strategic_traces(n: int, supports: dict, reach) -> Certificate:
+    """reach(point) -> bitmask of the anchors whose neighborhoods hold the
+    point (bit i - 1 for anchor i); a support's trace is the OR of its
+    points' masks.  Passes iff every support traces its own subset and the
+    traces realize all 2^n subsets."""
     seen = set()
     for key, pts in supports.items():
-        trace = tuple(i + 1 for i, anc in enumerate(anchors)
-                      if captured(anc, pts))
-        if trace != key:
-            ok = False
-            bad = f"subset {key} traced as {trace}"
-            break
-        seen.add(trace)
-    if ok and len(seen) != 1 << n:
-        ok = False
-        bad = f"only {len(seen)} of {1 << n} traces"
-    return Certificate("strategic_shattering", ok,
-                       bad if bad else f"all {1 << n} traces realized")
+        mask = 0
+        for q in pts:
+            mask |= reach(q)
+        want = 0
+        for i in key:
+            want |= 1 << (i - 1)
+        if mask != want:
+            trace = tuple(i + 1 for i in range(n) if mask >> i & 1)
+            return Certificate("strategic_shattering", False,
+                               f"subset {key} traced as {trace}")
+        seen.add(mask)
+    if len(seen) != 1 << n:
+        return Certificate("strategic_shattering", False,
+                           f"only {len(seen)} of {1 << n} traces")
+    return Certificate("strategic_shattering", True,
+                       f"all {1 << n} traces realized")
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +159,15 @@ def _blowup_grid(n: int, r: Fraction, rp: Fraction, offset: Fraction,
     return u, anchors, supports
 
 
-def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
-                       offset=0) -> ConstructionInstance:
-    """Blowup at anchor spacing 10r with inner tolerance rp <= r.
-
-    Anchor i sits at offset + 10*r*i with working cell U_i of half-width 2r.
-    The hypothesis for subset S places one point per anchor: within rp of
-    the anchor when i is in S, at distance in (r, 2r) otherwise, plus a
-    per-subset jitter below rp/4 keeping all supports pairwise disjoint.
-    Certificates check VC(class) = 1 and strategic shattering at every
-    radius s in [rp, r] supplied through `radii` (default endpoints and
-    midpoint).
-    """
-    r = Fraction(r)
-    rp = Fraction(rp)
-    offset = Fraction(offset)
-    if not 0 < rp <= r:
-        raise ConstructionError("need 0 < rp <= r")
-    if n < 1:
-        raise ConstructionError("need n >= 1")
-    radii = [rp, (rp + r) / 2, r] if radii is None else \
-        [Fraction(s) for s in radii]
+def _blowup_core(n: int, r: Fraction, rp: Fraction, offset: Fraction,
+                 radii: Optional[Sequence] = None) -> tuple:
+    """(u, anchors, supports, certificates) of the blowup with 0 < rp <= r
+    and n >= 1, its points integer multiples of 1/u, so that every
+    certificate compares integers.  radii default to rp, (rp + r) / 2, r."""
+    radii = [rp, (rp + r) / 2, r] if radii is None else radii
+    for s in radii:
+        if not rp <= s <= r:
+            raise ConstructionError(f"radius {s} outside [{rp}, {r}]")
     u, anchors, supports = _blowup_grid(n, r, rp, offset, radii)
     R, RP = int(r * u), int(rp * u)
     certs = _check_class_vc_one(supports, u)
@@ -191,13 +188,42 @@ def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
                              detail or "all points in their distance bands"))
 
     for s in radii:
-        if not rp <= s <= r:
-            raise ConstructionError(f"radius {s} outside [{rp}, {r}]")
+        # on the integer grid |q - a| <= S iff a - S <= q < a + S + 1, so
+        # the anchor mask of q is constant between consecutive endpoints
+        # a - S, a + S + 1; one bisection finds the segment of q
         S = int(s * u)
-        cert = _strategic_traces(anchors, supports, lambda anc, pts: any(
-            abs(q - anc) <= S for q in pts))
+        ends = sorted({a + d for a in anchors for d in (-S, S + 1)})
+        masks = [0] + [sum(1 << k for k, a in enumerate(anchors)
+                           if abs(e - a) <= S) for e in ends]
+        cert = _strategic_traces(
+            n, supports, lambda q: masks[bisect_right(ends, q)])
         cert.name = f"strategic_shattering_s={_fmt(s)}"
         certs.append(cert)
+    return u, anchors, supports, certs
+
+
+def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
+                       offset=0) -> ConstructionInstance:
+    """Blowup at anchor spacing 10r with inner tolerance rp <= r.
+
+    Anchor i sits at offset + 10*r*i with working cell U_i of half-width 2r.
+    The hypothesis for subset S places one point per anchor: within rp of
+    the anchor when i is in S, at distance in (r, 2r) otherwise, plus a
+    per-subset jitter below rp/4 keeping all supports pairwise disjoint.
+    Certificates check VC(class) = 1 and strategic shattering at every
+    radius s in [rp, r] supplied through `radii` (default endpoints and
+    midpoint).
+    """
+    r = Fraction(r)
+    rp = Fraction(rp)
+    offset = Fraction(offset)
+    if not 0 < rp <= r:
+        raise ConstructionError("need 0 < rp <= r")
+    if n < 1:
+        raise ConstructionError("need n >= 1")
+    if radii is not None:
+        radii = [Fraction(s) for s in radii]
+    u, anchors, supports, certs = _blowup_core(n, r, rp, offset, radii)
     return ConstructionInstance(
         "fixed_blowup", n, {"r": r, "rp": rp, "offset": offset},
         [Fraction(p, u) for p in anchors],
@@ -226,20 +252,27 @@ class RadiiBlock:
         return 10 * self.r * (self.n + 1)
 
 
-def _enumerate_blocks(t: int):
+def _block_pairs(t: int) -> list:
     """First t pairs (n, m) of the diagonal enumeration of the positive
-    integers against the window {-M..M}, M = max(1, ceil(log2 t))."""
+    integers n against the window m in {-M..M}, M = max(1, ceil(log2 t)):
+    by n + m, then by n."""
+    M = max(1, (t - 1).bit_length())
+    pairs = []
+    d = 1 - M  # n + m
+    while len(pairs) < t:
+        pairs += [(n, d - n) for n in range(max(1, d - M), d + M + 1)]
+        d += 1
+    return pairs[:t]
+
+
+def _enumerate_blocks(t: int):
+    """The blocks of the first t pairs (n, m), left to right with unit
+    gaps."""
     if t < 1:
         raise ConstructionError("need t >= 1")
-    M = max(1, math.ceil(math.log2(t)))
-    pairs = []
-    for n in range(1, t + 2):
-        for idx in range(2 * M + 1):
-            pairs.append((n + idx, n, idx - M))
-    pairs.sort()
     out = []
     offset = Fraction(0)
-    for rank, (_, n, m) in enumerate(pairs[:t]):
+    for rank, (n, m) in enumerate(_block_pairs(t)):
         blk = RadiiBlock(rank, n, m, offset)
         out.append(blk)
         offset = offset + blk.length + 1
@@ -265,16 +298,17 @@ class AllRadiiFamily:
 
     @staticmethod
     def radius_exponent(s) -> int:
-        """Unique m with 2^-(m+1) < s <= 2^-m."""
+        """Unique m with 2^-(m+1) < s <= 2^-m, that is m = -ceil(log2 s).
+        With e the bit length of the numerator of s less that of its
+        denominator, 2^(e-1) < s < 2^(e+1), so ceil(log2 s) is e when
+        s <= 2^e and e + 1 otherwise."""
         s = Fraction(s)
         if s <= 0:
             raise ConstructionError("radius must be positive")
-        m = 0
-        while Fraction(2) ** -m < s:
-            m -= 1
-        while Fraction(2) ** -(m + 1) >= s:
-            m += 1
-        return m
+        p, q = s.numerator, s.denominator
+        e = p.bit_length() - q.bit_length()
+        within = p <= q << e if e >= 0 else p << -e <= q
+        return -e if within else -e - 1
 
     def select_block(self, s, n: int) -> RadiiBlock:
         m = self.radius_exponent(s)
@@ -284,8 +318,7 @@ class AllRadiiFamily:
             hint = ""
             while need < 1 << 14:
                 need *= 2
-                if any(b.m == m and b.n >= n
-                       for b in _enumerate_blocks(need)):
+                if any(pm == m and pn >= n for pn, pm in _block_pairs(need)):
                     hint = f"; t={need} suffices"
                     break
             raise ConstructionError(
@@ -330,11 +363,10 @@ def build_all_radii(t: int, s, n: int,
     small = [b for b in fam.blocks if b.n <= cert_cap and b is not block]
     all_ok = True
     for b in small:
-        sub = fam.block_instance(b)
-        u, _, grid = _blowup_grid(b.n, b.r, b.r / 2, b.offset, ())
+        u, _, grid, sub_certs = _blowup_core(b.n, b.r, b.r / 2, b.offset)
         lo, hi = int(b.offset * u), int((b.offset + b.length) * u)
         inside = all(lo < q < hi for pts in grid.values() for q in pts)
-        if not (sub.passed() and inside):
+        if not (all(c.passed for c in sub_certs) and inside):
             all_ok = False
             detail = f"block (n={b.n}, m={b.m}) failed"
             break
@@ -396,9 +428,12 @@ def build_partition_pathology(n: int = 4) -> ConstructionInstance:
         "partition_cells_vc_at_most_one", not pair_shattered,
         f"{len(cells)} cells over {len(points)} points, no pair shattered"))
 
+    cell_mask = {}
+    for i, anc in enumerate(anchors):
+        cell = math.floor(anc)
+        cell_mask[cell] = cell_mask.get(cell, 0) | 1 << i
     certs.append(_strategic_traces(
-        anchors, supports,
-        lambda anc, pts: any(math.floor(q) == math.floor(anc) for q in pts)))
+        n, supports, lambda q: cell_mask.get(math.floor(q), 0)))
 
     return ConstructionInstance("partition_pathology", n, {}, anchors,
                                 supports, certs)

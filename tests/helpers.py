@@ -247,6 +247,18 @@ def ref_fm_eliminate(sys: LinearSystem, eliminate) -> LinearSystem:
 
 
 # ---------------------------------------------------------------------------
+# Strategic traces of interval neighborhoods, by brute force
+
+
+def ref_interval_trace(anchors, points, s) -> tuple:
+    """The anchors (numbered from 1) that some point reaches in the closed
+    interval neighborhood of radius s: any(|q - a| <= s), over Fractions."""
+    s = Fraction(s)
+    return tuple(i for i, a in enumerate(anchors, start=1)
+                 if any(abs(Fraction(q) - Fraction(a)) <= s for q in points))
+
+
+# ---------------------------------------------------------------------------
 # Sampled strategic labels
 
 

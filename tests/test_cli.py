@@ -146,6 +146,8 @@ _ROW = {"coeffs": ["1"], "rel": "<=", "rhs": "1"}
     ("transform", None, None),
     ("shatter", None, None),
     ("transform", b"(<= x0 \xff)", None),
+    ("fm-elim", b"{not json", "input' is not JSON: Expecting property"),
+    ("shatter", b"not json", "input' is not JSON: Expecting value"),
     ("fm-elim", json.dumps([_ROW]).encode(), "must be a JSON object"),
     ("fm-elim", json.dumps({"variables": ["x"], "constraints": [
         dict(_ROW, rhs="abc")]}).encode(), None),
@@ -183,7 +185,7 @@ _ROW = {"coeffs": ["1"], "rel": "<=", "rhs": "1"}
         _ROW, dict(_ROW, coeffs=["1", "2"])]}).encode(),
      "row 1 has 2 coefficients for 1 variables"),
 ], ids=["transform-directory", "shatter-directory", "formula-not-utf8",
-        "fm-elim-list", "fm-elim-bad-rhs", "fm-elim-bad-rel",
+        "fm-elim-not-json", "shatter-not-json", "fm-elim-list", "fm-elim-bad-rhs", "fm-elim-bad-rel",
         "fm-elim-repeated-variable", "fm-elim-variables-string",
         "fm-elim-bool-coeff", "fm-elim-bool-rhs", "fm-elim-infinite-rhs",
         "fm-elim-coeffs-string", "fm-elim-drop-twice",
@@ -288,6 +290,15 @@ for name, extra in (("fixed", []), ("all-radii", ["--s", "1/3", "--t", "40"]),
     assert main(["shatter", "--instance", name + ".json"]) == 0, name
 assert main(["fm-elim", "--in", "sys.json", "--drop", "x",
              "--out", "fm.json"]) == 0
+# failing commands: the error handler sorts the exit code without them
+open("bad.json", "w").write("{not json")
+assert main(["fm-elim", "--in", "bad.json", "--drop", "x",
+             "--out", "fm.json"]) == 2
+assert main(["shatter", "--instance", "bad.json"]) == 2
+doc = json.load(open("fixed.json"))
+doc["config"]["rp"] = "2"
+json.dump(doc, open("forged.json", "w"))
+assert main(["shatter", "--instance", "forged.json"]) == 1
 assert not numeric & set(sys.modules), sorted(numeric & set(sys.modules))
 assert main(["growth", "--family", "threshold", "--m", "4", "--trials", "1",
              "--param-draws", "10", "--csv", "g.csv"]) == 0
