@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: transform, fm-elim, verify-blowup, shatter, growth, learn.
-growth, learn and transform (its registry lookup) alone load numpy, when run.
+growth, learn and transform on a registry spec alone load numpy, when run; a
+formula spec names a regular file first and a registry spec otherwise.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Artifacts are written atomically (temp file + rename) and are byte-identical
@@ -120,18 +121,17 @@ def _read_json(path):
 
 
 def _load_formula(spec: str) -> fm.Formula:
-    """A registry spec string ('halfspace:l=2') when the name before ':' is
-    a registered family or neighborhood, otherwise a path to a file holding
-    one s-expression formula."""
+    """The s-expression formula in the regular file at path spec, otherwise
+    the formula of a registry spec string ('halfspace:l=2') whose name
+    before ':' is a registered family or neighborhood."""
+    if os.path.isfile(spec):  # False, not an error, for a name too long
+        return fm.parse(_read(spec))
     from . import families
     name = spec.partition(":")[0]
     for make, names in ((families.make_family, families._FAMILIES),
                         (families.make_neighborhood, families._NEIGHBORHOODS)):
         if name in names:
             return make(spec).formula()
-    path = Path(spec)
-    if path.exists():
-        return fm.parse(_read(path))
     raise UsageError(f"{spec!r} is neither a readable file nor a known "
                      "family/neighborhood spec")
 

@@ -237,9 +237,6 @@ def compare(lhs: Term, rel: str, rhs: Term) -> AtomKind:
     return Compare(lhs, rel, rhs)
 
 
-TRUE = And(())  # empty conjunction
-
-
 # ---------------------------------------------------------------------------
 # Reading and rebuilding
 

@@ -141,7 +141,7 @@ def erm_fit(family: HypothesisFamily, neigh: NeighborhoodSystem,
     if inject is None:
         inject = data.target_params
     # an empty inject sequence disables the final injected candidate
-    if inject is not None and len(inject) and best_err > 0.0:
+    if len(inject) and best_err > 0.0:
         consider(np.asarray([[float(v) for v in inject]]))
     return ErmResult(best_params, best_err, spent,
                      budget_exhausted_nonzero=best_err > 0.0)

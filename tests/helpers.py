@@ -258,6 +258,21 @@ def ref_interval_trace(anchors, points, s) -> tuple:
                  if any(abs(Fraction(q) - Fraction(a)) <= s for q in points))
 
 
+def ref_unit_cells_shatter_a_pair(points) -> tuple:
+    """(cells, points, shattered) for the unit cells [k, k + 1) that hold
+    one of the points: their number, the number of distinct points, and
+    whether some pair of points gets all four labels from those cells and
+    the empty set.  Every pair is tested against every cell."""
+    pts = sorted(set(points))
+    cells = sorted({math.floor(p) for p in pts})
+    for p, q in itertools.combinations(pts, 2):
+        got = {(False, False)}
+        got |= {(math.floor(p) == c, math.floor(q) == c) for c in cells}
+        if len(got) == 4:
+            return len(cells), len(pts), True
+    return len(cells), len(pts), False
+
+
 # ---------------------------------------------------------------------------
 # Sampled strategic labels
 

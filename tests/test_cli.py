@@ -8,8 +8,10 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from helpers import ref_unit_cells_shatter_a_pair
 
 import stratdef
 from stratdef import __version__, families, transform
@@ -129,6 +131,32 @@ def test_registry_specs_resolve_before_files(tmp_path, monkeypatch, capsys,
     else:
         assert rc == 2
         assert message in err, err
+
+
+def test_regular_file_named_like_a_spec_is_read_as_formula(tmp_path,
+                                                          monkeypatch):
+    # a regular file wins over the registry spec of the same name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "threshold").write_text("(>= x0 (* 2 a0))")
+    assert run(["transform", "--hypothesis", "threshold",
+                "--neighborhood", "interval:r=1/2", "--out", "t.json"]) == 0
+    got = fm.parse(_read_artifact(tmp_path / "t.json")["result"]["formula"])
+    want = transform.strategic_transform(
+        fm.parse("(>= x0 (* 2 a0))"),
+        families.make_neighborhood("interval:r=1/2").formula())
+    assert got == want.transformed
+    assert got != transform.strategic_transform(
+        families.make_family("threshold").formula(),
+        families.make_neighborhood("interval:r=1/2").formula()).transformed
+
+
+def test_spec_too_long_for_a_file_name_is_usage_error(tmp_path, capsys):
+    # the file lookup must not raise "File name too long" before the
+    # registry has been consulted
+    assert run(["transform", "--hypothesis", "x" * 300,
+                "--neighborhood", "identity:l=1",
+                "--out", tmp_path / "t.json"]) == 2
+    assert "neither a readable file" in capsys.readouterr().err
 
 
 def test_malformed_json_is_usage_error(tmp_path, capsys):
@@ -290,6 +318,11 @@ for name, extra in (("fixed", []), ("all-radii", ["--s", "1/3", "--t", "40"]),
     assert main(["shatter", "--instance", name + ".json"]) == 0, name
 assert main(["fm-elim", "--in", "sys.json", "--drop", "x",
              "--out", "fm.json"]) == 0
+open("h.sexp", "w").write("(>= x0 a0)")
+open("n.sexp", "w").write("(and (<= (+ x0 (* -1 x1)) 1/2) "
+                          "(<= (+ x1 (* -1 x0)) 1/2))")
+assert main(["transform", "--hypothesis", "h.sexp", "--neighborhood",
+             "n.sexp", "--out", "t.json"]) == 0
 # failing commands: the error handler sorts the exit code without them
 open("bad.json", "w").write("{not json")
 assert main(["fm-elim", "--in", "bad.json", "--drop", "x",
@@ -493,6 +526,23 @@ def test_shatter_non_object_instance_is_usage_error(tmp_path, capsys, text):
     assert run(["shatter", "--instance", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partition_cells_certificate_matches_pair_search(tmp_path, n):
+    out = tmp_path / "p.json"
+    assert run(["verify-blowup", "--construction", "partition", "--n", n,
+                "--out", out]) == 0
+    res = _read_artifact(out)["result"]
+    points = [Fraction(q) for q in res["anchors"]] + \
+        [Fraction(q) for pts in res["supports"].values() for q in pts]
+    cells, distinct, shattered = ref_unit_cells_shatter_a_pair(points)
+    assert not shattered
+    cert, = (c for c in res["certificates"]
+             if c["name"] == "partition_cells_vc_at_most_one")
+    assert cert["passed"] == (not shattered)
+    assert cert["detail"] == \
+        f"{cells} cells over {distinct} points, no pair shattered"
 
 
 def test_verify_blowup_replay_is_byte_identical(tmp_path):

@@ -191,6 +191,12 @@ def test_partition_pathology_certified():
     assert "partition_cells_vc_at_most_one" in names
 
 
+def test_partition_pathology_certified_at_n_10():
+    inst = build_partition_pathology(10)
+    assert inst.passed(), inst.summary()
+    assert len(inst.certificates) == 4
+
+
 def test_partition_pathology_strategic_labels():
     inst = build_partition_pathology(3)
     for key, pts in inst.supports.items():
