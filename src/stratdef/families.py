@@ -5,7 +5,9 @@ A hypothesis family is a formula over the variable blocks x (inputs) and a
 point x0..x{l-1}, target point x{l}..x{2l-1}).  A quantifier-free formula is
 also the evaluator or membership test: eval_qf reads it exactly on rational
 values, else this module reads it elementwise on float arrays (one entry per
-parameter row, point and neighbor draw), which keeps numpy out of solve.
+parameter row, point and neighbor draw).  Formulas are built without numpy;
+only the array evaluation, the samplers and the label kernel load it, each
+where it runs.
 The sigmoid network and the l1, general-exponent, KL and earth-mover balls,
 whose formulas have witnesses, and the floor partition, which has none, keep
 numeric bodies of their own.
@@ -31,8 +33,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from . import formula as fm
 from .solve import (LinConstraint, _compare, _fold, _require_qf, eval_qf,
@@ -81,28 +81,32 @@ class HypothesisFamily:
             return self.numeric(params, x)
         return _holds(self.formula(), merge(x=x, a=params))
 
-    def draw_params(self, rng: np.random.Generator, n: Optional[int] = None):
+    def draw_params(self, rng, n: Optional[int] = None):
         """One vector (or n, as matrix rows) with every coordinate uniform on
-        PARAM_BOX."""
+        PARAM_BOX, drawn by the numpy Generator rng."""
         return rng.uniform(*PARAM_BOX, (self.param_dim,) if n is None
                            else (n, self.param_dim))
 
 
 def _dimension(l: int) -> None:
-    """Reject a point dimension l < 1: R^l needs a coordinate."""
-    if l < 1:
-        raise FamilyError(f"dimension l must be >= 1, got {l}")
+    """Reject a point dimension l outside [1, MAX_PARAM_DIM]: R^l needs a
+    coordinate, and formulas and samplers grow with l."""
+    if not 1 <= l <= MAX_PARAM_DIM:
+        raise FamilyError(f"dimension l must be in [1, {MAX_PARAM_DIM}], "
+                          f"got {l}")
 
 
 def halfspace(l: int) -> HypothesisFamily:
-    """a0*x0 + ... + a{l-1}*x{l-1} >= a{l}; param_dim = l + 1."""
+    """a0*x0 + ... + a{l-1}*x{l-1} >= a{l}; param_dim = l + 1, rejected
+    above MAX_PARAM_DIM."""
     _dimension(l)
+    k = _capped(l + 1)
 
     def emit():
         return fm.atom(fm.add(*[fm.mul(fm.a(i), fm.x(i)) for i in range(l)]),
                        ">=", fm.a(l))
 
-    return HypothesisFamily("halfspace", l, l + 1, emit,
+    return HypothesisFamily("halfspace", l, k, emit,
                             linear=lambda P: (P[..., :l], P[..., l]))
 
 
@@ -112,8 +116,11 @@ def threshold() -> HypothesisFamily:
     def emit():
         return fm.atom(fm.x(0), ">=", fm.a(0))
 
-    return HypothesisFamily("threshold", 1, 1, emit,
-                            linear=lambda P: (np.ones_like(P), P[..., 0]))
+    def linear(P):
+        import numpy as np
+        return np.ones_like(P), P[..., 0]
+
+    return HypothesisFamily("threshold", 1, 1, emit, linear=linear)
 
 
 def monomial_exponents(l: int, max_degree: int):
@@ -125,8 +132,9 @@ def monomial_exponents(l: int, max_degree: int):
 
 
 def _monomial_count(l: int, degree: int) -> int:
-    if l < 1 or degree < 0:
-        raise FamilyError(f"need l >= 1 and degree >= 0, got {l}, {degree}")
+    _dimension(l)
+    if degree < 0:
+        raise FamilyError(f"need degree >= 0, got {degree}")
     return math.comb(l + degree, degree)
 
 
@@ -168,8 +176,11 @@ def decision_tree(l: int, depth: int, split_degree: int,
     parameters are the split coefficients only, so param_dim =
     (2^depth - 1) * binomial(l + q, q), rejected above MAX_PARAM_DIM.
     """
-    if depth < 1:
-        raise FamilyError("tree depth must be >= 1")
+    # above depth top the 2^depth - 1 nodes alone exceed MAX_PARAM_DIM:
+    # rejected before 2^depth is computed
+    top = MAX_PARAM_DIM.bit_length() - 1
+    if not 1 <= depth <= top:
+        raise FamilyError(f"tree depth must be in [1, {top}], got {depth}")
     block = _monomial_count(l, split_degree)
     n_leaves = 1 << depth
     k = _capped((n_leaves - 1) * block)
@@ -225,6 +236,7 @@ def sigmoid_network(widths: Sequence[int]) -> HypothesisFamily:
             pos += prev + 1
 
     def numeric(params, x):
+        import numpy as np
         num = _field(params, x, exact=False)
         z = [num(v) for v in x]
         for j, d in enumerate(layer_dims):
@@ -304,7 +316,9 @@ class NeighborhoodSystem:
         return self.emit_formula()
 
 
-def _floats(v) -> np.ndarray:
+def _floats(v):
+    """v as a float ndarray: the one conversion of the array code."""
+    import numpy as np
     return np.asarray(v, dtype=float)
 
 
@@ -316,6 +330,7 @@ def _holds(f: fm.Formula, sigma):
     each node's polynomial among the paths through the node."""
     if sigma.is_exact():
         return eval_qf(f, sigma, mode="exact")
+    import numpy as np
     shape = np.broadcast_shapes(*{np.shape(v) for v in (*sigma.x, *sigma.a)})
     _require_qf(f)
     sides = {}
@@ -348,7 +363,7 @@ def _field(*seqs, exact: bool = True) -> Callable:
     array per coordinate, broadcasting over parameter rows, points and
     neighbor draws), else Fraction when exact and every entry is rational,
     float otherwise."""
-    if any(isinstance(s, np.ndarray) and s.ndim > 1 for s in seqs):
+    if any(getattr(s, "ndim", 0) > 1 for s in seqs):
         return _floats
     exact = exact and all(isinstance(v, (Fraction, int))
                           for s in seqs for v in s)
@@ -379,7 +394,7 @@ def identity(l: int) -> NeighborhoodSystem:
                          for i in range(l)])
 
     def sample(X, rng, budget):
-        return np.empty((len(X), 0, l)), True
+        return _floats(X)[:, None][:, :0], True  # no draws: [m, 0, l]
 
     return NeighborhoodSystem("identity", l, emit_formula=emit, sample=sample,
                               kind="identity", radius=Fraction(0))
@@ -467,6 +482,7 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
 
 def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
     """Euclidean ball whose radius is max(x_coord, 0) at the source point."""
+    _dimension(l)
     if not 0 <= coord < l:
         raise FamilyError("radius coordinate out of range")
 
@@ -485,7 +501,7 @@ def lp2_ball_variable_radius(l: int, coord: int) -> NeighborhoodSystem:
     return _with_box_sampler(
         NeighborhoodSystem(f"l2_ball_var_x{coord}", l, emit_formula=emit,
                            kind="lp_var"),
-        lambda x: np.maximum(x[coord], 0))
+        lambda x: x[coord].clip(0))
 
 
 def interval_radius(r) -> NeighborhoodSystem:
@@ -586,8 +602,8 @@ def _mixing_draws(rng, l: int, budget: int):
     """The kl and emd samplers' draws y = (1 - t) x + t u: U [budget, l]
     with Dirichlet(1, ..., 1) rows, t [budget, 1] uniform on [0, 1), drawn
     one (u, t) pair at a time."""
-    U, t = map(np.array, zip(*[(rng.dirichlet(np.ones(l)), rng.uniform(0, 1))
-                               for _ in range(budget)]))
+    U, t = map(_floats, zip(*[(rng.dirichlet([1.0] * l), rng.uniform(0, 1))
+                              for _ in range(budget)]))
     return U, t[:, None]
 
 
@@ -689,6 +705,7 @@ def floor_partition() -> NeighborhoodSystem:
         return math.floor(x[0]) == math.floor(y[0])
 
     def sample(X, rng, budget):
+        import numpy as np
         base = np.floor(_floats(X))[:, None]
         return base + rng.uniform(0, 1, (budget, 1)), True
 
@@ -728,17 +745,18 @@ def reach_margin(family: HypothesisFamily, neigh: NeighborhoodSystem,
     """
     if not _closed_form(family, neigh):
         return None
-    w, b = family.linear(np.asarray(params, dtype=float))
+    import numpy as np
+    w, b = family.linear(_floats(params))
     gain = float(neigh.radius) * \
         np.linalg.norm(w, _DUAL_ORD[neigh.p], axis=-1) if neigh.radius else 0.0
     # one matrix-vector product per parameter row, as for a single vector
-    dots = (np.asarray(X, dtype=float) @ w[..., None])[..., 0]
+    dots = (_floats(X) @ w[..., None])[..., 0]
     return (dots.T + gain - b).T
 
 
 def batch_strategic_labels(family: HypothesisFamily,
                            neigh: NeighborhoodSystem, params,
-                           X) -> np.ndarray:
+                           X):
     """Strategic labels of the points X (one per row): shape [m] for one
     parameter vector, [draws, m] for a matrix with one vector per row.
 
@@ -748,10 +766,11 @@ def batch_strategic_labels(family: HypothesisFamily,
     kept draws.  Parameter rows are labelled in blocks of at most _BLOCK
     (rows x candidates) pairs.
     """
-    P = np.asarray(params, dtype=float)
+    import numpy as np
+    P = _floats(params)
     rows = P.reshape(-1, P.shape[-1])
     if _closed_form(family, neigh):
-        Y = np.asarray(X, dtype=float)
+        Y = _floats(X)
         cands = len(Y)
         label = lambda R: reach_margin(family, neigh, R, Y) >= 0
     else:

@@ -333,10 +333,12 @@ def ref_tree(params, x, l: int, depth: int, degree: int, labels) -> bool:
 
 
 def ref_in_lp_ball(x, y, p, r) -> bool:
-    """Closed l_p ball of radius r around x, for p = 2 or p = inf."""
+    """Closed l_p ball of radius r around x."""
     if p == 2:
         return sum((u - v) * (u - v) for u, v in zip(x, y)) <= r * r
-    return max(abs(u - v) for u, v in zip(x, y)) <= r
+    if p == math.inf:
+        return max(abs(u - v) for u, v in zip(x, y)) <= r
+    return sum(abs(u - v) ** p for u, v in zip(x, y)) <= r ** p
 
 
 def ref_in_lp_var_ball(x, y, coord: int) -> bool:
@@ -348,3 +350,28 @@ def ref_in_lp_var_ball(x, y, coord: int) -> bool:
 def ref_in_gauss_kl_ball(x, y, r) -> bool:
     """KL(N(x, 1) || N(y, 1)) = (x - y)^2 / 2 <= r."""
     return (x[0] - y[0]) * (x[0] - y[0]) <= 2 * r
+
+
+def ref_in_kl_ball(x, y, r) -> bool:
+    """KL(x || y) = sum over x_i > 0 of x_i log(x_i / y_i) <= r; a y_i = 0
+    where x_i > 0 makes the divergence infinite."""
+    if any(u > 0 and v <= 0 for u, v in zip(x, y)):
+        return False
+    return sum(u * math.log(u / v) for u, v in zip(x, y) if u > 0) <= r
+
+
+def ref_sigmoid_net(params, x, widths) -> bool:
+    """Forward pass of the logistic network with layer widths widths (input
+    first, output 1): each neuron reads its weights over the previous layer,
+    then its bias; x is accepted iff the output neuron's affine input is
+    >= 0."""
+    z, pos = list(x), 0
+    for prev, d in zip(widths[:-1], widths[1:]):
+        r = []
+        for _ in range(d):
+            r.append(sum(params[pos + s] * v for s, v in enumerate(z)) +
+                     params[pos + prev])
+            pos += prev + 1
+        # exp(-v) overflows below v = -709: the logistic limit is 0
+        z = [0.0 if v < -700 else 1.0 / (1.0 + math.exp(-v)) for v in r]
+    return r[-1] >= 0

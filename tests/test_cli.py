@@ -83,6 +83,13 @@ def test_hostile_arguments_are_usage_errors(tmp_path, capsys, argv):
     ("tree:l=2,depth=1000", "identity:l=2"),
     ("halfspace:l=2", "lp:l=2,p=1e400,r=1"),
     ("halfspace:l=2", "lp:l=2,p=1e-400,r=1"),
+    # dimensions above MAX_PARAM_DIM: rejected before any atom or draw
+    ("halfspace:l=99999999999", "identity:l=2"),
+    ("halfspace:l=5000", "identity:l=5000"),
+    ("ptf:l=99999999999,D=0", "identity:l=2"),
+    ("tree:l=2,depth=99999999999", "identity:l=2"),
+    ("halfspace:l=2", "lp_var:l=99999999999,coord=1"),
+    ("halfspace:l=2", "kl:l=99999999999"),
 ])
 def test_hostile_specs_are_usage_errors(tmp_path, capsys, family, neigh):
     csv = tmp_path / "g.csv"
@@ -94,7 +101,14 @@ def test_hostile_specs_are_usage_errors(tmp_path, capsys, family, neigh):
 
 
 @pytest.mark.parametrize("neigh", ["identity:l=0", "lp:l=0", "linf:l=0",
-                                   "l1:l=0", "kl:l=0", "lp:l=-1"])
+                                   "l1:l=0", "kl:l=0", "lp:l=-1",
+                                   "lp_var:l=0,coord=0",
+                                   # or more than MAX_PARAM_DIM of them
+                                   "identity:l=99999999999",
+                                   "lp:l=99999999999", "linf:l=99999999999",
+                                   "l1:l=99999999999",
+                                   "lp_var:l=99999999999",
+                                   "kl:l=99999999999", "identity:l=5001"])
 def test_neighborhoods_without_coordinates_are_usage_errors(tmp_path, capsys,
                                                             neigh):
     out = tmp_path / "t.json"
@@ -305,9 +319,19 @@ def test_exact_commands_load_no_numpy(tmp_path):
     code = """
 import json, sys
 numeric = {"numpy", "scipy"}
-import stratdef.constructions, stratdef.solve, stratdef.transform
+import stratdef.constructions, stratdef.families, stratdef.solve
+import stratdef.transform
 assert not numeric & set(sys.modules), "import"
+# every registry formula is built on the exact core
+from stratdef import families
+for name in families._FAMILIES:
+    families.make_family(name).formula()
+for name in families._NEIGHBORHOODS.keys() - {"floor"}:
+    families.make_neighborhood(name).formula()
 from stratdef.cli import main
+assert main(["transform", "--hypothesis", "halfspace:l=2", "--neighborhood",
+             "lp:l=2,p=2,r=1/2", "--out", "readme.json"]) == 0
+assert not numeric & set(sys.modules), sorted(numeric & set(sys.modules))
 json.dump({"variables": ["x", "y"], "constraints": [
     {"coeffs": ["1", "-1"], "rel": "<=", "rhs": "0"},
     {"coeffs": ["-1", "0"], "rel": "<", "rhs": "-1"}]}, open("sys.json", "w"))

@@ -38,8 +38,8 @@ from stratdef.families import (
 )
 from stratdef.solve import Assignment, eval_qf, witness_search
 
-from helpers import (ref_in_gauss_kl_ball, ref_in_lp_ball,
-                     ref_in_lp_var_ball, ref_ptf, ref_tree,
+from helpers import (ref_in_gauss_kl_ball, ref_in_kl_ball, ref_in_lp_ball,
+                     ref_in_lp_var_ball, ref_ptf, ref_sigmoid_net, ref_tree,
                      sampled_strategic_label)
 
 
@@ -500,6 +500,75 @@ def test_batch_labels_match_per_row(spec, desc):
     for i, x in enumerate(X):
         assert got[:, i].tolist() == \
             batch_strategic_labels(family, n, A, x[None])[:, 0].tolist()
+
+
+def _sampled(accepts, member):
+    """Oracle of a sampled label: x, or one of its draws ys that lies in
+    N_x, is accepted."""
+    return lambda a, x, ys: accepts(a, x) or any(
+        member(x, y) and accepts(a, y) for y in ys)
+
+
+_PTF = {l: (lambda a, x, l=l, D=D: ref_ptf(a, x, l, D))
+        for l, D in ((1, 3), (2, 2), (3, 2))}
+
+
+@pytest.mark.parametrize("spec,desc,oracle", [
+    ("ptf:l=2,D=2", "identity:l=2", lambda a, x, ys: _PTF[2](a, x)),
+    ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4",
+     _sampled(_PTF[2], lambda x, y: ref_in_lp_ball(x, y, 2, 0.25))),
+    ("ptf:l=2,D=2", "linf:l=2,r=1/4",
+     _sampled(_PTF[2], lambda x, y: ref_in_lp_ball(x, y, math.inf, 0.25))),
+    ("ptf:l=2,D=2", "l1:l=2,r=1/4",
+     _sampled(_PTF[2], lambda x, y: ref_in_lp_ball(x, y, 1, 0.25))),
+    ("ptf:l=2,D=2", "lp:l=2,p=3,r=1",
+     _sampled(_PTF[2], lambda x, y: ref_in_lp_ball(x, y, 3, 1))),
+    ("ptf:l=2,D=2", "lp_var:l=2,coord=1",
+     _sampled(_PTF[2], lambda x, y: ref_in_lp_var_ball(x, y, 1))),
+    ("ptf:l=1,D=3", "interval:r=1/4",
+     _sampled(_PTF[1], lambda x, y: ref_in_lp_ball(x, y, math.inf, 0.25))),
+    ("ptf:l=1,D=3", "gauss_kl:r=1/2",
+     _sampled(_PTF[1], lambda x, y: ref_in_gauss_kl_ball(x, y, 0.5))),
+    ("ptf:l=3,D=2", "kl:l=3,r=1/2",
+     _sampled(_PTF[3], lambda x, y: ref_in_kl_ball(x, y, 0.5))),
+    ("ptf:l=3,D=2", "emd:r=1/2", None),
+    ("ptf:l=1,D=3", "floor",
+     _sampled(_PTF[1], lambda x, y: math.floor(x[0]) == math.floor(y[0]))),
+    # the closed form: some y in [x - 1/4, x + 1/4] reaches a0 iff x + 1/4
+    # does
+    ("threshold", "interval:r=1/4", lambda a, x, ys: x[0] + 0.25 - a[0] >= 0),
+    ("nn:widths=2-2-1", "lp:l=2,p=2,r=1/4",
+     _sampled(lambda a, x: ref_sigmoid_net(a, x, (2, 2, 1)),
+              lambda x, y: ref_in_lp_ball(x, y, 2, 0.25))),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_every_array_body_labels(spec, desc, oracle):
+    # each sampler, membership test and numeric family body runs on arrays
+    # through the label kernel, against a plain-Python oracle on the same
+    # draws (emd, whose membership is a transport program, has none: its
+    # labels only bound the base class from above)
+    family, n = make_family(spec), make_neighborhood(desc)
+    rng = np.random.default_rng(41)
+    if n.kind in ("kl", "emd"):
+        X = rng.dirichlet(np.ones(n.dim), size=4)
+    else:
+        X = rng.uniform(-2, 2, size=(6, n.dim))
+    A = family.draw_params(rng, 3)
+    got = batch_strategic_labels(family, n, A, X)
+    assert got.shape == (3, len(X)) and got.dtype == np.bool_
+    if oracle is None:
+        base = [[bool(family.evaluate(list(a), list(x))) for x in X]
+                for a in A]
+        assert (got >= base).all() and got.any()
+        return
+    if fam._closed_form(family, n):
+        draws = np.empty((len(X), 0, n.dim))
+    else:
+        draws, _ = n.sample(X, np.random.default_rng(0),
+                            fam.SAMPLED_NEIGHBORS)
+        assert draws.shape[::2] == (len(X), n.dim)
+    want = [[oracle(list(a), list(x), [list(y) for y in ys])
+             for x, ys in zip(X, draws)] for a in A]
+    assert got.tolist() == want
 
 
 def test_batch_identity_uses_base_class():
