@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: transform, fm-elim, verify-blowup, shatter, growth, learn.
-growth, learn and transform on a registry spec alone load numpy, when run; a
-formula spec names a regular file first and a registry spec otherwise.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Each imports what it runs, when it runs: verify-blowup and shatter load
+constructions alone, fm-elim solve, transform formula and transform (and
+families and solve for a registry spec, one that names no regular file),
+growth and learn families, capacity, learn and numpy.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a bad option,
+input file or formula).
 
 Artifacts are written atomically (temp file + rename) and are byte-identical
 across replays with the same config and seed: the resolved config and the
@@ -23,9 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from . import constructions, solve, transform
-from . import formula as fm
-from .intervals import UndecidedComparison
 
 
 class UsageError(Exception):
@@ -120,12 +120,13 @@ def _read_json(path):
         raise UsageError(f"{str(path)!r} is not JSON: {exc}") from exc
 
 
-def _load_formula(spec: str) -> fm.Formula:
+def _load_formula(spec: str):
     """The s-expression formula in the regular file at path spec, otherwise
     the formula of a registry spec string ('halfspace:l=2') whose name
     before ':' is a registered family or neighborhood."""
     if os.path.isfile(spec):  # False, not an error, for a name too long
-        return fm.parse(_read(spec))
+        from . import formula
+        return formula.parse(_read(spec))
     from . import families
     name = spec.partition(":")[0]
     for make, names in ((families.make_family, families._FAMILIES),
@@ -137,6 +138,7 @@ def _load_formula(spec: str) -> fm.Formula:
 
 
 def cmd_transform(args) -> int:
+    from . import transform
     phi_h = _load_formula(args.hypothesis)
     phi_n = _load_formula(args.neighborhood)
     spec = transform.strategic_transform(phi_h, phi_n,
@@ -170,7 +172,8 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
-def _load_system(path: str) -> solve.LinearSystem:
+def _load_system(path: str):
+    from . import solve
     doc = _read_json(path)
     try:
         names = _field(doc, "variables", "the file")
@@ -197,6 +200,7 @@ def _load_system(path: str) -> solve.LinearSystem:
 
 
 def cmd_fm_elim(args) -> int:
+    from . import solve
     sys_in = _load_system(args.infile)
     drop = [v.strip() for v in args.drop.split(",") if v.strip()]
     if len(set(drop)) != len(drop):
@@ -245,8 +249,9 @@ def _positive(text, option: str) -> int:
                   "a positive integer")
 
 
-def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
+def _build_construction(kind: str, args):
     """Validates every field it reads: shatter's fields come from a file."""
+    from . import constructions
     n = _positive(args.n, "n")
     if kind == "fixed":
         radii = None
@@ -268,7 +273,7 @@ def _build_construction(kind: str, args) -> constructions.ConstructionInstance:
     raise UsageError(f"unknown construction {kind!r}")
 
 
-def _instance_result(inst: constructions.ConstructionInstance) -> dict:
+def _instance_result(inst) -> dict:
     return {
         "construction_id": inst.construction_id,
         "n": inst.n,
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify-blowup", help="build and certify a "
                        "lower-bound construction")
     v.add_argument("--construction", required=True,
-                   choices=sorted(constructions.BUILDERS))
+                   metavar="KIND", help="fixed, all-radii, partition or frac")
     v.add_argument("--n", type=int, default=3)
     v.add_argument("--r", default=None,
                    help="radius (default 1; frac: 1/4)")
@@ -452,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _loaded_errors(*names) -> tuple:
     """The error classes 'module.Class' of this package's modules that are
     already imported: a module never imported raised nothing, and importing
-    it here would load numpy on the error path."""
+    it here would load the modules the command skipped."""
     out = []
     for name in names:
         module, _, cls = name.rpartition(".")
@@ -471,14 +476,15 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception as exc:
-        if isinstance(exc, (UsageError, fm.FormulaError, FileNotFoundError,
-                            *_loaded_errors("families.FamilyError"))):
+        if isinstance(exc, (UsageError, FileNotFoundError, *_loaded_errors(
+                "formula.FormulaError", "families.FamilyError",
+                "transform.TransformError"))):
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if isinstance(exc, (constructions.ConstructionError, solve.SolveError,
-                            transform.TransformError, UndecidedComparison,
-                            *_loaded_errors("learn.LearnError",
-                                            "capacity.CapacityError"))):
+        if isinstance(exc, _loaded_errors(
+                "constructions.ConstructionError", "solve.SolveError",
+                "intervals.UndecidedComparison", "learn.LearnError",
+                "capacity.CapacityError")):
             print(f"verification failure: {exc}", file=sys.stderr)
             return 1
         raise

@@ -553,10 +553,3 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4)
                   "intervals": {str(k): (str(lo), str(hi))
                                 for k, (lo, hi) in intervals.items()}})
 
-
-BUILDERS = {
-    "fixed": build_fixed_blowup,
-    "all-radii": build_all_radii,
-    "partition": build_partition_pathology,
-    "frac": build_frac_construction,
-}

@@ -262,41 +262,27 @@ def test_criterion_07_fm_oracle():
 # 8. Earth-mover distances vs transport-polytope vertex enumeration
 
 
-def _solve_support(sup, x, y, l):
-    """Unique coupling supported on sup, or None when sup leaves a free
-    column or the marginals are inconsistent with it."""
-    rows = []
-    rhs = []
-    for i in range(l):
-        rows.append([Fraction(1) if a == i else Fraction(0) for a, _ in sup])
-        rhs.append(x[i])
-    for j in range(l):
-        rows.append([Fraction(1) if c == j else Fraction(0) for _, c in sup])
-        rhs.append(y[j])
-    n = len(sup)
-    piv = []
-    col = 0
-    r = 0
-    while r < len(rows) and col < n:
-        k = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if k is None:
-            return None  # free column: not a vertex basis
-        rows[r], rows[k] = rows[k], rows[r]
-        rhs[r], rhs[k] = rhs[k], rhs[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        rhs[r] *= inv
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * bv for a, bv in zip(rows[i], rows[r])]
-                rhs[i] -= f * rhs[r]
-        piv.append(r)
-        r += 1
-        col += 1
-    if any(rhs[i] != 0 for i in range(r, len(rows))):
-        return None  # inconsistent
-    return rhs[:n]
+def _peel_support(sup, x, y, l):
+    """The coupling on the spanning tree sup of K_{l,l}: a leaf's one cell
+    carries the leaf's remaining mass, so peeling leaves fixes every flow;
+    None when mass is left over, i.e. the marginals' totals differ."""
+    rest = list(x) + list(y)          # row nodes, then column nodes
+    edges = {k: (i, l + j) for k, (i, j) in enumerate(sup)}
+    degree = [0] * (2 * l)
+    for u, v in edges.values():
+        degree[u] += 1
+        degree[v] += 1
+    flow = [None] * len(sup)
+    while edges:
+        k, leaf, other = next((k, u, v) for k, e in edges.items()
+                              for u, v in (e, e[::-1]) if degree[u] == 1)
+        flow[k] = rest[leaf]
+        rest[other] -= rest[leaf]
+        rest[leaf] = 0
+        degree[leaf] -= 1
+        degree[other] -= 1
+        del edges[k]
+    return None if any(rest) else flow
 
 
 def _is_spanning_tree(sup, l):
@@ -330,7 +316,7 @@ def _emd_by_vertices(x, y, ground):
     for sup in itertools.combinations(cells, 2 * l - 1):
         if not _is_spanning_tree(sup, l):
             continue
-        vals = _solve_support(sup, x, y, l)
+        vals = _peel_support(sup, x, y, l)
         if vals is None or any(v < 0 for v in vals):
             continue
         cost = sum(ground[i][j] * v for (i, j), v in zip(sup, vals))

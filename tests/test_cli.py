@@ -276,10 +276,22 @@ def _cold_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _edit_certificate(path):
+def _edit_artifact(path, edit):
     doc = json.loads(path.read_text())
-    doc["result"]["certificates"][0]["passed"] = False
+    edit(doc)
     path.write_text(json.dumps(doc))
+
+
+def _write_files(files):
+    def setup(d):
+        for name, text in files.items():
+            (d / name).write_text(text)
+    return setup
+
+
+# existential but not prenex, which the fragment check reads as general
+_NON_PRENEX = "(and (exists (w0) (>= (+ x0 w0) a0)) (exists (w1) (<= w1 x0)))"
+_BALL = "(and (<= (+ x0 (* -1 x1)) 1/2) (<= (+ x1 (* -1 x0)) 1/2))"
 
 
 @pytest.mark.parametrize("setup, argv, code, message", [
@@ -297,10 +309,28 @@ def _edit_certificate(path):
      "verification failure: "),
     (lambda d: (run(["verify-blowup", "--construction", "fixed", "--n", 2,
                      "--out", d / "c.json"]),
-                _edit_certificate(d / "c.json")),
+                _edit_artifact(d / "c.json", lambda doc: doc["result"][
+                    "certificates"][0].update(passed=False))),
      ["shatter", "--instance", "c.json"], 1, None),
+    (_write_files({"h.sexp": _NON_PRENEX, "n.sexp": _BALL}),
+     ["transform", "--hypothesis", "h.sexp", "--neighborhood", "n.sexp",
+      "--out", "o.json"], 2,
+     "error: hypothesis formula is outside the existential fragment"),
+    (None, ["verify-blowup", "--construction", "bogus", "--out", "o.json"],
+     2, "error: unknown construction"),
+    (_write_files({"sys.json": json.dumps({"variables": ["x"], "constraints": [
+        {"coeffs": ["1"], "rel": "<>", "rhs": "1"}]})}),
+     ["fm-elim", "--in", "sys.json", "--drop", "x", "--out", "o.json"], 2,
+     "error: 'sys.json' is not a linear system: unknown relation '<>'"),
+    (lambda d: (run(["verify-blowup", "--construction", "fixed", "--n", 2,
+                     "--out", d / "c.json"]),
+                _edit_artifact(d / "c.json", lambda doc: doc["config"]
+                               .update(construction="bogus"))),
+     ["shatter", "--instance", "c.json"], 2, "error: unknown construction"),
 ], ids=["fm-elim-no-constraints", "all-radii-no-s", "unknown-neighborhood",
-        "fixed-bad-radii", "shatter-edited-certificate"])
+        "fixed-bad-radii", "shatter-edited-certificate",
+        "transform-non-prenex", "unknown-construction", "fm-elim-bad-rel",
+        "shatter-unknown-construction"])
 def test_cold_process_sorts_errors(tmp_path, capsys, setup, argv, code,
                                    message):
     # in-process tests run with every module already imported, so they
@@ -313,6 +343,49 @@ def test_cold_process_sorts_errors(tmp_path, capsys, setup, argv, code,
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     assert message is None or proc.stderr.startswith(message), proc.stderr
+
+
+_SYSTEM = json.dumps({"variables": ["x", "y"], "constraints": [
+    {"coeffs": ["1", "-1"], "rel": "<=", "rhs": "0"},
+    {"coeffs": ["-1", "0"], "rel": "<", "rhs": "-1"}]})
+_CONSTRUCTION_ONLY = {"formula", "solve", "transform", "families"}
+_KINDS = (("fixed", []), ("all-radii", ["--s", "1/3", "--t", 40]),
+          ("partition", []), ("frac", []))
+
+
+@pytest.mark.parametrize("setup, argv, loads, skips", [
+    *((None, ["verify-blowup", "--construction", kind, "--n", 2, *extra,
+              "--out", "c.json"], "constructions", _CONSTRUCTION_ONLY)
+      for kind, extra in _KINDS),
+    (lambda d: run(["verify-blowup", "--construction", "fixed", "--n", 2,
+                    "--out", d / "c.json"]),
+     ["shatter", "--instance", "c.json"], "constructions",
+     _CONSTRUCTION_ONLY),
+    (_write_files({"sys.json": _SYSTEM}),
+     ["fm-elim", "--in", "sys.json", "--drop", "x", "--out", "o.json"],
+     "solve", {"constructions", "transform"}),
+    (_write_files({"h.sexp": "(>= x0 a0)", "n.sexp": _BALL}),
+     ["transform", "--hypothesis", "h.sexp", "--neighborhood", "n.sexp",
+      "--out", "o.json"], "transform", {"constructions", "solve"}),
+], ids=["fixed", "all-radii", "partition", "frac", "shatter", "fm-elim",
+        "transform-files"])
+def test_cold_commands_load_only_their_modules(tmp_path, setup, argv, loads,
+                                               skips):
+    # a command imports the modules it runs, when it runs, and no others
+    if setup is not None:
+        setup(tmp_path)
+    code = ("import sys\n"
+            "from stratdef.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(*(m.partition('.')[2] for m in sys.modules\n"
+            "        if m.startswith('stratdef.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=_cold_env(), cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert loads in loaded, loaded
+    assert not loaded & skips, sorted(loaded & skips)
 
 
 def test_exact_commands_load_no_numpy(tmp_path):
