@@ -21,11 +21,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import VerificationFailure
 from .intervals import (RatInterval, UndecidedComparison, certified_sign,
                         exp_enclosure)
 
 
-class CapacityError(Exception):
+class CapacityError(VerificationFailure):
     pass
 
 
@@ -106,7 +107,6 @@ class GrowthReport:
     m_values: tuple
     counts: tuple          # max distinct traces observed per m
     slope: Optional[float]  # log2(count) vs log2(m) least-squares slope
-    seed: int
 
 
 def growth_estimate(label_fn: Callable, point_sampler: Callable,
@@ -156,7 +156,7 @@ def growth_series(label_fn: Callable, point_sampler: Callable,
         xs = np.log2(np.asarray(m_values, dtype=float))
         ys = np.log2(np.asarray(counts, dtype=float))
         slope = float(np.polyfit(xs, ys, 1)[0])
-    return GrowthReport(tuple(m_values), tuple(counts), slope, seed)
+    return GrowthReport(tuple(m_values), tuple(counts), slope)
 
 
 def threshold_growth_exact(points: Sequence) -> int:

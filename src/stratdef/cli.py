@@ -5,8 +5,9 @@ Each imports what it runs, when it runs: verify-blowup and shatter load
 constructions alone, fm-elim solve, transform formula and transform (and
 families and solve for a registry spec, one that names no regular file),
 growth and learn families, capacity, learn and numpy.
-Exit codes: 0 success, 1 verification failure, 2 usage error (a bad option,
-input file or formula).
+Exit codes: 0 success; 1 a stratdef.VerificationFailure (a check failed or
+could not be decided); 2 a stratdef.UsageError (a bad option, input file,
+formula or spec) or a missing file.
 
 Artifacts are written atomically (temp file + rename) and are byte-identical
 across replays with the same config and seed: the resolved config and the
@@ -25,11 +26,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-
-
-class UsageError(Exception):
-    pass
+from . import UsageError, VerificationFailure, __version__
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +246,16 @@ def _positive(text, option: str) -> int:
                   "a positive integer")
 
 
+def _integer_in(text, option: str, lo: int, hi: int) -> int:
+    return _value(text, option, _integer, lambda v: lo <= v <= hi,
+                  f"an integer in [{lo}, {hi}]")
+
+
 def _build_construction(kind: str, args):
     """Validates every field it reads: shatter's fields come from a file."""
     from . import constructions
-    n = _positive(args.n, "n")
+    cap = constructions.MAX_ANCHORS
+    n = _integer_in(args.n, "n", 1, cap)
     if kind == "fixed":
         radii = None
         if args.s:
@@ -263,9 +266,9 @@ def _build_construction(kind: str, args):
         if not args.s:
             raise UsageError("all-radii needs --s")
         return constructions.build_all_radii(
-            _positive(args.t, "t"), _value(args.s, "s"), n,
-            _value(args.cert_cap, "cert-cap", _integer, lambda v: v >= 0,
-                   "a nonnegative integer"))
+            _integer_in(args.t, "t", 1, constructions.MAX_BLOCKS),
+            _value(args.s, "s"), n,
+            _integer_in(args.cert_cap, "cert-cap", 0, cap))
     if kind == "partition":
         return constructions.build_partition_pathology(n)
     if kind == "frac":
@@ -454,19 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _loaded_errors(*names) -> tuple:
-    """The error classes 'module.Class' of this package's modules that are
-    already imported: a module never imported raised nothing, and importing
-    it here would load the modules the command skipped."""
-    out = []
-    for name in names:
-        module, _, cls = name.rpartition(".")
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            out.append(getattr(loaded, cls))
-    return tuple(out)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -475,19 +465,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except Exception as exc:
-        if isinstance(exc, (UsageError, FileNotFoundError, *_loaded_errors(
-                "formula.FormulaError", "families.FamilyError",
-                "transform.TransformError"))):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(exc, _loaded_errors(
-                "constructions.ConstructionError", "solve.SolveError",
-                "intervals.UndecidedComparison", "learn.LearnError",
-                "capacity.CapacityError")):
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return 1
-        raise
+    except (UsageError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except VerificationFailure as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,13 +39,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import VerificationFailure
 # unused here: perfbench/spans.py patches these names on this module, and a
 # traced benchmark round fails when one of them is missing
 from .intervals import certified_floor, in_open_interval, sqrt2_enclosure
 
 
-class ConstructionError(Exception):
+class ConstructionError(VerificationFailure):
     pass
+
+
+# the most anchors the CLI builds: a blowup has a support per anchor subset
+MAX_ANCHORS = 16
+# the most all-radii blocks, and so the largest t select_block proposes
+MAX_BLOCKS = 1 << 14
 
 
 @dataclass
@@ -321,7 +328,7 @@ class AllRadiiFamily:
         if not hits:
             need = self.t
             hint = ""
-            while need < 1 << 14:
+            while need < MAX_BLOCKS:
                 need *= 2
                 if any(pm == m and pn >= n for pn, pm in _block_pairs(need)):
                     hint = f"; t={need} suffices"

@@ -34,16 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import formula as fm
+from . import UsageError, formula as fm
 from .solve import (LinConstraint, _compare, _fold, _require_qf, eval_qf,
                     eval_term, lp_solve, merge)
 
 
-class FamilyError(Exception):
+class FamilyError(UsageError):
     pass
 
 
-MAX_PARAM_DIM = 5000
 # every parameter coordinate is drawn uniform on this interval
 PARAM_BOX = (-2, 2)
 
@@ -91,8 +90,8 @@ class HypothesisFamily:
 def _dimension(l: int) -> None:
     """Reject a point dimension l outside [1, MAX_PARAM_DIM]: R^l needs a
     coordinate, and formulas and samplers grow with l."""
-    if not 1 <= l <= MAX_PARAM_DIM:
-        raise FamilyError(f"dimension l must be in [1, {MAX_PARAM_DIM}], "
+    if not 1 <= l <= fm.MAX_PARAM_DIM:
+        raise FamilyError(f"dimension l must be in [1, {fm.MAX_PARAM_DIM}], "
                           f"got {l}")
 
 
@@ -139,9 +138,9 @@ def _monomial_count(l: int, degree: int) -> int:
 
 
 def _capped(k: int) -> int:
-    if k > MAX_PARAM_DIM:
+    if k > fm.MAX_PARAM_DIM:
         raise FamilyError(f"parameter dimension {k} exceeds cap "
-                          f"{MAX_PARAM_DIM}")
+                          f"{fm.MAX_PARAM_DIM}")
     return k
 
 
@@ -178,7 +177,7 @@ def decision_tree(l: int, depth: int, split_degree: int,
     """
     # above depth top the 2^depth - 1 nodes alone exceed MAX_PARAM_DIM:
     # rejected before 2^depth is computed
-    top = MAX_PARAM_DIM.bit_length() - 1
+    top = fm.MAX_PARAM_DIM.bit_length() - 1
     if not 1 <= depth <= top:
         raise FamilyError(f"tree depth must be in [1, {top}], got {depth}")
     block = _monomial_count(l, split_degree)

@@ -24,10 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
+from . import UsageError
+
 BLOCKS = ("x", "a", "w")
+# the largest point or parameter dimension of a family or a transform
+MAX_PARAM_DIM = 5000
 
 
-class FormulaError(Exception):
+class FormulaError(UsageError):
     pass
 
 
@@ -671,7 +675,6 @@ class ComplexityProfile:
     param_dim: int   # k
     witness_dim: int
     exp_atoms: int
-    free_vars: int
 
 
 def term_degree(t: Term) -> int:
@@ -701,7 +704,6 @@ def complexity(f: Formula, input_dim: Optional[int] = None,
     witnesses = set(prefix)
 
     free = free_vars(f)
-    n = len(free)
     atoms = []
     seen = set()
     for at in formula_atoms(matrix):
@@ -725,5 +727,4 @@ def complexity(f: Formula, input_dim: Optional[int] = None,
         param_dim=k,
         witness_dim=len(witnesses),
         exp_atoms=r,
-        free_vars=n,
     )

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from . import VerificationFailure
+
 Rat = Fraction
 
 DEFAULT_MAX_BITS = 4096
 
 
-class UndecidedComparison(Exception):
+class UndecidedComparison(VerificationFailure):
     """A comparison could not be certified at the maximum precision."""
 
     def __init__(self, msg: str, interval: "RatInterval" = None):

@@ -19,11 +19,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import VerificationFailure
 from .families import (PARAM_BOX, HypothesisFamily, NeighborhoodSystem,
                        batch_strategic_labels)
 
 
-class LearnError(Exception):
+class LearnError(VerificationFailure):
     pass
 
 
@@ -34,10 +35,7 @@ M_CAP = 1 << 14
 @dataclass
 class DataSet:
     points: tuple              # ((x vector, label), ...)
-    family: str
-    neighborhood: str
     target_params: tuple
-    seed: int
 
     def X(self) -> np.ndarray:
         return np.asarray([row[0] for row in self.points], dtype=float)
@@ -72,8 +70,7 @@ def generate_realizable(family: HypothesisFamily, neigh: NeighborhoodSystem,
     labels = batch_strategic_labels(family, neigh, target_params, X)
     points = tuple((tuple(float(v) for v in row), bool(lab))
                    for row, lab in zip(X, labels))
-    return DataSet(points, family.name, neigh.name,
-                   tuple(target_params), seed)
+    return DataSet(points, tuple(target_params))
 
 
 def empirical_error(family: HypothesisFamily, neigh: NeighborhoodSystem,
@@ -174,9 +171,6 @@ class SweepRow:
 @dataclass
 class SweepReport:
     rows: tuple
-    delta: float
-    trials: int
-    seed: int
     slope: Optional[float]    # fitted slope of m_hat*eps against log2(1/eps)
 
 
@@ -231,4 +225,4 @@ def sample_complexity_sweep(family: HypothesisFamily,
         xs = np.log2([1.0 / r.eps for r in rows])
         ys = np.asarray([r.product for r in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    return SweepReport(tuple(rows), float(delta), trials, seed, slope)
+    return SweepReport(tuple(rows), slope)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import formula as fm
+from . import VerificationFailure, formula as fm
 from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
                         exp_interval)
 # unused here: perfbench/spans.py patches this name on this module, and a
@@ -76,7 +76,7 @@ def _safe_exp(v: float) -> float:
         return math.inf
 
 
-class SolveError(Exception):
+class SolveError(VerificationFailure):
     pass
 
 

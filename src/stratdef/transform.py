@@ -19,19 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import formula as fm
+from . import UsageError, formula as fm
 
 
-class TransformError(Exception):
+class TransformError(UsageError):
     pass
 
 
 @dataclass
 class StrategicClassSpec:
-    """A strategic classifier family: formulas plus complexity accounting."""
+    """A strategic classifier: its formula and complexity accounting."""
 
-    hypothesis: fm.Formula
-    neighborhood: fm.Formula
     transformed: fm.Formula
     input_dim: int
     hypothesis_profile: fm.ComplexityProfile
@@ -67,6 +65,10 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
                 "odd number of point coordinates; pass input_dim explicitly")
         input_dim = top // 2
     l = input_dim
+    # checked before anything that grows with l is built
+    if not 1 <= l <= fm.MAX_PARAM_DIM:
+        raise TransformError(f"input dimension must be in "
+                             f"[1, {fm.MAX_PARAM_DIM}], got {l}")
     if fm.max_index(phi_h, "x") + 1 > l:
         raise TransformError("hypothesis formula uses more input coordinates "
                              "than the declared input dimension")
@@ -105,7 +107,7 @@ def strategic_transform(phi_h: fm.Formula, phi_n: fm.Formula,
     prof_h = profile(phi_h, input_dim=l, param_dim=k)
     prof_n = profile(phi_n, input_dim=2 * l)
     prof_out = profile(out, input_dim=l, param_dim=k)
-    return StrategicClassSpec(phi_h, phi_n, out, l, prof_h, prof_n, prof_out)
+    return StrategicClassSpec(out, l, prof_h, prof_n, prof_out)
 
 
 def complexity_report(spec: StrategicClassSpec) -> dict:

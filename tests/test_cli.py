@@ -3,8 +3,10 @@ and byte-identical replay."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -61,6 +63,12 @@ def test_unknown_spec_is_usage_error(tmp_path, capsys):
     ["verify-blowup", "--construction", "fixed", "--r", "abc"],
     ["verify-blowup", "--construction", "all-radii", "--s", "3/10", "--n",
      "2", "--cert-cap", "-1"],
+    # sizes above the caps: a blowup builds 2^n supports
+    ["verify-blowup", "--construction", "fixed", "--n", "17"],
+    ["verify-blowup", "--construction", "all-radii", "--s", "3/10", "--n",
+     "2", "--cert-cap", "17"],
+    ["verify-blowup", "--construction", "all-radii", "--s", "3/10", "--n",
+     "2", "--t", "16385"],
 ])
 def test_hostile_arguments_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -114,6 +122,26 @@ def test_neighborhoods_without_coordinates_are_usage_errors(tmp_path, capsys,
     out = tmp_path / "t.json"
     assert run(["transform", "--hypothesis", "threshold",
                 "--neighborhood", neigh, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hypothesis, neighborhood, extra", [
+    ("halfspace:l=2", "lp:l=2,p=2,r=1/2", ["--input-dim", 10 ** 9]),
+    ("halfspace:l=2", "lp:l=2,p=2,r=1/2", ["--input-dim", 5001]),
+    # the dimension inferred from the neighborhood's largest x index
+    ("threshold", "n.sexp", []),
+], ids=["input-dim-1e9", "input-dim-5001", "file-x99999999999"])
+def test_transform_huge_dimension_is_usage_error(tmp_path, monkeypatch,
+                                                 capsys, hypothesis,
+                                                 neighborhood, extra):
+    # rejected before the witness block of l target coordinates is built
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n.sexp").write_text("(<= x99999999999 1)")
+    out = tmp_path / "t.json"
+    assert run(["transform", "--hypothesis", hypothesis,
+                "--neighborhood", neighborhood, *extra, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
@@ -263,6 +291,21 @@ def test_construction_error_is_verification_failure(tmp_path, capsys):
               "--r", "1/2", "--rp", "1", "--out", tmp_path / "c.json"])
     assert rc == 1
     assert "verification failure:" in capsys.readouterr().err
+
+
+def test_every_error_class_has_one_exit_code():
+    # the CLI's exit code is the error's base class: UsageError exits 2,
+    # VerificationFailure 1, so each error class derives from exactly one
+    bases = (stratdef.UsageError, stratdef.VerificationFailure)
+    errors = []
+    for info in pkgutil.iter_modules(stratdef.__path__):
+        module = importlib.import_module(f"stratdef.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__]
+    assert len(errors) >= 9, errors
+    for cls in errors:
+        assert sum(issubclass(cls, base) for base in bases) == 1, cls
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +648,7 @@ def test_shatter_bad_stored_config_is_usage_error(tmp_path, capsys, field,
     doc = json.loads(out.read_text())
     # int() would truncate 2.7 to 2 and read true as 1: a stored n of 2.7
     # rebuilt at n = 2 would match
-    for value in (None, 2.7, True, -1):
+    for value in (None, 2.7, True, -1, 10 ** 6):
         doc["config"][field] = value
         out.write_text(json.dumps(doc))
         capsys.readouterr()
