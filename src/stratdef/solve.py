@@ -28,9 +28,11 @@ from exact to heuristic, share them:
   go to ``lp_solve`` through rational ``affine``, the rest to a fixed search
   (``SEARCH_GRID`` points per axis of ``SEARCH_BOX``, ``SEARCH_RESTARTS``
   seeded random starts, ``REFINE_STEPS`` Nelder-Mead iterations) on the
-  float fold.  Sound when it reports a witness (its margin is within
-  ``FLOAT_TOL``, so it re-verifies under the float eval_qf), inconclusive
-  when it reports not_found.
+  float margin, specialized once per query by ``_margin``: every subterm
+  free of the searched witnesses is folded to its float before the search
+  starts, and each point it tries reads only the rest.  Sound when it
+  reports a witness (its margin is within ``FLOAT_TOL``, so it re-verifies
+  under the float eval_qf), inconclusive when it reports not_found.
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
@@ -39,7 +41,9 @@ the only normalization of >= and >, ``_atom_row`` the only reading of an
 atom as a row, ``_combine`` the only row combination (FM substitution and
 pairing), ``_prune`` the only normalization and pruning of FM rows, and
 ``_pivot`` and ``_price`` the only tableau pivot and objective pricing of
-the simplex.
+the simplex.  Both update only the columns where the row they apply is
+nonzero, in Fractions, so Bland's rule picks the pivots a dense update
+would.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def eval_term(t: fm.Term, sigma: Assignment, lift: Callable, exp: Callable):
     rational constants into; the domain's own + and * combine subterms and
     `exp` is its exponential.  Floats, Fractions, RatIntervals and numpy
     arrays all read terms through this fold.  Dispatch is on the exact node
-    type because the float instance is the inner loop of witness search."""
+    type."""
     kind = type(t)
     if kind is fm.Var:
         return lift(sigma.lookup(t))
@@ -220,35 +224,101 @@ def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
     return _compare(certified_sign(enclosure, max_bits), at.rel)
 
 
+def _lift(op: Callable, *args):
+    """op(*args) now when every argument is a float, else a closure of the
+    free witness values that applies op to the arguments read there."""
+    if not any(map(callable, args)):
+        return op(*args)
+    if len(args) == 1:
+        (a,) = args
+        return lambda w: op(a(w))
+    a, b = args
+    if not callable(a):
+        return lambda w: op(a, b(w))
+    if not callable(b):
+        return lambda w: op(a(w), b)
+    return lambda w: op(a(w), b(w))
+
+
+def _term_margin(t: fm.Term, sigma: Assignment, free: dict):
+    """The float of t (eval_term_float) when no free witness occurs in it,
+    else a closure of the free witness values that folds t's sums and
+    products in the same left-to-right order, its leading float run folded
+    now."""
+    if not (free and any(v in free for v in fm.term_vars(t))):
+        return eval_term_float(t, sigma)
+    kind = type(t)
+    if kind is fm.Var:
+        return operator.itemgetter(free[t])
+    if kind is fm.Exp:
+        return _lift(_safe_exp, _term_margin(t.arg, sigma, free))
+    op = operator.add if kind is fm.Sum else operator.mul
+    return functools.reduce(
+        functools.partial(_lift, op),
+        [_term_margin(s, sigma, free)
+         for s in (t.terms if kind is fm.Sum else t.factors)])
+
+
+def _atom_margin(rel: str, lhs: float, rhs: float) -> float:
+    d = lhs - rhs
+    if d != d:  # inf - inf
+        return math.inf
+    if rel == "=":
+        return abs(d)
+    return max(0.0, d if rel in ("<", "<=") else -d)
+
+
+def _not_margin(m: float) -> float:
+    return 0.0 if m > FLOAT_TOL else 1.0
+
+
+def _margin(f: fm.Formula, sigma: Assignment, free: dict):
+    """The margin of f (see _violation) specialized to sigma: its float
+    when no free witness occurs in f, else a closure that reads it at a
+    list of free witness values, free mapping each free witness Var to its
+    position there (sigma's values at the free witnesses are never read).
+    Every subterm free of them is folded once, here, as _violation folds
+    it, so the closure returns _violation's bits at every point."""
+    if isinstance(f, fm.Atom):
+        at = f.atom
+        if isinstance(at, fm.ExpGraph):  # u - exp(v)
+            at = fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
+        return _lift(functools.partial(_atom_margin, at.rel),
+                     _term_margin(at.lhs, sigma, free),
+                     _term_margin(at.rhs, sigma, free))
+    if isinstance(f, fm.Not):
+        return _lift(_not_margin, _margin(f.body, sigma, free))
+    if not isinstance(f, (fm.And, fm.Or)):
+        raise SolveError("quantifier inside a quantifier-free reading")
+    pick = max if isinstance(f, fm.And) else min
+    parts = [_margin(p, sigma, free) for p in f.parts]
+    reads = [p for p in parts if callable(p)]
+    if not reads:
+        return pick(parts, default=0.0 if pick is max else 1.0)
+    # a margin is never nan, -0.0 or negative, so max and min read margins
+    # in any order, starting from 0.0 and inf respectively
+    start = pick((p for p in parts if not callable(p)),
+                 default=0.0 if pick is max else math.inf)
+
+    def read(w):
+        out = start
+        for r in reads:
+            out = pick(out, r(w))
+        return out
+    return read
+
+
 def _violation(f: fm.Formula, sigma: Assignment) -> float:
     """The float reading of a quantifier-free formula: a margin that is 0
     when f holds exactly, f holding when it is at most FLOAT_TOL.  An atom
-    reads the difference d of its sides (u - exp(v) for u = exp(v)): |d|
-    for =, max(0, d) for < and <=, max(0, -d) for > and >=, inf for a nan d
-    (inf - inf).  And takes the largest margin, Or the smallest, and Not
-    holds when its body's margin exceeds FLOAT_TOL (after NNF it wraps only
-    exp-graph atoms)."""
-    if isinstance(f, fm.Atom):
-        at = f.atom
-        if isinstance(at, fm.ExpGraph):
-            d = float(sigma.lookup(at.lhs)) - \
-                _safe_exp(float(sigma.lookup(at.rhs)))
-            rel = "="
-        else:
-            d = eval_term_float(at.lhs, sigma) - eval_term_float(at.rhs, sigma)
-            rel = at.rel
-        if d != d:
-            return math.inf
-        if rel == "=":
-            return abs(d)
-        return max(0.0, d if rel in ("<", "<=") else -d)
-    if isinstance(f, fm.Not):
-        return 0.0 if _violation(f.body, sigma) > FLOAT_TOL else 1.0
-    if isinstance(f, fm.And):
-        return max((_violation(p, sigma) for p in f.parts), default=0.0)
-    if isinstance(f, fm.Or):
-        return min((_violation(p, sigma) for p in f.parts), default=1.0)
-    raise SolveError("quantifier inside a quantifier-free reading")
+    reads the difference d of its sides (u - exp(v) for u = exp(v)), each
+    side folded by eval_term_float: |d| for =, max(0, d) for < and <=,
+    max(0, -d) for > and >=, inf for a nan d (inf - inf).  And takes the
+    largest margin (0 for no parts), Or the smallest (1 for no parts), and
+    Not reads 0 when its body's margin exceeds FLOAT_TOL and 1 otherwise
+    (after NNF it wraps only exp-graph atoms).  Witness search reads the
+    same margin through _margin, specialized once per query."""
+    return _margin(f, sigma, {})
 
 
 def _fold(g: fm.Formula, atom: Callable, array=None):
@@ -347,13 +417,25 @@ class LinearSystem:
                    for c in self.constraints)
 
     def satisfied_by(self, values: Sequence) -> bool:
-        """Whether every row holds at values, one per variable."""
+        """Whether every row holds at values, one per variable, decided in
+        integers.  The values are put over one denominator den, and each
+        row co . (nums / den) rel p / q is scaled by the lcm L of its
+        coefficient denominators (1 for an integral row), so that it reads
+        q * ((L * co) . nums) rel p * L * den."""
         if len(values) != len(self.variables):
             raise SolveError(f"{len(values)} values for "
                              f"{len(self.variables)} variables")
         vals = [Fraction(v) for v in values]
-        return all(_compare(sum(co * v for co, v in zip(c.coeffs, vals)) -
-                            c.rhs, c.rel) for c in self.constraints)
+        den = math.lcm(*(v.denominator for v in vals))
+        nums = [v.numerator * (den // v.denominator) for v in vals]
+        for c in self.constraints:
+            L = math.lcm(*(co.denominator for co in c.coeffs))
+            lhs = sum(co.numerator * (L // co.denominator) * v
+                      for co, v in zip(c.coeffs, nums))
+            diff = lhs * c.rhs.denominator - c.rhs.numerator * L * den
+            if not _compare(diff, c.rel):
+                return False
+        return True
 
 
 def _atom_row(at: fm.Compare, unknown: dict,
@@ -519,23 +601,31 @@ class LPResult:
 
 def _pivot(tableau: list, basis: list, row: int, col: int) -> None:
     """Make column col basic in row: scale the row to a unit pivot and
-    eliminate col from every other row, the objective row included."""
+    eliminate col from every other row, the objective row included.  Only
+    the pivot row's nonzero columns change, in the rows with a nonzero
+    entry in col."""
     piv = tableau[row][col]
     tableau[row] = [v / piv for v in tableau[row]]
+    nonzero = [(j, v) for j, v in enumerate(tableau[row]) if v]
     for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [v - f * p for v, p in zip(r, tableau[row])]
+        f = r[col]
+        if i != row and f:
+            for j, v in nonzero:
+                r[j] -= f * v
     basis[row] = col
 
 
 def _price(cost: list, rows: list, basis: list) -> list:
     """Reduced costs: cost with each basic column basis[i] priced out by
-    rows[i]; rows past the basis (the objective row) are ignored."""
+    rows[i] over its nonzero entries; rows past the basis (the objective
+    row) are ignored."""
+    cost = list(cost)
     for row, b in zip(rows, basis):
-        if cost[b] != 0:
-            f = cost[b]
-            cost = [c - f * v for c, v in zip(cost, row)]
+        f = cost[b]
+        if f:
+            for j, v in enumerate(row):
+                if v:
+                    cost[j] -= f * v
     return cost
 
 
@@ -865,11 +955,15 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     def vector(vec) -> tuple:
         return _witness_vector(size, forced, free, vec)
 
-    def margin(vec) -> float:
-        return _violation(body, sigma0.with_w(vector(vec)))
-
     if not free:
         return _accept(body, sigma0, vector(())) or WitnessResult(False)
+    # x, a and the forced witnesses are fixed from here on: every grid
+    # point, restart and Nelder-Mead step reads one specialized margin
+    read = _margin(body, sigma0.with_w(vector(())),
+                   {fm.Var("w", i): k for k, i in enumerate(free)})
+
+    def margin(vec) -> float:
+        return read(list(map(float, vec))) if callable(read) else read
 
     import numpy as np  # here, so that exact commands never load it
     lo, hi = SEARCH_BOX

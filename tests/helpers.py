@@ -76,6 +76,68 @@ def np_eval_formula(f, env):
 
 
 # ---------------------------------------------------------------------------
+# Scalar float margin of a quantifier-free formula
+
+
+def ref_exp(v: float) -> float:
+    """math.exp, with an overflow read as inf."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def ref_float_term(t, env) -> float:
+    """A term in floats, env mapping each block to a sequence of values:
+    sums and products fold from their first operand, left to right."""
+    if isinstance(t, fm.Var):
+        return float(env[t.block][t.index])
+    if isinstance(t, fm.Const):
+        return float(t.value)
+    if isinstance(t, fm.Exp):
+        return ref_exp(ref_float_term(t.arg, env))
+    parts = [ref_float_term(s, env)
+             for s in (t.terms if isinstance(t, fm.Sum) else t.factors)]
+    out = parts[0]
+    for v in parts[1:]:
+        out = out + v if isinstance(t, fm.Sum) else out * v
+    return out
+
+
+def ref_margin(f, env) -> float:
+    """How far the scalar point env is from satisfying f: an atom reads
+    the difference d of its sides (u - exp(v) for u = exp(v)), inf when d
+    is nan, |d| for =, d when positive for < and <=, -d when negative for >
+    and >=, and 0 otherwise; And is the largest of its parts (0 without
+    parts), Or the smallest (1 without parts), and Not reads 0 when its
+    body reads above TOL and 1 otherwise."""
+    if isinstance(f, fm.Atom):
+        at = f.atom
+        if isinstance(at, fm.ExpGraph):
+            d = ref_float_term(at.lhs, env) - \
+                ref_exp(ref_float_term(at.rhs, env))
+            rel = "="
+        else:
+            d = ref_float_term(at.lhs, env) - ref_float_term(at.rhs, env)
+            rel = at.rel
+        if math.isnan(d):
+            return math.inf
+        if rel == "=":
+            return abs(d)
+        if rel in ("<", "<="):
+            return d if d > 0 else 0.0
+        return -d if d < 0 else 0.0
+    if isinstance(f, fm.Not):
+        return 0.0 if ref_margin(f.body, env) > TOL else 1.0
+    parts = [ref_margin(p, env) for p in f.parts]
+    if isinstance(f, fm.And):
+        return max(parts) if parts else 0.0
+    if isinstance(f, fm.Or):
+        return min(parts) if parts else 1.0
+    raise AssertionError("quantifier in a margin reading")
+
+
+# ---------------------------------------------------------------------------
 # Exact linear algebra for vertex enumeration
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratdef import families, transform
 from stratdef import formula as fm
 from stratdef import solve
 from stratdef.intervals import UndecidedComparison
@@ -30,6 +31,7 @@ from helpers import (
     feasible_with_one_witness,
     lp_by_vertex_enumeration,
     ref_fm_eliminate,
+    ref_margin,
     system_holds_at,
 )
 
@@ -490,3 +492,193 @@ def test_witness_search_deterministic():
     r1 = witness_search(f, [0.3], [0.9])
     r2 = witness_search(f, [0.3], [0.9])
     assert r1.found == r2.found and r1.witness == r2.witness
+
+
+# Dyadic queries, two or more per family x neighborhood pair of the
+# benchmark's witness mix, with what witness_search returned for each, bit
+# for bit: (family, neighborhood, x, parameters, found, witness as
+# space-separated float.hex values, margin as float.hex).  A speed-up of the
+# search must return exactly these.
+_PINNED_QUERIES = (
+    ("halfspace:l=2", "linf:l=2,r=1/2",
+     [0.0, 0.375],
+     [-1.875, 1.625, -0.125],
+     True, "0x1.0000000000000p-1 0x1.0000000000000p-1", "0x0.0p+0"),
+    ("halfspace:l=2", "linf:l=2,r=1/2",
+     [-0.875, -0.375],
+     [-1.125, 0.875, 1.75],
+     False, None, None),
+    ("halfspace:l=2", "l1:l=2,r=1/2",
+     [-0.375, -0.375],
+     [0.25, 0.5, -0.5],
+     True,
+     ("0x1.0000000000000p-3 0x1.8000000000000p-2 "
+      "-0x1.0000000000000p-1 -0x1.8000000000000p-1"),
+     "0x0.0p+0"),
+    ("halfspace:l=2", "l1:l=2,r=1/2",
+     [-0.25, -0.375],
+     [-0.5, 1.0, 0.375],
+     False, None, None),
+    ("halfspace:l=3", "emd:r=1",
+     [0.125, 0.25, 0.625],
+     [0.375, -2.0, 0.625, -1.5],
+     True,
+     ("0x0.0p+0 0x1.0000000000000p-3 0x0.0p+0 0x0.0p+0 "
+      "0x1.0000000000000p-2 0x0.0p+0 0x1.af286bca1af28p-3 "
+      "0x1.a86bca1af286cp-2 0x0.0p+0 0x1.af286bca1af28p-3 "
+      "0x1.9435e50d79436p-1 0x0.0p+0"),
+     "0x0.0p+0"),
+    ("halfspace:l=3", "emd:r=1",
+     [0.5, 0.0, 0.5],
+     [-0.625, -1.625, 0.0, -1.875],
+     True,
+     ("0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+      "0x0.0p+0 0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0 0x0.0p+0 "
+      "0x1.0000000000000p+0 0x0.0p+0"),
+     "0x0.0p+0"),
+    ("halfspace:l=3", "emd:r=1",
+     [0.25, 0.25, 0.5],
+     [0.5, 0.25, -1.0, 1.0],
+     False, None, None),
+    ("threshold", "interval:r=1/2",
+     [0.375],
+     [0.5],
+     True, "0x1.0000000000000p-1", "0x0.0p+0"),
+    ("threshold", "interval:r=1/2",
+     [0.375],
+     [1.125],
+     False, None, None),
+    ("tree:l=2,depth=2,q=1,labels=0110", "linf:l=2,r=1/4",
+     [0.25, 0.0],
+     [-1.375, 0.375, 0.5, 0.375, -0.625, -1.375, -0.875, 0.375, 1.75],
+     True, "0x1.0000000000000p-1 0x1.745d1745d1746p-5", "0x0.0p+0"),
+    ("tree:l=2,depth=2,q=1,labels=0110", "linf:l=2,r=1/4",
+     [-0.625, 0.375],
+     [0.25, -1.75, 1.375, -1.375, -0.375, 0.625, 2.0, 0.875, -0.875],
+     False, None, None),
+    ("halfspace:l=2", "lp:l=2,p=2,r=1/2",
+     [-0.5, -0.5],
+     [1.25, -1.25, -0.75],
+     True, "-0x1.0000000000000p-1 -0x1.0000000000000p-1", "0x0.0p+0"),
+    ("halfspace:l=2", "lp:l=2,p=2,r=1/2",
+     [0.125, -0.5],
+     [1.625, -0.75, 1.625],
+     False, None, "0x1.cd66dd7805460p-5"),
+    ("halfspace:l=2", "lp:l=2,p=3,r=1",
+     [0.875, 0.25],
+     [1.75, 0.125, 0.25],
+     True,
+     ("-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 0x1.0000000000000p+0 "
+      "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 0x1.0000000000000p+0 "
+      "0x1.c000000000000p-1 0x1.0000000000000p-2"),
+     "0x0.0p+0"),
+    ("halfspace:l=2", "lp:l=2,p=3,r=1",
+     [0.875, 0.5],
+     [-0.875, -1.125, 1.0],
+     False, None, "0x1.864881584be61p+0"),
+    ("halfspace:l=3", "kl:l=3,r=1/2",
+     [0.125, 0.75, 0.125],
+     [0.75, -1.75, 0.375, 0.875],
+     False, None, "0x1.f186f54f66704p-2"),
+    ("halfspace:l=3", "kl:l=3,r=1/2",
+     [0.375, 0.375, 0.25],
+     [0.125, 1.625, 0.25, 2.0],
+     False, None, "0x1.1138c1cbbcacep-1"),
+    ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4",
+     [0.375, 0.375],
+     [0.125, 0.75, 1.25, 0.75, -0.625, 1.5],
+     True, "0x1.8000000000000p-2 0x1.8000000000000p-2", "0x0.0p+0"),
+    ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4",
+     [-0.75, 0.625],
+     [-0.75, 1.25, 0.375, 0.125, -1.875, -0.5],
+     False, None, "0x1.1419ea0bc7d2cp-3"),
+    ("nn:widths=2-2-1", "linf:l=2,r=1/4",
+     [-0.375, -0.875],
+     [-1.0, -1.125, 0.5, -0.625, 1.75, -0.5, -1.75, 1.25, 1.625],
+     False, None, "0x1.f76b39d60621fp+0"),
+    ("nn:widths=2-2-1", "linf:l=2,r=1/4",
+     [0.625, 0.625],
+     [0.875, 1.625, -0.875, -0.75, 1.0, 1.75, -0.5, -1.0, -1.375],
+     False, None, "0x1.29f81cad6b71dp+1"),
+    ("halfspace:l=1", "gauss_kl:r=1/2",
+     [0.375],
+     [-2.0, 1.0],
+     True, "-0x1.05e353f7ced95p-1", "0x0.0p+0"),
+    ("halfspace:l=1", "gauss_kl:r=1/2",
+     [0.25],
+     [1.0, 1.375],
+     False, None, "0x1.57a3db08f9a70p-4"),
+)
+
+
+def test_witness_search_results_pinned():
+    for fam, neigh, x, params, found, witness, margin in _PINNED_QUERIES:
+        spec = transform.strategic_transform(
+            families.make_family(fam).formula(),
+            families.make_neighborhood(neigh).formula())
+        res = witness_search(spec.transformed, x, params)
+        got = (res.found,
+               None if res.witness is None else
+               " ".join(map(float.hex, res.witness)),
+               None if res.margin is None else float.hex(res.margin))
+        assert got == (found, witness, margin), (fam, neigh, x, params)
+
+
+def _margin_points(body, rng: random.Random, n: int):
+    """n scalar points for body's variables, each with a random set of
+    free witness indices; values mix small ones, signed zeros, exp
+    overflows (800) and product overflows (1e200)."""
+    size = {"x": 0, "a": 0, "w": 0}
+    for at in fm.formula_atoms(body):
+        for v in fm.atom_vars(at):
+            size[v.block] = max(size[v.block], v.index + 1)
+    for _ in range(n):
+        env = {b: tuple(rng.choice((rng.uniform(-2, 2), rng.uniform(-2, 2),
+                                    0.0, -0.0, 800.0, -800.0, 1e200))
+                        for _ in range(k)) for b, k in size.items()}
+        free = sorted(rng.sample(range(size["w"]), rng.randint(0, size["w"])))
+        yield env, free
+
+
+def _assert_margin_matches_reference(body, rng: random.Random, n: int):
+    for env, free in _margin_points(body, rng, n):
+        want = ref_margin(body, env).hex()
+        sigma = Assignment(env["x"], env["a"], env["w"])
+        assert solve._violation(body, sigma).hex() == want, (body, env)
+        # the specialized margin never reads sigma at a free witness
+        hidden = sigma.with_w([math.nan if i in free else v
+                               for i, v in enumerate(env["w"])])
+        read = solve._margin(body, hidden,
+                             {fm.Var("w", i): k for k, i in enumerate(free)})
+        vals = [env["w"][i] for i in free]
+        got = read(vals) if callable(read) else read
+        assert got.hex() == want, (body, env, free)
+
+
+def test_margin_matches_reference_on_registry_transforms():
+    rng = random.Random(23)
+    for fam, neigh in dict.fromkeys((q[0], q[1]) for q in _PINNED_QUERIES):
+        spec = transform.strategic_transform(
+            families.make_family(fam).formula(),
+            families.make_neighborhood(neigh).formula())
+        _, matrix = fm.split_exists(spec.transformed)
+        _assert_margin_matches_reference(solve._nnf(matrix), rng, 300)
+
+
+@pytest.mark.parametrize("text", [
+    # inf - inf between two overflowed exps, inside a sum and across sides
+    "(<= (+ (exp w0) (* -1 (exp w1))) x0)",
+    "(= (exp w0) (exp (* 2 w1)))",
+    # exp overflow feeding a comparison and a product
+    "(and (<= (exp (* w0 x0)) a0) (> (* (exp w1) w0) 1/3))",
+    # Not of an exp-graph atom
+    "(or (not (= w1 (exp w0))) (< w0 x0))",
+    # nested And/Or with constant and free parts side by side
+    "(and (or (< w0 x0) (and (>= w1 a0) (= (* w0 w1) 1))) "
+    "(or (> (+ x0 w0 w1 1/3) a1) (<= w1 (* x0 x0)) (= a0 a1)) (<= x0 2))",
+    # empty And and Or beside free parts
+    "(or (and (or) (< w0 x0)) (and (and) (> w1 x0)))",
+])
+def test_margin_matches_reference_on_hand_written_bodies(text):
+    _, body = fm.split_exists(fm.parse(f"(exists (w0 w1) {text})"))
+    _assert_margin_matches_reference(body, random.Random(text), 400)
