@@ -36,21 +36,17 @@ from . import UsageError, VerificationFailure, __version__
 def _jsonable(v):
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return v
     if isinstance(v, dict):
         return {_key(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (str, int, bool)) or v is None:
+    if isinstance(v, (str, int, float, bool)) or v is None:
         return v
     return str(v)
 
 
 def _key(k):
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return str(k)
+    return ",".join(map(str, k)) if isinstance(k, tuple) else str(k)
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -364,8 +360,9 @@ def cmd_learn(args) -> int:
     import numpy as np
     from . import learn
     family, neigh = _family_pair(args)
-    eps_grid = [_value(v, "eps", float, lambda e: 0 < e <= 1,
-                       "a number in (0, 1]") for v in args.eps.split(",")]
+    eps_grid = [_value(v, "eps", float, lambda e: learn.EPS_MIN <= e <= 1,
+                       f"a number in [{learn.EPS_MIN}, 1]")
+                for v in args.eps.split(",")]
     _value(args.delta, "delta", float, lambda d: 0 <= d < 1,
            "a number in [0, 1)")
     _positive(args.trials, "trials")
@@ -464,6 +461,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _value(args.seed, "seed", _integer, lambda v: v >= 0,
+               "a non-negative integer")
         return args.fn(args)
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

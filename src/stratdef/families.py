@@ -124,10 +124,8 @@ def threshold() -> HypothesisFamily:
 
 def monomial_exponents(l: int, max_degree: int):
     """Exponent multisets of total degree <= max_degree, graded order."""
-    out = []
-    for d in range(max_degree + 1):
-        out.extend(itertools.combinations_with_replacement(range(l), d))
-    return out
+    return [mono for d in range(max_degree + 1)
+            for mono in itertools.combinations_with_replacement(range(l), d)]
 
 
 def _monomial_count(l: int, degree: int) -> int:
@@ -174,6 +172,10 @@ def decision_tree(l: int, depth: int, split_degree: int,
     >= 0.  Leaf labels are fixed at construction (default 0101...);
     parameters are the split coefficients only, so param_dim =
     (2^depth - 1) * binomial(l + q, q), rejected above MAX_PARAM_DIM.
+
+    The formula tests each node once: node j reads (p_j < 0 and left) or
+    (p_j >= 0 and right), without a side that has no positive leaf below
+    it; a positive leaf adds no conjunct, and no positive leaf gives 0 > 1.
     """
     # above depth top the 2^depth - 1 nodes alone exceed MAX_PARAM_DIM:
     # rejected before 2^depth is computed
@@ -193,20 +195,19 @@ def decision_tree(l: int, depth: int, split_degree: int,
         monos = monomial_exponents(l, split_degree)
         # node j + 1 (heap order, root 1) splits on polys[j]
         polys = [_poly_term(j * block, monos) for j in range(n_leaves - 1)]
-        disjuncts = []
-        for leaf in range(n_leaves):
-            if not leaf_labels[leaf]:
-                continue
-            node = leaf + n_leaves
-            conds = []
-            while node > 1:
-                node, right = divmod(node, 2)
-                conds.append(fm.atom(polys[node - 1], ">=" if right else "<",
-                                     fm.const(0)))
-            disjuncts.append(fm.conj(*reversed(conds)))
-        if not disjuncts:
-            return fm.atom(fm.const(0), ">", fm.const(1))  # empty class
-        return fm.disj(*disjuncts)
+
+        def below(node):
+            # node's class: True at a positive leaf, None with none below
+            if node >= n_leaves:
+                return True if leaf_labels[node - n_leaves] else None
+            sides = [(fm.atom(polys[node - 1], rel, fm.const(0)), below(child))
+                     for child, rel in ((2 * node, "<"), (2 * node + 1, ">="))]
+            sides = [test if sub is True else fm.conj(test, sub)
+                     for test, sub in sides if sub is not None]
+            return fm.disj(*sides) if len(sides) == 2 else \
+                next(iter(sides), None)
+        # no positive leaf (None): the empty class
+        return below(1) or fm.atom(fm.const(0), ">", fm.const(1))
 
     return HypothesisFamily(f"tree_d{depth}_q{split_degree}", l, k, emit)
 
@@ -247,7 +248,6 @@ def sigmoid_network(widths: Sequence[int]) -> HypothesisFamily:
         return r[-1] >= 0
 
     def emit():
-        indices = []
         atoms = []
         neuron = 0
         prev_z = [fm.x(s) for s in range(l)]
@@ -257,7 +257,6 @@ def sigmoid_network(widths: Sequence[int]) -> HypothesisFamily:
             for i in range(d):
                 wr, wq, wz = (fm.w(3 * neuron), fm.w(3 * neuron + 1),
                               fm.w(3 * neuron + 2))
-                indices.extend(v.index for v in (wr, wq, wz))
                 neuron += 1
                 wbase, bidx = layout[(j, i)]
                 affine = fm.add(*[fm.mul(fm.a(wbase + s), prev_z[s])
@@ -270,7 +269,7 @@ def sigmoid_network(widths: Sequence[int]) -> HypothesisFamily:
                 final_r = wr
             prev_z = next_z
         atoms.append(fm.atom(final_r, ">=", fm.const(0)))
-        return fm.Exists(tuple(indices), fm.conj(*atoms))
+        return fm.Exists(tuple(range(3 * neuron)), fm.conj(*atoms))
 
     return HypothesisFamily(f"nn_{'x'.join(map(str, widths))}", l, k, emit,
                             numeric=numeric)
@@ -325,8 +324,8 @@ def _holds(f: fm.Formula, sigma):
     """f at sigma: eval_qf exactly when every value is rational, else
     elementwise on float arrays with no tolerance (Not/And/Or are ~/&/|),
     broadcast to the values' shape (a bool for scalar values).  Term values
-    are kept by term object (f owns them for the whole call): a tree shares
-    each node's polynomial among the paths through the node."""
+    are kept by term object (f owns them for the whole call): a tree's node
+    polynomial serves both tests of the node."""
     if sigma.is_exact():
         return eval_qf(f, sigma, mode="exact")
     import numpy as np
@@ -806,13 +805,13 @@ def strategic_label(family: HypothesisFamily, neigh: NeighborhoodSystem,
 
 def _parse_kwargs(body: str) -> dict:
     out = {}
-    if not body:
-        return out
-    for piece in body.split(","):
+    for piece in body.split(",") if body else ():
         if "=" not in piece:
             raise FamilyError(f"bad option {piece!r}; expected key=value")
-        key, val = piece.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (s.strip() for s in piece.split("=", 1))
+        if key in out:
+            raise FamilyError(f"repeated option {key!r}")
+        out[key] = val
     return out
 
 

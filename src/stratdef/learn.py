@@ -30,6 +30,7 @@ class LearnError(VerificationFailure):
 
 # the sweep's largest sample size
 M_CAP = 1 << 14
+EPS_MIN = 20 / M_CAP  # the least eps whose ceil(20/eps) held-out points fit
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Deciding and approximating formula semantics.
 
-Terms are read by two folds over the term grammar (variables, rational
+Terms are read by three folds over the term grammar (variables, rational
 constants, +, *, exp): ``eval_term`` values a term in floats, Fractions,
-certified ``RatInterval`` enclosures or float arrays, and ``affine`` reads a
-term as coefficients over chosen unknowns plus a constant.  Four layers,
-from exact to heuristic, share them:
+certified ``RatInterval`` enclosures or float arrays, ``affine`` reads a
+term as coefficients over chosen unknowns plus a constant, and the
+specializing margin fold ``_term_margin`` reads one as a float or a closure
+of the searched witnesses.  Four layers, from exact to heuristic, use them:
 
 * ``eval_qf`` -- quantifier-free evaluation, exactly or as a float margin:
   exact rational (no tolerance; exp handled by certified enclosure

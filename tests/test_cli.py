@@ -60,6 +60,10 @@ def test_unknown_spec_is_usage_error(tmp_path, capsys):
     ["learn", "--family", "threshold:l=1", "--eps", "0"],
     ["learn", "--family", "threshold:l=1", "--eps", "nan"],
     ["learn", "--family", "threshold:l=1", "--trials", "0"],
+    # numpy rejects a negative seed; the held-out sample would pass M_CAP
+    ["--seed", "-1", "growth", "--family", "halfspace:l=2", "--m", "8"],
+    ["learn", "--family", "threshold", "--eps", "1e-300", "--trials", "1",
+     "--budget", "5"],
     ["verify-blowup", "--construction", "fixed", "--r", "abc"],
     ["verify-blowup", "--construction", "all-radii", "--s", "3/10", "--n",
      "2", "--cert-cap", "-1"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,33 @@ def test_decision_tree_family():
     _check_family_formula(tr, random.Random(4), trials=30)
 
 
+def test_decision_tree_formula_tests_each_node_once():
+    rng = random.Random(24)
+    for depth in range(1, 11):
+        n = 1 << depth
+        single = ["0"] * n
+        single[rng.randrange(n)] = "1"
+        for labels in ("0" * n, "1" * n, "".join(single),
+                       "".join(rng.choice("01") for _ in range(n))):
+            f = make_family(f"tree:l=2,depth={depth},q=1,"
+                            f"labels={labels}").formula()
+            assert fm.parse(str(f)) == f
+            if "1" not in labels:
+                assert f == fm.atom(fm.const(0), ">", fm.const(1))
+                continue
+            atoms = list(fm.formula_atoms(f))
+            # each distinct atom once; a node's polynomial in at most two
+            assert len(set(atoms)) == len(atoms), (depth, labels)
+            tests = Counter(at.lhs for at in atoms)
+            assert max(tests.values()) <= 2 and len(tests) <= n - 1
+            if labels == "1" * n:
+                assert len(atoms) == 2 * (n - 1)
+            elif labels.count("1") == 1:
+                assert len(atoms) == depth
+    f = make_family("tree:l=1,depth=12,q=0").formula()
+    assert fm.parse(str(f)) == f
+
+
 def test_decision_tree_rejects_bad_labels():
     with pytest.raises(FamilyError):
         decision_tree(1, 2, 1, [0, 1, 1])
@@ -148,6 +176,10 @@ _FAMILY_REFS = {
     "tree:l=2,depth=3,q=1,labels=10011101":
         lambda a, x: ref_tree(a, x, 2, 3, 1, "10011101"),
     "tree:l=2,depth=3,q=2": lambda a, x: ref_tree(a, x, 2, 3, 2, "01" * 4),
+    "tree:l=2,depth=5,q=1,labels=01101001100101101001011001101001":
+        lambda a, x: ref_tree(a, x, 2, 5, 1,
+                              "01101001100101101001011001101001"),
+    "tree:l=2,depth=1,q=1": lambda a, x: ref_tree(a, x, 2, 1, 1, "01"),
     "ptf:l=2,D=2": lambda a, x: ref_ptf(a, x, 2, 2),
     "ptf:l=2,D=3": lambda a, x: ref_ptf(a, x, 2, 3),
     "ptf:l=3,D=2": lambda a, x: ref_ptf(a, x, 3, 2),
@@ -627,3 +659,6 @@ def test_registry_rejects_unknown():
         make_family("threshold:l=5")
     with pytest.raises(FamilyError):
         make_family("halfspace:l=2,D=9")
+    # a repeated key is an error, not a last value that wins
+    with pytest.raises(FamilyError):
+        make_family("halfspace:l=2,l=3")

@@ -608,6 +608,54 @@ _PINNED_QUERIES = (
      [0.25],
      [1.0, 1.375],
      False, None, "0x1.57a3db08f9a70p-4"),
+    ("tree:l=2,depth=3,q=1", "linf:l=2,r=1/4",
+     [1.0, -0.625],
+     [-0.375, -0.75, -0.5, -0.75, -1.375, -0.875, 0.25, -2.0, 1.5, 1.625,
+      -1.125, -1.875, -0.75, 1.875, 1.5, 0.375, 1.875, -1.375, 0.0, -0.75,
+      0.5],
+     True, "0x1.4000000000000p+0 -0x1.8000000000000p-2", "0x0.0p+0"),
+    ("tree:l=2,depth=3,q=1", "linf:l=2,r=1/4",
+     [-0.5, -1.0],
+     [1.75, 2.0, 0.0, 2.0, -0.25, -0.125, -1.375, -1.0, 0.0, 0.5, -0.25, 1.125,
+      -0.375, 0.375, 1.125, -1.5, 1.75, 0.875, 0.5, 0.0, -0.625],
+     False, None, None),
+    ("tree:l=2,depth=3,q=1,labels=10011101", "lp:l=2,p=2,r=1/2",
+     [1.375, 0.625],
+     [-0.125, 0.875, -1.75, -1.625, 1.5, 0.5, 1.5, 1.5, -1.375, -1.75, -1.375,
+      0.5, 1.25, 1.0, 1.875, 1.25, 1.125, -0.25, 0.25, 0.375, 0.875],
+     True, "0x1.6000000000000p+0 0x1.4000000000000p-1", "0x0.0p+0"),
+    ("tree:l=2,depth=3,q=1,labels=10011101", "lp:l=2,p=2,r=1/2",
+     [1.0, -1.875],
+     [-1.5, -0.125, 1.75, -2.0, -0.125, 2.0, 1.875, 1.875, -1.0, -0.25, 0.75,
+      -1.25, -1.125, 0.625, -0.625, -0.25, -0.5, 0.625, -0.625, 1.25, -0.25],
+     False, None, "0x1.217c14e8a4bd8p+0"),
+    ("tree:l=2,depth=4,q=1,labels=0000000000000001", "l1:l=2,r=1/2",
+     [-1.25, -0.25],
+     [-0.25, -0.5, 0.75, 2.0, 1.5, -0.125, 1.5, -0.125, 1.75, 0.25, -0.5,
+      1.125, -2.0, -1.625, 0.5, -1.0, -1.0, -0.5, 1.125, -0.75, -0.375, 0.25,
+      -1.125, 0.375, 0.75, 1.75, 0.0, 0.5, -1.375, -1.0, 0.625, -1.625, 1.25,
+      1.625, 2.0, 1.375, 1.625, 0.5, -1.0, -0.875, 0.25, -1.75, 1.0, -1.5,
+      1.125],
+     True,
+     ("0x1.ccccccccccccdp-2 0x1.999999999999ap-5 "
+      "-0x1.999999999999ap-1 -0x1.999999999999ap-3"),
+     "0x0.0p+0"),
+    ("tree:l=2,depth=4,q=1,labels=0000000000000001", "l1:l=2,r=1/2",
+     [0.0, 1.75],
+     [1.0, -1.625, 1.625, 0.875, 0.375, -0.5, 1.75, -0.125, -0.75, -2.0, 0.125,
+      -1.0, -1.5, 2.0, -0.125, 1.5, 0.5, -0.5, -0.75, -2.0, 0.875, 1.75, -1.75,
+      -1.0, -0.75, 0.625, 0.125, 1.375, -0.5, -1.125, -0.25, 1.375, 0.25, -0.5,
+      1.75, -0.25, -0.375, 0.125, 1.375, -0.875, 2.0, -0.25, -1.125, 0.125,
+      -1.125],
+     False, None, None),
+    ("tree:l=2,depth=1,q=1", "identity:l=2",
+     [-1.875, 0.0],
+     [0.125, -0.625, -1.25],
+     True, "-0x1.e000000000000p+0 -0x0.0p+0", "0x0.0p+0"),
+    ("tree:l=2,depth=1,q=1", "identity:l=2",
+     [1.0, 1.375],
+     [-1.25, -0.75, -0.125],
+     False, None, None),
 )
 
 
