@@ -241,11 +241,11 @@ def log_self_extremal(a, b, hi: float = 1e12) -> float:
 
 
 def vc_from_growth_bound(C, k) -> float:
-    """Bound 2*log2(C) + 4k*log2(4k) on d whenever 2^d <= C * d^k."""
-    C, k = float(C), float(k)
-    if C < 1 or k < 1:
+    """Bound 2*log2(C) + 4k*log2(4k) on d whenever 2^d <= C * d^k: taking
+    log2, d <= log2(C) + k*log2(d), the log-self bound at a = log2 C, b = k."""
+    if float(C) < 1 or float(k) < 1:
         raise CapacityError("need C >= 1 and k >= 1")
-    return 2 * math.log2(C) + 4 * k * math.log2(4 * k)
+    return log_self_bound(math.log2(C), k)
 
 
 def vc_consistency_bound(A, k) -> float:

@@ -20,6 +20,7 @@ Everything here is pure syntax; evaluation lives in :mod:`stratdef.solve`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -394,37 +395,25 @@ def rename_witnesses(f: Formula, mapping: dict) -> Formula:
 # later walk over the formula; deeper input is rejected rather than left to
 # exhaust the interpreter stack.
 MAX_NESTING = 200
+# a token is a parenthesis or a run of other non-whitespace characters; only
+# "\n" ends a line, and every other character is one column wide
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _tokenize(text: str):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    depth = 0
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            i += 1
-            col += 1
-        elif c in "()":
-            depth += 1 if c == "(" else -1
-            if depth > MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}",
-                                 pos=i, line=line, col=col)
-            toks.append((c, line, col))
-            i += 1
-            col += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            toks.append((text[i:j], line, col))
-            col += j - i
-            i = j
+    depth = offset = 0
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            tok, col = m.group(), m.start() + 1
+            if tok in "()":
+                depth += 1 if tok == "(" else -1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"nesting deeper than {MAX_NESTING}",
+                                     pos=offset + m.start(), line=line,
+                                     col=col)
+            toks.append((tok, line, col))
+        offset += len(row) + 1
     return toks
 
 

@@ -15,8 +15,6 @@ from typing import Callable
 
 from . import VerificationFailure
 
-Rat = Fraction
-
 DEFAULT_MAX_BITS = 4096
 
 

@@ -26,7 +26,8 @@ of the searched witnesses.  Four layers, from exact to heuristic, use them:
 * ``lp_solve`` -- exact rational simplex with Bland's rule over v >= 0.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
   definitional equalities are solved with float ``affine``, linear branches
-  go to ``lp_solve`` through rational ``affine``, the rest to a fixed search
+  go to ``lp_solve`` through rational ``affine`` (when the body expands to at
+  most ``BRANCH_CAP`` disjunct selections), the rest to a fixed search
   (``SEARCH_GRID`` points per axis of ``SEARCH_BOX``, ``SEARCH_RESTARTS``
   seeded random starts, ``REFINE_STEPS`` Nelder-Mead iterations) on the
   float margin, specialized once per query by ``_margin``: every subterm
@@ -65,9 +66,10 @@ from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
 from .intervals import exp_enclosure
 
 FLOAT_TOL = 1e-9
-MAX_BITS = DEFAULT_MAX_BITS
-# witness search: the box every free witness is searched in, grid points per
-# axis, seeded random starts and Nelder-Mead iterations per refined start
+# witness search: the most disjunct selections the exact layer enumerates,
+# the box every free witness is searched in, grid points per axis, seeded
+# random starts and Nelder-Mead iterations per refined start
+BRANCH_CAP = 256
 SEARCH_BOX = (-8, 8)
 SEARCH_GRID = 5
 SEARCH_RESTARTS = 20
@@ -344,7 +346,7 @@ def _require_qf(f: fm.Formula) -> None:
 
 
 def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
-            max_bits: int = MAX_BITS):
+            max_bits: int = DEFAULT_MAX_BITS):
     """Evaluate a quantifier-free formula.
 
     mode 'exact' uses rational arithmetic with certified enclosure refinement
@@ -798,9 +800,9 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
     return values
 
 
-def _branches(f: fm.Formula, cap: int = 256):
+def _branches(f: fm.Formula):
     """Lists of literals whose conjunctions cover f (one list per choice of
-    disjuncts); None when the expansion exceeds the cap."""
+    disjuncts); None when the expansion exceeds BRANCH_CAP."""
     if isinstance(f, (fm.Atom, fm.Not)):
         return [[f]]
     if not isinstance(f, (fm.And, fm.Or)):
@@ -808,11 +810,11 @@ def _branches(f: fm.Formula, cap: int = 256):
     conj = isinstance(f, fm.And)
     out = [[]] if conj else []
     for p in f.parts:
-        sub = _branches(p, cap)
+        sub = _branches(p)
         if sub is None:
             return None
         out = [a + b for a in out for b in sub] if conj else out + sub
-        if len(out) > cap:
+        if len(out) > BRANCH_CAP:
             return None
     return out
 

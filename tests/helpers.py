@@ -2,8 +2,8 @@
 
 Everything here is deliberately implemented independently of the package's
 own algorithms (vectorized formula evaluation, exhaustive vertex
-enumeration, one-variable interval feasibility) so tests compare two
-separate computation paths.
+enumeration, one-variable interval feasibility, a character-by-character
+tokenizer) so tests compare two separate computation paths.
 """
 
 from __future__ import annotations
@@ -203,46 +203,57 @@ def lp_by_vertex_enumeration(objective, rows):
 # One-variable feasibility oracle for projection tests
 
 
-def feasible_with_one_witness(sys: LinearSystem, witness: str,
-                              point: dict) -> bool:
-    """Exact test of 'exists witness: constraints hold' with every other
-    variable pinned to the rational values in point, done by intersecting
-    the induced one-variable bounds (no Fourier-Motzkin combination)."""
+def feasible_with_one_witness(sys: LinearSystem, witness: str):
+    """The exact test of 'exists witness: constraints hold' as a predicate
+    of a point that pins every other variable, done by intersecting the
+    induced one-variable bounds (no Fourier-Motzkin combination), in
+    integers.
+
+    Each row is scaled to integer coefficients once, here.  The returned
+    predicate puts a point's rational values over one denominator den, so a
+    row c*w + rest (rel) rhs reads c*t (rel) s in integers, with t = den*w
+    and s = den*rhs - den*rest; each bound s/c is kept as the pair (s, c)
+    with c > 0 and compared by cross-multiplication."""
     j = sys.variables.index(witness)
-    lo, lo_strict = None, False
-    hi, hi_strict = None, False
+    rows = []
     for c in sys.constraints:
-        rest = sum(co * Fraction(point[v])
-                   for v, co in zip(sys.variables, c.coeffs) if v != witness)
-        cj = c.coeffs[j]
-        if cj == 0:
-            sat = {"<": rest < c.rhs, "<=": rest <= c.rhs,
-                   "=": rest == c.rhs}[c.rel]
-            if not sat:
-                return False
-            continue
-        bound = (c.rhs - rest) / cj
-        strict = c.rel == "<"
-        if c.rel == "=":
-            if (lo is not None and (bound < lo or (bound == lo and lo_strict))) \
-               or (hi is not None and (bound > hi or (bound == hi and hi_strict))):
-                return False
-            lo, hi = bound, bound
-            lo_strict = hi_strict = False
-            continue
-        if cj > 0:  # upper bound
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_strict = bound, strict
-        else:       # lower bound
-            if lo is None or bound > lo or (bound == lo and strict):
-                lo, lo_strict = bound, strict
-    if lo is None or hi is None:
-        return True
-    if lo < hi:
-        return True
-    if lo == hi:
-        return not (lo_strict or hi_strict)
-    return False
+        vals = [Fraction(x) for x in (*c.coeffs, c.rhs)]
+        scale = math.lcm(*(x.denominator for x in vals))
+        ints = [x.numerator * (scale // x.denominator) for x in vals]
+        rows.append((ints[j], ints[:j] + ints[j + 1:-1], c.rel, ints[-1]))
+    others = [v for v in sys.variables if v != witness]
+
+    def feasible(point: dict) -> bool:
+        vals = [point[v] for v in others]       # ints or Fractions
+        den = math.lcm(*(x.denominator for x in vals))
+        nums = [x.numerator * (den // x.denominator) for x in vals]
+        lo = hi = None              # (s, c, strict), the bound s/c with c > 0
+        for cj, co, rel, rhs in rows:
+            s = rhs * den - sum(a * n for a, n in zip(co, nums))
+            if cj == 0:
+                if not {"<": s > 0, "<=": s >= 0, "=": s == 0}[rel]:
+                    return False
+                continue
+            strict = rel == "<"
+            bound = (s, cj, strict) if cj > 0 else (-s, -cj, strict)
+            if cj > 0 or rel == "=":    # an upper bound
+                if hi is None or _tighter(bound, hi, -1):
+                    hi = bound
+            if cj < 0 or rel == "=":    # a lower bound
+                if lo is None or _tighter(bound, lo, 1):
+                    lo = bound
+        if lo is None or hi is None:
+            return True
+        gap = hi[0] * lo[1] - lo[0] * hi[1]
+        return gap > 0 or (gap == 0 and not (lo[2] or hi[2]))
+    return feasible
+
+
+def _tighter(new, old, sign) -> bool:
+    """Whether the bound new is tighter than old: larger for a lower bound
+    (sign 1), smaller for an upper one (sign -1), or equal and strict."""
+    diff = sign * (new[0] * old[1] - old[0] * new[1])
+    return diff > 0 or (diff == 0 and new[2])
 
 
 def system_holds_at(sys: LinearSystem, point: dict) -> bool:
@@ -437,3 +448,43 @@ def ref_sigmoid_net(params, x, widths) -> bool:
         # exp(-v) overflows below v = -709: the logistic limit is 0
         z = [0.0 if v < -700 else 1.0 / (1.0 + math.exp(-v)) for v in r]
     return r[-1] >= 0
+
+
+# ---------------------------------------------------------------------------
+# Formula tokens, scanned one character at a time
+
+
+def ref_tokenize(text: str, max_nesting: int):
+    """(tokens, error) for the s-expression grammar: tokens are (token,
+    line, col) triples, counted by hand (only "\\n" starts a line), and
+    error is None or (message, pos, line, col) for the first parenthesis
+    that opens more than max_nesting levels, with the tokens before it."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    depth = 0
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c.isspace():
+            i += 1
+            col += 1
+        elif c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > max_nesting:
+                msg = f"nesting deeper than {max_nesting}"
+                return toks, (f"{msg} at line {line}, col {col}", i, line, col)
+            toks.append((c, line, col))
+            i += 1
+            col += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            toks.append((text[i:j], line, col))
+            col += j - i
+            i = j
+    return toks, None

@@ -247,9 +247,10 @@ def test_criterion_07_fm_oracle():
         drop = names[rng.randrange(d)]
         proj = solve.fm_eliminate(sys_in, [drop])
         rest = [v for v in names if v != drop]
+        feasible = feasible_with_one_witness(sys_in, drop)
         for combo in itertools.product(grid, repeat=len(rest)):
             point = dict(zip(rest, combo))
-            want = feasible_with_one_witness(sys_in, drop, point)
+            want = feasible(point)
             if want != system_holds_at(proj, point):
                 ok = False
             points_checked += 1

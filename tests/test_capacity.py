@@ -238,6 +238,9 @@ def test_vc_from_growth_bound_dominates_scan():
         C = rng.uniform(1, 1000)
         k = rng.uniform(1, 10)
         bound = vc_from_growth_bound(C, k)
+        # the lemma is the log-self bound at a = log2 C, b = k
+        assert bound == log_self_bound(math.log2(C), k) == \
+            2 * math.log2(C) + 4 * k * math.log2(4 * k), (C, k)
         # every integer d violating 2^d <= C*d^k must exceed no bound
         d = 1
         worst = 0

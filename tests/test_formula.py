@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from stratdef import formula as fm
 from stratdef import solve
 
+from helpers import ref_tokenize
+
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
@@ -51,6 +53,32 @@ def test_parse_errors_carry_position():
     with pytest.raises(fm.ParseError) as exc:
         fm.parse("(and " * 3000 + "(<= x0 1)" + ")" * 3000)
     assert exc.value.line == 1
+
+
+
+# texts over parentheses, token characters and the whitespace that str.split
+# and str.splitlines treat differently from "\n" (U+200B is not whitespace)
+_scan_texts = st.lists(st.sampled_from(
+    ["(", ")", "x0", "a", "-1/2", "\n", "\r", "\t", "\x0b", "\x0c", "\x1c",
+     "\x85", "\xa0", "\u3000", "\u200b"]), max_size=40).map("".join)
+# the same after leading newlines and a run of parentheses at or past the cap
+_deep_texts = st.builds(
+    lambda pre, k, d, post: pre + "\n" * k + "(" * d + post, _scan_texts,
+    st.integers(1, 3), st.integers(fm.MAX_NESTING - 1, fm.MAX_NESTING + 1),
+    _scan_texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_scan_texts, _deep_texts))
+def test_tokenize_matches_character_scanner(text):
+    toks, err = ref_tokenize(text, fm.MAX_NESTING)
+    if err is None:
+        assert fm._tokenize(text) == toks
+        return
+    with pytest.raises(fm.ParseError) as exc:
+        fm._tokenize(text)
+    assert (str(exc.value), exc.value.pos, exc.value.line,
+            exc.value.col) == err
 
 
 # random formula generator for the round-trip property

@@ -230,9 +230,10 @@ def test_fm_single_elimination_matches_oracle_on_grid():
         gone = sys.variables[-1]
         proj = fm_eliminate(sys, [gone])
         kept = proj.variables
+        feasible = feasible_with_one_witness(sys, gone)
         import itertools
         for pt in itertools.product(grid, repeat=len(kept)):
-            want = feasible_with_one_witness(sys, gone, dict(zip(kept, pt)))
+            want = feasible(dict(zip(kept, pt)))
             got = proj.satisfied_by(pt)
             assert got == want, (trial, sys, pt)
 
