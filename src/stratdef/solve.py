@@ -25,16 +25,16 @@ of the searched witnesses.  Four layers, from exact to heuristic, use them:
   in it, so True proves the input empty and False proves nothing.
 * ``lp_solve`` -- exact rational simplex with Bland's rule over v >= 0.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
-  definitional equalities are solved with float ``affine``, linear branches
-  go to ``lp_solve`` through rational ``affine`` (when the body expands to at
-  most ``BRANCH_CAP`` disjunct selections), the rest to a fixed search
-  (``SEARCH_GRID`` points per axis of ``SEARCH_BOX``, ``SEARCH_RESTARTS``
-  seeded random starts, ``REFINE_STEPS`` Nelder-Mead iterations) on the
-  float margin, specialized once per query by ``_margin``: every subterm
-  free of the searched witnesses is folded to its float before the search
-  starts, and each point it tries reads only the rest.  Sound when it
-  reports a witness (its margin is within ``FLOAT_TOL``, so it re-verifies
-  under the float eval_qf), inconclusive when it reports not_found.
+  definitional equalities are solved with float ``affine``, and ``_walk``
+  goes depth first over the disjunct choices, pruning a prefix that
+  ``lp_solve`` proves infeasible, in at most ``SOLVE_BUDGET`` exact reads;
+  the rest go to a fixed search (``SEARCH_GRID`` points per axis of
+  ``SEARCH_BOX``, ``SEARCH_RESTARTS`` seeded random starts, ``REFINE_STEPS``
+  Nelder-Mead iterations) on the float margin, specialized once per query
+  by ``_margin``, which folds every subterm free of the searched witnesses
+  before the search starts.  Sound when it reports a witness (its margin is
+  within ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a
+  not_found is a refutation without a margin.
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
@@ -66,10 +66,10 @@ from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
 from .intervals import exp_enclosure
 
 FLOAT_TOL = 1e-9
-# witness search: the most disjunct selections the exact layer enumerates,
-# the box every free witness is searched in, grid points per axis, seeded
+# witness search: the most exact reads (forks and leaves) of the walk, the
+# box every free witness is searched in, grid points per axis, seeded
 # random starts and Nelder-Mead iterations per refined start
-BRANCH_CAP = 256
+SOLVE_BUDGET = 256
 SEARCH_BOX = (-8, 8)
 SEARCH_GRID = 5
 SEARCH_RESTARTS = 20
@@ -800,25 +800,6 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
     return values
 
 
-def _branches(f: fm.Formula):
-    """Lists of literals whose conjunctions cover f (one list per choice of
-    disjuncts); None when the expansion exceeds BRANCH_CAP."""
-    if isinstance(f, (fm.Atom, fm.Not)):
-        return [[f]]
-    if not isinstance(f, (fm.And, fm.Or)):
-        raise SolveError("quantifier inside witness-search body")
-    conj = isinstance(f, fm.And)
-    out = [[]] if conj else []
-    for p in f.parts:
-        sub = _branches(p)
-        if sub is None:
-            return None
-        out = [a + b for a in out for b in sub] if conj else out + sub
-        if len(out) > BRANCH_CAP:
-            return None
-    return out
-
-
 def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
     """Exact feasibility of linear rows over unbounded unknowns.
 
@@ -846,8 +827,7 @@ def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
     res = lp_solve([-v for v in unit], lp_rows)
     if res.status != "optimal":
         return None
-    t = res.point[t_col]
-    if has_strict and t == 0:
+    if has_strict and res.point[t_col] == 0:
         return None
     return tuple(res.point[2 * j] - res.point[2 * j + 1]
                  for j in range(n_rem))
@@ -873,56 +853,86 @@ def _accept(body: fm.Formula, sigma: Assignment,
     return WitnessResult(True, wv, m) if m <= FLOAT_TOL else None
 
 
-def _solve_branch(lits, body, sigma: Assignment, unknown: set, size: int):
-    """Decide one disjunct selection exactly when possible.
-
-    Returns ("sat", WitnessResult), ("unsat", None) or ("unknown", None);
-    sat results are re-verified against the full body.
-    """
+def _decide(lits, sigma: Assignment, unknown: set, size: int):
+    """The conjunction of NNF literals lits, read exactly where it can be:
+    ("unsat", None), ("unknown", None) or ("feasible", witness vector).
+    Definitions are propagated, a literal free of the remaining witnesses
+    is read by its float margin (x, a and the forced witnesses are floats),
+    and the rest are rows for the rational simplex."""
     forced = _propagate_definitions(fm.And(tuple(lits)), sigma, set(unknown))
     if any(not math.isfinite(v) for v in forced.values()):
         return "unknown", None
     rem_idx = sorted(unknown - set(forced))
-    if not rem_idx:
-        # the NNF body is monotone in its literals: when it fails at the
-        # only candidate, the branch fails there too
-        res = _accept(body, sigma, _witness_vector(size, forced, rem_idx))
-        return ("sat", res) if res else ("unsat", None)
-
     rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
     base = sigma.with_w(_witness_vector(size, forced, rem_idx))
-
     rows = []
     for lit in lits:
         # after NNF a Not wraps only an exp-graph atom
         at = (lit.body if isinstance(lit, fm.Not) else lit).atom
-        if isinstance(at, fm.ExpGraph):
-            # an exp atom (negated or not) with an unresolved witness is
-            # beyond the linear fragment; resolved ones are checked by the
-            # final reading of the full body once all witnesses are fixed
-            if at.lhs in rem or at.rhs in rem:
-                return "unknown", None
+        if rem.keys().isdisjoint(fm.atom_vars(at)):
+            if _violation(lit, base) > FLOAT_TOL:
+                return "unsat", None
             continue
-        row = _atom_row(at, rem, base.lookup)
+        # an exp atom on a remaining witness is beyond the linear fragment
+        row = None if isinstance(at, fm.ExpGraph) else \
+            _atom_row(at, rem, base.lookup)
         if row is None:
             return "unknown", None
         rows.append(row)
-    point = _strict_feasible_point(rows, len(rem_idx))
+    point = _strict_feasible_point(rows, len(rem_idx)) if rows else \
+        (0,) * len(rem_idx)  # the simplex's point when there are no rows
     if point is None:
         return "unsat", None
-    res = _accept(body, sigma, _witness_vector(size, forced, rem_idx, point))
-    return ("sat", res) if res else ("unknown", None)
+    return "feasible", _witness_vector(size, forced, rem_idx, point)
+
+
+def _walk(body: fm.Formula, sigma: Assignment, unknown: set, size: int):
+    """Decide the NNF body by a depth-first walk over its disjunct choices
+    (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A path holds its
+    conjuncts to visit (the next last), its literals and their count at its
+    last fork (inf before the first): an And pushes its parts, a literal
+    joins the literals, an Or forks in order.  _decide reads each leaf and
+    prunes each fork reached with new literals that it reads unsat.  The
+    first leaf point that passes the body is the witness, all leaves unsat
+    a refutation; None when one is unknown or past SOLVE_BUDGET reads."""
+    budget, complete = SOLVE_BUDGET, True
+    stack = [((body,), (), math.inf)]
+    while stack:
+        todo, lits, at_fork = stack.pop()
+        while todo and not isinstance(todo[-1], fm.Or):
+            g, todo = todo[-1], todo[:-1]
+            if isinstance(g, fm.And):
+                todo += g.parts[::-1]
+            else:
+                lits += (g,)
+        if not todo or len(lits) > at_fork:
+            budget -= 1
+            if budget < 0:
+                return None
+            status, wv = _decide(lits, sigma, unknown, size)
+            if status == "unsat":
+                continue
+            if not todo:
+                res = wv and _accept(body, sigma, wv)
+                if res:
+                    return res
+                complete = False
+                continue
+        stack.extend((todo[:-1] + (p,), lits, len(lits))
+                     for p in reversed(todo[-1].parts))
+    return WitnessResult(False) if complete else None
 
 
 def witness_search(f: fm.Formula, x_vals: Sequence,
                    a_vals: Sequence) -> WitnessResult:
     """Search for witnesses of an existential formula at (x, a).
 
-    Layered: definitional equalities are propagated first (this fully decides
-    identity-style neighborhoods); remaining witnesses are searched on a grid
-    with random restarts and Nelder-Mead refinement of the max-violation
-    margin.  A returned witness always re-verifies under eval_qf (soundness);
-    not_found is inconclusive.
+    Layered: the exact walk decides the linear fragment (definitions
+    propagated, the rest by the rational simplex); otherwise the free
+    witnesses are searched on a grid with random restarts and Nelder-Mead
+    refinement of the max-violation margin.  A returned witness always
+    re-verifies under eval_qf (soundness); a not_found with margin None is
+    an exact refutation, one with a margin is inconclusive.
     """
     frag = fm.classify_fragment(f)
     if frag == fm.GENERAL:
@@ -938,19 +948,9 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     size = max(indices) + 1
     unknown = set(indices)
 
-    # exact layer: enumerate disjunct selections; each branch is decided by
-    # definition propagation plus rational linear feasibility when possible
-    branch_lits = _branches(body)
-    if branch_lits is not None:
-        all_decided = True
-        for lits in branch_lits:
-            status, res = _solve_branch(lits, body, sigma0, unknown, size)
-            if status == "sat":
-                return res
-            if status == "unknown":
-                all_decided = False
-        if all_decided:
-            return WitnessResult(False)
+    res = _walk(body, sigma0, unknown, size)
+    if res is not None:
+        return res
 
     forced = _propagate_definitions(body, sigma0, unknown)
     free = sorted(unknown - set(forced))

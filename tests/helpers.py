@@ -3,7 +3,8 @@
 Everything here is deliberately implemented independently of the package's
 own algorithms (vectorized formula evaluation, exhaustive vertex
 enumeration, one-variable interval feasibility, a character-by-character
-tokenizer) so tests compare two separate computation paths.
+tokenizer, polygon clipping down a decision tree) so tests compare two
+separate computation paths.
 """
 
 from __future__ import annotations
@@ -403,6 +404,56 @@ def ref_tree(params, x, l: int, depth: int, degree: int, labels) -> bool:
         right = ref_poly(params[(node - 1) * b:node * b], monos, x) >= 0
         node = 2 * node + int(right)
     return labels[node - 2 ** depth] == "1"
+
+
+def _clip(poly: list, a, b, c, side: int) -> list:
+    """The convex polygon poly (vertices in order) cut by the closed
+    half-plane side * (a*u + b*v + c) >= 0, one Sutherland-Hodgman pass."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        fp = side * (a * p[0] + b * p[1] + c)
+        fq = side * (a * q[0] + b * q[1] + c)
+        if fp >= 0:
+            out.append(p)
+        if fp * fq < 0:
+            t = fp / (fp - fq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def ref_tree_box_verdict(params, x, r, depth: int, labels):
+    """Whether some point of the box [x - r, x + r]^2 reaches a positive
+    leaf of a degree-1 tree on two inputs (ref_tree's layout): the box is
+    clipped down the tree in Fractions, each node's two closed sides, and
+    only sides that meet it are entered.  True when a piece of positive
+    area reaches a positive leaf (its interior passes the strict tests
+    too), False when no piece does, None when only pieces of zero area
+    (segments, points) do, so that the answer rests on a boundary."""
+    r = Fraction(r)
+    u, v = map(Fraction, x)
+    answer = False
+    stack = [(1, [(u - r, v - r), (u + r, v - r), (u + r, v + r),
+                  (u - r, v + r)])]
+    while stack:
+        node, poly = stack.pop()
+        if not poly:
+            continue
+        if node >= 2 ** depth:
+            if labels[node - 2 ** depth] == "1":
+                area2 = sum(p[0] * q[1] - q[0] * p[1]
+                            for p, q in zip(poly, poly[1:] + poly[:1]))
+                if area2 != 0:
+                    return True
+                answer = None
+            continue
+        # x goes right iff c + a*u + b*v >= 0
+        c, a, b = map(Fraction, params[3 * (node - 1):3 * node])
+        if a == b == 0:
+            stack.append((2 * node + (c >= 0), poly))
+            continue
+        stack.append((2 * node, _clip(poly, a, b, c, -1)))
+        stack.append((2 * node + 1, _clip(poly, a, b, c, 1)))
+    return answer
 
 
 def ref_in_lp_ball(x, y, p, r) -> bool:

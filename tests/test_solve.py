@@ -32,6 +32,7 @@ from helpers import (
     lp_by_vertex_enumeration,
     ref_fm_eliminate,
     ref_margin,
+    ref_tree_box_verdict,
     system_holds_at,
 )
 
@@ -454,6 +455,73 @@ def test_witness_search_resolved_exp_atom_beside_linear_witness():
     assert (w0, w1) == (0.0, 1.0) and 0 <= w2 <= 1
 
 
+def test_witness_search_reads_witness_free_literals_in_floats():
+    # w0 = x0/3 is forced in floats, so x0 = 3*w0 holds only within the
+    # float tolerance; read as an exact row it was a false refutation
+    f = fm.parse("(exists (w0 w1) (and (= x0 (* 3 w0)) (> w1 0)))")
+    res = witness_search(f, [0.1], [])
+    assert res.found and res.witness[1] > 0
+    assert res.witness[0] == pytest.approx(0.1 / 3)
+
+
+def test_witness_search_resolves_definitions_after_the_forks():
+    # the forks come before the definitions of w0 and w1: a prefix reads
+    # w1 as a free witness, and the leaves force both
+    f = fm.parse(
+        "(exists (w0 w1) (and (or (<= a0 w1) (> a0 9)) (or (< x0 9) "
+        "(> x0 10)) (= w0 (+ x0 1)) (= w1 (exp w0))))")
+    res = witness_search(f, [0.0], [2.0])
+    assert res.found
+    assert res.witness == pytest.approx((1.0, math.e))
+    res2 = witness_search(f, [0.0], [3.0])
+    assert not res2.found and res2.margin is None
+
+
+def test_witness_search_empty_disjunction_is_refuted():
+    res = witness_search(fm.parse("(exists (w0) (or))"), [0.0], [])
+    assert not res.found and res.margin is None
+
+
+@pytest.mark.parametrize("forks, refuted", [
+    (3, True), (solve.SOLVE_BUDGET.bit_length(), False)])
+def test_witness_search_refutes_only_within_budget(forks, refuted):
+    # every prefix is feasible and every leaf infeasible, through the last
+    # three conjuncts: 2^3 leaves are refuted exactly, while 2^forks leaves
+    # pass the budget of exact reads and the search answers, with a margin
+    f = fm.parse(
+        "(exists (w0 w1) (and " + "(or (>= w0 0) (>= w1 0)) " * forks +
+        "(< (+ w0 w1) -100) (> w0 -1) (> w1 -1)))")
+    res = witness_search(f, [0.0], [])
+    assert not res.found
+    assert (res.margin is None) == refuted
+
+
+def _dyadic_query(seed: int, l: int, k: int) -> tuple:
+    """A point in [-1, 1]^l and k parameters in [-2, 2], multiples of 1/8
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return ([rng.randint(-8, 8) / 8 for _ in range(l)],
+            [rng.randint(-16, 16) / 8 for _ in range(k)])
+
+
+@pytest.mark.parametrize("depth", [8, 9, 10])
+def test_witness_search_decides_deep_trees_like_box_clipping(depth):
+    fam = families.make_family(f"tree:l=2,depth={depth},q=1")
+    spec = transform.strategic_transform(
+        fam.formula(), families.make_neighborhood("linf:l=2,r=1/4").formula())
+    labels = "01" * 2 ** (depth - 1)
+    checked = 0
+    for seed in range(10):
+        x, params = _dyadic_query(seed, 2, fam.param_dim)
+        res = witness_search(spec.transformed, x, params)
+        assert res.found or res.margin is None, (depth, seed)  # decided
+        want = ref_tree_box_verdict(params, x, Fraction(1, 4), depth, labels)
+        if want is not None:
+            assert res.found == want, (depth, seed)
+            checked += 1
+    assert checked >= 8
+
+
 def test_witness_search_quantifier_free_input():
     f = fm.parse("(<= x0 a0)")
     assert witness_search(f, [0.0], [1.0]).found
@@ -657,6 +725,13 @@ _PINNED_QUERIES = (
      [1.0, 1.375],
      [-1.25, -0.75, -0.125],
      False, None, None),
+    # a depth-10 tree has 3,069 parameters, drawn by _dyadic_query
+    ("tree:l=2,depth=10,q=1", "linf:l=2,r=1/4",
+     *_dyadic_query(0, 2, 3069),
+     True, "0x1.0000000000000p-1 0x1.0000000000000p-1", "0x0.0p+0"),
+    ("tree:l=2,depth=10,q=1", "linf:l=2,r=1/4",
+     *_dyadic_query(31, 2, 3069),
+     False, None, None),
 )
 
 
@@ -706,7 +781,10 @@ def _assert_margin_matches_reference(body, rng: random.Random, n: int):
 
 def test_margin_matches_reference_on_registry_transforms():
     rng = random.Random(23)
-    for fam, neigh in dict.fromkeys((q[0], q[1]) for q in _PINNED_QUERIES):
+    # the depth-10 tree is left out: 300 reference reads of its 1,023 nodes
+    # take half a minute, and the shallow trees hold the same atoms
+    for fam, neigh in dict.fromkeys((q[0], q[1]) for q in _PINNED_QUERIES
+                                    if "depth=10" not in q[0]):
         spec = transform.strategic_transform(
             families.make_family(fam).formula(),
             families.make_neighborhood(neigh).formula())
