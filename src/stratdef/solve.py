@@ -1,11 +1,13 @@
 """Deciding and approximating formula semantics.
 
-Terms are read by three folds over the term grammar (variables, rational
+Terms are read by two folds over the term grammar (variables, rational
 constants, +, *, exp): ``eval_term`` values a term in floats, Fractions,
-certified ``RatInterval`` enclosures or float arrays, ``affine`` reads a
-term as coefficients over chosen unknowns plus a constant, and the
-specializing margin fold ``_term_margin`` reads one as a float or a closure
-of the searched witnesses.  Four layers, from exact to heuristic, use them:
+certified ``RatInterval`` enclosures or float arrays, and ``affine`` reads
+a term as coefficients over chosen unknowns plus a constant.  The float
+reading of a rational beyond float range is +-inf.  The margin emitter
+``_margin`` reads a formula as a float, or writes the part that depends on
+the searched witnesses as one straight-line function of them.  Four
+layers, from exact to heuristic, use them:
 
 * ``eval_qf`` -- quantifier-free evaluation, exactly or as a float margin:
   exact rational (no tolerance; exp handled by certified enclosure
@@ -32,9 +34,11 @@ of the searched witnesses.  Four layers, from exact to heuristic, use them:
   ``SEARCH_BOX``, ``SEARCH_RESTARTS`` seeded random starts, ``REFINE_STEPS``
   Nelder-Mead iterations) on the float margin, specialized once per query
   by ``_margin``, which folds every subterm free of the searched witnesses
-  before the search starts.  Sound when it reports a witness (its margin is
-  within ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a
-  not_found is a refutation without a margin.
+  before the search starts and emits the rest as a kernel, one statement
+  per operation; ``_kernel`` caches its compiled code by its source, which
+  holds no value, so the queries on one body share it.  Sound when it
+  reports a witness (its margin is within ``FLOAT_TOL``, so it re-verifies
+  under the float eval_qf); a not_found is a refutation without a margin.
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
@@ -54,6 +58,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -81,6 +86,16 @@ def _safe_exp(v: float) -> float:
         return math.exp(v)
     except OverflowError:
         return math.inf
+
+
+def _float(v) -> float:
+    """float(v), with a rational beyond float range read as +-inf: that is
+    IEEE round-to-nearest overflow, since float(Fraction) raises exactly
+    when the correctly rounded value is infinite."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 class SolveError(VerificationFailure):
@@ -148,7 +163,7 @@ def eval_term(t: fm.Term, sigma: Assignment, lift: Callable, exp: Callable):
 
 
 def eval_term_float(t: fm.Term, sigma: Assignment) -> float:
-    return eval_term(t, sigma, float, _safe_exp)
+    return eval_term(t, sigma, _float, _safe_exp)
 
 
 def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable,
@@ -227,88 +242,109 @@ def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
     return _compare(certified_sign(enclosure, max_bits), at.rel)
 
 
-def _lift(op: Callable, *args):
-    """op(*args) now when every argument is a float, else a closure of the
-    free witness values that applies op to the arguments read there."""
-    if not any(map(callable, args)):
-        return op(*args)
-    if len(args) == 1:
-        (a,) = args
-        return lambda w: op(a(w))
-    a, b = args
-    if not callable(a):
-        return lambda w: op(a, b(w))
-    if not callable(b):
-        return lambda w: op(a(w), b)
-    return lambda w: op(a(w), b(w))
+# the source of an atom's margin (see _violation) from the difference {0}
+# of its sides, which the margin emitter writes into a kernel
+_ATOM_SOURCE = {"=": "abs({0}) if {0} == {0} else inf",
+                "<": "{0} if {0} > zero else zero if {0} == {0} else inf",
+                ">": "-{0} if {0} < zero else zero if {0} == {0} else inf"}
+_ATOM_SOURCE.update({"<=": _ATOM_SOURCE["<"], ">=": _ATOM_SOURCE[">"]})
+_KERNEL_GLOBALS = {"inf": math.inf, "zero": 0.0}
 
 
-def _term_margin(t: fm.Term, sigma: Assignment, free: dict):
-    """The float of t (eval_term_float) when no free witness occurs in it,
-    else a closure of the free witness values that folds t's sums and
-    products in the same left-to-right order, its leading float run folded
-    now."""
-    if not (free and any(v in free for v in fm.term_vars(t))):
-        return eval_term_float(t, sigma)
-    kind = type(t)
-    if kind is fm.Var:
-        return operator.itemgetter(free[t])
-    if kind is fm.Exp:
-        return _lift(_safe_exp, _term_margin(t.arg, sigma, free))
-    op = operator.add if kind is fm.Sum else operator.mul
-    return functools.reduce(
-        functools.partial(_lift, op),
-        [_term_margin(s, sigma, free)
-         for s in (t.terms if kind is fm.Sum else t.factors)])
-
-
-def _atom_margin(rel: str, lhs: float, rhs: float) -> float:
-    d = lhs - rhs
-    if d != d:  # inf - inf
-        return math.inf
-    if rel == "=":
-        return abs(d)
-    return max(0.0, d if rel in ("<", "<=") else -d)
+@functools.cache
+def _atom_margin(rel: str) -> Callable:
+    """_ATOM_SOURCE[rel] as a function of d, compiled on first use: at
+    import it would grow the memory of every command."""
+    return eval("lambda d: " + _ATOM_SOURCE[rel].format("d"),
+                dict(_KERNEL_GLOBALS))
 
 
 def _not_margin(m: float) -> float:
     return 0.0 if m > FLOAT_TOL else 1.0
 
 
+# a body has one source per set of free witnesses; witness-mix's 11 pairs
+# have at most 11, and a 2,700-statement kernel holds about 0.5 MB
+@functools.lru_cache(maxsize=16)
+def _kernel(source: str) -> types.CodeType:
+    """The code of the one function that source defines."""
+    return compile(source, "<margin>", "exec").co_consts[0]
+
+
 def _margin(f: fm.Formula, sigma: Assignment, free: dict):
     """The margin of f (see _violation) specialized to sigma: its float
-    when no free witness occurs in f, else a closure that reads it at a
-    list of free witness values, free mapping each free witness Var to its
-    position there (sigma's values at the free witnesses are never read).
-    Every subterm free of them is folded once, here, as _violation folds
-    it, so the closure returns _violation's bits at every point."""
-    if isinstance(f, fm.Atom):
-        at = f.atom
-        if isinstance(at, fm.ExpGraph):  # u - exp(v)
-            at = fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
-        return _lift(functools.partial(_atom_margin, at.rel),
-                     _term_margin(at.lhs, sigma, free),
-                     _term_margin(at.rhs, sigma, free))
-    if isinstance(f, fm.Not):
-        return _lift(_not_margin, _margin(f.body, sigma, free))
-    if not isinstance(f, (fm.And, fm.Or)):
-        raise SolveError("quantifier inside a quantifier-free reading")
-    pick = max if isinstance(f, fm.And) else min
-    parts = [_margin(p, sigma, free) for p in f.parts]
-    reads = [p for p in parts if callable(p)]
-    if not reads:
-        return pick(parts, default=0.0 if pick is max else 1.0)
-    # a margin is never nan, -0.0 or negative, so max and min read margins
-    # in any order, starting from 0.0 and inf respectively
-    start = pick((p for p in parts if not callable(p)),
-                 default=0.0 if pick is max else math.inf)
+    when no free witness occurs in f, else a function that reads it at a
+    list w of free witness values, free mapping each free witness Var to
+    its position there (sigma's values at the free witnesses are never
+    read).  Every subterm free of them is folded once, here, as _violation
+    folds it, and the rest is emitted as one straight-line function, a
+    statement per operation in _violation's order, so that it returns
+    _violation's bits at every point.  Its source holds only generated
+    names, positions in w and fixed operators: every folded float and every
+    helper it calls is one of its globals, so the queries on one body with
+    the same free witnesses share one compiled code object."""
+    lines, env = [], dict(_KERNEL_GLOBALS)
 
-    def read(w):
-        out = start
-        for r in reads:
-            out = pick(out, r(w))
+    def name(v) -> str:
+        """v when it is source, else the name of a new global holding v."""
+        if isinstance(v, str):
+            return v
+        env[f"g{len(env)}"] = v
+        return f"g{len(env) - 1}"
+
+    def put(fn, *args, source=None):
+        """fn(*args) now when every argument is a value, else the name of a
+        new statement: source formatted with their names, or a call of fn."""
+        if not any(isinstance(v, str) for v in args):
+            return fn(*args)
+        args = list(map(name, args))
+        lines.append(f"    v{len(lines)} = " + (
+            source.format(*args) if source
+            else f"{name(fn)}({', '.join(args)})"))
+        return f"v{len(lines) - 1}"
+
+    def term(t: fm.Term):
+        if not (free and any(v in free for v in fm.term_vars(t))):
+            return eval_term_float(t, sigma)
+        kind = type(t)
+        if kind is fm.Var:
+            return f"w[{free[t]}]"
+        if kind is fm.Exp:
+            return put(_safe_exp, term(t.arg))
+        op, source = (operator.add, "{} + {}") if kind is fm.Sum else \
+            (operator.mul, "{} * {}")
+        return functools.reduce(lambda u, v: put(op, u, v, source=source),
+                                map(term, t.terms if kind is fm.Sum else
+                                    t.factors))
+
+    def margin(g: fm.Formula):
+        if isinstance(g, fm.Atom):
+            at = g.atom
+            if isinstance(at, fm.ExpGraph):  # u - exp(v)
+                at = fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
+            d = put(operator.sub, term(at.lhs), term(at.rhs),
+                    source="{} - {}")
+            return put(_atom_margin(at.rel), d, source=_ATOM_SOURCE[at.rel])
+        if isinstance(g, fm.Not):
+            return put(_not_margin, margin(g.body))
+        if not isinstance(g, (fm.And, fm.Or)):
+            raise SolveError("quantifier inside a quantifier-free reading")
+        pick = max if isinstance(g, fm.And) else min
+        parts = [margin(p) for p in g.parts]
+        reads = [p for p in parts if isinstance(p, str)]
+        values = [p for p in parts if not isinstance(p, str)]
+        if not reads:
+            return pick(values, default=0.0 if pick is max else 1.0)
+        # a margin is never nan, -0.0 or negative, so max and min read margins
+        # in any order, starting from 0.0 and inf respectively
+        start = pick(values, default=0.0 if pick is max else math.inf)
+        return put(pick, start, *reads)
+
+    out = margin(f)
+    if not isinstance(out, str):
         return out
-    return read
+    source = "def read(w):\n" + "\n".join(lines) + f"\n    return {out}\n"
+    return types.FunctionType(_kernel(source), env)
 
 
 def _violation(f: fm.Formula, sigma: Assignment) -> float:
@@ -793,7 +829,7 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
             wi = pending.pop()
             # solve equalities that are affine in the one remaining unknown
             part = affine(fm.sub(at.lhs, at.rhs), {fm.Var("w", wi): 0},
-                          value, float, _safe_exp)
+                          value, _float, _safe_exp)
             if part is not None and part[0][0] != 0.0:
                 values[wi] = -part[1] / part[0][0]
                 changed = True
@@ -841,16 +877,17 @@ def _witness_vector(size: int, forced: dict, free: Sequence,
     for i, v in forced.items():
         wv[i] = v
     for i, v in zip(free, vals):
-        wv[i] = float(v)
+        wv[i] = _float(v)
     return tuple(wv)
 
 
 def _accept(body: fm.Formula, sigma: Assignment,
-            wv: tuple) -> Optional[WitnessResult]:
-    """The witness wv of body when its margin is within FLOAT_TOL, with the
-    margin from the same walk; None otherwise."""
+            wv: tuple) -> WitnessResult:
+    """The witness wv of body when its margin is within FLOAT_TOL, else an
+    inconclusive not_found; either way with the margin of body at wv."""
     m = _violation(body, sigma.with_w(wv))
-    return WitnessResult(True, wv, m) if m <= FLOAT_TOL else None
+    return WitnessResult(True, wv, m) if m <= FLOAT_TOL else \
+        WitnessResult(False, None, m)
 
 
 def _decide(lits, sigma: Assignment, unknown: set, size: int):
@@ -914,7 +951,7 @@ def _walk(body: fm.Formula, sigma: Assignment, unknown: set, size: int):
                 continue
             if not todo:
                 res = wv and _accept(body, sigma, wv)
-                if res:
+                if res and res.found:
                     return res
                 complete = False
                 continue
@@ -930,9 +967,12 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     Layered: the exact walk decides the linear fragment (definitions
     propagated, the rest by the rational simplex); otherwise the free
     witnesses are searched on a grid with random restarts and Nelder-Mead
-    refinement of the max-violation margin.  A returned witness always
-    re-verifies under eval_qf (soundness); a not_found with margin None is
-    an exact refutation, one with a margin is inconclusive.
+    refinement of the max-violation margin, every point read by one call
+    of the kernel that _margin emits for this query, its compiled code
+    shared with the queries on the same body and free witnesses.  A
+    returned witness always re-verifies under eval_qf (soundness); a
+    not_found with margin None is an exact refutation, one with a margin
+    is inconclusive.
     """
     frag = fm.classify_fragment(f)
     if frag == fm.GENERAL:
@@ -959,14 +999,15 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
         return _witness_vector(size, forced, free, vec)
 
     if not free:
-        return _accept(body, sigma0, vector(())) or WitnessResult(False)
+        return _accept(body, sigma0, vector(()))
     # x, a and the forced witnesses are fixed from here on: every grid
     # point, restart and Nelder-Mead step reads one specialized margin
     read = _margin(body, sigma0.with_w(vector(())),
                    {fm.Var("w", i): k for k, i in enumerate(free)})
 
     def margin(vec) -> float:
-        return read(list(map(float, vec))) if callable(read) else read
+        return read(np.asarray(vec, dtype=float).tolist()) if callable(read) \
+            else read
 
     import numpy as np  # here, so that exact commands never load it
     lo, hi = SEARCH_BOX
@@ -1001,6 +1042,6 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
         best_m = min(best_m, float(res.fun))
         if res.fun <= FLOAT_TOL:
             out = _accept(body, sigma0, vector(res.x))
-            if out:
+            if out.found:
                 return out
     return WitnessResult(False, None, best_m)

@@ -88,12 +88,21 @@ def ref_exp(v: float) -> float:
         return math.inf
 
 
+# the least magnitude that IEEE round-to-nearest rounds to infinity: the
+# midpoint between the largest double, 2**1024 - 2**971, and 2**1024, where
+# a tie goes to 2**1024's even significand
+FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
 def ref_float_term(t, env) -> float:
     """A term in floats, env mapping each block to a sequence of values:
-    sums and products fold from their first operand, left to right."""
+    sums and products fold from their first operand, left to right, and a
+    constant at or beyond FLOAT_OVERFLOW in magnitude reads as +-inf."""
     if isinstance(t, fm.Var):
         return float(env[t.block][t.index])
     if isinstance(t, fm.Const):
+        if abs(t.value) >= FLOAT_OVERFLOW:
+            return math.inf if t.value > 0 else -math.inf
         return float(t.value)
     if isinstance(t, fm.Exp):
         return ref_exp(ref_float_term(t.arg, env))

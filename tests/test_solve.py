@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -121,6 +122,49 @@ def test_eval_float_overflowed_difference_never_holds():
     sig = Assignment((1000.0,), (), ())
     assert eval_qf(f, sig, mode="float") is False
     assert eval_qf(fm.Not(f), sig, mode="float") is True
+
+
+# HUGE stands for 10^400, beyond float range
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text, x0, holds", [
+    ("(>= x0 HUGE)", 0.0, False),
+    ("(>= x0 -HUGE)", 0.0, True),
+    ("(< (* HUGE x0) 1)", -0.5, True),
+    # 10^400 x0 at x0 = 0 is inf * 0, nan: the atom fails
+    ("(< (* HUGE x0) 1)", 0.0, False),
+])
+def test_eval_float_reads_constants_beyond_float_range_as_inf(text, x0,
+                                                              holds):
+    f = fm.parse(text.replace("HUGE", _HUGE))
+    sig = Assignment((x0,), (), ())
+    want = ref_margin(f, {"x": (x0,), "a": (), "w": ()})
+    assert solve._violation(f, sig).hex() == want.hex()
+    assert eval_qf(f, sig, mode="float") is holds
+    assert (want <= 1e-9) is holds
+
+
+@pytest.mark.parametrize("text, found", [
+    # decided by the walk, its witness checked at the float 10^400 = inf
+    ("(and (>= w0 x0) (<= w0 HUGE))", True),
+    # past the walk: the search's kernel holds the folded inf
+    ("(and (= (* w0 w0) 2) (< w0 HUGE))", True),
+    ("(and (= (* w0 w0) 2) (< w0 -HUGE))", False),
+    # an exact point beyond float range reads as inf, where no float
+    # witness holds: not found, and not refuted
+    ("(>= w0 HUGE)", False),
+    ("(and (= w0 HUGE) (>= w0 x0))", False),
+])
+def test_witness_search_reads_constants_beyond_float_range_as_inf(text,
+                                                                  found):
+    f = fm.parse(f"(exists (w0) {text.replace('HUGE', _HUGE)})")
+    res = witness_search(f, [0.0], [])
+    assert res.found is found
+    assert res.margin is not None
+    if found:
+        env = {"x": (0.0,), "a": (), "w": res.witness}
+        assert ref_margin(f.body, env).hex() == res.margin.hex()
 
 
 def test_eval_rejects_quantified_formula():
@@ -809,3 +853,62 @@ def test_margin_matches_reference_on_registry_transforms():
 def test_margin_matches_reference_on_hand_written_bodies(text):
     _, body = fm.split_exists(fm.parse(f"(exists (w0 w1) {text})"))
     _assert_margin_matches_reference(body, random.Random(text), 400)
+
+
+def _transform_body(fam: str, neigh: str):
+    spec = transform.strategic_transform(
+        families.make_family(fam).formula(),
+        families.make_neighborhood(neigh).formula())
+    return solve._nnf(fm.split_exists(spec.transformed)[1])
+
+
+@pytest.mark.parametrize("body", [
+    # a flat 1,000-term witness sum: one statement per addition
+    lambda: fm.split_exists(fm.parse(
+        "(exists (w0 w1 w2 w3) (<= (+ " +
+        " ".join(f"(* {k % 7 - 3}/{k % 5 + 1} w{k % 4})" for k in range(1000))
+        + ") x0))"))[1],
+    # thousands of statements over the tree's 255 nodes
+    functools.partial(_transform_body, "tree:l=2,depth=8,q=1",
+                      "lp:l=2,p=2,r=1/4"),
+    # a degree-4 polynomial threshold against a p = 3 ball
+    functools.partial(_transform_body, "ptf:l=3,D=4", "lp:l=3,p=3,r=1"),
+], ids=["sum-1000", "tree-depth-8-x-lp", "ptf-degree-4-x-lp-3"])
+def test_margin_matches_reference_on_large_bodies(body):
+    _assert_margin_matches_reference(body(), random.Random(1000), 20)
+
+
+def test_margin_kernel_is_shared_and_holds_no_values(monkeypatch):
+    # w0 * w0 takes both queries past the walk to the search, and w1 is
+    # forced to x0 + a0: a value the kernel must read from its globals
+    f = fm.parse("(exists (w0 w1) (and (= w1 (+ x0 a0)) "
+                 "(<= (* w0 w0) w1) (>= (+ (* w0 w1) (exp w0)) a0)))")
+    reads, margin = [], solve._margin
+
+    def spy(f, sigma, free):
+        read = margin(f, sigma, free)
+        if free:
+            reads.append((read, f, sigma, free))
+        return read
+
+    monkeypatch.setattr(solve, "_margin", spy)
+    for x, a in (([0.5], [1.5]), ([-0.25], [3.0])):
+        witness_search(f, x, a)
+    (r1, f, s1, free), (r2, _, s2, _) = reads
+    assert (s1.x, s1.a) != (s2.x, s2.a)
+    forced = [i for i in range(len(s1.w)) if fm.Var("w", i) not in free]
+    assert forced and [s1.w[i] for i in forced] != [s2.w[i] for i in forced]
+    assert r1.__code__ is r2.__code__
+    # no value and no formula text: only generated names and fixed helpers
+    assert not any(isinstance(c, float) for c in r1.__code__.co_consts)
+    assert all(n in ("inf", "zero", "abs") or n[0] == "g" and n[1:].isdigit()
+               for n in r1.__code__.co_names)
+    rng = random.Random(2)
+    for read, sigma in ((r1, s1), (r2, s2)):
+        for _ in range(20):
+            vals = [rng.uniform(-2, 2) for _ in free]
+            w = list(sigma.w)
+            for v, k in free.items():
+                w[v.index] = vals[k]
+            assert read(vals).hex() == \
+                solve._violation(f, sigma.with_w(w)).hex()
