@@ -263,7 +263,7 @@ def sigmoid_network(widths: Sequence[int]) -> HypothesisFamily:
                                   for s in range(len(prev_z))],
                                 fm.a(bidx))
                 atoms.append(fm.atom(wr, "=", affine))
-                atoms.append(fm.Atom(fm.ExpGraph(wq, wr)))
+                atoms.append(fm.atom(wq, "=", fm.Exp(wr)))
                 atoms.append(fm.atom(fm.add(fm.mul(wz, wq), wz), "=", wq))
                 next_z.append(wz)
                 final_r = wr
@@ -338,9 +338,7 @@ def _holds(f: fm.Formula, sigma):
             sides[id(t)] = eval_term(t, sigma, _floats, np.exp)
         return sides[id(t)]
 
-    def atom(at: fm.AtomKind):
-        if isinstance(at, fm.ExpGraph):
-            return side(at.lhs) == np.exp(side(at.rhs))
+    def atom(at: fm.Compare):
         return _compare(side(at.lhs), at.rel, side(at.rhs))
 
     out = _fold(f, atom, np.bool_)
@@ -462,9 +460,9 @@ def lp_ball(l: int, p, radius) -> NeighborhoodSystem:
             pos_branch = fm.conj(
                 fm.disj(fm.atom(we, "=", fm.sub(xi, yi)),
                         fm.atom(we, "=", fm.sub(yi, xi))),
-                fm.Atom(fm.ExpGraph(we, wz)),
+                fm.atom(we, "=", fm.Exp(wz)),
                 fm.atom(wu, "=", fm.mul(fm.const(p), wz)),
-                fm.Atom(fm.ExpGraph(wy, wu)))
+                fm.atom(wy, "=", fm.Exp(wu)))
             parts.append(fm.disj(zero_branch, pos_branch))
         parts.append(fm.atom(fm.add(*[fm.w(4 * i) for i in range(l)]),
                              "<=", fm.const(1)))
@@ -576,7 +574,7 @@ def kl_ball(l: int, radius) -> NeighborhoodSystem:
             # z_i = log(x_i / y_i) realized as y_i * exp(z_i) = x_i
             pos = fm.conj(fm.atom(xs[i], ">", fm.const(0)),
                           fm.atom(ys[i], ">", fm.const(0)),
-                          fm.Atom(fm.ExpGraph(we, wz)),
+                          fm.atom(we, "=", fm.Exp(wz)),
                           fm.atom(fm.mul(ys[i], we), "=", xs[i]))
             zero = fm.conj(fm.atom(xs[i], "=", fm.const(0)),
                            fm.atom(wz, "=", fm.const(0)),

@@ -5,11 +5,14 @@ Formulas are block-typed: variables live in the blocks ``x`` (inputs),
 rationals.  The module provides the s-expression grammar (parse / print),
 fragment classification, the graph-form rewriting that isolates every
 exponential into an atom ``u = exp(v)``, and the syntactic format/degree
-complexity of a graph-form formula.
+complexity of a graph-form formula.  An atom is a ``Compare``, the leaf of
+every formula; the exp-graph atom ``u = exp(v)`` is the comparison
+(= u (exp v)) of two variables.
 
 Each structural decision is made in one place: ``split_exists`` is the only
 reader of the witness prefix (leading Exists blocks) and the matrix under
-it, ``compare`` the only recognizer of the exp-graph atom ``u = exp(v)``,
+it, ``exp_graph`` the only recognizer of the exp-graph atom, ``atom`` the
+only place that orients it (``exp(v) = u`` is stored as ``u = exp(v)``),
 and trees are rebuilt only by ``map_term`` (terms, bottom-up) and
 ``map_atoms`` (formulas: atoms and quantifier indices), on which
 ``map_vars``, ``rename_witnesses`` and the graph-form rewrite are built.
@@ -152,28 +155,6 @@ class Compare:
 
 
 @dataclass(frozen=True)
-class ExpGraph:
-    """Atom lhs = exp(rhs), both sides plain variables."""
-
-    lhs: Var
-    rhs: Var
-
-    def __str__(self):
-        return f"(= {self.lhs} (exp {self.rhs}))"
-
-
-AtomKind = Union[Compare, ExpGraph]
-
-
-@dataclass(frozen=True)
-class Atom:
-    atom: AtomKind
-
-    def __str__(self):
-        return str(self.atom)
-
-
-@dataclass(frozen=True)
 class Not:
     body: "Formula"
 
@@ -217,7 +198,7 @@ class ForAll:
         return f"(forall ({vs}) {self.body})"
 
 
-Formula = Union[Atom, Not, And, Or, Exists, ForAll]
+Formula = Union[Compare, Not, And, Or, Exists, ForAll]
 
 
 def conj(*parts: Formula) -> Formula:
@@ -228,18 +209,21 @@ def disj(*parts: Formula) -> Formula:
     return Or(tuple(parts))
 
 
-def atom(lhs: Term, rel: str, rhs: Term) -> Atom:
-    return Atom(Compare(lhs, rel, rhs))
-
-
-def compare(lhs: Term, rel: str, rhs: Term) -> AtomKind:
-    """The atom (rel lhs rhs), as an ExpGraph when it reads u = exp(v) or
-    exp(v) = u for variables u and v."""
-    if rel == "=":
-        u, e = (rhs, lhs) if isinstance(lhs, Exp) else (lhs, rhs)
-        if isinstance(u, Var) and isinstance(e, Exp) and isinstance(e.arg, Var):
-            return ExpGraph(u, e.arg)
+def atom(lhs: Term, rel: str, rhs: Term) -> Compare:
+    """The atom (rel lhs rhs); exp(v) = u for variables u and v is stored as
+    the exp-graph atom u = exp(v)."""
+    if rel == "=" and exp_graph(Compare(rhs, rel, lhs)):
+        lhs, rhs = rhs, lhs
     return Compare(lhs, rel, rhs)
+
+
+def exp_graph(at: Compare) -> Optional[tuple]:
+    """(u, v) when at is the exp-graph atom u = exp(v) of variables u and v,
+    else None."""
+    if at.rel == "=" and isinstance(at.lhs, Var) and isinstance(at.rhs, Exp) \
+            and isinstance(at.rhs.arg, Var):
+        return at.lhs, at.rhs.arg
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +252,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield f
         if isinstance(f, (And, Or)):
             stack.extend(reversed(f.parts))
-        elif not isinstance(f, Atom):
+        elif not isinstance(f, Compare):
             stack.append(f.body)
 
 
@@ -280,17 +264,13 @@ def term_has_exp(t: Term) -> bool:
     return any(isinstance(s, Exp) for s in subterms(t))
 
 
-def atom_vars(at: AtomKind) -> Iterator[Var]:
-    if isinstance(at, Compare):
-        yield from term_vars(at.lhs)
-        yield from term_vars(at.rhs)
-    else:
-        yield at.lhs
-        yield at.rhs
+def atom_vars(at: Compare) -> Iterator[Var]:
+    yield from term_vars(at.lhs)
+    yield from term_vars(at.rhs)
 
 
-def formula_atoms(f: Formula) -> Iterator[AtomKind]:
-    return (g.atom for g in subformulas(f) if isinstance(g, Atom))
+def formula_atoms(f: Formula) -> Iterator[Compare]:
+    return (g for g in subformulas(f) if isinstance(g, Compare))
 
 
 def _has_quantifier(f: Formula) -> bool:
@@ -318,8 +298,8 @@ def free_vars(f: Formula) -> set:
     """Free variables of a formula (bound w-vars excluded)."""
 
     def go(g: Formula, bound: frozenset) -> set:
-        if isinstance(g, Atom):
-            return {v for v in atom_vars(g.atom)
+        if isinstance(g, Compare):
+            return {v for v in atom_vars(g)
                     if not (v.block == "w" and v.index in bound)}
         if isinstance(g, Not):
             return go(g.body, bound)
@@ -355,8 +335,8 @@ def map_term(t: Term, fn) -> Term:
 def map_atoms(f: Formula, fn, index=None) -> Formula:
     """Rebuild f with every atom replaced by fn(atom) and every quantifier
     index i by index(i) (unchanged when index is None)."""
-    if isinstance(f, Atom):
-        return Atom(fn(f.atom))
+    if isinstance(f, Compare):
+        return fn(f)
     if isinstance(f, Not):
         return Not(map_atoms(f.body, fn, index))
     if isinstance(f, (And, Or)):
@@ -373,10 +353,8 @@ def map_vars(f: Formula, fn) -> Formula:
     def var(t: Term) -> Term:
         return fn(t) if isinstance(t, Var) else t
 
-    def atom_fn(at: AtomKind) -> AtomKind:
-        if isinstance(at, Compare):
-            return Compare(map_term(at.lhs, var), at.rel, map_term(at.rhs, var))
-        return compare(fn(at.lhs), "=", Exp(fn(at.rhs)))
+    def atom_fn(at: Compare) -> Compare:
+        return Compare(map_term(at.lhs, var), at.rel, map_term(at.rhs, var))
 
     return map_atoms(f, atom_fn, lambda i: fn(Var("w", i)).index)
 
@@ -501,7 +479,7 @@ def _read_formula(r: _Reader) -> Formula:
         lhs = _read_term(r)
         rhs = _read_term(r)
         r.expect(")")
-        return Atom(compare(lhs, op, rhs))
+        return atom(lhs, op, rhs)
     if op in ("and", "or"):
         parts = []
         while r.peek()[0] != ")":
@@ -587,10 +565,10 @@ class GraphForm:
 
 def is_graph_form(f: Formula) -> bool:
     """True if f is (optionally) an Exists prefix over a body whose atoms are
-    polynomial comparisons and ExpGraph atoms only."""
+    polynomial comparisons and exp-graph atoms only."""
     _, matrix = split_exists(f)
-    return not _has_quantifier(matrix) and not any(
-        isinstance(at, Compare) and (term_has_exp(at.lhs) or term_has_exp(at.rhs))
+    return not _has_quantifier(matrix) and all(
+        exp_graph(at) or not (term_has_exp(at.lhs) or term_has_exp(at.rhs))
         for at in formula_atoms(matrix))
 
 
@@ -630,21 +608,16 @@ def to_graph_form(f: Formula) -> GraphForm:
             memo[t] = define("exp", source=src)
         return memo[t]
 
-    def rewrite(at: AtomKind) -> AtomKind:
-        if isinstance(at, Compare):
-            at = compare(at.lhs, at.rel, at.rhs)  # u = exp(v) needs no witness
-        if isinstance(at, Compare):
-            return Compare(map_term(at.lhs, exp_witness), at.rel,
-                           map_term(at.rhs, exp_witness))
-        return at
+    def rewrite(at: Compare) -> Compare:
+        if exp_graph(at):  # u = exp(v) needs no witness
+            return at
+        return Compare(map_term(at.lhs, exp_witness), at.rel,
+                       map_term(at.rhs, exp_witness))
 
     body = map_atoms(matrix, rewrite)
-    def_atoms = []
-    for d in defs:
-        if d.kind == "term":
-            def_atoms.append(Atom(Compare(Var("w", d.index), "=", d.term)))
-        else:
-            def_atoms.append(Atom(ExpGraph(Var("w", d.index), d.source)))
+    def_atoms = [Compare(Var("w", d.index), "=",
+                         d.term if d.kind == "term" else Exp(d.source))
+                 for d in defs]
     if def_atoms:
         body = And(tuple([body] + def_atoms))
     new_indices = prefix + tuple(d.index for d in defs)
@@ -699,9 +672,9 @@ def complexity(f: Formula, input_dim: Optional[int] = None,
         if at not in seen:
             seen.add(at)
             atoms.append(at)
-    r = sum(1 for at in atoms if isinstance(at, ExpGraph))
+    r = sum(1 for at in atoms if exp_graph(at))
     deg = sum(max(term_degree(at.lhs), term_degree(at.rhs))
-              for at in atoms if isinstance(at, Compare))
+              for at in atoms if not exp_graph(at))
     x_idx = [v.index for v in free if v.block == "x"]
     a_idx = [v.index for v in free if v.block == "a"]
     l = input_dim if input_dim is not None else (max(x_idx) + 1 if x_idx else 0)

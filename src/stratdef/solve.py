@@ -11,8 +11,8 @@ layers, from exact to heuristic, use them:
 
 * ``eval_qf`` -- quantifier-free evaluation, exactly or as a float margin:
   exact rational (no tolerance; exp handled by certified enclosure
-  refinement, and an exp-graph atom u = exp(v) read as the comparison
-  (= u (exp v)) it abbreviates), or as the float witness-search margin: a
+  refinement, an exp-graph atom u = exp(v) being a comparison like any
+  other), or as the float witness-search margin: a
   formula holds when its ``_violation`` is at most ``FLOAT_TOL``, one
   absolute tolerance for every atom.  ``families`` owns the elementwise
   reading on float arrays, folding atoms with the same ``_fold``.
@@ -36,9 +36,10 @@ layers, from exact to heuristic, use them:
   by ``_margin``, which folds every subterm free of the searched witnesses
   before the search starts and emits the rest as a kernel, one statement
   per operation; ``_kernel`` caches its compiled code by its source, which
-  holds no value, so the queries on one body share it.  Sound when it
-  reports a witness (its margin is within ``FLOAT_TOL``, so it re-verifies
-  under the float eval_qf); a not_found is a refutation without a margin.
+  holds no value, so the queries on one formula share it.  Sound when it
+  reports a witness (its margin on the formula as given, not on its NNF,
+  is within ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a
+  not_found is a refutation without a margin.
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
@@ -223,9 +224,7 @@ def _compare(d, rel: str, rhs=0) -> bool:
     return _RELATIONS[rel](d, rhs)
 
 
-def _exact_atom(at: fm.AtomKind, sigma: Assignment, max_bits: int) -> bool:
-    if isinstance(at, fm.ExpGraph):  # u = exp(v) abbreviates (= u (exp v))
-        at = fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
+def _exact_atom(at: fm.Compare, sigma: Assignment, max_bits: int) -> bool:
     if not (fm.term_has_exp(at.lhs) or fm.term_has_exp(at.rhs)):
         diff = eval_term(at.lhs, sigma, Fraction, None) - \
             eval_term(at.rhs, sigma, Fraction, None)
@@ -318,13 +317,9 @@ def _margin(f: fm.Formula, sigma: Assignment, free: dict):
                                     t.factors))
 
     def margin(g: fm.Formula):
-        if isinstance(g, fm.Atom):
-            at = g.atom
-            if isinstance(at, fm.ExpGraph):  # u - exp(v)
-                at = fm.Compare(at.lhs, "=", fm.Exp(at.rhs))
-            d = put(operator.sub, term(at.lhs), term(at.rhs),
-                    source="{} - {}")
-            return put(_atom_margin(at.rel), d, source=_ATOM_SOURCE[at.rel])
+        if isinstance(g, fm.Compare):
+            d = put(operator.sub, term(g.lhs), term(g.rhs), source="{} - {}")
+            return put(_atom_margin(g.rel), d, source=_ATOM_SOURCE[g.rel])
         if isinstance(g, fm.Not):
             return put(_not_margin, margin(g.body))
         if not isinstance(g, (fm.And, fm.Or)):
@@ -350,21 +345,20 @@ def _margin(f: fm.Formula, sigma: Assignment, free: dict):
 def _violation(f: fm.Formula, sigma: Assignment) -> float:
     """The float reading of a quantifier-free formula: a margin that is 0
     when f holds exactly, f holding when it is at most FLOAT_TOL.  An atom
-    reads the difference d of its sides (u - exp(v) for u = exp(v)), each
-    side folded by eval_term_float: |d| for =, max(0, d) for < and <=,
-    max(0, -d) for > and >=, inf for a nan d (inf - inf).  And takes the
-    largest margin (0 for no parts), Or the smallest (1 for no parts), and
-    Not reads 0 when its body's margin exceeds FLOAT_TOL and 1 otherwise
-    (after NNF it wraps only exp-graph atoms).  Witness search reads the
-    same margin through _margin, specialized once per query."""
+    reads the difference d of its sides, each side folded by
+    eval_term_float: |d| for =, max(0, d) for < and <=, max(0, -d) for >
+    and >=, inf for a nan d (inf - inf).  And takes the largest margin (0
+    for no parts), Or the smallest (1 for no parts), and Not reads 0 when
+    its body's margin exceeds FLOAT_TOL and 1 otherwise.  Witness search
+    reads the same margin through _margin, specialized once per query."""
     return _margin(f, sigma, {})
 
 
 def _fold(g: fm.Formula, atom: Callable, array=None):
     """g from atom(at) per atom: a bool, or a bool array when array is
     np.bool_.  Not a nested closure: its cycle would keep arrays alive."""
-    if isinstance(g, fm.Atom):
-        return atom(g.atom)
+    if isinstance(g, fm.Compare):
+        return atom(g)
     if isinstance(g, fm.Not):
         v = _fold(g.body, atom, array)
         return ~v if array else not v
@@ -386,8 +380,7 @@ def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
     """Evaluate a quantifier-free formula.
 
     mode 'exact' uses rational arithmetic with certified enclosure refinement
-    for exp, an exp-graph atom u = exp(v) read as the comparison
-    (= u (exp v)) (no tolerance; raises UndecidedComparison when the
+    for exp (no tolerance; raises UndecidedComparison when the
     enclosure cannot decide a comparison at max_bits).  mode 'float' is the
     margin witness search gates on: f holds when _violation(f, sigma) <=
     FLOAT_TOL, one absolute tolerance for every atom.
@@ -616,9 +609,9 @@ def linear_system_from_formula(f: fm.Formula,
             for p in g.parts:
                 visit(p)
             return
-        if not (isinstance(g, fm.Atom) and isinstance(g.atom, fm.Compare)):
+        if not isinstance(g, fm.Compare):
             raise SolveError("only conjunctions of linear atoms are supported")
-        row = _atom_row(g.atom, idx, undeclared)
+        row = _atom_row(g, idx, undeclared)
         if row is None:
             raise SolveError("nonlinear atom encountered")
         rows.append(row)
@@ -754,17 +747,16 @@ class WitnessResult:
 
 
 def _nnf(f: fm.Formula, positive: bool = True) -> fm.Formula:
-    if isinstance(f, fm.Atom):
+    if isinstance(f, fm.Compare):
         if positive:
             return f
-        at = f.atom
-        if isinstance(at, fm.ExpGraph):
+        if fm.exp_graph(f):
             return fm.Not(f)  # negated transcendental equality stays wrapped
-        flip = {"<": ">=", "<=": ">", "=": None, ">=": "<", ">": "<="}[at.rel]
+        flip = {"<": ">=", "<=": ">", "=": None, ">=": "<", ">": "<="}[f.rel]
         if flip is None:
-            return fm.Or((fm.Atom(fm.Compare(at.lhs, "<", at.rhs)),
-                          fm.Atom(fm.Compare(at.lhs, ">", at.rhs))))
-        return fm.Atom(fm.Compare(at.lhs, flip, at.rhs))
+            return fm.Or((fm.Compare(f.lhs, "<", f.rhs),
+                          fm.Compare(f.lhs, ">", f.rhs)))
+        return fm.Compare(f.lhs, flip, f.rhs)
     if isinstance(f, fm.Not):
         return _nnf(f.body, not positive)
     if isinstance(f, fm.And):
@@ -778,8 +770,8 @@ def _nnf(f: fm.Formula, positive: bool = True) -> fm.Formula:
 
 def _conjunctive_atoms(f: fm.Formula):
     """Atoms that hold in every model of f (top-level conjunction spine)."""
-    if isinstance(f, fm.Atom):
-        yield f.atom
+    if isinstance(f, fm.Compare):
+        yield f
     elif isinstance(f, fm.And):
         for p in f.parts:
             yield from _conjunctive_atoms(p)
@@ -805,17 +797,19 @@ def _propagate_definitions(body: fm.Formula, sigma: Assignment,
     while changed:
         changed = False
         for at in _conjunctive_atoms(body):
-            if isinstance(at, fm.ExpGraph):
-                if at.lhs.block == "w" and at.lhs.index in unknown \
-                        and at.lhs.index not in values and known(at.rhs):
-                    values[at.lhs.index] = _safe_exp(value(at.rhs))
+            graph = fm.exp_graph(at)
+            if graph:
+                u, v = graph
+                if u.block == "w" and u.index in unknown \
+                        and u.index not in values and known(v):
+                    values[u.index] = _safe_exp(value(v))
                     changed = True
-                elif at.rhs.block == "w" and at.rhs.index in unknown \
-                        and at.rhs.index not in values and known(at.lhs):
-                    # invert the graph atom: rhs = log(lhs) when lhs > 0
-                    u = value(at.lhs)
-                    if u > 0:
-                        values[at.rhs.index] = math.log(u)
+                elif v.block == "w" and v.index in unknown \
+                        and v.index not in values and known(u):
+                    # invert the graph atom: v = log(u) when u > 0
+                    uval = value(u)
+                    if uval > 0:
+                        values[v.index] = math.log(uval)
                         changed = True
                 continue
             if at.rel != "=":
@@ -881,11 +875,11 @@ def _witness_vector(size: int, forced: dict, free: Sequence,
     return tuple(wv)
 
 
-def _accept(body: fm.Formula, sigma: Assignment,
+def _accept(matrix: fm.Formula, sigma: Assignment,
             wv: tuple) -> WitnessResult:
-    """The witness wv of body when its margin is within FLOAT_TOL, else an
-    inconclusive not_found; either way with the margin of body at wv."""
-    m = _violation(body, sigma.with_w(wv))
+    """The witness wv of matrix when its margin is within FLOAT_TOL, else an
+    inconclusive not_found; either way with the margin of matrix at wv."""
+    m = _violation(matrix, sigma.with_w(wv))
     return WitnessResult(True, wv, m) if m <= FLOAT_TOL else \
         WitnessResult(False, None, m)
 
@@ -897,7 +891,8 @@ def _decide(lits, sigma: Assignment, unknown: set, size: int):
     is read by its float margin (x, a and the forced witnesses are floats),
     and the rest are rows for the rational simplex."""
     forced = _propagate_definitions(fm.And(tuple(lits)), sigma, set(unknown))
-    if any(not math.isfinite(v) for v in forced.values()):
+    # a row holds Fractions, and no Fraction reads inf or nan
+    if not all(map(math.isfinite, (*sigma.x, *sigma.a, *forced.values()))):
         return "unknown", None
     rem_idx = sorted(unknown - set(forced))
     rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
@@ -905,14 +900,14 @@ def _decide(lits, sigma: Assignment, unknown: set, size: int):
     rows = []
     for lit in lits:
         # after NNF a Not wraps only an exp-graph atom
-        at = (lit.body if isinstance(lit, fm.Not) else lit).atom
+        at = lit.body if isinstance(lit, fm.Not) else lit
         if rem.keys().isdisjoint(fm.atom_vars(at)):
             if _violation(lit, base) > FLOAT_TOL:
                 return "unsat", None
             continue
-        # an exp atom on a remaining witness is beyond the linear fragment
-        row = None if isinstance(at, fm.ExpGraph) else \
-            _atom_row(at, rem, base.lookup)
+        # an exp atom on a remaining witness is beyond the linear fragment:
+        # affine without exp reads it as no row
+        row = _atom_row(at, rem, base.lookup)
         if row is None:
             return "unknown", None
         rows.append(row)
@@ -923,15 +918,17 @@ def _decide(lits, sigma: Assignment, unknown: set, size: int):
     return "feasible", _witness_vector(size, forced, rem_idx, point)
 
 
-def _walk(body: fm.Formula, sigma: Assignment, unknown: set, size: int):
-    """Decide the NNF body by a depth-first walk over its disjunct choices
-    (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A path holds its
-    conjuncts to visit (the next last), its literals and their count at its
-    last fork (inf before the first): an And pushes its parts, a literal
-    joins the literals, an Or forks in order.  _decide reads each leaf and
-    prunes each fork reached with new literals that it reads unsat.  The
-    first leaf point that passes the body is the witness, all leaves unsat
-    a refutation; None when one is unknown or past SOLVE_BUDGET reads."""
+def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
+          unknown: set, size: int):
+    """Decide the matrix by a depth-first walk over the disjunct choices of
+    its NNF body (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A
+    path holds its conjuncts to visit (the next last), its literals and
+    their count at its last fork (inf before the first): an And pushes its
+    parts, a literal joins the literals, an Or forks in order.  _decide
+    reads each leaf and prunes each fork reached with new literals that it
+    reads unsat.  The first leaf point that passes the matrix is the
+    witness, all leaves unsat a refutation; None when one is unknown or
+    past SOLVE_BUDGET reads."""
     budget, complete = SOLVE_BUDGET, True
     stack = [((body,), (), math.inf)]
     while stack:
@@ -950,7 +947,7 @@ def _walk(body: fm.Formula, sigma: Assignment, unknown: set, size: int):
             if status == "unsat":
                 continue
             if not todo:
-                res = wv and _accept(body, sigma, wv)
+                res = wv and _accept(matrix, sigma, wv)
                 if res and res.found:
                     return res
                 complete = False
@@ -969,26 +966,29 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     witnesses are searched on a grid with random restarts and Nelder-Mead
     refinement of the max-violation margin, every point read by one call
     of the kernel that _margin emits for this query, its compiled code
-    shared with the queries on the same body and free witnesses.  A
-    returned witness always re-verifies under eval_qf (soundness); a
-    not_found with margin None is an exact refutation, one with a margin
-    is inconclusive.
+    shared with the queries on the same matrix and free witnesses.  A
+    returned witness always re-verifies under the float eval_qf of the
+    matrix as given, not of its NNF (soundness); a not_found with margin
+    None is an exact refutation, one with a margin is inconclusive.
     """
     frag = fm.classify_fragment(f)
     if frag == fm.GENERAL:
         raise SolveError("witness_search requires an existential formula")
     indices, matrix = fm.split_exists(f)
+    sigma0 = Assignment(tuple(map(_float, x_vals)), tuple(map(_float, a_vals)))
+    # the NNF body gives the walk its forks and the definitions; a witness
+    # is accepted on the matrix, where a negated = or <= fails at equality
     body = _nnf(matrix)
-    sigma0 = Assignment(tuple(float(v) for v in x_vals),
-                        tuple(float(v) for v in a_vals), ())
     if not indices:
-        ok = eval_qf(body, sigma0, mode="float")
-        return WitnessResult(ok, () if ok else None, 0.0 if ok else None)
-
+        # a refutation needs the body to fail too: its literals read the
+        # tolerance, and a Not of the matrix fails within it
+        res = _accept(matrix, sigma0, ())
+        return WitnessResult(False) if not res.found and \
+            _violation(body, sigma0) > FLOAT_TOL else res
     size = max(indices) + 1
     unknown = set(indices)
 
-    res = _walk(body, sigma0, unknown, size)
+    res = _walk(matrix, body, sigma0, unknown, size)
     if res is not None:
         return res
 
@@ -999,10 +999,10 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
         return _witness_vector(size, forced, free, vec)
 
     if not free:
-        return _accept(body, sigma0, vector(()))
+        return _accept(matrix, sigma0, vector(()))
     # x, a and the forced witnesses are fixed from here on: every grid
     # point, restart and Nelder-Mead step reads one specialized margin
-    read = _margin(body, sigma0.with_w(vector(())),
+    read = _margin(matrix, sigma0.with_w(vector(())),
                    {fm.Var("w", i): k for k, i in enumerate(free)})
 
     def margin(vec) -> float:
@@ -1015,7 +1015,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     # seed with the input coordinates cycled across the free slots: for
     # strategic transforms the witness block is a nearby point, and staying
     # put is often already feasible
-    pool = [float(v) for v in (*x_vals, *a_vals)] or [0.0]
+    pool = [*sigma0.x, *sigma0.a] or [0.0]
     candidates.append(tuple(pool[i % len(pool)] for i in range(len(free))))
     if SEARCH_GRID ** len(free) <= 4096:
         axis = np.linspace(float(lo), float(hi), SEARCH_GRID)
@@ -1035,13 +1035,15 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     # local refinement from the most promising starts
     from scipy.optimize import minimize
     for mval, cand in scored[:4]:
+        if mval == math.inf:
+            break  # Nelder-Mead would read inf - inf from here on
         res = minimize(margin, np.asarray(cand, dtype=float),
                        method="Nelder-Mead",
                        options={"maxiter": REFINE_STEPS, "xatol": 1e-12,
                                 "fatol": 1e-15})
         best_m = min(best_m, float(res.fun))
         if res.fun <= FLOAT_TOL:
-            out = _accept(body, sigma0, vector(res.x))
+            out = _accept(matrix, sigma0, vector(res.x))
             if out.found:
                 return out
     return WitnessResult(False, None, best_m)

@@ -47,16 +47,11 @@ def np_eval_formula(f, env):
     """Boolean array; env maps block -> (N, dim) arrays. Every atom gets
     the same absolute float boundary tolerance as the scalar evaluator,
     an exp-graph atom u = exp(v) included."""
-    if isinstance(f, fm.Atom):
-        at = f.atom
-        if isinstance(at, fm.ExpGraph):
-            lhs = np_eval_term(at.lhs, env)
-            rhs = np.exp(np_eval_term(at.rhs, env))
-            return np.abs(lhs - rhs) <= TOL
-        d = np_eval_term(at.lhs, env) - np_eval_term(at.rhs, env)
-        if at.rel == "=":
+    if isinstance(f, fm.Compare):
+        d = np_eval_term(f.lhs, env) - np_eval_term(f.rhs, env)
+        if f.rel == "=":
             return np.abs(d) <= TOL
-        if at.rel in ("<", "<="):
+        if f.rel in ("<", "<="):
             return d <= TOL
         return d >= -TOL
     if isinstance(f, fm.Not):
@@ -121,20 +116,13 @@ def ref_margin(f, env) -> float:
     and >=, and 0 otherwise; And is the largest of its parts (0 without
     parts), Or the smallest (1 without parts), and Not reads 0 when its
     body reads above TOL and 1 otherwise."""
-    if isinstance(f, fm.Atom):
-        at = f.atom
-        if isinstance(at, fm.ExpGraph):
-            d = ref_float_term(at.lhs, env) - \
-                ref_exp(ref_float_term(at.rhs, env))
-            rel = "="
-        else:
-            d = ref_float_term(at.lhs, env) - ref_float_term(at.rhs, env)
-            rel = at.rel
+    if isinstance(f, fm.Compare):
+        d = ref_float_term(f.lhs, env) - ref_float_term(f.rhs, env)
         if math.isnan(d):
             return math.inf
-        if rel == "=":
+        if f.rel == "=":
             return abs(d)
-        if rel in ("<", "<="):
+        if f.rel in ("<", "<="):
             return d if d > 0 else 0.0
         return -d if d < 0 else 0.0
     if isinstance(f, fm.Not):

@@ -33,11 +33,11 @@ def test_parse_print_roundtrip_examples():
 
 def test_decimals_parse_exactly():
     f = fm.parse("(<= x0 0.1)")
-    assert f.atom.rhs.value == Fraction(1, 10)
+    assert f.rhs.value == Fraction(1, 10)
     g = fm.parse("(<= x0 3/7)")
-    assert g.atom.rhs.value == Fraction(3, 7)
+    assert g.rhs.value == Fraction(3, 7)
     h = fm.parse("(<= x0 -2.25)")
-    assert h.atom.rhs.value == Fraction(-9, 4)
+    assert h.rhs.value == Fraction(-9, 4)
 
 
 def test_parse_errors_carry_position():
@@ -202,7 +202,7 @@ def _exp_terms(t):
 def _exp_overflows(f, sigma):
     """True when some exp subterm saturates to infinity under sigma."""
     for at in fm.formula_atoms(f):
-        if isinstance(at, fm.ExpGraph):
+        if fm.exp_graph(at):
             continue
         for side in (at.lhs, at.rhs):
             for e in _exp_terms(side):
@@ -219,7 +219,7 @@ def _near_boundary(f, sigma, delta=1e-6):
     """True when some atom of f is within delta of its boundary, where the
     float tolerance makes both answers defensible."""
     for at in fm.formula_atoms(f):
-        if isinstance(at, fm.ExpGraph):
+        if fm.exp_graph(at):
             continue
         try:
             d = solve.eval_term_float(at.lhs, sigma) - \
@@ -274,4 +274,4 @@ def test_rename_witnesses_keeps_semantics():
     g = fm.rename_witnesses(f, {0: 5, 1: 6, 2: 7})
     assert str(g) == ("(exists (w5 w6) (and (= w6 (exp w5)) "
                       "(forall (w7) (<= w7 w6))))")
-    assert isinstance(g.body.parts[0].atom, fm.ExpGraph)
+    assert fm.exp_graph(g.body.parts[0]) == (fm.w(6), fm.w(5))

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,7 @@ def test_eval_exact_exp_comparisons_certified():
 
 def test_eval_exact_exp_graph_equality_is_refutable_only():
     # w0 = exp(x0) with a wrong witness is certified false...
-    f = fm.Atom(fm.ExpGraph(fm.w(0), fm.x(0)))
+    f = fm.atom(fm.w(0), "=", fm.Exp(fm.x(0)))
     assert eval_qf(f, merge(x=[Fraction(1)], w=[Fraction(2)]),
                    mode="exact") is False
     # ...but a true transcendental equality cannot be certified
@@ -109,7 +110,7 @@ def test_eval_float_tolerance_at_boundary():
 def test_eval_float_exp_graph_gets_the_absolute_tolerance():
     # an exp-graph atom shares the one absolute boundary tolerance: at
     # e^3 ~ 20.1 a witness 1e-8 off is refuted, so its negation holds
-    f = fm.Atom(fm.ExpGraph(fm.w(0), fm.x(0)))
+    f = fm.atom(fm.w(0), "=", fm.Exp(fm.x(0)))
     sig = Assignment((3.0,), (), (math.exp(3.0) + 1e-8,))
     assert eval_qf(f, sig, mode="float") is False
     assert eval_qf(fm.Not(f), sig, mode="float") is True
@@ -159,12 +160,55 @@ def test_eval_float_reads_constants_beyond_float_range_as_inf(text, x0,
 def test_witness_search_reads_constants_beyond_float_range_as_inf(text,
                                                                   found):
     f = fm.parse(f"(exists (w0) {text.replace('HUGE', _HUGE)})")
-    res = witness_search(f, [0.0], [])
+    # where every start reads margin inf, Nelder-Mead from one would compute
+    # inf - inf, and the warning it raises is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = witness_search(f, [0.0], [])
     assert res.found is found
     assert res.margin is not None
     if found:
         env = {"x": (0.0,), "a": (), "w": res.witness}
         assert ref_margin(f.body, env).hex() == res.margin.hex()
+
+
+@pytest.mark.parametrize("sign, found", [(1, False), (-1, True)])
+def test_witness_search_reads_inputs_beyond_float_range_as_inf(sign, found):
+    # x0 = +-10^400 reads as +-inf: no float w0 is >= inf, and every one
+    # is >= -inf; neither is decided by the exact walk, whose rows are
+    # Fractions
+    f = fm.parse("(exists (w0) (>= w0 x0))")
+    res = witness_search(f, [Fraction(sign * 10 ** 400)], [])
+    assert res.found is found
+    assert res.margin == (0.0 if found else math.inf)
+    if found:
+        sig = Assignment((sign * math.inf,), (), res.witness)
+        assert eval_qf(f.body, sig, mode="float") is True
+
+
+@pytest.mark.parametrize("text, x0, found", [
+    # the NNF of a negated = or <= holds at equality in the float margin,
+    # the formula itself does not
+    ("(not (= x0 1))", 1, False),
+    ("(not (<= x0 1))", 1, False),
+    # true, but not in the float margin: not found, and not refuted
+    ("(not (= x0 1))", 1 + 1e-10, False),
+    ("(exists (w0) (and (= (* w0 w0) 1) (>= w0 0) (not (= w0 1))))", 0, False),
+    ("(exists (w0) (and (= (* w0 w0) 1) (not (= w0 1))))", 0, True),
+    ("(exists (w0) (and (not (< w0 x0)) (not (= w0 x0))))", 0, True),
+    ("(exists (w0 w1) (and (= w1 (exp w0)) (not (= w1 1)) (<= w0 x0)))",
+     0, True),
+])
+def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
+    f = fm.parse(text)
+    _, matrix = fm.split_exists(f)
+    res = witness_search(f, [x0], [])
+    assert res.found is found
+    if matrix is f and res.margin is None:  # a refutation is exact
+        assert eval_qf(f, merge(x=[Fraction(x0)]), mode="exact") is False
+    if found:
+        sig = Assignment((float(x0),), (), res.witness)
+        assert eval_qf(matrix, sig, mode="float") is True
 
 
 def test_eval_rejects_quantified_formula():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 
@@ -203,3 +205,53 @@ def test_complexity_report_fields():
     assert rep["transformed"]["format"] == spec.transformed_profile.format
     assert "vc_dimension" in rep["symbolic_bounds"]
     assert "unspecified" in rep["symbolic_bounds"]["vc_dimension"]
+
+
+# ---------------------------------------------------------------------------
+# Pinned artifacts
+
+# every registry family paired with every neighborhood of its dimension that
+# has a formula: the exp-graph atoms come from nn, the general exponent
+# (p = 3, 3/2) and kl
+_PINNED_FAMILIES = ("threshold", "halfspace:l=2", "halfspace:l=3",
+                    "ptf:l=2,D=2", "tree:l=2,depth=2,q=1", "nn:widths=1-1",
+                    "nn:widths=2-2-1", "nn:widths=3-1")
+_PINNED_NEIGHBORHOODS = (
+    "identity:l=1", "interval:r=1/2", "gauss_kl:r=1/2", "floor",
+    "lp:l=1,p=3,r=1", "identity:l=2", "lp:l=2,p=2,r=1/2", "linf:l=2,r=1",
+    "l1:l=2,r=1/2", "lp:l=2,p=3/2,r=1", "lp_var:l=2,coord=1", "identity:l=3",
+    "lp:l=3,p=2,r=1", "kl:l=3,r=1", "emd:r=1")
+# graph forms of hand formulas: an exp-graph atom written exp first, nested
+# and shared exps, and a negated exp-graph atom
+_PINNED_FORMULAS = (
+    "(exists (w0 w1) (and (= (exp w1) w0) (<= (+ w0 x0) 1)))",
+    "(and (<= (exp (+ x0 x1)) 2) (not (= x0 (exp x1))))",
+    "(exists (w0) (or (< (* w0 (exp (exp x0))) x1) "
+    "(= w0 (exp (* 2 x0))) (>= (exp (exp x0)) w0)))",
+)
+
+
+def test_transform_artifacts_pinned():
+    # the printed transforms, their complexity reports and the graph forms
+    # are artifacts: a change in how atoms are stored must not move a byte
+    h = hashlib.sha256()
+    pairs = 0
+    for fam in map(make_family, _PINNED_FAMILIES):
+        for neigh in map(make_neighborhood, _PINNED_NEIGHBORHOODS):
+            if neigh.dim != fam.input_dim or neigh.emit_formula is None:
+                continue
+            spec = tr.strategic_transform(fam.formula(), neigh.formula())
+            h.update(str(spec.transformed).encode())
+            h.update(json.dumps(tr.complexity_report(spec),
+                                sort_keys=True).encode())
+            pairs += 1
+    assert pairs == 40
+    assert h.hexdigest() == (
+        "3f76dec9514f6e08e8cf34558988e89295ba40d820dcf41f8b91b30ce9f6a3e1")
+    h = hashlib.sha256()
+    for text in _PINNED_FORMULAS:
+        g = fm.to_graph_form(fm.parse(text))
+        h.update(f"{g.formula}\n{g.defs}\n{fm.complexity(g.formula)}\n"
+                 .encode())
+    assert h.hexdigest() == (
+        "79ee2a90fa1db11c7538d6fdc665a1fdea15d10129318a867b6dc417e1e40a2b")
