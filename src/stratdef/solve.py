@@ -32,14 +32,16 @@ layers, from exact to heuristic, use them:
   ``lp_solve`` proves infeasible, in at most ``SOLVE_BUDGET`` exact reads;
   the rest go to a fixed search (``SEARCH_GRID`` points per axis of
   ``SEARCH_BOX``, ``SEARCH_RESTARTS`` seeded random starts, ``REFINE_STEPS``
-  Nelder-Mead iterations) on the float margin, specialized once per query
-  by ``_margin``, which folds every subterm free of the searched witnesses
-  before the search starts and emits the rest as a kernel, one statement
-  per operation; ``_kernel`` caches its compiled code by its source, which
-  holds no value, so the queries on one formula share it.  Sound when it
+  steps of scipy's Nelder-Mead, run on float lists by ``_nelder_mead``) on
+  the float margin, specialized once per query by ``_margin``, which folds
+  every subterm free of the searched witnesses before the search starts
+  and emits the rest as a kernel, one statement per operation; ``_kernel``
+  caches its compiled code by its source, which holds no value, so the
+  queries on one formula share it.  Sound when it
   reports a witness (its margin on the formula as given, not on its NNF,
   is within ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a
-  not_found is a refutation without a margin.
+  not_found is a refutation without a margin, which rests on no inexact
+  float margin (see ``_decide``).
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
@@ -48,9 +50,8 @@ the only normalization of >= and >, ``_atom_row`` the only reading of an
 atom as a row, ``_combine`` the only row combination (FM substitution and
 pairing), ``_prune`` the only normalization and pruning of FM rows, and
 ``_pivot`` and ``_price`` the only tableau pivot and objective pricing of
-the simplex.  Both update only the columns where the row they apply is
-nonzero, in Fractions, so Bland's rule picks the pivots a dense update
-would.
+the simplex.  Both apply ``_eliminate`` to rows of integers over one
+denominator, so Bland's rule picks the pivots a tableau of Fractions would.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import VerificationFailure, formula as fm
-from .intervals import (DEFAULT_MAX_BITS, RatInterval, certified_sign,
-                        exp_interval)
+from .intervals import (DEFAULT_MAX_BITS, RatInterval, UndecidedComparison,
+                        certified_sign, exp_interval)
 # unused here: perfbench/spans.py patches this name on this module, and a
 # traced benchmark round fails when it is missing
 from .intervals import exp_enclosure
@@ -631,61 +632,75 @@ class LPResult:
     point: Optional[tuple] = None
 
 
+def _eliminate(target: tuple, by: tuple, col: int) -> tuple:
+    """The tableau row target = T / d minus the multiple of by = B / q that
+    zeroes column col, where by reads 1 at col (B[col] == q): the row
+    (q * T - T[col] * B) / (d * q), in lowest terms."""
+    (row, d), (unit, q) = target, by
+    f = row[col]
+    row, d = [q * t - f * u for t, u in zip(row, unit)], d * q
+    g = math.gcd(d, *row)
+    return ([v // g for v in row], d // g) if g > 1 else (row, d)
+
+
 def _pivot(tableau: list, basis: list, row: int, col: int) -> None:
-    """Make column col basic in row: scale the row to a unit pivot and
-    eliminate col from every other row, the objective row included.  Only
-    the pivot row's nonzero columns change, in the rows with a nonzero
-    entry in col."""
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    nonzero = [(j, v) for j, v in enumerate(tableau[row]) if v]
+    """Make column col basic in row: divide the row by its pivot p, which
+    makes it (sign(p) * T, |p|), and eliminate col from every other row
+    with a nonzero entry there, the objective row included."""
+    unit, _ = tableau[row]
+    p = unit[col]
+    tableau[row] = by = ([-v for v in unit] if p < 0 else unit), abs(p)
     for i, r in enumerate(tableau):
-        f = r[col]
-        if i != row and f:
-            for j, v in nonzero:
-                r[j] -= f * v
+        if i != row and r[0][col]:
+            tableau[i] = _eliminate(r, by, col)
     basis[row] = col
 
 
-def _price(cost: list, rows: list, basis: list) -> list:
-    """Reduced costs: cost with each basic column basis[i] priced out by
-    rows[i] over its nonzero entries; rows past the basis (the objective
+def _price(cost: tuple, rows: list, basis: list) -> tuple:
+    """Reduced costs: the cost row with each basic column basis[i] priced
+    out by rows[i], which reads 1 there; rows past the basis (the objective
     row) are ignored."""
-    cost = list(cost)
     for row, b in zip(rows, basis):
-        f = cost[b]
-        if f:
-            for j, v in enumerate(row):
-                if v:
-                    cost[j] -= f * v
+        if cost[0][b]:
+            cost = _eliminate(cost, row, b)
     return cost
 
 
 def _simplex(tableau: list, basis: list, n_cols: int) -> str:
     """Bland's rule simplex on a tableau in canonical form.
 
-    tableau: one row (list of Fractions, rhs last) per basis entry, then the
-    objective row of reduced costs (minus the value last), minimized over
-    the first n_cols columns.  Returns 'optimal' or 'unbounded'.
+    tableau: a row (ints, rhs last, over a positive int) per basis entry,
+    then the objective row of reduced costs (minus the value last); the
+    first n_cols columns may enter.  Returns 'optimal' or 'unbounded'.
     """
     m = len(basis)
     while True:
-        enter = next((j for j in range(n_cols) if tableau[m][j] < 0), None)
+        cost = tableau[m][0]
+        enter = next((j for j in range(n_cols) if cost[j] < 0), None)
         if enter is None:
             return "optimal"
-        # Bland: among minimal ratios choose the row whose basic variable
-        # has the smallest index
-        ratios = [(row[-1] / row[enter], basis[i], i)
-                  for i, row in enumerate(tableau[:m]) if row[enter] > 0]
+        # Bland: among minimal ratios (a row's denominator cancels) choose
+        # the row whose basic variable has the smallest index
+        ratios = [(Fraction(t[-1], t[enter]), basis[i], i)
+                  for i, (t, _) in enumerate(tableau[:m]) if t[enter] > 0]
         if not ratios:
             return "unbounded"
         _pivot(tableau, basis, min(ratios)[2], enter)
 
 
+def _integer_row(values: Sequence) -> tuple:
+    """Fractions as one tableau row: integers over the lcm of their
+    denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
     """Exact rational optimum via two-phase simplex with Bland's rule:
     minimize objective . v over v >= 0 subject to rows, each with relation
-    <= or =.  The objective and the rows are read as Fractions."""
+    <= or =.  The objective and the rows are read as Fractions; a tableau
+    row is integers over one positive denominator (fraction-free, as in
+    Bareiss, Math. Comp. 1968)."""
     objective = tuple(Fraction(c) for c in objective)
     n, m = len(objective), len(rows)
     for r in rows:
@@ -695,42 +710,41 @@ def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
             raise SolveError("LP column dimension mismatch")
     slack_count = sum(1 for r in rows if r.rel == "<=")
     total = n + slack_count
-    zero = Fraction(0)
     # one pass over the rows: add a slack column per inequality, make the
     # rhs nonnegative and give the row its artificial column
     tableau, si = [], n
     for i, r in enumerate(rows):
-        full = [*map(Fraction, r.coeffs), *[zero] * (slack_count + m),
-                Fraction(r.rhs)]
+        ints, den = _integer_row([*map(Fraction, r.coeffs), Fraction(r.rhs)])
+        full = [*ints[:-1], *[0] * (slack_count + m), ints[-1]]
         if r.rel == "<=":
-            full[si] = Fraction(1)
+            full[si] = den
             si += 1
         if full[-1] < 0:
             full = [-v for v in full]
-        full[total + i] = Fraction(1)
-        tableau.append(full)
+        full[total + i] = den
+        tableau.append((full, den))
     basis = [total + i for i in range(m)]
     # phase 1: minimize the sum of the artificials (cost 1 each)
-    tableau.append(_price([zero] * total + [Fraction(1)] * m + [zero],
-                          tableau, basis))
+    tableau.append(_price(([0] * total + [1] * m + [0], 1), tableau, basis))
     _simplex(tableau, basis, total + m)
-    if tableau[m][-1] < 0:  # phase-1 objective positive: infeasible
+    if tableau[m][0][-1] < 0:  # phase-1 objective positive: infeasible
         return LPResult("infeasible")
     # drive artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= total:
-            col = next((j for j in range(total) if tableau[i][j] != 0), None)
+            col = next((j for j in range(total) if tableau[i][0][j]), None)
             if col is not None:  # None: a redundant row
                 _pivot(tableau, basis, i, col)
     # phase 2: the real objective, never entering an artificial column
-    tableau[m] = _price([*objective, *[zero] * (slack_count + m + 1)],
-                        tableau, basis)
+    tableau[m] = _price(
+        _integer_row([*objective, *[Fraction(0)] * (slack_count + m + 1)]),
+        tableau, basis)
     if _simplex(tableau, basis, total) == "unbounded":
         return LPResult("unbounded")
-    point = [zero] * n
-    for i, b in enumerate(basis):
+    point = [Fraction(0)] * n
+    for (t, d), b in zip(tableau, basis):
         if b < n:
-            point[b] = tableau[i][-1]
+            point[b] = Fraction(t[-1], d)
     value = sum(c * v for c, v in zip(objective, point))
     return LPResult("optimal", value, tuple(point))
 
@@ -884,12 +898,31 @@ def _accept(matrix: fm.Formula, sigma: Assignment,
         WitnessResult(False, None, m)
 
 
-def _decide(lits, sigma: Assignment, unknown: set, size: int):
+def _exactly_false(f: fm.Formula, inputs: tuple) -> bool:
+    """Whether the quantifier-free f, which reads no witness, is False
+    under the exact eval_qf at the rational inputs (x, a): not when one is
+    inf or nan or a comparison is undecided."""
+    try:
+        sigma = merge(*(map(Fraction, v) for v in inputs))
+    except (OverflowError, ValueError):  # an inf or nan input
+        return False
+    try:
+        return not _fold(f, lambda at: _exact_atom(at, sigma,
+                                                   DEFAULT_MAX_BITS))
+    except UndecidedComparison:
+        return False
+
+
+def _decide(lits, sigma: Assignment, inputs: tuple, unknown: set,
+            size: int):
     """The conjunction of NNF literals lits, read exactly where it can be:
     ("unsat", None), ("unknown", None) or ("feasible", witness vector).
     Definitions are propagated, a literal free of the remaining witnesses
     is read by its float margin (x, a and the forced witnesses are floats),
-    and the rest are rows for the rational simplex."""
+    and the rest are rows for the rational simplex.  A literal's margin
+    prunes only where it is exact: one that reads only x, a and constants
+    must also read False exactly at the rational inputs, and one on forced
+    witnesses must be finite."""
     forced = _propagate_definitions(fm.And(tuple(lits)), sigma, set(unknown))
     # a row holds Fractions, and no Fraction reads inf or nan
     if not all(map(math.isfinite, (*sigma.x, *sigma.a, *forced.values()))):
@@ -901,8 +934,12 @@ def _decide(lits, sigma: Assignment, unknown: set, size: int):
     for lit in lits:
         # after NNF a Not wraps only an exp-graph atom
         at = lit.body if isinstance(lit, fm.Not) else lit
-        if rem.keys().isdisjoint(fm.atom_vars(at)):
-            if _violation(lit, base) > FLOAT_TOL:
+        names = set(fm.atom_vars(at))
+        if rem.keys().isdisjoint(names):
+            m = _violation(lit, base)
+            if m > FLOAT_TOL and (
+                    m < math.inf if any(v.block == "w" for v in names)
+                    else _exactly_false(lit, inputs)):
                 return "unsat", None
             continue
         # an exp atom on a remaining witness is beyond the linear fragment:
@@ -919,7 +956,7 @@ def _decide(lits, sigma: Assignment, unknown: set, size: int):
 
 
 def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
-          unknown: set, size: int):
+          inputs: tuple, unknown: set, size: int):
     """Decide the matrix by a depth-first walk over the disjunct choices of
     its NNF body (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A
     path holds its conjuncts to visit (the next last), its literals and
@@ -943,7 +980,7 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
             budget -= 1
             if budget < 0:
                 return None
-            status, wv = _decide(lits, sigma, unknown, size)
+            status, wv = _decide(lits, sigma, inputs, unknown, size)
             if status == "unsat":
                 continue
             if not todo:
@@ -955,6 +992,57 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
         stack.extend((todo[:-1] + (p,), lits, len(lits))
                      for p in reversed(todo[-1].parts))
     return WitnessResult(False) if complete else None
+
+
+def _nelder_mead(read: Callable, start: Sequence) -> tuple:
+    """(best vertex, its value) of scipy 1.17's Nelder-Mead on read from
+    start (not adaptive, unbounded, REFINE_STEPS iterations counted from 1,
+    xatol 1e-12, fatol 1e-15; Lagarias et al., SIAM J. Optim. 1998), its
+    float operations made in scipy's order on lists of floats, so its
+    iterates are scipy's bit for bit.  np.argsort orders the vertices, as in
+    scipy: it is not stable, and tied margins are common."""
+    from numpy import array
+    x0 = [float(v) for v in start]
+    n, sim = len(x0), [x0]
+    for k, v in enumerate(x0):
+        y = (1 + 0.05) * v if v != 0 else 0.00025
+        sim.append([*x0[:k], y, *x0[k + 1:]])
+    fsim = [read(v) for v in sim]
+    # scipy sorts the first simplex twice, then once after every step
+    for step in range(-1, REFINE_STEPS):
+        order = array(fsim).argsort().tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        if step < 0:
+            continue
+        best, f0, worst = sim[0], fsim[0], sim[-1]
+        # scipy tests the vertices first; the margins are cheaper to test
+        if step == REFINE_STEPS - 1 or (
+                all(abs(f0 - f) <= 1e-15 for f in fsim[1:]) and
+                all(abs(u - v) <= 1e-12 for x in sim[1:]
+                    for u, v in zip(x, best))):
+            break
+        # the centroid of all but the worst vertex, summed left to right
+        bar = [functools.reduce(operator.add, c) / n for c in zip(*sim[:-1])]
+        xr = [2 * c - w for c, w in zip(bar, worst)]
+        fxr = read(xr)
+        if fxr < f0:  # expand
+            xe = [3 * c - 2 * w for c, w in zip(bar, worst)]
+            fxe = read(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:  # reflect
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract outside when xr beats the worst vertex, else inside
+            outside = fxr < fsim[-1]
+            xc = [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w
+                  for c, w in zip(bar, worst)]
+            fxc = read(xc)
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = read(sim[j])
+    return sim[0], fsim[0]
 
 
 def witness_search(f: fm.Formula, x_vals: Sequence,
@@ -975,20 +1063,19 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     if frag == fm.GENERAL:
         raise SolveError("witness_search requires an existential formula")
     indices, matrix = fm.split_exists(f)
-    sigma0 = Assignment(tuple(map(_float, x_vals)), tuple(map(_float, a_vals)))
+    inputs = (tuple(x_vals), tuple(a_vals))
+    sigma0 = Assignment(*(tuple(map(_float, v)) for v in inputs))
     # the NNF body gives the walk its forks and the definitions; a witness
     # is accepted on the matrix, where a negated = or <= fails at equality
     body = _nnf(matrix)
     if not indices:
-        # a refutation needs the body to fail too: its literals read the
-        # tolerance, and a Not of the matrix fails within it
         res = _accept(matrix, sigma0, ())
-        return WitnessResult(False) if not res.found and \
-            _violation(body, sigma0) > FLOAT_TOL else res
+        return res if res.found or not _exactly_false(matrix, inputs) else \
+            WitnessResult(False)
     size = max(indices) + 1
     unknown = set(indices)
 
-    res = _walk(matrix, body, sigma0, unknown, size)
+    res = _walk(matrix, body, sigma0, inputs, unknown, size)
     if res is not None:
         return res
 
@@ -1004,10 +1091,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     # point, restart and Nelder-Mead step reads one specialized margin
     read = _margin(matrix, sigma0.with_w(vector(())),
                    {fm.Var("w", i): k for k, i in enumerate(free)})
-
-    def margin(vec) -> float:
-        return read(np.asarray(vec, dtype=float).tolist()) if callable(read) \
-            else read
+    margin = read if callable(read) else lambda w: read
 
     import numpy as np  # here, so that exact commands never load it
     lo, hi = SEARCH_BOX
@@ -1018,7 +1102,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     pool = [*sigma0.x, *sigma0.a] or [0.0]
     candidates.append(tuple(pool[i % len(pool)] for i in range(len(free))))
     if SEARCH_GRID ** len(free) <= 4096:
-        axis = np.linspace(float(lo), float(hi), SEARCH_GRID)
+        axis = np.linspace(float(lo), float(hi), SEARCH_GRID).tolist()
         candidates.extend(itertools.product(axis, repeat=len(free)))
     rng = np.random.default_rng(0)
     for _ in range(SEARCH_RESTARTS):
@@ -1033,17 +1117,13 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     scored.sort(key=lambda t: t[0])
     best_m = scored[0][0]
     # local refinement from the most promising starts
-    from scipy.optimize import minimize
     for mval, cand in scored[:4]:
         if mval == math.inf:
             break  # Nelder-Mead would read inf - inf from here on
-        res = minimize(margin, np.asarray(cand, dtype=float),
-                       method="Nelder-Mead",
-                       options={"maxiter": REFINE_STEPS, "xatol": 1e-12,
-                                "fatol": 1e-15})
-        best_m = min(best_m, float(res.fun))
-        if res.fun <= FLOAT_TOL:
-            out = _accept(matrix, sigma0, vector(res.x))
+        point, fun = _nelder_mead(margin, cand)
+        best_m = min(best_m, fun)
+        if fun <= FLOAT_TOL:
+            out = _accept(matrix, sigma0, vector(point))
             if out.found:
                 return out
     return WitnessResult(False, None, best_m)

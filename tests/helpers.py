@@ -197,6 +197,78 @@ def lp_by_vertex_enumeration(objective, rows):
     return best
 
 
+def ref_lp_bland(objective, rows):
+    """(status, value, point) of min objective . v over v >= 0 subject to
+    rows (.coeffs, .rel in {<=, =}, .rhs): a dense two-phase simplex over
+    Fractions with Bland's rule.  Phase 1 minimizes the sum of one
+    artificial per row, after each <= row gains a slack and each row with a
+    negative rhs is negated; artificials left basic leave for the first
+    nonzero column of their row, if any; phase 2 never enters an artificial
+    column.  It pivots as the package's simplex must, so the optimum it
+    returns is the same vertex, not just the same value."""
+    objective = [Fraction(c) for c in objective]
+    n, m = len(objective), len(rows)
+    slacks = [i for i, r in enumerate(rows) if r.rel == "<="]
+    total = n + len(slacks)
+    width = total + m + 1
+    tab = []
+    for i, r in enumerate(rows):
+        row = [Fraction(0)] * width
+        row[:n] = map(Fraction, r.coeffs)
+        row[-1] = Fraction(r.rhs)
+        if r.rel == "<=":
+            row[n + slacks.index(i)] = Fraction(1)
+        if row[-1] < 0:
+            row = [-v for v in row]
+        row[total + i] = Fraction(1)
+        tab.append(row)
+    basis = [total + i for i in range(m)]
+
+    def pivot(r, c):
+        tab[r] = [v / tab[r][c] for v in tab[r]]
+        for i in range(len(tab)):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [v - f * p for v, p in zip(tab[i], tab[r])]
+        basis[r] = c
+
+    def priced(cost):
+        for i, b in enumerate(basis):
+            cost = [v - cost[b] * p for v, p in zip(cost, tab[i])]
+        return cost
+
+    def run(cols):
+        while True:
+            enter = next((j for j in range(cols) if tab[m][j] < 0), None)
+            if enter is None:
+                return "optimal"
+            cands = [(tab[i][-1] / tab[i][enter], basis[i], i)
+                     for i in range(m) if tab[i][enter] > 0]
+            if not cands:
+                return "unbounded"
+            pivot(min(cands)[2], enter)
+
+    tab.append(priced([Fraction(0)] * total + [Fraction(1)] * m +
+                      [Fraction(0)]))
+    run(total + m)
+    if tab[m][-1] < 0:
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= total:
+            col = next((j for j in range(total) if tab[i][j] != 0), None)
+            if col is not None:
+                pivot(i, col)
+    tab[m] = priced(objective + [Fraction(0)] * (width - n))
+    if run(total) == "unbounded":
+        return "unbounded", None, None
+    point = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = tab[i][-1]
+    return "optimal", sum(c * v for c, v in zip(objective, point)), \
+        tuple(point)
+
+
 # ---------------------------------------------------------------------------
 # One-variable feasibility oracle for projection tests
 

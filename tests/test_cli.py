@@ -487,6 +487,28 @@ assert "numpy" in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+def test_witness_search_loads_no_scipy(tmp_path):
+    code = """
+import sys
+from stratdef import families, solve, transform
+spec = transform.strategic_transform(
+    families.make_family("halfspace:l=3").formula(),
+    families.make_neighborhood("kl:l=3,r=1/2").formula())
+runs, nelder_mead = [], solve._nelder_mead
+solve._nelder_mead = lambda read, start: runs.append(start) or \\
+    nelder_mead(read, start)
+res = solve.witness_search(spec.transformed, [0.125, 0.75, 0.125],
+                           [0.75, -1.75, 0.375, 0.875])
+assert runs and res.margin is not None, (len(runs), res)
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules
+                                          if m.startswith("scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=_cold_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # transform
 

@@ -33,6 +33,7 @@ from helpers import (
     feasible_with_one_witness,
     lp_by_vertex_enumeration,
     ref_fm_eliminate,
+    ref_lp_bland,
     ref_margin,
     ref_tree_box_verdict,
     system_holds_at,
@@ -146,7 +147,7 @@ def test_eval_float_reads_constants_beyond_float_range_as_inf(text, x0,
     assert (want <= 1e-9) is holds
 
 
-@pytest.mark.parametrize("text, found", [
+_HUGE_BODIES = [
     # decided by the walk, its witness checked at the float 10^400 = inf
     ("(and (>= w0 x0) (<= w0 HUGE))", True),
     # past the walk: the search's kernel holds the folded inf
@@ -156,12 +157,14 @@ def test_eval_float_reads_constants_beyond_float_range_as_inf(text, x0,
     # witness holds: not found, and not refuted
     ("(>= w0 HUGE)", False),
     ("(and (= w0 HUGE) (>= w0 x0))", False),
-])
+]
+
+
+@pytest.mark.parametrize("text, found", _HUGE_BODIES)
 def test_witness_search_reads_constants_beyond_float_range_as_inf(text,
                                                                   found):
     f = fm.parse(f"(exists (w0) {text.replace('HUGE', _HUGE)})")
-    # where every start reads margin inf, Nelder-Mead from one would compute
-    # inf - inf, and the warning it raises is an error here
+    # no warning (an inf - inf in the search, say) escapes the search
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = witness_search(f, [0.0], [])
@@ -170,6 +173,22 @@ def test_witness_search_reads_constants_beyond_float_range_as_inf(text,
     if found:
         env = {"x": (0.0,), "a": (), "w": res.witness}
         assert ref_margin(f.body, env).hex() == res.margin.hex()
+
+
+@pytest.mark.parametrize("text, found", _HUGE_BODIES)
+def test_nelder_mead_never_starts_where_the_margin_is_inf(text, found,
+                                                          monkeypatch):
+    # from such a start every step would read inf - inf
+    starts, nelder_mead = [], solve._nelder_mead
+
+    def spy(read, start):
+        starts.append(read(start))
+        return nelder_mead(read, start)
+
+    monkeypatch.setattr(solve, "_nelder_mead", spy)
+    f = fm.parse(f"(exists (w0) {text.replace('HUGE', _HUGE)})")
+    assert witness_search(f, [0.0], []).found is found
+    assert all(m < math.inf for m in starts), starts
 
 
 @pytest.mark.parametrize("sign, found", [(1, False), (-1, True)])
@@ -198,6 +217,12 @@ def test_witness_search_reads_inputs_beyond_float_range_as_inf(sign, found):
     ("(exists (w0) (and (not (< w0 x0)) (not (= w0 x0))))", 0, True),
     ("(exists (w0 w1) (and (= w1 (exp w0)) (not (= w1 1)) (<= w0 x0)))",
      0, True),
+    # true, but the float margin fails: inf - inf, rounding, and a
+    # constant beyond float range against an input that is not
+    ("(<= (exp x0) (exp (+ x0 1)))", 1000, False),
+    ("(= x0 (* 3 (* 1/3 x0)))", 2 ** 60 + 256, False),
+    pytest.param(f"(<= x0 {10 ** 401})", Fraction(10 ** 400), False,
+                 id="(<= x0 10^401)-10^400-False"),
 ])
 def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
     f = fm.parse(text)
@@ -209,6 +234,20 @@ def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
     if found:
         sig = Assignment((float(x0),), (), res.witness)
         assert eval_qf(matrix, sig, mode="float") is True
+
+
+@pytest.mark.parametrize("text, x0", [
+    # a literal of x and constants: true exactly, and its margin is inf
+    ("(and (>= w0 0) (<= (exp x0) (exp (+ x0 1))))", 1000),
+    # ... or a rounding error
+    ("(and (>= w0 0) (= x0 (* 3 (* 1/3 x0))))", 2 ** 60 + 256),
+    # a literal on a forced witness w0 = 2 x0 = 2e200: w0 w0 x0 <= w0 w0
+    # (x0 + 1) holds, and its margin reads inf - inf
+    ("(and (= w0 (* 2 x0)) (<= (* w0 w0 x0) (* w0 w0 (+ x0 1))))", 1e200),
+])
+def test_witness_search_prunes_on_no_inexact_margin(text, x0):
+    res = witness_search(fm.parse(f"(exists (w0) {text})"), [x0], [])
+    assert not res.found and res.margin is not None
 
 
 def test_eval_rejects_quantified_formula():
@@ -501,6 +540,44 @@ def test_lp_matches_vertex_enumeration_randomized():
             lhs = sum(co * v for co, v in zip(c.coeffs, pt))
             assert {"<=": lhs <= c.rhs, "=": lhs == c.rhs}[c.rel]
         assert sum(c * v for c, v in zip(objective, pt)) == want_value
+
+
+def test_lp_pivots_as_the_fraction_tableau_does():
+    # the integer-row simplex against a dense Fraction tableau with the
+    # same rule: the same status, value and vertex, on 52-bit dyadic
+    # entries, equality rows, zero right-hand sides (degenerate vertices)
+    # and rows that repeat an earlier row scaled (redundant)
+    rng = random.Random(29)
+
+    def entry():
+        k = rng.random()
+        if k < 0.3:
+            return 0
+        if k < 0.6:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-2 ** 52, 2 ** 52),
+                        2 ** rng.randint(0, 60))
+
+    statuses = set()
+    for trial in range(400):
+        n, rows = rng.randint(1, 6), []
+        for _ in range(rng.randint(1, 7)):
+            if rows and rng.random() < 0.2:
+                r, k = rng.choice(rows), Fraction(rng.randint(1, 3),
+                                                  rng.randint(1, 3))
+                rows.append(LinConstraint(tuple(k * c for c in r.coeffs),
+                                          r.rel, k * r.rhs))
+                continue
+            rhs = 0 if rng.random() < 0.3 else entry()
+            rows.append(LinConstraint.make([entry() for _ in range(n)],
+                                           rng.choice(["<=", ">=", "="]),
+                                           rhs))
+        objective = [entry() for _ in range(n)]
+        got = lp_solve(objective, rows)
+        want = ref_lp_bland(objective, rows)
+        assert (got.status, got.value, got.point) == want, (trial, rows)
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +911,46 @@ def test_witness_search_results_pinned():
                " ".join(map(float.hex, res.witness)),
                None if res.margin is None else float.hex(res.margin))
         assert got == (found, witness, margin), (fam, neigh, x, params)
+
+
+def _plateau(v) -> float:
+    """A staircase of |v|^2: neighbouring vertices often read the same."""
+    return float(math.floor(4 * sum(u * u for u in v)))
+
+
+def test_nelder_mead_matches_scipy(monkeypatch):
+    # scipy is the reference: the same vertex and value, bit for bit, on
+    # the 9-witness kl and 11-witness nn margins from their witness-search
+    # starts and seeded ones, and on a staircase whose vertices tie
+    import numpy as np
+    from scipy.optimize import minimize
+    runs, nelder_mead = [], solve._nelder_mead
+
+    def spy(read, start):
+        runs.append((read, start))
+        return nelder_mead(read, start)
+
+    monkeypatch.setattr(solve, "_nelder_mead", spy)
+    for fam, neigh, x, params, *_ in (_PINNED_QUERIES[15],
+                                      _PINNED_QUERIES[19]):
+        spec = transform.strategic_transform(
+            families.make_family(fam).formula(),
+            families.make_neighborhood(neigh).formula())
+        witness_search(spec.transformed, x, params)
+    assert sorted({len(start) for _, start in runs}) == [9, 11]
+    rng = random.Random(29)
+    cases = runs + [(read, [rng.uniform(-8, 8) for _ in start])
+                    for read, start in runs[::2]]
+    cases += [(_plateau, [rng.uniform(-2, 2) for _ in range(k)])
+              for k in (2, 3, 4, 5, 6)]
+    for read, start in cases:
+        point, fun = nelder_mead(read, start)
+        want = minimize(lambda v: read(v.tolist()), np.asarray(start),
+                        method="Nelder-Mead",
+                        options={"maxiter": solve.REFINE_STEPS,
+                                 "xatol": 1e-12, "fatol": 1e-15})
+        assert [*map(float.hex, point), fun.hex()] == \
+            [*map(float.hex, want.x.tolist()), float(want.fun).hex()], start
 
 
 def _margin_points(body, rng: random.Random, n: int):
