@@ -129,7 +129,9 @@ def exp_enclosure(x, bits: int) -> RatInterval:
     """Certified enclosure of exp(x) for rational x.
 
     Uses argument halving exp(x) = exp(x/2^k)^(2^k) to reach |arg| <= 1/2,
-    then a Taylor enclosure with an explicit tail bound.
+    then a Taylor enclosure with an explicit tail bound.  Each squaring is
+    rounded outward to the working precision, relative to its magnitude,
+    so the endpoints stay that size instead of doubling per squaring.
     """
     x = Fraction(x)
     if x == 0:
@@ -140,10 +142,21 @@ def exp_enclosure(x, bits: int) -> RatInterval:
         y /= 2
         k += 1
     # extra precision to absorb the squaring steps
-    enc = _exp_taylor(y, bits + 4 * k + 8)
+    prec = bits + 4 * k + 8
+    enc = _exp_taylor(y, prec)
     for _ in range(k):
-        enc = enc * enc
+        enc = _round_out(enc * enc, prec)
     return enc
+
+
+def _round_out(iv: RatInterval, bits: int) -> RatInterval:
+    """iv widened to endpoints on the dyadic grid of spacing about
+    2^-bits * iv.hi, for a positive iv.hi."""
+    hi = iv.hi
+    unit = Fraction(2) ** (hi.numerator.bit_length() -
+                           hi.denominator.bit_length() - bits)
+    return RatInterval(math.floor(iv.lo / unit) * unit,
+                       math.ceil(hi / unit) * unit)
 
 
 def exp_interval(iv: RatInterval, bits: int) -> RatInterval:

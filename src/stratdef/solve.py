@@ -31,8 +31,10 @@ layers, from exact to heuristic, use them:
   goes depth first over the disjunct choices, pruning a prefix that
   ``lp_solve`` proves infeasible, in at most ``SOLVE_BUDGET`` exact reads;
   the rest go to a fixed search (``SEARCH_GRID`` points per axis of
-  ``SEARCH_BOX``, ``SEARCH_RESTARTS`` seeded random starts, ``REFINE_STEPS``
-  steps of scipy's Nelder-Mead, run on float lists by ``_nelder_mead``) on
+  ``SEARCH_BOX``, ``SEARCH_RESTARTS`` seeded random starts, both made once
+  per dimension by ``_starts``, and ``REFINE_STEPS`` steps of scipy's
+  Nelder-Mead, a loop that ``_loop`` emits once per dimension, its vertices
+  tuples and its trial points tuple displays) on
   the float margin, specialized once per query by ``_margin``, which folds
   every subterm free of the searched witnesses before the search starts
   and emits the rest as a kernel, one statement per operation; ``_kernel``
@@ -41,7 +43,8 @@ layers, from exact to heuristic, use them:
   reports a witness (its margin on the formula as given, not on its NNF,
   is within ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a
   not_found is a refutation without a margin, which rests on no inexact
-  float margin (see ``_decide``).
+  float margin, reads the inputs as given, not their floats, and takes no
+  simplex rows that read a forced witness, a float (see ``_decide``).
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
@@ -56,10 +59,12 @@ denominator, so Bland's rule picks the pivots a tableau of Fractions would.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import operator
+import re
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -898,31 +903,31 @@ def _accept(matrix: fm.Formula, sigma: Assignment,
         WitnessResult(False, None, m)
 
 
-def _exactly_false(f: fm.Formula, inputs: tuple) -> bool:
+def _exactly_false(f: fm.Formula, exact: Optional[Assignment]) -> bool:
     """Whether the quantifier-free f, which reads no witness, is False
-    under the exact eval_qf at the rational inputs (x, a): not when one is
-    inf or nan or a comparison is undecided."""
-    try:
-        sigma = merge(*(map(Fraction, v) for v in inputs))
-    except (OverflowError, ValueError):  # an inf or nan input
+    under the exact eval_qf at the rational inputs exact (None when one is
+    inf or nan): not when they are None or a comparison is undecided."""
+    if exact is None:
         return False
     try:
-        return not _fold(f, lambda at: _exact_atom(at, sigma,
+        return not _fold(f, lambda at: _exact_atom(at, exact,
                                                    DEFAULT_MAX_BITS))
     except UndecidedComparison:
         return False
 
 
-def _decide(lits, sigma: Assignment, inputs: tuple, unknown: set,
-            size: int):
+def _decide(lits, sigma: Assignment, exact: Optional[Assignment],
+            unknown: set, size: int):
     """The conjunction of NNF literals lits, read exactly where it can be:
     ("unsat", None), ("unknown", None) or ("feasible", witness vector).
     Definitions are propagated, a literal free of the remaining witnesses
     is read by its float margin (x, a and the forced witnesses are floats),
-    and the rest are rows for the rational simplex.  A literal's margin
-    prunes only where it is exact: one that reads only x, a and constants
-    must also read False exactly at the rational inputs, and one on forced
-    witnesses must be finite."""
+    and the rest are rows for the rational simplex, which read x and a at
+    the rational inputs exact and the forced witnesses as their floats.  A
+    read prunes only where it is exact: a literal's margin on only x, a and
+    constants must also read False exactly at the rational inputs, one on
+    forced witnesses must be finite, and infeasible rows are unsat only
+    when none reads a forced witness."""
     forced = _propagate_definitions(fm.And(tuple(lits)), sigma, set(unknown))
     # a row holds Fractions, and no Fraction reads inf or nan
     if not all(map(math.isfinite, (*sigma.x, *sigma.a, *forced.values()))):
@@ -930,7 +935,8 @@ def _decide(lits, sigma: Assignment, inputs: tuple, unknown: set,
     rem_idx = sorted(unknown - set(forced))
     rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
     base = sigma.with_w(_witness_vector(size, forced, rem_idx))
-    rows = []
+    value = exact.with_w(base.w).lookup
+    rows, reads_forced = [], False
     for lit in lits:
         # after NNF a Not wraps only an exp-graph atom
         at = lit.body if isinstance(lit, fm.Not) else lit
@@ -939,24 +945,27 @@ def _decide(lits, sigma: Assignment, inputs: tuple, unknown: set,
             m = _violation(lit, base)
             if m > FLOAT_TOL and (
                     m < math.inf if any(v.block == "w" for v in names)
-                    else _exactly_false(lit, inputs)):
+                    else _exactly_false(lit, exact)):
                 return "unsat", None
             continue
         # an exp atom on a remaining witness is beyond the linear fragment:
         # affine without exp reads it as no row
-        row = _atom_row(at, rem, base.lookup)
+        row = _atom_row(at, rem, value)
         if row is None:
             return "unknown", None
         rows.append(row)
+        reads_forced = reads_forced or any(
+            v.block == "w" and v.index in forced for v in names)
     point = _strict_feasible_point(rows, len(rem_idx)) if rows else \
         (0,) * len(rem_idx)  # the simplex's point when there are no rows
     if point is None:
-        return "unsat", None
+        # a forced witness is a float, which an exact x or a may contradict
+        return "unknown" if reads_forced else "unsat", None
     return "feasible", _witness_vector(size, forced, rem_idx, point)
 
 
 def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
-          inputs: tuple, unknown: set, size: int):
+          exact: Optional[Assignment], unknown: set, size: int):
     """Decide the matrix by a depth-first walk over the disjunct choices of
     its NNF body (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A
     path holds its conjuncts to visit (the next last), its literals and
@@ -980,7 +989,7 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
             budget -= 1
             if budget < 0:
                 return None
-            status, wv = _decide(lits, sigma, inputs, unknown, size)
+            status, wv = _decide(lits, sigma, exact, unknown, size)
             if status == "unsat":
                 continue
             if not todo:
@@ -994,55 +1003,118 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
     return WitnessResult(False) if complete else None
 
 
+def _by_margin(sim: list, fsim: list) -> tuple:
+    """sim and fsim ordered as np.argsort orders fsim (as scipy orders its
+    simplex: not stable, and tied margins are common), and whether the
+    first len(fsim) - 1 margins are distinct."""
+    from numpy import array
+    order = array(fsim).argsort().tolist()
+    fsim = [fsim[i] for i in order]
+    return [sim[i] for i in order], fsim, all(map(operator.lt, fsim,
+                                                  fsim[1:-1]))
+
+
+# the Nelder-Mead loop, emitted once per dimension n (see _loop): a group
+# {...} is written once per coordinate 0..n-1, @ standing for it, so that
+# a vertex is n locals and a trial point one tuple display
+_LOOP = """\
+def nelder_mead(read, sim, fsim):
+    # scipy sorts the first simplex twice, then once after every step
+    sim, fsim, distinct = by_margin(sim, fsim)
+    ordered = False
+    for step in range(STEPS):
+        if not ordered:
+            sim, fsim, distinct = by_margin(sim, fsim)
+        f0 = fsim[0]
+        # scipy tests the vertices first; the margins are cheaper, and of
+        # sorted margins the last differs most from f0
+        if step == STEPS - 1 or fsim[N] - f0 <= 1e-15 and all(
+                abs(u - v) <= 1e-12
+                for x in sim[1:] for u, v in zip(x, sim[0])):
+            break
+        # the centroid of all but the worst vertex, summed left to right
+        {s@,} = sim[0]
+        for {v@,} in sim[1:N]:
+            {s@ += v@;}
+        {c@ = s@ / N;}
+        {w@,} = sim[N]
+        xr = ({2.0 * c@ - w@,})
+        fxr = read(xr)
+        if fxr < f0:  # expand
+            xe = ({3.0 * c@ - 2.0 * w@,})
+            fxe = read(xe)
+            x, fx = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[N - 1]:  # reflect
+            x, fx = xr, fxr
+        else:  # contract outside when xr beats the worst vertex, else inside
+            outside = fxr < fsim[N]
+            if outside:
+                x = ({1.5 * c@ - 0.5 * w@,})
+            else:
+                x = ({0.5 * c@ + 0.5 * w@,})
+            fx = read(x)
+            if not (fx <= fxr if outside else fx < fsim[N]):
+                # shrink towards the best vertex
+                {b@,} = sim[0]
+                for j in range(1, N + 1):
+                    {v@,} = sim[j]
+                    sim[j] = x = ({b@ + 0.5 * (v@ - b@),})
+                    fsim[j] = read(x)
+                ordered = False
+                continue
+        # n + 1 distinct margins have one sorted order, so the new vertex
+        # goes to its place in it; with a tie argsort orders them
+        i = bisect(fsim, fx, 0, N)
+        ordered = distinct and (i == N or fx < fsim[i])
+        if ordered:
+            del sim[N], fsim[N]
+            sim.insert(i, x)
+            fsim.insert(i, fx)
+        else:
+            sim[N], fsim[N] = x, fx
+    return sim[0], fsim[0]
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _loop(n: int) -> Callable:
+    """_LOOP for n coordinates, compiled on first use; its code is named
+    <nelder-mead-n>, and its source grows linearly in n."""
+    source = re.sub(r"\{(.*?)\}", lambda m: " ".join(
+        m[1].replace("@", str(k)) for k in range(n)), _LOOP)
+    env = {"N": n, "STEPS": REFINE_STEPS, "by_margin": _by_margin,
+           "bisect": bisect.bisect_left}
+    exec(compile(source, f"<nelder-mead-{n}>", "exec"), env)
+    return env["nelder_mead"]
+
+
 def _nelder_mead(read: Callable, start: Sequence) -> tuple:
     """(best vertex, its value) of scipy 1.17's Nelder-Mead on read from
     start (not adaptive, unbounded, REFINE_STEPS iterations counted from 1,
     xatol 1e-12, fatol 1e-15; Lagarias et al., SIAM J. Optim. 1998), its
-    float operations made in scipy's order on lists of floats, so its
-    iterates are scipy's bit for bit.  np.argsort orders the vertices, as in
-    scipy: it is not stable, and tied margins are common."""
-    from numpy import array
-    x0 = [float(v) for v in start]
-    n, sim = len(x0), [x0]
-    for k, v in enumerate(x0):
-        y = (1 + 0.05) * v if v != 0 else 0.00025
-        sim.append([*x0[:k], y, *x0[k + 1:]])
-    fsim = [read(v) for v in sim]
-    # scipy sorts the first simplex twice, then once after every step
-    for step in range(-1, REFINE_STEPS):
-        order = array(fsim).argsort().tolist()
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-        if step < 0:
-            continue
-        best, f0, worst = sim[0], fsim[0], sim[-1]
-        # scipy tests the vertices first; the margins are cheaper to test
-        if step == REFINE_STEPS - 1 or (
-                all(abs(f0 - f) <= 1e-15 for f in fsim[1:]) and
-                all(abs(u - v) <= 1e-12 for x in sim[1:]
-                    for u, v in zip(x, best))):
-            break
-        # the centroid of all but the worst vertex, summed left to right
-        bar = [functools.reduce(operator.add, c) / n for c in zip(*sim[:-1])]
-        xr = [2 * c - w for c, w in zip(bar, worst)]
-        fxr = read(xr)
-        if fxr < f0:  # expand
-            xe = [3 * c - 2 * w for c, w in zip(bar, worst)]
-            fxe = read(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:  # reflect
-            sim[-1], fsim[-1] = xr, fxr
-        else:  # contract outside when xr beats the worst vertex, else inside
-            outside = fxr < fsim[-1]
-            xc = [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w
-                  for c, w in zip(bar, worst)]
-            fxc = read(xc)
-            if fxc <= fxr if outside else fxc < fsim[-1]:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = read(sim[j])
-    return sim[0], fsim[0]
+    float operations made in scipy's order by the loop _loop emits for
+    len(start) coordinates, on vertices that are tuples of floats, so its
+    iterates are scipy's bit for bit.  read gets a tuple."""
+    x0 = tuple(map(float, start))
+    sim = [x0, *(x0[:k] + ((1 + 0.05) * v if v != 0 else 0.00025,) +
+                 x0[k + 1:] for k, v in enumerate(x0))]
+    return _loop(len(x0))(read, sim, [read(v) for v in sim])
+
+
+@functools.lru_cache(maxsize=16)
+def _starts(n: int) -> tuple:
+    """The grid points (when there are at most 4096) and the
+    SEARCH_RESTARTS seeded random starts of a search over n free
+    witnesses, which depend on n alone."""
+    import numpy as np
+    lo, hi = SEARCH_BOX
+    grid = ()
+    if SEARCH_GRID ** n <= 4096:
+        axis = np.linspace(float(lo), float(hi), SEARCH_GRID).tolist()
+        grid = itertools.product(axis, repeat=n)
+    rng = np.random.default_rng(0)
+    return (*grid, *(tuple(rng.uniform(lo, hi) for _ in range(n))
+                     for _ in range(SEARCH_RESTARTS)))
 
 
 def witness_search(f: fm.Formula, x_vals: Sequence,
@@ -1065,17 +1137,21 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     indices, matrix = fm.split_exists(f)
     inputs = (tuple(x_vals), tuple(a_vals))
     sigma0 = Assignment(*(tuple(map(_float, v)) for v in inputs))
+    try:
+        exact = merge(*(map(Fraction, v) for v in inputs))
+    except (OverflowError, ValueError):  # an inf or nan input
+        exact = None
     # the NNF body gives the walk its forks and the definitions; a witness
     # is accepted on the matrix, where a negated = or <= fails at equality
     body = _nnf(matrix)
     if not indices:
         res = _accept(matrix, sigma0, ())
-        return res if res.found or not _exactly_false(matrix, inputs) else \
+        return res if res.found or not _exactly_false(matrix, exact) else \
             WitnessResult(False)
     size = max(indices) + 1
     unknown = set(indices)
 
-    res = _walk(matrix, body, sigma0, inputs, unknown, size)
+    res = _walk(matrix, body, sigma0, exact, unknown, size)
     if res is not None:
         return res
 
@@ -1093,21 +1169,12 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
                    {fm.Var("w", i): k for k, i in enumerate(free)})
     margin = read if callable(read) else lambda w: read
 
-    import numpy as np  # here, so that exact commands never load it
-    lo, hi = SEARCH_BOX
-    candidates = []
     # seed with the input coordinates cycled across the free slots: for
     # strategic transforms the witness block is a nearby point, and staying
     # put is often already feasible
     pool = [*sigma0.x, *sigma0.a] or [0.0]
-    candidates.append(tuple(pool[i % len(pool)] for i in range(len(free))))
-    if SEARCH_GRID ** len(free) <= 4096:
-        axis = np.linspace(float(lo), float(hi), SEARCH_GRID).tolist()
-        candidates.extend(itertools.product(axis, repeat=len(free)))
-    rng = np.random.default_rng(0)
-    for _ in range(SEARCH_RESTARTS):
-        candidates.append(tuple(rng.uniform(lo, hi) for _ in free))
-
+    candidates = [tuple(pool[i % len(pool)] for i in range(len(free))),
+                  *_starts(len(free))]
     scored = []
     for cand in candidates:
         mval = margin(cand)

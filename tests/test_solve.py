@@ -223,6 +223,15 @@ def test_witness_search_reads_inputs_beyond_float_range_as_inf(sign, found):
     ("(= x0 (* 3 (* 1/3 x0)))", 2 ** 60 + 256, False),
     pytest.param(f"(<= x0 {10 ** 401})", Fraction(10 ** 400), False,
                  id="(<= x0 10^401)-10^400-False"),
+    # the simplex reads the rational input: w0 = 1/10 holds at x0 = 1/10,
+    # and no w0 does at the float 0.1, which is above 1/10
+    ("(exists (w0) (and (>= w0 x0) (<= (* 10 w0) 1)))", Fraction(1, 10),
+     True),
+    ("(exists (w0) (and (>= w0 x0) (<= (* 10 w0) 1)))", 0.1, False),
+    # the forced w1 = x0 is the float below 1/3, which rows reading x0 = 1/3
+    # contradict: no refutation, and the search finds w0 = w1
+    ("(exists (w0 w1) (and (= w1 x0) (>= w0 x0) (<= w0 w1)))",
+     Fraction(1, 3), True),
 ])
 def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
     f = fm.parse(text)
@@ -248,6 +257,25 @@ def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
 def test_witness_search_prunes_on_no_inexact_margin(text, x0):
     res = witness_search(fm.parse(f"(exists (w0) {text})"), [x0], [])
     assert not res.found and res.margin is not None
+
+
+@pytest.mark.parametrize("x", [Fraction(1000), Fraction(-1000),
+                               Fraction(7, 3)])
+@pytest.mark.parametrize("bits", [16, 96])
+def test_exp_enclosure_stays_small_at_large_arguments(x, bits):
+    # the exact reads of exp at x0 = 1000 above square the enclosure 11
+    # times: it must still hold exp(x), at mpmath's 3,000 bits, with
+    # endpoints of the value's size plus the working precision
+    import mpmath
+    from stratdef.intervals import exp_enclosure
+    enc = exp_enclosure(x, bits)
+    with mpmath.workprec(3000):
+        man, exp = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator).man_exp
+    want = Fraction(int(man)) * Fraction(2) ** int(exp)
+    assert enc.lo < want < enc.hi
+    for end in (enc.lo, enc.hi):
+        assert max(end.numerator.bit_length(),
+                   end.denominator.bit_length()) <= 1443 + bits + 60
 
 
 def test_eval_rejects_quantified_formula():
@@ -918,10 +946,17 @@ def _plateau(v) -> float:
     return float(math.floor(4 * sum(u * u for u in v)))
 
 
+def _bowl(v) -> float:
+    """A quadratic whose vertices seldom tie."""
+    return sum((k % 7 - 3 - u) ** 2 * (1 + k / 8) for k, u in enumerate(v))
+
+
 def test_nelder_mead_matches_scipy(monkeypatch):
     # scipy is the reference: the same vertex and value, bit for bit, on
-    # the 9-witness kl and 11-witness nn margins from their witness-search
-    # starts and seeded ones, and on a staircase whose vertices tie
+    # the margins of the witness-mix pairs that reach Nelder-Mead (1
+    # witness for gauss_kl, 2 for lp p=2 and ptf, 9 for kl, 10 for lp p=3,
+    # 11 for nn) from their witness-search starts and seeded ones, on a
+    # 40-coordinate bowl, and on a staircase whose vertices tie
     import numpy as np
     from scipy.optimize import minimize
     runs, nelder_mead = [], solve._nelder_mead
@@ -931,18 +966,22 @@ def test_nelder_mead_matches_scipy(monkeypatch):
         return nelder_mead(read, start)
 
     monkeypatch.setattr(solve, "_nelder_mead", spy)
-    for fam, neigh, x, params, *_ in (_PINNED_QUERIES[15],
-                                      _PINNED_QUERIES[19]):
+    for k in (12, 14, 15, 18, 19, 22):
+        fam, neigh, x, params, *_ = _PINNED_QUERIES[k]
         spec = transform.strategic_transform(
             families.make_family(fam).formula(),
             families.make_neighborhood(neigh).formula())
         witness_search(spec.transformed, x, params)
-    assert sorted({len(start) for _, start in runs}) == [9, 11]
+    assert sorted({len(start) for _, start in runs}) == [1, 2, 9, 10, 11]
     rng = random.Random(29)
     cases = runs + [(read, [rng.uniform(-8, 8) for _ in start])
                     for read, start in runs[::2]]
     cases += [(_plateau, [rng.uniform(-2, 2) for _ in range(k)])
               for k in (2, 3, 4, 5, 6)]
+    # from (3, -2) the staircase's new vertex ties with a kept one at some
+    # steps, which argsort then orders, and is inserted at the others
+    cases += [(_plateau, [3.0, -2.0]),
+              (_bowl, [rng.uniform(-4, 4) for _ in range(40)])]
     for read, start in cases:
         point, fun = nelder_mead(read, start)
         want = minimize(lambda v: read(v.tolist()), np.asarray(start),
@@ -951,6 +990,14 @@ def test_nelder_mead_matches_scipy(monkeypatch):
                                  "xatol": 1e-12, "fatol": 1e-15})
         assert [*map(float.hex, point), fun.hex()] == \
             [*map(float.hex, want.x.tolist()), float(want.fun).hex()], start
+    # the other starts of a search over n free witnesses: the 5-point grid
+    # on [-8, 8] per axis (for n <= 5), then 20 of default_rng(0)'s draws
+    for n in (1, 2, 9, 10, 11):
+        draws = np.random.default_rng(0)
+        grid = [*itertools.product([-8.0, -4.0, 0.0, 4.0, 8.0], repeat=n)] \
+            if n <= 5 else []
+        assert list(solve._starts(n)) == grid + [
+            tuple(draws.uniform(-8, 8) for _ in range(n)) for _ in range(20)]
 
 
 def _margin_points(body, rng: random.Random, n: int):
