@@ -21,12 +21,16 @@ certificates:
                        certified by exact integer comparisons.
 
 Certificates never rely on floating point, and every comparison is exact.
-The blowup certificates compare integers: one common denominator scales all
-the points and radii of a block.  A strategic trace is an anchor bitmask,
+The blowup certificates compare integers: a block's points sit on an
+integer grid relative to the block offset, in units of r/u, u the lcm of
+the denominators of rp/r and of each radius over r, so the grid depends on
+n and those ratios alone, and the offset and r are applied only to the
+Fraction points a builder emits.  A strategic trace is an anchor bitmask,
 the OR of its support points' masks; a blowup point's mask is found by
 bisection among the endpoints a - s, a + s + 1 on that integer grid, and a
 partition point's by its cell.  The all-radii sibling blocks are checked on
-their integer grids alone, with no Fraction points.  The frac certificates
+their integer grids alone, with no Fraction points, and the siblings that
+share a grid are certified once per build.  The frac certificates
 compare squares of integers: a window on frac(m * sqrt(2)) becomes a window
 on 2 * m^2.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -55,22 +58,24 @@ MAX_ANCHORS = 16
 MAX_BLOCKS = 1 << 14
 
 
-@dataclass
 class Certificate:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class ConstructionInstance:
-    construction_id: str
-    n: int
-    params: dict
-    anchors: list
-    supports: dict  # subset (sorted tuple) -> tuple of support points
-    certificates: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, construction_id: str, n: int, params: dict,
+                 anchors: list, supports: dict, certificates: list,
+                 metadata: Optional[dict] = None):
+        self.construction_id = construction_id
+        self.n = n
+        self.params = params
+        self.anchors = anchors
+        self.supports = supports  # subset (sorted tuple) -> support points
+        self.certificates = certificates
+        self.metadata = metadata or {}
 
     def passed(self) -> bool:
         return bool(self.certificates) and \
@@ -105,17 +110,17 @@ def _check_disjoint_supports(supports: dict) -> Certificate:
                        f"{distinct} distinct points out of {total}")
 
 
-def _check_class_vc_one(supports: dict, unit: int = 1) -> list:
+def _check_class_vc_one(supports: dict, point=lambda q: q) -> list:
     """Disjoint finite supports + at least two hypotheses give VC exactly 1:
     no point lies in two hypotheses, so no pair can receive the label
     pattern (1, 0) and (1, 1) simultaneously, while any single support
-    point is shattered.  Points are in units of 1/unit."""
+    point is shattered.  A point q stands for point(q)."""
     certs = [_check_disjoint_supports(supports)]
     some_point = next((pt for v in supports.values() if v for pt in v), None)
     lower = some_point is not None and len(supports) >= 2
     certs.append(Certificate(
         "class_shatters_a_singleton", lower,
-        f"witness point {_fmt(Fraction(some_point, unit))}" if lower
+        f"witness point {_fmt(point(some_point))}" if lower
         else "no point"))
     return certs
 
@@ -156,14 +161,17 @@ def _strategic_traces(n: int, supports: dict, reach) -> Certificate:
 # Fixed-radius blowup
 
 
-def _blowup_grid(n: int, r: Fraction, rp: Fraction, offset: Fraction,
+def _blowup_grid(n: int, r: Fraction, rp: Fraction,
                  radii: Sequence) -> tuple:
-    """(u, anchors, supports): the blowup's points as integer multiples of
-    1/u, the lcm of the denominators of every point and of the radii."""
-    u = math.lcm(offset.denominator, 2 * r.denominator,
-                 (4 << n) * rp.denominator, *(s.denominator for s in radii))
-    R, RP = int(r * u), int(rp * u)
-    anchors = [int(offset * u) + 10 * R * i for i in range(1, n + 1)]
+    """(u, anchors, supports): the blowup's points relative to its offset as
+    integer multiples of r/u, u the lcm of the denominators of rp/r and of
+    each s/r (and of 2 and 4 * 2^n, so that every point is on the grid):
+    the grid depends on n and those ratios alone."""
+    ratio = rp / r
+    u = math.lcm(2, (4 << n) * ratio.denominator,
+                 *((s / r).denominator for s in radii))
+    R, RP = u, int(ratio * u)
+    anchors = [10 * R * i for i in range(1, n + 1)]
     step = RP // (4 << n)  # jitter rp * (2^n - 1) / (4 * 2^n) < rp / 4
     inner, outer = RP // 2, 3 * R // 2
     supports = {key: tuple(p + step * t + (inner if t >> i & 1 else outer)
@@ -172,18 +180,28 @@ def _blowup_grid(n: int, r: Fraction, rp: Fraction, offset: Fraction,
     return u, anchors, supports
 
 
+def _grid_point(offset: Fraction, unit: Fraction):
+    """The map from a grid point q to the Fraction offset + q * unit, which
+    builds one Fraction over one denominator."""
+    den = offset.denominator * unit.denominator
+    a = offset.numerator * unit.denominator
+    c = unit.numerator * offset.denominator
+    return lambda q: Fraction(a + c * q, den)
+
+
 def _blowup_core(n: int, r: Fraction, rp: Fraction, offset: Fraction,
                  radii: Optional[Sequence] = None) -> tuple:
     """(u, anchors, supports, certificates) of the blowup with 0 < rp <= r
-    and n >= 1, its points integer multiples of 1/u, so that every
-    certificate compares integers.  radii default to rp, (rp + r) / 2, r."""
+    and n >= 1, its points relative to offset and integer multiples of
+    r/u, so that every certificate compares integers.  radii default to
+    rp, (rp + r) / 2, r."""
     radii = [rp, (rp + r) / 2, r] if radii is None else radii
     for s in radii:
         if not rp <= s <= r:
             raise ConstructionError(f"radius {s} outside [{rp}, {r}]")
-    u, anchors, supports = _blowup_grid(n, r, rp, offset, radii)
-    R, RP = int(r * u), int(rp * u)
-    certs = _check_class_vc_one(supports, u)
+    u, anchors, supports = _blowup_grid(n, r, rp, radii)
+    R, RP = u, int(rp / r * u)
+    certs = _check_class_vc_one(supports, _grid_point(offset, r / u))
 
     in_band = True
     detail = ""
@@ -204,7 +222,7 @@ def _blowup_core(n: int, r: Fraction, rp: Fraction, offset: Fraction,
         # on the integer grid |q - a| <= S iff a - S <= q < a + S + 1, so
         # the anchor mask of q is constant between consecutive endpoints
         # a - S, a + S + 1; one bisection finds the segment of q
-        S = int(s * u)
+        S = int(s / r * u)
         ends = sorted({a + d for a in anchors for d in (-S, S + 1)})
         masks = [0] + [sum(1 << k for k, a in enumerate(anchors)
                            if abs(e - a) <= S) for e in ends]
@@ -237,11 +255,11 @@ def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
     if radii is not None:
         radii = [Fraction(s) for s in radii]
     u, anchors, supports, certs = _blowup_core(n, r, rp, offset, radii)
+    point = _grid_point(offset, r / u)
     return ConstructionInstance(
         "fixed_blowup", n, {"r": r, "rp": rp, "offset": offset},
-        [Fraction(p, u) for p in anchors],
-        {key: tuple(Fraction(q, u) for q in pts)
-         for key, pts in supports.items()},
+        list(map(point, anchors)),
+        {key: tuple(map(point, pts)) for key, pts in supports.items()},
         certs, metadata={"cell_halfwidth": 2 * r})
 
 
@@ -249,12 +267,12 @@ def build_fixed_blowup(n: int, r, rp, radii: Optional[Sequence] = None,
 # All radii at once
 
 
-@dataclass
 class RadiiBlock:
-    index: int          # position in the enumeration
-    n: int
-    m: int              # radius exponent: r = 2^-m, rp = 2^-(m+1)
-    offset: Fraction
+    def __init__(self, index: int, n: int, m: int, offset: Fraction):
+        self.index = index  # position in the enumeration
+        self.n = n
+        self.m = m  # radius exponent: r = 2^-m, rp = 2^-(m+1)
+        self.offset = offset
 
     @property
     def r(self) -> Fraction:
@@ -292,7 +310,6 @@ def _enumerate_blocks(t: int):
     return out
 
 
-@dataclass
 class AllRadiiFamily:
     """Shifted blowup blocks covering every dyadic radius window.
 
@@ -302,11 +319,9 @@ class AllRadiiFamily:
     blocks have disjoint supports, so the whole class still has VC 1.
     """
 
-    t: int
-    blocks: list = field(init=False)
-
-    def __post_init__(self):
-        self.blocks = _enumerate_blocks(self.t)
+    def __init__(self, t: int):
+        self.t = t
+        self.blocks = _enumerate_blocks(t)
 
     @staticmethod
     def radius_exponent(s) -> int:
@@ -346,7 +361,9 @@ def build_all_radii(t: int, s, n: int,
     Builds the first t blocks, checks the global layout (unit gaps, block
     supports inside their segments), selects the block serving (s, n) and
     runs the full fixed-blowup certificates there.  Exhaustive per-block
-    checks also run on every other block with at most cert_cap anchors.
+    checks also run on every other block with at most cert_cap anchors;
+    those blocks all have rp/r = 1/2 and radii/r = 1/2, 3/4, 1, so their
+    grids depend on n alone, and each distinct grid is certified once.
     """
     fam = AllRadiiFamily(t)
     s = Fraction(s)
@@ -369,11 +386,16 @@ def build_all_radii(t: int, s, n: int,
 
     small = [b for b in fam.blocks if b.n <= cert_cap and b is not block]
     all_ok = True
+    # a sibling's grid, and so its verdict, depends on its n alone: its
+    # certificates pass and its points lie inside its segment (0, length)
+    verdicts = {}
     for b in small:
-        u, _, grid, sub_certs = _blowup_core(b.n, b.r, b.r / 2, b.offset)
-        lo, hi = int(b.offset * u), int((b.offset + b.length) * u)
-        inside = all(lo < q < hi for pts in grid.values() for q in pts)
-        if not (all(c.passed for c in sub_certs) and inside):
+        if b.n not in verdicts:
+            u, _, grid, sub_certs = _blowup_core(b.n, b.r, b.r / 2, b.offset)
+            pts = [q for qs in grid.values() for q in qs]
+            verdicts[b.n] = all(c.passed for c in sub_certs) and \
+                0 < min(pts) and max(pts) < 10 * (b.n + 1) * u
+        if not verdicts[b.n]:
             all_ok = False
             detail = f"block (n={b.n}, m={b.m}) failed"
             break

@@ -9,7 +9,6 @@ with a certificate or reported as undecided -- never guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -26,16 +25,33 @@ class UndecidedComparison(VerificationFailure):
         self.interval = interval
 
 
-@dataclass(frozen=True)
 class RatInterval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints; immutable,
+    equal and hashed by its endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RatInterval is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not RatInterval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"RatInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def point(v) -> "RatInterval":

@@ -927,15 +927,15 @@ def _decide(lits, sigma: Assignment, exact: Optional[Assignment],
     read prunes only where it is exact: a literal's margin on only x, a and
     constants must also read False exactly at the rational inputs, one on
     forced witnesses must be finite, and infeasible rows are unsat only
-    when none reads a forced witness."""
+    when none reads a forced witness.  A literal that needs a row is
+    "unknown" without the rational inputs or with a forced witness that is
+    not finite: a row holds Fractions, and no Fraction reads inf or nan."""
     forced = _propagate_definitions(fm.And(tuple(lits)), sigma, set(unknown))
-    # a row holds Fractions, and no Fraction reads inf or nan
-    if not all(map(math.isfinite, (*sigma.x, *sigma.a, *forced.values()))):
-        return "unknown", None
     rem_idx = sorted(unknown - set(forced))
     rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
     base = sigma.with_w(_witness_vector(size, forced, rem_idx))
-    value = exact.with_w(base.w).lookup
+    value = exact.with_w(base.w).lookup if exact is not None and all(
+        map(math.isfinite, forced.values())) else None
     rows, reads_forced = [], False
     for lit in lits:
         # after NNF a Not wraps only an exp-graph atom
@@ -950,7 +950,7 @@ def _decide(lits, sigma: Assignment, exact: Optional[Assignment],
             continue
         # an exp atom on a remaining witness is beyond the linear fragment:
         # affine without exp reads it as no row
-        row = _atom_row(at, rem, value)
+        row = _atom_row(at, rem, value) if value else None
         if row is None:
             return "unknown", None
         rows.append(row)

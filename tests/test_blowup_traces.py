@@ -62,10 +62,10 @@ def _moved(key, anchor, where):
     where(anchor position, S), S the first radius on the grid."""
     grid = C._blowup_grid
 
-    def forged(n, r, rp, offset, radii):
-        u, anchors, supports = grid(n, r, rp, offset, radii)
+    def forged(n, r, rp, radii):
+        u, anchors, supports = grid(n, r, rp, radii)
         pts = list(supports[key])
-        pts[anchor - 1] = where(anchors[anchor - 1], int(radii[0] * u))
+        pts[anchor - 1] = where(anchors[anchor - 1], int(radii[0] / r * u))
         supports[key] = tuple(pts)
         return u, anchors, supports
     return forged
@@ -89,6 +89,23 @@ def test_forged_point_across_radius_fails(monkeypatch, forgeries, detail):
     key, trace = _first_mistrace(inst, s)
     assert not cert.passed
     assert cert.detail == f"subset {key} traced as {trace}" == detail
+
+
+def test_blowup_grid_depends_on_n_and_ratios_alone():
+    # build_all_radii certifies the siblings of one n once: their grids, and
+    # so their certificates, are those of rp/r = 1/2 and radii/r = 1/2, 3/4,
+    # 1 at every dyadic r and offset
+    for n in range(1, 7):
+        first = None
+        for m in range(-3, 4):
+            r = Fraction(2) ** -m
+            grid = C._blowup_grid(n, r, r / 2, [r / 2, 3 * r / 4, r])
+            first = first or grid
+            assert grid == first, (n, m)
+            for offset in (Fraction(0), Fraction(-7, 3), 10 * r + 1):
+                *core, certs = C._blowup_core(n, r, r / 2, offset)
+                assert tuple(core) == grid
+                assert all(c.passed for c in certs)
 
 
 # ---------------------------------------------------------------------------
@@ -135,3 +152,41 @@ def test_select_block_miss_message(t, s, n, message):
     with pytest.raises(ConstructionError) as e:
         AllRadiiFamily(t).select_block(s, n)
     assert str(e.value) == message
+
+
+def test_all_radii_builds_each_sibling_grid_once(monkeypatch):
+    # the 145 siblings at README's config have 8 distinct n; the selected
+    # block (n = 8, m = 2) is built once more, at its own radius
+    calls, grid = [], C._blowup_grid
+
+    def counted(n, r, rp, radii):
+        calls.append(n)
+        return grid(n, r, rp, radii)
+
+    monkeypatch.setattr(C, "_blowup_grid", counted)
+    inst = C.build_all_radii(260, Fraction(3, 10), 8, cert_cap=8)
+    assert inst.passed()
+    assert calls == [8, *range(1, 9)]
+
+
+def test_forged_sibling_grid_fails_its_block(monkeypatch):
+    # the inner point of subset (1, 3) at anchor 3 moved one grid step
+    # beyond the largest radius r, on the grid of n = 3 alone
+    grid = C._blowup_grid
+
+    def forged(n, r, rp, radii):
+        u, anchors, supports = grid(n, r, rp, radii)
+        if n == 3:
+            pts = list(supports[(1, 3)])
+            pts[2] = anchors[2] + u + 1
+            supports[(1, 3)] = tuple(pts)
+        return u, anchors, supports
+
+    monkeypatch.setattr(C, "_blowup_grid", forged)
+    inst = C.build_all_radii(260, Fraction(1, 3), 8, cert_cap=5)
+    first = next(b for b in AllRadiiFamily(260).blocks if b.n == 3)
+    certs = {c.name: c for c in inst.certificates}
+    sibling = certs.pop("sibling_blocks_verified_n<=5")
+    assert not sibling.passed
+    assert sibling.detail == f"block (n=3, m={first.m}) failed"
+    assert all(c.passed for c in certs.values())

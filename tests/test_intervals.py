@@ -48,6 +48,21 @@ def test_point_interval():
     assert RatInterval.point(0).sign() == 0
 
 
+def test_rat_interval_is_an_immutable_value():
+    a = RatInterval(Fraction(1, 3), Fraction(2))
+    b = RatInterval(Fraction(1, 3), Fraction(2))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != RatInterval(Fraction(1, 3), Fraction(3)) and a != (a.lo, a.hi)
+    assert repr(a) == "RatInterval(lo=Fraction(1, 3), hi=Fraction(2, 1))"
+    with pytest.raises(AttributeError):
+        a.lo = Fraction(0)
+    with pytest.raises(AttributeError):
+        del a.hi
+    assert (a.lo, a.hi) == (Fraction(1, 3), Fraction(2))
+    with pytest.raises(ValueError):
+        RatInterval(Fraction(1), Fraction(0))
+
+
 def test_sign_undecided_on_straddling_interval():
     with pytest.raises(UndecidedComparison):
         RatInterval(Fraction(-1), Fraction(1)).sign()

@@ -205,6 +205,9 @@ def test_witness_search_reads_inputs_beyond_float_range_as_inf(sign, found):
         assert eval_qf(f.body, sig, mode="float") is True
 
 
+_EXISTS_NONPOSITIVE = "(exists (w0) (and (>= w0 0) (<= x0 0)))"
+
+
 @pytest.mark.parametrize("text, x0, found", [
     # the NNF of a negated = or <= holds at equality in the float margin,
     # the formula itself does not
@@ -232,6 +235,12 @@ def test_witness_search_reads_inputs_beyond_float_range_as_inf(sign, found):
     # contradict: no refutation, and the search finds w0 = w1
     ("(exists (w0 w1) (and (= w1 x0) (>= w0 x0) (<= w0 w1)))",
      Fraction(1, 3), True),
+    # x0 = 10^400 is false in the literal on x0 alone, read exactly; the
+    # float inf has no rational reading, so no row either
+    pytest.param(_EXISTS_NONPOSITIVE, Fraction(10 ** 400), False,
+                 id="(exists (w0) (and (>= w0 0) (<= x0 0)))-10^400-False"),
+    pytest.param(_EXISTS_NONPOSITIVE, math.inf, False,
+                 id="(exists (w0) (and (>= w0 0) (<= x0 0)))-inf-False"),
 ])
 def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
     f = fm.parse(text)
@@ -243,6 +252,24 @@ def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
     if found:
         sig = Assignment((float(x0),), (), res.witness)
         assert eval_qf(matrix, sig, mode="float") is True
+
+
+@pytest.mark.parametrize("x0, margin", [
+    # a rational beyond float range: its literal refutes exactly, before
+    # and after the row of w0
+    (Fraction(10 ** 400), None),
+    (Fraction(-10 ** 400), 0.0),
+    # a float inf is no rational: the row of w0 is unknown, and the search
+    # ends inconclusive
+    (math.inf, math.inf),
+], ids=["10^400", "-10^400", "inf"])
+@pytest.mark.parametrize("text", [
+    _EXISTS_NONPOSITIVE, "(exists (w0) (and (<= x0 0) (>= w0 0)))"])
+def test_witness_search_refutes_an_input_beyond_float_range_exactly(
+        text, x0, margin):
+    res = witness_search(fm.parse(text), [x0], [])
+    assert res.found is (margin == 0.0)
+    assert res.margin == margin
 
 
 @pytest.mark.parametrize("text, x0", [
