@@ -204,8 +204,8 @@ def cmd_fm_elim(args) -> int:
     out = solve.fm_eliminate(sys_in, drop)
     result = {
         "variables": list(out.variables),
-        "constraints": [{"coeffs": list(c.coeffs), "rel": c.rel,
-                         "rhs": c.rhs} for c in out.constraints],
+        "constraints": [{"coeffs": [Fraction(v) for v in c.coeffs],
+                         "rel": c.rel, "rhs": c.rhs} for c in out.constraints],
         "trivially_infeasible": out.is_trivially_infeasible(),
     }
     config = {"command": "fm-elim", "in": args.infile, "drop": drop,

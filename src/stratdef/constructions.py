@@ -120,16 +120,9 @@ def _check_class_vc_one(supports: dict, point=lambda q: q) -> list:
     lower = some_point is not None and len(supports) >= 2
     certs.append(Certificate(
         "class_shatters_a_singleton", lower,
-        f"witness point {_fmt(point(some_point))}" if lower
+        f"witness point {point(some_point)}" if lower
         else "no point"))
     return certs
-
-
-def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
-            else str(v.numerator)
-    return str(v)
 
 
 def _strategic_traces(n: int, supports: dict, reach) -> Certificate:
@@ -228,7 +221,7 @@ def _blowup_core(n: int, r: Fraction, rp: Fraction, offset: Fraction,
                            if abs(e - a) <= S) for e in ends]
         cert = _strategic_traces(
             n, supports, lambda q: masks[bisect_right(ends, q)])
-        cert.name = f"strategic_shattering_s={_fmt(s)}"
+        cert.name = f"strategic_shattering_s={s}"
         certs.append(cert)
     return u, anchors, supports, certs
 
@@ -349,7 +342,7 @@ class AllRadiiFamily:
                     hint = f"; t={need} suffices"
                     break
             raise ConstructionError(
-                f"no block for s={_fmt(Fraction(s))}, n={n} within "
+                f"no block for s={Fraction(s)}, n={n} within "
                 f"t={self.t}{hint}")
         return min(hits, key=lambda b: (b.n, b.index))
 
@@ -558,7 +551,7 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4)
                                                      p_lo):
                 labels_ok = False
                 detail = f"subset {key}: frac at anchor {i} outside (0, " \
-                         f"{_fmt(p_lo)})"
+                         f"{p_lo})"
             pts.append(("enclosure", b, m_a * b))
         supports[key] = tuple(pts)
     else:
@@ -567,7 +560,7 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4)
             f"multipliers {[witnesses[k] for k in sorted(witnesses)]}"))
         certs.append(Certificate(
             "strategic_shattering", labels_ok,
-            detail or f"all {1 << n} traces certified at radius {_fmt(r)}"))
+            detail or f"all {1 << n} traces certified at radius {r}"))
         # cross-cell separation is structural: support point i lies in
         # (b_i, b_i + 1) and every anchor j != i is at distance > 1/2 > r
         gap_ok = all(b2 - b1 >= 1 for b1, b2 in zip(moduli, moduli[1:]))

@@ -51,10 +51,14 @@ row (Fourier-Motzkin rows carry their history in it, and the simplex reads
 the same rows), ``_compare`` the only relation table, ``LinConstraint.make``
 the only normalization of >= and >, ``_atom_row`` the only reading of an
 atom as a row, ``_combine`` the only row combination (FM substitution and
-pairing), ``_prune`` the only normalization and pruning of FM rows, and
-``_pivot`` and ``_price`` the only tableau pivot and objective pricing of
-the simplex.  Both apply ``_eliminate`` to rows of integers over one
-denominator, so Bland's rule picks the pivots a tableau of Fractions would.
+pairing), ``_prune`` the only normalization and pruning of FM rows,
+``_integer_row`` the only reading of rows or values as integers over one
+denominator, and ``_pivot`` and ``_price`` the only tableau pivot and
+objective pricing of the simplex.  Both apply ``_eliminate`` to rows of
+integers over one denominator, so Bland's rule picks the pivots a tableau
+of Fractions would.  The simplex reads a row at the scale it is given,
+pricing its phase-1 artificial at that scale, so rescaling a row can
+change Bland's phase-1 path and the vertex it returns.
 """
 
 from __future__ import annotations
@@ -403,6 +407,13 @@ def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
 # Linear systems and Fourier-Motzkin elimination
 
 
+def _integer_row(values: Sequence) -> tuple:
+    """(nums, den): ints or Fractions as integers over the lcm den of their
+    denominators, each value nums[i] / den."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class LinConstraint(NamedTuple):
     """sum_i coeffs[i]*v_i (rel) rhs, with rel in {<, <=, =}: the one row of
     the exact linear layer.  Its history, read only by fm_eliminate, holds
@@ -455,23 +466,17 @@ class LinearSystem:
                    for c in self.constraints)
 
     def satisfied_by(self, values: Sequence) -> bool:
-        """Whether every row holds at values, one per variable, decided in
-        integers.  The values are put over one denominator den, and each
-        row co . (nums / den) rel p / q is scaled by the lcm L of its
-        coefficient denominators (1 for an integral row), so that it reads
-        q * ((L * co) . nums) rel p * L * den."""
+        """Whether every row holds at values (ints or Fractions), one per
+        variable, decided in integers: the values and each row are read
+        over one positive denominator by `_integer_row`."""
         if len(values) != len(self.variables):
             raise SolveError(f"{len(values)} values for "
                              f"{len(self.variables)} variables")
-        vals = [Fraction(v) for v in values]
-        den = math.lcm(*(v.denominator for v in vals))
-        nums = [v.numerator * (den // v.denominator) for v in vals]
+        nums, den = _integer_row(values)
         for c in self.constraints:
-            L = math.lcm(*(co.denominator for co in c.coeffs))
-            lhs = sum(co.numerator * (L // co.denominator) * v
-                      for co, v in zip(c.coeffs, nums))
-            diff = lhs * c.rhs.denominator - c.rhs.numerator * L * den
-            if not _compare(diff, c.rel):
+            *co, rhs = _integer_row([*c.coeffs, c.rhs])[0]
+            if not _compare(sum(map(operator.mul, co, nums)) - rhs * den,
+                            c.rel):
                 return False
         return True
 
@@ -514,8 +519,7 @@ def _prune(rows: list) -> list:
     best = {}
     for co, rel, rhs, hist in rows:
         if any(co):
-            den = math.lcm(*(v.denominator for v in co))
-            ints = [int(v * den) for v in co]
+            ints, den = _integer_row(co)
             g = math.gcd(*ints)
             co, rhs = tuple(v // g for v in ints), Fraction(rhs * den, g)
         elif _compare(-rhs, rel):
@@ -595,9 +599,8 @@ def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
             raise SolveError("internal: eliminated variable survived")
         out.append(LinConstraint(tuple(r.coeffs[i] for i in keep), r.rel,
                                  r.rhs))
-    return LinearSystem(tuple(sys.variables[i] for i in keep),
-                        [r._replace(coeffs=tuple(map(Fraction, r.coeffs)))
-                         for r in _prune(out)], tuple(steps))
+    return LinearSystem(tuple(sys.variables[i] for i in keep), _prune(out),
+                        tuple(steps))
 
 
 def linear_system_from_formula(f: fm.Formula,
@@ -610,19 +613,15 @@ def linear_system_from_formula(f: fm.Formula,
     def undeclared(v: fm.Var):
         raise SolveError(f"variable {v} not declared")
 
-    def visit(g: fm.Formula):
+    for g in fm.subformulas(f):  # pre-order: an And before its parts
         if isinstance(g, fm.And):
-            for p in g.parts:
-                visit(p)
-            return
+            continue
         if not isinstance(g, fm.Compare):
             raise SolveError("only conjunctions of linear atoms are supported")
         row = _atom_row(g, idx, undeclared)
         if row is None:
             raise SolveError("nonlinear atom encountered")
         rows.append(row)
-
-    visit(f)
     return LinearSystem(tuple(str(v) for v in variables), rows)
 
 
@@ -693,19 +692,12 @@ def _simplex(tableau: list, basis: list, n_cols: int) -> str:
         _pivot(tableau, basis, min(ratios)[2], enter)
 
 
-def _integer_row(values: Sequence) -> tuple:
-    """Fractions as one tableau row: integers over the lcm of their
-    denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
     """Exact rational optimum via two-phase simplex with Bland's rule:
     minimize objective . v over v >= 0 subject to rows, each with relation
-    <= or =.  The objective and the rows are read as Fractions; a tableau
-    row is integers over one positive denominator (fraction-free, as in
-    Bareiss, Math. Comp. 1968)."""
+    <= or =, of ints or Fractions.  The objective is read as Fractions; a
+    row becomes, at its given scale, a tableau row of integers over one
+    positive denominator (fraction-free, as in Bareiss, Math. Comp. 1968)."""
     objective = tuple(Fraction(c) for c in objective)
     n, m = len(objective), len(rows)
     for r in rows:
@@ -719,7 +711,7 @@ def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
     # rhs nonnegative and give the row its artificial column
     tableau, si = [], n
     for i, r in enumerate(rows):
-        ints, den = _integer_row([*map(Fraction, r.coeffs), Fraction(r.rhs)])
+        ints, den = _integer_row([*r.coeffs, r.rhs])
         full = [*ints[:-1], *[0] * (slack_count + m), ints[-1]]
         if r.rel == "<=":
             full[si] = den
@@ -742,7 +734,7 @@ def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
                 _pivot(tableau, basis, i, col)
     # phase 2: the real objective, never entering an artificial column
     tableau[m] = _price(
-        _integer_row([*objective, *[Fraction(0)] * (slack_count + m + 1)]),
+        _integer_row([*objective, *[0] * (slack_count + m + 1)]),
         tableau, basis)
     if _simplex(tableau, basis, total) == "unbounded":
         return LPResult("unbounded")
@@ -857,22 +849,15 @@ def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
     Returns a tuple of Fractions, or None when the system has no solution.
     """
     has_strict = any(c.rel == "<" for c in rows)
-    n = 2 * n_rem + 1
-    t_col = n - 1
-    zero = Fraction(0)
-    lp_rows = []
-    for c in rows:
-        row = [zero] * n
-        for j, v in enumerate(c.coeffs):
-            row[2 * j] = v
-            row[2 * j + 1] = -v
-        if c.rel == "<":
-            row[t_col] = Fraction(1)
-        rel = "=" if c.rel == "=" else "<="
-        lp_rows.append(LinConstraint(tuple(row), rel, c.rhs))
+    t_col = 2 * n_rem
+    # v_j is column 2j minus column 2j + 1, and t is the last column
+    lp_rows = [LinConstraint((*(w for v in c.coeffs for w in (v, -v)),
+                              1 if c.rel == "<" else 0),
+                             "=" if c.rel == "=" else "<=", c.rhs)
+               for c in rows]
     # maximize t (minimize -t) subject to t <= 1
-    unit = (zero,) * t_col + (Fraction(1),)
-    lp_rows.append(LinConstraint(unit, "<=", Fraction(1)))
+    unit = (0,) * t_col + (1,)
+    lp_rows.append(LinConstraint(unit, "<=", 1))
     res = lp_solve([-v for v in unit], lp_rows)
     if res.status != "optimal":
         return None

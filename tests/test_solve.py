@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -208,48 +209,64 @@ def test_witness_search_reads_inputs_beyond_float_range_as_inf(sign, found):
 _EXISTS_NONPOSITIVE = "(exists (w0) (and (>= w0 0) (<= x0 0)))"
 
 
-@pytest.mark.parametrize("text, x0, found", [
+def _verdict(res) -> str:
+    """found, refuted (no margin: the exact layer said no) or inconclusive
+    (a margin, but no witness within it)."""
+    if res.found:
+        return "found"
+    return "refuted" if res.margin is None else "inconclusive"
+
+
+def _found_id(v):
+    """A case's id names its verdict by whether a witness is found: True or
+    False; its other columns keep pytest's ids."""
+    return str(v == "found") if v in ("found", "refuted", "inconclusive") \
+        else None
+
+
+@pytest.mark.parametrize("text, x0, verdict", [
     # the NNF of a negated = or <= holds at equality in the float margin,
     # the formula itself does not
-    ("(not (= x0 1))", 1, False),
-    ("(not (<= x0 1))", 1, False),
+    ("(not (= x0 1))", 1, "refuted"),
+    ("(not (<= x0 1))", 1, "refuted"),
     # true, but not in the float margin: not found, and not refuted
-    ("(not (= x0 1))", 1 + 1e-10, False),
-    ("(exists (w0) (and (= (* w0 w0) 1) (>= w0 0) (not (= w0 1))))", 0, False),
-    ("(exists (w0) (and (= (* w0 w0) 1) (not (= w0 1))))", 0, True),
-    ("(exists (w0) (and (not (< w0 x0)) (not (= w0 x0))))", 0, True),
+    ("(not (= x0 1))", 1 + 1e-10, "inconclusive"),
+    ("(exists (w0) (and (= (* w0 w0) 1) (>= w0 0) (not (= w0 1))))", 0,
+     "inconclusive"),
+    ("(exists (w0) (and (= (* w0 w0) 1) (not (= w0 1))))", 0, "found"),
+    ("(exists (w0) (and (not (< w0 x0)) (not (= w0 x0))))", 0, "found"),
     ("(exists (w0 w1) (and (= w1 (exp w0)) (not (= w1 1)) (<= w0 x0)))",
-     0, True),
+     0, "found"),
     # true, but the float margin fails: inf - inf, rounding, and a
     # constant beyond float range against an input that is not
-    ("(<= (exp x0) (exp (+ x0 1)))", 1000, False),
-    ("(= x0 (* 3 (* 1/3 x0)))", 2 ** 60 + 256, False),
-    pytest.param(f"(<= x0 {10 ** 401})", Fraction(10 ** 400), False,
+    ("(<= (exp x0) (exp (+ x0 1)))", 1000, "inconclusive"),
+    ("(= x0 (* 3 (* 1/3 x0)))", 2 ** 60 + 256, "inconclusive"),
+    pytest.param(f"(<= x0 {10 ** 401})", Fraction(10 ** 400), "inconclusive",
                  id="(<= x0 10^401)-10^400-False"),
     # the simplex reads the rational input: w0 = 1/10 holds at x0 = 1/10,
     # and no w0 does at the float 0.1, which is above 1/10
     ("(exists (w0) (and (>= w0 x0) (<= (* 10 w0) 1)))", Fraction(1, 10),
-     True),
-    ("(exists (w0) (and (>= w0 x0) (<= (* 10 w0) 1)))", 0.1, False),
+     "found"),
+    ("(exists (w0) (and (>= w0 x0) (<= (* 10 w0) 1)))", 0.1, "refuted"),
     # the forced w1 = x0 is the float below 1/3, which rows reading x0 = 1/3
     # contradict: no refutation, and the search finds w0 = w1
     ("(exists (w0 w1) (and (= w1 x0) (>= w0 x0) (<= w0 w1)))",
-     Fraction(1, 3), True),
+     Fraction(1, 3), "found"),
     # x0 = 10^400 is false in the literal on x0 alone, read exactly; the
     # float inf has no rational reading, so no row either
-    pytest.param(_EXISTS_NONPOSITIVE, Fraction(10 ** 400), False,
+    pytest.param(_EXISTS_NONPOSITIVE, Fraction(10 ** 400), "refuted",
                  id="(exists (w0) (and (>= w0 0) (<= x0 0)))-10^400-False"),
-    pytest.param(_EXISTS_NONPOSITIVE, math.inf, False,
+    pytest.param(_EXISTS_NONPOSITIVE, math.inf, "inconclusive",
                  id="(exists (w0) (and (>= w0 0) (<= x0 0)))-inf-False"),
-])
-def test_witness_search_answers_for_the_formula_as_given(text, x0, found):
+], ids=_found_id)
+def test_witness_search_answers_for_the_formula_as_given(text, x0, verdict):
     f = fm.parse(text)
     _, matrix = fm.split_exists(f)
     res = witness_search(f, [x0], [])
-    assert res.found is found
-    if matrix is f and res.margin is None:  # a refutation is exact
+    assert _verdict(res) == verdict
+    if matrix is f and verdict == "refuted":  # a refutation is exact
         assert eval_qf(f, merge(x=[Fraction(x0)]), mode="exact") is False
-    if found:
+    if verdict == "found":
         sig = Assignment((float(x0),), (), res.witness)
         assert eval_qf(matrix, sig, mode="float") is True
 
@@ -502,6 +519,40 @@ def test_satisfied_by_refuses_wrong_length():
     for values in ([5], [0, 0, 99]):
         with pytest.raises(solve.SolveError):
             sys.satisfied_by(values)
+
+
+def test_satisfied_by_matches_fraction_arithmetic():
+    # rows with non-integral coefficients, rhs and values, zero rows among
+    # them, under all five relations, a third of them at equality: each
+    # row alone and the whole system hold as sum(c * v) rel rhs does
+    rng = random.Random(33)
+    ops = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+           ">=": operator.ge, ">": operator.gt}
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        values = [rational() for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [0] * n if rng.random() < 0.15 else \
+                [rational() for _ in range(n)]
+            lhs = sum(c * v for c, v in zip(coeffs, values))
+            rhs = lhs + rng.choice((0, rational(), rational()))
+            rows.append((coeffs, rng.choice(list(ops)), rhs))
+        names = [f"v{i}" for i in range(n)]
+        holds = [ops[rel](sum(c * v for c, v in zip(coeffs, values)), rhs)
+                 for coeffs, rel, rhs in rows]
+        for row, want in zip(rows, holds):
+            assert LinearSystem.make(names, [row]).satisfied_by(values) \
+                == want, (row, values)
+            answers.add((row[1], want))
+        assert LinearSystem.make(names, rows).satisfied_by(values) == \
+            all(holds), (rows, values)
+    assert answers == {(rel, b) for rel in ops for b in (True, False)}
 
 
 def test_linear_system_from_formula():
