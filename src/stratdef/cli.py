@@ -336,9 +336,10 @@ def _family_pair(args) -> tuple:
 def cmd_growth(args) -> int:
     from . import capacity, families, learn
     family, neigh = _family_pair(args)
-    m_values = [_positive(v, "m") for v in args.m.split(",")]
+    # at most M_CAP points and draws: a trial's label matrix fits 256 MiB
+    m_values = [_integer_in(v, "m", 1, learn.M_CAP) for v in args.m.split(",")]
     _positive(args.trials, "trials")
-    _positive(args.param_draws, "param-draws")
+    _integer_in(args.param_draws, "param-draws", 1, learn.M_CAP)
     report = capacity.growth_series(
         lambda params, X: families.batch_strategic_labels(family, neigh,
                                                           params, X),

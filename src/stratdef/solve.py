@@ -34,7 +34,8 @@ layers, from exact to heuristic, use them:
   ``SEARCH_BOX``, ``SEARCH_RESTARTS`` seeded random starts, both made once
   per dimension by ``_starts``, and ``REFINE_STEPS`` steps of scipy's
   Nelder-Mead, a loop that ``_loop`` emits once per dimension, its vertices
-  tuples and its trial points tuple displays) on
+  tuples sorted stably by margin and its trial points tuple displays, so
+  that it answers alike on every CPU) on
   the float margin, specialized once per query by ``_margin``, which folds
   every subterm free of the searched witnesses before the search starts
   and emits the rest as a kernel, one statement per operation; ``_kernel``
@@ -989,14 +990,10 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
 
 
 def _by_margin(sim: list, fsim: list) -> tuple:
-    """sim and fsim ordered as np.argsort orders fsim (as scipy orders its
-    simplex: not stable, and tied margins are common), and whether the
-    first len(fsim) - 1 margins are distinct."""
-    from numpy import array
-    order = array(fsim).argsort().tolist()
-    fsim = [fsim[i] for i in order]
-    return [sim[i] for i in order], fsim, all(map(operator.lt, fsim,
-                                                  fsim[1:-1]))
+    """sim and fsim sorted by margin, stably: tied margins keep their
+    order, so the order is the same on every CPU."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 # the Nelder-Mead loop, emitted once per dimension n (see _loop): a group
@@ -1004,12 +1001,8 @@ def _by_margin(sim: list, fsim: list) -> tuple:
 # a vertex is n locals and a trial point one tuple display
 _LOOP = """\
 def nelder_mead(read, sim, fsim):
-    # scipy sorts the first simplex twice, then once after every step
-    sim, fsim, distinct = by_margin(sim, fsim)
-    ordered = False
+    sim, fsim = by_margin(sim, fsim)
     for step in range(STEPS):
-        if not ordered:
-            sim, fsim, distinct = by_margin(sim, fsim)
         f0 = fsim[0]
         # scipy tests the vertices first; the margins are cheaper, and of
         # sorted margins the last differs most from f0
@@ -1039,24 +1032,20 @@ def nelder_mead(read, sim, fsim):
                 x = ({0.5 * c@ + 0.5 * w@,})
             fx = read(x)
             if not (fx <= fxr if outside else fx < fsim[N]):
-                # shrink towards the best vertex
+                # shrink towards the best vertex, then sort again
                 {b@,} = sim[0]
                 for j in range(1, N + 1):
                     {v@,} = sim[j]
                     sim[j] = x = ({b@ + 0.5 * (v@ - b@),})
                     fsim[j] = read(x)
-                ordered = False
+                sim, fsim = by_margin(sim, fsim)
                 continue
-        # n + 1 distinct margins have one sorted order, so the new vertex
-        # goes to its place in it; with a tie argsort orders them
+        # the new vertex replaces the worst, after the kept vertices of equal
+        # margin, where a stable sort would place it
         i = bisect(fsim, fx, 0, N)
-        ordered = distinct and (i == N or fx < fsim[i])
-        if ordered:
-            del sim[N], fsim[N]
-            sim.insert(i, x)
-            fsim.insert(i, fx)
-        else:
-            sim[N], fsim[N] = x, fx
+        del sim[N], fsim[N]
+        sim.insert(i, x)
+        fsim.insert(i, fx)
     return sim[0], fsim[0]
 """
 
@@ -1068,7 +1057,7 @@ def _loop(n: int) -> Callable:
     source = re.sub(r"\{(.*?)\}", lambda m: " ".join(
         m[1].replace("@", str(k)) for k in range(n)), _LOOP)
     env = {"N": n, "STEPS": REFINE_STEPS, "by_margin": _by_margin,
-           "bisect": bisect.bisect_left}
+           "bisect": bisect.bisect_right}
     exec(compile(source, f"<nelder-mead-{n}>", "exec"), env)
     return env["nelder_mead"]
 
@@ -1078,8 +1067,12 @@ def _nelder_mead(read: Callable, start: Sequence) -> tuple:
     start (not adaptive, unbounded, REFINE_STEPS iterations counted from 1,
     xatol 1e-12, fatol 1e-15; Lagarias et al., SIAM J. Optim. 1998), its
     float operations made in scipy's order by the loop _loop emits for
-    len(start) coordinates, on vertices that are tuples of floats, so its
-    iterates are scipy's bit for bit.  read gets a tuple."""
+    len(start) coordinates, on vertices that are tuples of floats.  The
+    vertices are sorted stably by margin: a step's new vertex is placed
+    after the kept ones of equal margin, and the simplex is sorted in full
+    once per shrink.  So the iterates are scipy's bit for bit wherever
+    margins are distinct, and the same on every CPU where they tie.  read
+    gets a tuple."""
     x0 = tuple(map(float, start))
     sim = [x0, *(x0[:k] + ((1 + 0.05) * v if v != 0 else 0.00025,) +
                  x0[k + 1:] for k, v in enumerate(x0))]

@@ -327,7 +327,14 @@ def _tighter(new, old, sign) -> bool:
 
 
 def system_holds_at(sys: LinearSystem, point: dict) -> bool:
-    return sys.satisfied_by([point[v] for v in sys.variables])
+    """Whether every row of sys holds at point, each row read as its own
+    Fraction sum against its rhs."""
+    for c in sys.constraints:
+        s = sum(Fraction(a) * Fraction(point[v])
+                for a, v in zip(c.coeffs, sys.variables)) - c.rhs
+        if not {"<": s < 0, "<=": s <= 0, "=": s == 0}[c.rel]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ def test_unknown_spec_is_usage_error(tmp_path, capsys):
      "2", "--cert-cap", "17"],
     ["verify-blowup", "--construction", "all-radii", "--s", "3/10", "--n",
      "2", "--t", "16385"],
+    # above M_CAP points or draws: a trial's label matrix passes 256 MiB
+    ["growth", "--family", "halfspace:l=2", "--m", "8",
+     "--param-draws", "1000000000"],
+    ["growth", "--family", "halfspace:l=2", "--m", "8,1000000000"],
 ])
 def test_hostile_arguments_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"

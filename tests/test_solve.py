@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -487,8 +491,9 @@ def test_fm_history_rule_matches_reference_on_grid():
         if out.is_trivially_infeasible():
             assert ref.is_trivially_infeasible(), (trial, sys, gone)
         for pt in itertools.product(grid, repeat=len(out.variables)):
-            assert out.satisfied_by(pt) == ref.satisfied_by(pt), \
-                (trial, sys, gone, pt)
+            point = dict(zip(out.variables, pt))
+            assert system_holds_at(out, point) == \
+                system_holds_at(ref, point), (trial, sys, gone, pt)
     assert skipped > 0
 
 
@@ -838,7 +843,7 @@ def test_witness_search_deterministic():
 # benchmark's witness mix, with what witness_search returned for each, bit
 # for bit: (family, neighborhood, x, parameters, found, witness as
 # space-separated float.hex values, margin as float.hex).  A speed-up of the
-# search must return exactly these.
+# search must return exactly these, on every machine.
 _PINNED_QUERIES = (
     ("halfspace:l=2", "linf:l=2,r=1/2",
      [0.0, 0.375],
@@ -915,15 +920,15 @@ _PINNED_QUERIES = (
     ("halfspace:l=2", "lp:l=2,p=3,r=1",
      [0.875, 0.5],
      [-0.875, -1.125, 1.0],
-     False, None, "0x1.864881584be61p+0"),
+     False, None, "0x1.43f9a0540ab84p+0"),
     ("halfspace:l=3", "kl:l=3,r=1/2",
      [0.125, 0.75, 0.125],
      [0.75, -1.75, 0.375, 0.875],
-     False, None, "0x1.f186f54f66704p-2"),
+     False, None, "0x1.bbf95339c28e8p-2"),
     ("halfspace:l=3", "kl:l=3,r=1/2",
      [0.375, 0.375, 0.25],
      [0.125, 1.625, 0.25, 2.0],
-     False, None, "0x1.1138c1cbbcacep-1"),
+     False, None, "0x1.be47df38d249ep-1"),
     ("ptf:l=2,D=2", "lp:l=2,p=2,r=1/4",
      [0.375, 0.375],
      [0.125, 0.75, 1.25, 0.75, -0.625, 1.5],
@@ -935,11 +940,11 @@ _PINNED_QUERIES = (
     ("nn:widths=2-2-1", "linf:l=2,r=1/4",
      [-0.375, -0.875],
      [-1.0, -1.125, 0.5, -0.625, 1.75, -0.5, -1.75, 1.25, 1.625],
-     False, None, "0x1.f76b39d60621fp+0"),
+     False, None, "0x1.e252282fe9f32p+0"),
     ("nn:widths=2-2-1", "linf:l=2,r=1/4",
      [0.625, 0.625],
      [0.875, 1.625, -0.875, -0.75, 1.0, 1.75, -0.5, -1.0, -1.375],
-     False, None, "0x1.29f81cad6b71dp+1"),
+     False, None, "0x1.3234a725d9f54p+1"),
     ("halfspace:l=1", "gauss_kl:r=1/2",
      [0.375],
      [-2.0, 1.0],
@@ -1029,27 +1034,26 @@ def _bowl(v) -> float:
     return sum((k % 7 - 3 - u) ** 2 * (1 + k / 8) for k, u in enumerate(v))
 
 
-def test_nelder_mead_matches_scipy(monkeypatch):
-    # scipy is the reference: the same vertex and value, bit for bit, on
-    # the margins of the witness-mix pairs that reach Nelder-Mead (1
-    # witness for gauss_kl, 2 for lp p=2 and ptf, 9 for kl, 10 for lp p=3,
-    # 11 for nn) from their witness-search starts and seeded ones, on a
-    # 40-coordinate bowl, and on a staircase whose vertices tie
-    import numpy as np
-    from scipy.optimize import minimize
+def _nelder_mead_cases(monkeypatch) -> list:
+    """(read, start) of each run checked against scipy: the margins of the
+    witness-mix pairs that reach Nelder-Mead (1 witness for gauss_kl, 2
+    for lp p=2 and ptf, 9 for kl, 10 for lp p=3, 11 for nn) from their
+    witness-search starts and seeded ones, a 40-coordinate bowl, and a
+    staircase whose vertices tie."""
     runs, nelder_mead = [], solve._nelder_mead
 
     def spy(read, start):
         runs.append((read, start))
         return nelder_mead(read, start)
 
-    monkeypatch.setattr(solve, "_nelder_mead", spy)
-    for k in (12, 14, 15, 18, 19, 22):
-        fam, neigh, x, params, *_ = _PINNED_QUERIES[k]
-        spec = transform.strategic_transform(
-            families.make_family(fam).formula(),
-            families.make_neighborhood(neigh).formula())
-        witness_search(spec.transformed, x, params)
+    with monkeypatch.context() as m:
+        m.setattr(solve, "_nelder_mead", spy)
+        for k in (12, 14, 15, 18, 19, 22):
+            fam, neigh, x, params, *_ = _PINNED_QUERIES[k]
+            spec = transform.strategic_transform(
+                families.make_family(fam).formula(),
+                families.make_neighborhood(neigh).formula())
+            witness_search(spec.transformed, x, params)
     assert sorted({len(start) for _, start in runs}) == [1, 2, 9, 10, 11]
     rng = random.Random(29)
     cases = runs + [(read, [rng.uniform(-8, 8) for _ in start])
@@ -1057,9 +1061,21 @@ def test_nelder_mead_matches_scipy(monkeypatch):
     cases += [(_plateau, [rng.uniform(-2, 2) for _ in range(k)])
               for k in (2, 3, 4, 5, 6)]
     # from (3, -2) the staircase's new vertex ties with a kept one at some
-    # steps, which argsort then orders, and is inserted at the others
-    cases += [(_plateau, [3.0, -2.0]),
-              (_bowl, [rng.uniform(-4, 4) for _ in range(40)])]
+    # steps, and goes after it as a stable sort places it
+    return cases + [(_plateau, [3.0, -2.0]),
+                    (_bowl, [rng.uniform(-4, 4) for _ in range(40)])]
+
+
+def test_nelder_mead_matches_scipy(monkeypatch):
+    # scipy is the reference: the same vertex and value, bit for bit; scipy
+    # orders its simplex with np.argsort, made stable here as the package's
+    # order is, so that tied margins are ordered alike on every CPU
+    import numpy as np
+    from scipy.optimize import minimize
+    cases = _nelder_mead_cases(monkeypatch)
+    monkeypatch.setattr(np, "argsort",
+                        functools.partial(np.argsort, kind="stable"))
+    nelder_mead = solve._nelder_mead
     for read, start in cases:
         point, fun = nelder_mead(read, start)
         want = minimize(lambda v: read(v.tolist()), np.asarray(start),
@@ -1076,6 +1092,57 @@ def test_nelder_mead_matches_scipy(monkeypatch):
             if n <= 5 else []
         assert list(solve._starts(n)) == grid + [
             tuple(draws.uniform(-8, 8) for _ in range(n)) for _ in range(20)]
+
+
+# the pinned queries whose Nelder-Mead simplices hold tied margins, so
+# that their answers rest on the order of ties
+_TIED_PINS = (14, 15, 16, 19, 20)
+
+# numpy's AVX2 and AVX-512 kernels, under the names of numpy 2 and numpy 1
+# (numpy ignores names it does not know), and ties that its AVX-512 argsort
+# orders unlike its baseline one
+_NO_SIMD = "X86_V4 X86_V3 AVX512_SKX AVX512F AVX2"
+_TIE_PROBE = [1.0, 0.0] * 8
+
+
+def _tie_answers(starts) -> list:
+    """float.hex margins of the _TIED_PINS queries, and float.hex vertex
+    and value of Nelder-Mead on the staircase from each of starts."""
+    out = []
+    for k in _TIED_PINS:
+        fam, neigh, x, params, *_ = _PINNED_QUERIES[k]
+        spec = transform.strategic_transform(
+            families.make_family(fam).formula(),
+            families.make_neighborhood(neigh).formula())
+        out.append(witness_search(spec.transformed, x, params).margin.hex())
+    for start in starts:
+        point, fun = solve._nelder_mead(_plateau, start)
+        out.append([*map(float.hex, point), fun.hex()])
+    return out
+
+
+def test_witness_answers_do_not_depend_on_numpy_dispatch(monkeypatch):
+    # a child with numpy's SIMD kernels off answers the tie-prone queries
+    # and staircase runs bit for bit as this process does
+    import numpy as np
+    import stratdef
+    starts = [start for read, start in _nelder_mead_cases(monkeypatch)
+              if read is _plateau]
+    code = ("import json, sys, numpy\n"
+            f"sys.path[:0] = [{os.path.dirname(__file__)!r}]\n"
+            "from test_solve import _TIE_PROBE, _tie_answers\n"
+            "print(json.dumps([numpy.argsort(_TIE_PROBE).tolist(), "
+            f"_tie_answers({starts!r})]))\n")
+    src = os.path.dirname(os.path.dirname(stratdef.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_NO_SIMD,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    probe, answers = json.loads(out.stdout)
+    if probe == np.argsort(_TIE_PROBE).tolist():
+        pytest.skip("the setting leaves numpy's argsort of ties unchanged")
+    assert answers == _tie_answers(starts)
 
 
 def _margin_points(body, rng: random.Random, n: int):
