@@ -17,8 +17,10 @@ certificates:
                        anchors.
 * frac_construction -- a one-parameter class h_t = indicator of
                        {b_i + frac(t * b_i)} that strategically shatters n
-                       anchors; the witness parameters t = sqrt(2) * m are
-                       certified by exact integer comparisons.
+                       anchors; the witness parameters t = sqrt(2) * m,
+                       m the least multiplier of each window, are found
+                       by a Euclid recursion and certified by exact
+                       integer comparisons.
 
 Certificates never rely on floating point, and every comparison is exact.
 The blowup certificates compare integers: a block's points sit on an
@@ -457,10 +459,6 @@ def build_partition_pathology(n: int = 4) -> ConstructionInstance:
 # ---------------------------------------------------------------------------
 # One-parameter fractional-part construction
 
-# the largest multiplier m the frac construction scans for a witness
-FRAC_M_CAP = 2_000_000
-
-
 def _shrink_intervals(n: int, r: Fraction):
     """Nested open intervals I_A, one per subset A of {1..n}, and moduli b_i
     such that frac(t) in I_A forces frac(t * b_i) in (1/2 - r, 1/2 + r) for
@@ -495,6 +493,45 @@ def _frac_sqrt2_between(m: int, lo: Fraction, hi: Fraction) -> bool:
         two_m2 * d * d < (k * d + c) ** 2
 
 
+def _first_residue(p: int, q: int, lo: int, hi: int) -> Optional[int]:
+    """The least x >= 0 with lo <= p * x mod q <= hi, for 0 <= lo <= hi < q,
+    or None when there is none.  When no multiple of p lies in [lo, hi],
+    the least x has the least number y of wraps past q, which solves the
+    same problem for (q mod p, p): a Euclid recursion."""
+    if lo == 0:
+        return 0
+    p %= q
+    if p == 0:
+        return None
+    x = -(-lo // p)
+    if p * x <= hi:
+        return x
+    y = _first_residue(q, p, p - hi % p, p - lo % p)
+    return None if y is None else -(-(lo + q * y) // p)
+
+
+def _least_multiplier(lo: Fraction, hi: Fraction) -> int:
+    """The least m >= 1 with lo < frac(m * sqrt(2)) < hi, for
+    0 < lo < hi <= 1.  With P/Q the lower bound isqrt(2 Q^2)/Q of sqrt(2),
+    Q = 2^bits, frac(m' * sqrt(2)) lies in (s/Q, (s + m')/Q) for
+    s = m' * P mod Q, so every multiplier m' <= m in the window has s in
+    [L - m - 1, R], [L, R] the integers strictly inside the window in units
+    of 1/Q, once floor(lo * Q) > m + 1 rules out a wrap past 1.  The least
+    m with s in [L, R] is least when the search over [L - m - 1, R] returns
+    it too, and it is checked exactly; otherwise bits doubles."""
+    bits = 64
+    while True:
+        q = 1 << bits
+        p = math.isqrt(2 * q * q)
+        low, high = math.floor(lo * q), math.ceil(hi * q) - 1
+        m = _first_residue(p, q, low + 1, high)
+        if m is not None and low > m + 1 and \
+                _frac_sqrt2_between(m, lo, hi) and \
+                _first_residue(p, q, low - m, high) == m:
+            return m
+        bits *= 2
+
+
 def build_frac_construction(n: int = 3, r=Fraction(1, 4)
                             ) -> ConstructionInstance:
     """One-parameter strategic shattering via fractional parts.
@@ -502,12 +539,14 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4)
     The class is {h_t : t real} with h_t the indicator of
     {b_i + frac(t * b_i) : i = 1..n}; neighborhoods are closed intervals of
     radius r and the anchors are b_i + 1/2.  Nested intervals I_A pin the
-    trace of h_t to A whenever frac(t) lies in I_A, and for each A a
-    parameter t_A = sqrt(2) * m_A with frac(t_A) in I_A is found by scanning
-    m up to FRAC_M_CAP; each window test on the fractional part of an
-    integer multiple of sqrt(2) is an exact integer comparison, so none is
-    ever undecided.
+    trace of h_t to A whenever frac(t) lies in I_A, and for each A the
+    parameter t_A = sqrt(2) * m_A with the least m_A >= 1 that puts
+    frac(t_A) in I_A is found by a Euclid recursion (_least_multiplier);
+    each window test on the fractional part of an integer multiple of
+    sqrt(2) is an exact integer comparison, so none is ever undecided.
     """
+    if n < 1:
+        raise ConstructionError("need n >= 1")
     r = Fraction(r)
     if not 0 < r < Fraction(1, 2):
         raise ConstructionError("need 0 < r < 1/2")
@@ -528,17 +567,7 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4)
     detail = ""
     p_lo, p_hi = Fraction(1, 2) - r, Fraction(1, 2) + r
     for key, (lo, hi) in sorted(intervals.items()):
-        m_a = None
-        for m in range(1, FRAC_M_CAP + 1):
-            if _frac_sqrt2_between(m, lo, hi):
-                m_a = m
-                break
-        if m_a is None:
-            certs.append(Certificate(
-                "witness_multipliers", False,
-                f"no multiplier below {FRAC_M_CAP} for subset {key}"))
-            break
-        witnesses[key] = m_a
+        witnesses[key] = m_a = _least_multiplier(lo, hi)
         # certify the trace of t = sqrt(2) * m_a anchor by anchor
         pts = []
         for i, b in enumerate(moduli, start=1):
@@ -554,18 +583,17 @@ def build_frac_construction(n: int = 3, r=Fraction(1, 4)
                          f"{p_lo})"
             pts.append(("enclosure", b, m_a * b))
         supports[key] = tuple(pts)
-    else:
-        certs.append(Certificate(
-            "witness_multipliers", True,
-            f"multipliers {[witnesses[k] for k in sorted(witnesses)]}"))
-        certs.append(Certificate(
-            "strategic_shattering", labels_ok,
-            detail or f"all {1 << n} traces certified at radius {r}"))
-        # cross-cell separation is structural: support point i lies in
-        # (b_i, b_i + 1) and every anchor j != i is at distance > 1/2 > r
-        gap_ok = all(b2 - b1 >= 1 for b1, b2 in zip(moduli, moduli[1:]))
-        certs.append(Certificate("cross_cell_separation", gap_ok,
-                                 "unit gaps between moduli"))
+    certs.append(Certificate(
+        "witness_multipliers", True,
+        f"multipliers {[witnesses[k] for k in sorted(witnesses)]}"))
+    certs.append(Certificate(
+        "strategic_shattering", labels_ok,
+        detail or f"all {1 << n} traces certified at radius {r}"))
+    # cross-cell separation is structural: support point i lies in
+    # (b_i, b_i + 1) and every anchor j != i is at distance > 1/2 > r
+    gap_ok = all(b2 - b1 >= 1 for b1, b2 in zip(moduli, moduli[1:]))
+    certs.append(Certificate("cross_cell_separation", gap_ok,
+                             "unit gaps between moduli"))
 
     return ConstructionInstance(
         "frac_construction", n,

@@ -760,7 +760,8 @@ def batch_strategic_labels(family: HypothesisFamily,
     neigh.sample(X, default_rng(0), SAMPLED_NEIGHBORS) draws the neighbors of
     every point, and x is accepted iff the family accepts x or one of its
     kept draws.  Parameter rows are labelled in blocks of at most _BLOCK
-    (rows x candidates) pairs.
+    (rows x candidates) pairs, each written into one preallocated label
+    matrix.
     """
     import numpy as np
     P = _floats(params)
@@ -782,8 +783,9 @@ def batch_strategic_labels(family: HypothesisFamily,
         label = lambda R: (keep & family.evaluate(R.T[:, :, None, None],
                                                   Y)).any(-1)
     step = max(1, _BLOCK // max(1, cands))
-    out = np.concatenate([label(rows[i:i + step])
-                          for i in range(0, len(rows), step)])
+    out = np.empty((len(rows), len(X)), dtype=bool)
+    for i in range(0, len(rows), step):
+        out[i:i + step] = label(rows[i:i + step])
     return out if P.ndim > 1 else out[0]
 
 

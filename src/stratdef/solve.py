@@ -27,25 +27,25 @@ layers, from exact to heuristic, use them:
   in it, so True proves the input empty and False proves nothing.
 * ``lp_solve`` -- exact rational simplex with Bland's rule over v >= 0.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
-  definitional equalities are solved with float ``affine``, and ``_walk``
-  goes depth first over the disjunct choices, pruning a prefix that
-  ``lp_solve`` proves infeasible, in at most ``SOLVE_BUDGET`` exact reads;
-  the rest go to a fixed search (``SEARCH_GRID`` points per axis of
-  ``SEARCH_BOX``, ``SEARCH_RESTARTS`` seeded random starts, both made once
-  per dimension by ``_starts``, and ``REFINE_STEPS`` steps of scipy's
-  Nelder-Mead, a loop that ``_loop`` emits once per dimension, its vertices
-  tuples sorted stably by margin and its trial points tuple displays, so
-  that it answers alike on every CPU) on
-  the float margin, specialized once per query by ``_margin``, which folds
-  every subterm free of the searched witnesses before the search starts
-  and emits the rest as a kernel, one statement per operation; ``_kernel``
-  caches its compiled code by its source, which holds no value, so the
-  queries on one formula share it.  Sound when it
-  reports a witness (its margin on the formula as given, not on its NNF,
-  is within ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a
-  not_found is a refutation without a margin, which rests on no inexact
-  float margin, reads the inputs as given, not their floats, and takes no
-  simplex rows that read a forced witness, a float (see ``_decide``).
+  ``_walk`` goes depth first over the disjunct choices, every literal on a
+  witness, definitions included, a row of ``lp_solve``, and prunes a prefix
+  whose rows are infeasible, in at most ``SOLVE_BUDGET`` exact reads;
+  definitions solved in floats only propose witnesses, and the rest go to a
+  fixed search (``SEARCH_GRID`` points per axis of ``SEARCH_BOX``,
+  ``SEARCH_RESTARTS`` seeded random starts, both made once per dimension by
+  ``_starts``, and ``REFINE_STEPS`` steps of scipy's Nelder-Mead, a loop that
+  ``_loop`` emits once per dimension, its vertices tuples sorted stably by
+  margin and its trial points tuple displays, so that it answers alike on
+  every CPU) on the float margin, specialized once per query by ``_margin``,
+  which folds every subterm free of the searched witnesses before the search
+  starts and emits the rest as a kernel, one statement per operation;
+  ``_kernel`` caches its compiled code by its source, which holds no value,
+  so the queries on one formula share it.  Sound when it reports a witness
+  (its margin on the formula as given, not on its NNF, is within
+  ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a not_found is a
+  refutation without a margin, which rests only on exact readings of the
+  inputs as given, not their floats: simplex rows, and witness-free literals
+  that read False exactly (see ``_read_literal``).
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
@@ -762,8 +762,6 @@ def _nnf(f: fm.Formula, positive: bool = True) -> fm.Formula:
     if isinstance(f, fm.Compare):
         if positive:
             return f
-        if fm.exp_graph(f):
-            return fm.Not(f)  # negated transcendental equality stays wrapped
         flip = {"<": ">=", "<=": ">", "=": None, ">=": "<", ">": "<="}[f.rel]
         if flip is None:
             return fm.Or((fm.Compare(f.lhs, "<", f.rhs),
@@ -771,12 +769,10 @@ def _nnf(f: fm.Formula, positive: bool = True) -> fm.Formula:
         return fm.Compare(f.lhs, flip, f.rhs)
     if isinstance(f, fm.Not):
         return _nnf(f.body, not positive)
-    if isinstance(f, fm.And):
-        parts = tuple(_nnf(p, positive) for p in f.parts)
-        return fm.And(parts) if positive else fm.Or(parts)
-    if isinstance(f, fm.Or):
-        parts = tuple(_nnf(p, positive) for p in f.parts)
-        return fm.Or(parts) if positive else fm.And(parts)
+    if isinstance(f, (fm.And, fm.Or)):
+        conj = isinstance(f, fm.And) == positive  # negation swaps them
+        return (fm.And if conj else fm.Or)(
+            tuple(_nnf(p, positive) for p in f.parts))
     raise SolveError("quantifier inside witness-search body")
 
 
@@ -849,7 +845,6 @@ def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
     slack t that is maximized, so strict feasibility is certified by t > 0.
     Returns a tuple of Fractions, or None when the system has no solution.
     """
-    has_strict = any(c.rel == "<" for c in rows)
     t_col = 2 * n_rem
     # v_j is column 2j minus column 2j + 1, and t is the last column
     lp_rows = [LinConstraint((*(w for v in c.coeffs for w in (v, -v)),
@@ -860,24 +855,16 @@ def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
     unit = (0,) * t_col + (1,)
     lp_rows.append(LinConstraint(unit, "<=", 1))
     res = lp_solve([-v for v in unit], lp_rows)
-    if res.status != "optimal":
-        return None
-    if has_strict and res.point[t_col] == 0:
+    if res.status != "optimal" or res.point[t_col] == 0 and any(
+            c.rel == "<" for c in rows):
         return None
     return tuple(res.point[2 * j] - res.point[2 * j + 1]
                  for j in range(n_rem))
 
 
-def _witness_vector(size: int, forced: dict, free: Sequence,
-                    vals: Sequence = ()) -> tuple:
-    """Float witness vector: forced values at their indices, vals at the
-    free indices in order, 0.0 everywhere else."""
-    wv = [0.0] * size
-    for i, v in forced.items():
-        wv[i] = v
-    for i, v in zip(free, vals):
-        wv[i] = _float(v)
-    return tuple(wv)
+def _witness_vector(size: int, values: dict) -> tuple:
+    """Float witness vector: values at their indices, 0.0 elsewhere."""
+    return tuple(_float(values.get(i, 0.0)) for i in range(size))
 
 
 def _accept(matrix: fm.Formula, sigma: Assignment,
@@ -902,65 +889,61 @@ def _exactly_false(f: fm.Formula, exact: Optional[Assignment]) -> bool:
         return False
 
 
-def _decide(lits, sigma: Assignment, exact: Optional[Assignment],
-            unknown: set, size: int):
-    """The conjunction of NNF literals lits, read exactly where it can be:
-    ("unsat", None), ("unknown", None) or ("feasible", witness vector).
-    Definitions are propagated, a literal free of the remaining witnesses
-    is read by its float margin (x, a and the forced witnesses are floats),
-    and the rest are rows for the rational simplex, which read x and a at
-    the rational inputs exact and the forced witnesses as their floats.  A
-    read prunes only where it is exact: a literal's margin on only x, a and
-    constants must also read False exactly at the rational inputs, one on
-    forced witnesses must be finite, and infeasible rows are unsat only
-    when none reads a forced witness.  A literal that needs a row is
-    "unknown" without the rational inputs or with a forced witness that is
-    not finite: a row holds Fractions, and no Fraction reads inf or nan."""
-    forced = _propagate_definitions(fm.And(tuple(lits)), sigma, set(unknown))
-    rem_idx = sorted(unknown - set(forced))
-    rem = {fm.Var("w", i): j for j, i in enumerate(rem_idx)}
-    base = sigma.with_w(_witness_vector(size, forced, rem_idx))
-    value = exact.with_w(base.w).lookup if exact is not None and all(
-        map(math.isfinite, forced.values())) else None
-    rows, reads_forced = [], False
-    for lit in lits:
-        # after NNF a Not wraps only an exp-graph atom
-        at = lit.body if isinstance(lit, fm.Not) else lit
-        names = set(fm.atom_vars(at))
-        if rem.keys().isdisjoint(names):
-            m = _violation(lit, base)
-            if m > FLOAT_TOL and (
-                    m < math.inf if any(v.block == "w" for v in names)
-                    else _exactly_false(lit, exact)):
-                return "unsat", None
-            continue
-        # an exp atom on a remaining witness is beyond the linear fragment:
-        # affine without exp reads it as no row
-        row = _atom_row(at, rem, value) if value else None
-        if row is None:
-            return "unknown", None
-        rows.append(row)
-        reads_forced = reads_forced or any(
-            v.block == "w" and v.index in forced for v in names)
-    point = _strict_feasible_point(rows, len(rem_idx)) if rows else \
-        (0,) * len(rem_idx)  # the simplex's point when there are no rows
+def _read_literal(lit: fm.Formula, sigma: Assignment,
+                  exact: Optional[Assignment], cols: dict):
+    """How _decide reads an NNF literal: one on no witness is True or False
+    by its float margin, False only when also False exactly at the rational
+    inputs; any other, a definition included, is its row over the witness
+    columns cols at the rational inputs, or None when it is not affine in
+    them (an exp atom on one, a product of two) or an input is inf or nan."""
+    if cols.keys().isdisjoint(fm.atom_vars(lit)):
+        return _violation(lit, sigma) <= FLOAT_TOL or \
+            not _exactly_false(lit, exact)
+    # affine without exp reads an exp atom as no row
+    return None if exact is None else _atom_row(lit, cols, exact.lookup)
+
+
+def _decide(readings, idx: list, size: int):
+    """The conjunction of NNF literals with the _read_literal readings
+    given, in order, over the witnesses idx: False (unsat) at a False
+    literal or when the rows of the rational simplex are infeasible, None
+    (unknown) at a literal that is no row, else the simplex's witness
+    vector.  So no refutation rests on a float."""
+    rows = []
+    for r in readings:
+        if r is False or r is None:
+            return r
+        if r is not True:
+            rows.append(r)
+    point = _strict_feasible_point(rows, len(idx))
     if point is None:
-        # a forced witness is a float, which an exact x or a may contradict
-        return "unknown" if reads_forced else "unsat", None
-    return "feasible", _witness_vector(size, forced, rem_idx, point)
+        return False
+    return _witness_vector(size, dict(zip(idx, point)))
 
 
 def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
           exact: Optional[Assignment], unknown: set, size: int):
-    """Decide the matrix by a depth-first walk over the disjunct choices of
-    its NNF body (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A
-    path holds its conjuncts to visit (the next last), its literals and
-    their count at its last fork (inf before the first): an And pushes its
-    parts, a literal joins the literals, an Or forks in order.  _decide
-    reads each leaf and prunes each fork reached with new literals that it
-    reads unsat.  The first leaf point that passes the matrix is the
-    witness, all leaves unsat a refutation; None when one is unknown or
-    past SOLVE_BUDGET reads."""
+    """Decide the matrix by a depth-first walk over the disjunct choices of its
+    NNF body (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A path
+    holds its conjuncts to visit (the next last), its literals and their count
+    at its last fork (inf before the first): an And pushes its parts, a literal
+    joins the literals, an Or forks in order.  _decide reads each leaf and
+    prunes each fork reached with new literals that it reads unsat, each
+    literal read once, when first needed.  At an unknown leaf, whose literals
+    the rows cannot read, the definitions among them are propagated in floats,
+    and the vector they force is the leaf's point when it holds every witness
+    the literals read.  The first leaf point that passes the matrix is the
+    witness, all leaves unsat a refutation; None when one is unknown or past
+    SOLVE_BUDGET reads."""
+    idx = sorted(unknown)
+    cols = {fm.Var("w", i): j for j, i in enumerate(idx)}
+    readings = {}  # by id: the literals are the body's, alive throughout
+
+    def read(lit: fm.Formula):
+        if id(lit) not in readings:
+            readings[id(lit)] = _read_literal(lit, sigma, exact, cols)
+        return readings[id(lit)]
+
     budget, complete = SOLVE_BUDGET, True
     stack = [((body,), (), math.inf)]
     while stack:
@@ -975,10 +958,16 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
             budget -= 1
             if budget < 0:
                 return None
-            status, wv = _decide(lits, sigma, exact, unknown, size)
-            if status == "unsat":
+            wv = _decide(map(read, lits), idx, size)
+            if wv is False:
                 continue
             if not todo:
+                if wv is None:
+                    forced = _propagate_definitions(fm.And(lits), sigma,
+                                                    unknown)
+                    if forced.keys() >= {v.index for lit in lits for v in
+                                         fm.atom_vars(lit) if v.block == "w"}:
+                        wv = _witness_vector(size, forced)
                 res = wv and _accept(matrix, sigma, wv)
                 if res and res.found:
                     return res
@@ -1099,18 +1088,19 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
                    a_vals: Sequence) -> WitnessResult:
     """Search for witnesses of an existential formula at (x, a).
 
-    Layered: the exact walk decides the linear fragment (definitions
-    propagated, the rest by the rational simplex); otherwise the free
-    witnesses are searched on a grid with random restarts and Nelder-Mead
-    refinement of the max-violation margin, every point read by one call
-    of the kernel that _margin emits for this query, its compiled code
-    shared with the queries on the same matrix and free witnesses.  A
+    Layered: the exact walk decides the linear fragment, every literal on
+    a witness, definitions included, a row of the rational simplex;
+    otherwise the witnesses that no definition forces in floats are
+    searched on a grid with random restarts and Nelder-Mead refinement of
+    the max-violation margin, every point read by one call of the kernel
+    that _margin emits for this query, its compiled code shared with the
+    queries on the same matrix and free witnesses.  A
     returned witness always re-verifies under the float eval_qf of the
     matrix as given, not of its NNF (soundness); a not_found with margin
-    None is an exact refutation, one with a margin is inconclusive.
+    None is a refutation that rests only on exact readings, one with a
+    margin is inconclusive.
     """
-    frag = fm.classify_fragment(f)
-    if frag == fm.GENERAL:
+    if fm.classify_fragment(f) == fm.GENERAL:
         raise SolveError("witness_search requires an existential formula")
     indices, matrix = fm.split_exists(f)
     inputs = (tuple(x_vals), tuple(a_vals))
@@ -1137,7 +1127,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     free = sorted(unknown - set(forced))
 
     def vector(vec) -> tuple:
-        return _witness_vector(size, forced, free, vec)
+        return _witness_vector(size, {**forced, **dict(zip(free, vec))})
 
     if not free:
         return _accept(matrix, sigma0, vector(()))

@@ -424,6 +424,74 @@ def ref_unit_cells_shatter_a_pair(points) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Least multipliers of sqrt(2) in a window, in integers
+
+
+def ref_frac_sqrt2_in(m: int, lo, hi) -> bool:
+    """lo < frac(m sqrt(2)) < hi for an integer m >= 1 and rationals
+    0 <= lo < hi <= 1: with k = isqrt(2 m^2), the floor of the irrational
+    m sqrt(2), the test k + lo < m sqrt(2) < k + hi squared."""
+    two_m2 = 2 * m * m
+    k = math.isqrt(two_m2)
+    a, b = Fraction(lo).as_integer_ratio()
+    c, d = Fraction(hi).as_integer_ratio()
+    return (k * b + a) ** 2 < two_m2 * b * b and \
+        two_m2 * d * d < (k * d + c) ** 2
+
+
+def ref_least_residue(a: int, q: int, lo: int, hi: int):
+    """The least y >= 0 with lo <= a y mod q <= hi, for 0 <= lo <= hi < q,
+    or None: the textbook reduction to the window mirrored modulo a."""
+    if lo == 0:
+        return 0
+    a %= q
+    if a == 0:
+        return None
+    y = (lo + a - 1) // a
+    if a * y <= hi:
+        return y
+    z = ref_least_residue(q % a, a, -hi % a, -lo % a)
+    return None if z is None else (lo + q * z + a - 1) // a
+
+
+def _ref_next_in_cyclic_window(a: int, q: int, start: int, lo: int,
+                               hi: int):
+    """The least x >= start with a x mod q in the cyclic window lo..hi
+    (taken mod q, fewer than q residues), or None."""
+    shift = a * start % q
+    lo, hi = (lo - shift) % q, (hi - shift) % q
+    parts = [(lo, hi)] if lo <= hi else [(lo, q - 1), (0, hi)]
+    ys = [ref_least_residue(a, q, u, v) for u, v in parts]
+    ys = [y for y in ys if y is not None]
+    return start + min(ys) if ys else None
+
+
+def ref_least_sqrt2_multiplier(lo, hi) -> int:
+    """The least m >= 1 with lo < frac(m sqrt(2)) < hi, 0 <= lo < hi <= 1.
+    For a Pell convergent p/q of sqrt(2) (p^2 - 2 q^2 = +-1, so |sqrt(2) -
+    p/q| < 1/(2 q^2)), m sqrt(2) is within 1/(2q) of m p/q for m < q, so
+    every such m in the window has m p mod q within one of the window's
+    residues q (lo, hi), cyclically.  Those candidates are taken in
+    increasing order, each tested exactly, and the first that passes is
+    the least; when none below q passes, a later convergent is taken."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    p, q = 1, 1
+    while True:
+        p, q = p + 2 * q, p + q
+        wlo, whi = math.floor(lo * q) - 1, math.ceil(hi * q) + 1
+        if whi - wlo + 1 >= q:
+            continue  # the widened window holds every residue
+        x = 1
+        while True:
+            x = _ref_next_in_cyclic_window(p, q, x, wlo, whi)
+            if x is None or x >= q:
+                break
+            if ref_frac_sqrt2_in(x, lo, hi):
+                return x
+            x += 1
+
+
+# ---------------------------------------------------------------------------
 # Sampled strategic labels
 
 

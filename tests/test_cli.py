@@ -715,6 +715,17 @@ def test_partition_cells_certificate_matches_pair_search(tmp_path, n):
         f"{cells} cells over {distinct} points, no pair shattered"
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_frac_verifies_and_replays_for_every_n(tmp_path, capsys, n):
+    # n = 12 runs in CI, as a cold command; MAX_ANCHORS allows 16
+    out = tmp_path / "frac.json"
+    assert run(["verify-blowup", "--construction", "frac", "--n", n,
+                "--out", out]) == 0
+    assert f"frac_construction: n={n} PASS" in capsys.readouterr().out
+    assert run(["shatter", "--instance", out]) == 0
+    assert "matches" in capsys.readouterr().out
+
+
 def test_verify_blowup_replay_is_byte_identical(tmp_path):
     out = tmp_path / "cert.json"
     argv = ["verify-blowup", "--construction", "frac", "--n", 3,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,8 @@ from stratdef.constructions import (
     build_partition_pathology,
 )
 from stratdef.intervals import frac_enclosure, in_open_interval, sqrt2_enclosure
+
+from helpers import ref_frac_sqrt2_in, ref_least_sqrt2_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,60 @@ def test_frac_window_test_matches_enclosures(m, a, b):
     fn = lambda bits: frac_enclosure(
         lambda bb: sqrt2_enclosure(bb).scale(m), bits)
     assert C._frac_sqrt2_between(m, lo, hi) == in_open_interval(fn, lo, hi)
+
+
+def test_first_residue_matches_a_scan():
+    rng = random.Random(0)
+    for _ in range(2000):
+        q = rng.randint(1, 200)
+        p = rng.randint(0, 3 * q)
+        lo = rng.randrange(q)
+        hi = rng.randint(lo, q - 1)
+        want = next((x for x in range(q) if lo <= p * x % q <= hi), None)
+        assert C._first_residue(p, q, lo, hi) == want, (p, q, lo, hi)
+
+
+def test_frac_least_multiplier_matches_a_scan():
+    # windows of widths 5e-5 to 0.3 at random offsets, each least
+    # multiplier found by scanning m = 1, 2, ... with the integer test
+    rng = random.Random(0)
+    for _ in range(300):
+        w = Fraction(round(10 ** rng.uniform(-4.3, -0.5) * 10 ** 7), 10 ** 7)
+        lo = Fraction(rng.randint(1, 10 ** 6), 10 ** 6) * (1 - w)
+        hi = lo + w
+        m = 1
+        while not ref_frac_sqrt2_in(m, lo, hi):
+            m += 1
+        assert m < 10 ** 5
+        assert C._least_multiplier(lo, hi) == m, (lo, hi)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_frac_construction_matches_the_integer_oracle(n):
+    # past the n = 6 of a scan: every multiplier is the least in its
+    # window, and its trace is the subset, both read by the oracle
+    r = Fraction(1, 4)
+    inst = build_frac_construction(n, r)
+    assert inst.passed(), inst.summary()
+    moduli = inst.params["moduli"]
+    mults = inst.metadata["witness_multipliers"]
+    assert len(mults) == 1 << n
+    for key, (lo, hi) in inst.metadata["intervals"].items():
+        m = mults[key]
+        assert m == ref_least_sqrt2_multiplier(Fraction(lo), Fraction(hi))
+        subset = ast.literal_eval(key)
+        for i, b in enumerate(moduli, start=1):
+            inside = ref_frac_sqrt2_in(m * b, Fraction(1, 2) - r,
+                                       Fraction(1, 2) + r)
+            assert inside == (i in subset), (key, i)
+            assert inside or ref_frac_sqrt2_in(m * b, 0, Fraction(1, 2) - r)
+
+
+def test_frac_construction_rejects_no_anchors():
+    # n = 0 leaves the one window (0, 1), which touches 0: the multiplier
+    # search needs a window above 0
+    with pytest.raises(ConstructionError):
+        build_frac_construction(0)
 
 
 def test_frac_construction_rejects_bad_radius():

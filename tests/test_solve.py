@@ -252,10 +252,18 @@ def _found_id(v):
     ("(exists (w0) (and (>= w0 x0) (<= (* 10 w0) 1)))", Fraction(1, 10),
      "found"),
     ("(exists (w0) (and (>= w0 x0) (<= (* 10 w0) 1)))", 0.1, "refuted"),
-    # the forced w1 = x0 is the float below 1/3, which rows reading x0 = 1/3
-    # contradict: no refutation, and the search finds w0 = w1
+    # the definition w1 = x0 is a row like the bounds on w0, all reading
+    # x0 = 1/3 exactly: the simplex finds w0 = w1
     ("(exists (w0 w1) (and (= w1 x0) (>= w0 x0) (<= w0 w1)))",
      Fraction(1, 3), "found"),
+    # true, with w0 = x0/3 forced: the simplex reads the definition as a
+    # row and finds it, but the float 3 w0 misses x0 by 256
+    ("(exists (w0) (and (= w0 (* 1/3 x0)) (= (* 3 w0) x0)))", 2 ** 60 + 256,
+     "inconclusive"),
+    # true, as exp(10^-12) is not 1, but the float exp(x0) equals the
+    # forced w0 = 1 within the float tolerance
+    ("(exists (w0) (and (= w0 1) (not (= w0 (exp x0)))))", 1e-12,
+     "inconclusive"),
     # x0 = 10^400 is false in the literal on x0 alone, read exactly; the
     # float inf has no rational reading, so no row either
     pytest.param(_EXISTS_NONPOSITIVE, Fraction(10 ** 400), "refuted",
@@ -732,8 +740,8 @@ def test_witness_search_resolved_exp_atom_beside_linear_witness():
 
 
 def test_witness_search_reads_witness_free_literals_in_floats():
-    # w0 = x0/3 is forced in floats, so x0 = 3*w0 holds only within the
-    # float tolerance; read as an exact row it was a false refutation
+    # w0 = x0/3 is a row at the rational x0, and the float witness holds
+    # x0 = 3*w0 only within the float tolerance
     f = fm.parse("(exists (w0 w1) (and (= x0 (* 3 w0)) (> w1 0)))")
     res = witness_search(f, [0.1], [])
     assert res.found and res.witness[1] > 0
@@ -749,8 +757,10 @@ def test_witness_search_resolves_definitions_after_the_forks():
     res = witness_search(f, [0.0], [2.0])
     assert res.found
     assert res.witness == pytest.approx((1.0, math.e))
+    # a0 = 3 exceeds the float e, but the exact layer reads no exp atom on
+    # a witness: not found, and not refuted
     res2 = witness_search(f, [0.0], [3.0])
-    assert not res2.found and res2.margin is None
+    assert not res2.found and res2.margin == 3.0 - math.e
 
 
 def test_witness_search_empty_disjunction_is_refuted():
@@ -913,8 +923,8 @@ _PINNED_QUERIES = (
      [0.875, 0.25],
      [1.75, 0.125, 0.25],
      True,
-     ("-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 0x1.0000000000000p+0 "
-      "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 0x1.0000000000000p+0 "
+     ("0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 "
+      "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 "
       "0x1.c000000000000p-1 0x1.0000000000000p-2"),
      "0x0.0p+0"),
     ("halfspace:l=2", "lp:l=2,p=3,r=1",
@@ -996,7 +1006,7 @@ _PINNED_QUERIES = (
     ("tree:l=2,depth=1,q=1", "identity:l=2",
      [-1.875, 0.0],
      [0.125, -0.625, -1.25],
-     True, "-0x1.e000000000000p+0 -0x0.0p+0", "0x0.0p+0"),
+     True, "-0x1.e000000000000p+0 0x0.0p+0", "0x0.0p+0"),
     ("tree:l=2,depth=1,q=1", "identity:l=2",
      [1.0, 1.375],
      [-1.25, -0.75, -0.125],
