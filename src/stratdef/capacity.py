@@ -15,9 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +33,7 @@ class CapacityError(VerificationFailure):
 # Trace sets and shattering
 
 
-@dataclass
-class LabelMatrix:
+class LabelMatrix(NamedTuple):
     """Deduplicated labelings of a point set by a class."""
 
     rows: tuple            # distinct label tuples
@@ -102,8 +100,7 @@ def vc_lower_bound(labelers: Sequence[Callable], pool: Sequence,
 # Growth estimation
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     m_values: tuple
     counts: tuple          # max distinct traces observed per m
     slope: Optional[float]  # log2(count) vs log2(m) least-squares slope

@@ -3,8 +3,11 @@
 Subcommands: transform, fm-elim, verify-blowup, shatter, growth, learn.
 Each imports what it runs, when it runs: verify-blowup and shatter load
 constructions alone, fm-elim solve, transform formula and transform (and
-families and solve for a registry spec, one that names no regular file),
-growth and learn families, capacity, learn and numpy.
+families for a registry spec, one that names no regular file), growth and
+learn families, capacity, learn and numpy.  A formula's value is read by
+formula's own fold, so of these only fm-elim loads solve (growth and learn
+load it when an earth-mover ball computes a transport cost), and none
+loads dataclasses.
 Exit codes: 0 success; 1 a stratdef.VerificationFailure (a check failed or
 could not be decided); 2 a stratdef.UsageError (a bad option, input file,
 formula or spec) or a missing file.

@@ -3,11 +3,14 @@
 A hypothesis family is a formula over the variable blocks x (inputs) and a
 (parameters); a neighborhood system a formula over a doubled x block (source
 point x0..x{l-1}, target point x{l}..x{2l-1}).  A quantifier-free formula is
-also the evaluator or membership test: eval_qf reads it exactly on rational
-values, else this module reads it elementwise on float arrays (one entry per
-parameter row, point and neighbor draw).  Formulas are built without numpy;
-only the array evaluation, the samplers and the label kernel load it, each
-where it runs.
+also the evaluator or membership test: solve.eval_qf reads it exactly on
+rational values, else this module reads it elementwise on float arrays (one
+entry per parameter row, point and neighbor draw) with the value fold of
+stratdef.formula (eval_term, _compare, _fold).  Formulas are built without
+numpy, and loading this module loads neither numpy nor stratdef.solve: only
+the array evaluation, the samplers and the label kernel load numpy, and
+only exact rational input and the earth-mover cost load solve, each where
+it runs.
 The sigmoid network and the l1, general-exponent, KL and earth-mover balls,
 whose formulas have witnesses, and the floor partition, which has none, keep
 numeric bodies of their own.
@@ -26,17 +29,25 @@ under the identity, x's only neighbor).
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import UsageError, formula as fm
-from .solve import (LinConstraint, _compare, _fold, _require_qf, eval_qf,
-                    eval_term, lp_solve, merge)
+from .formula import _compare, _fold, _require_qf, eval_term, merge
+
+
+def __getattr__(name: str):
+    """solve's names that this module reads, loaded when first read: exact
+    rational input (eval_qf) and the earth-mover cost (LinConstraint,
+    lp_solve).  The functions import them where they run; this keeps them
+    readable (and patchable) as attributes of the module."""
+    if name in ("LinConstraint", "eval_qf", "lp_solve"):
+        from . import solve
+        return getattr(solve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FamilyError(UsageError):
@@ -51,21 +62,22 @@ PARAM_BOX = (-2, 2)
 # Hypothesis families
 
 
-@dataclass
 class HypothesisFamily:
     """A parametric classifier family defined by its formula."""
 
-    name: str
-    input_dim: int
-    param_dim: int
-    emit_formula: Callable  # () -> fm.Formula
-    # params -> (w, b) when the class is {x : w.x >= b}; enables reach_margin
-    linear: Optional[Callable] = None
-    # (params, x) -> bool when the formula has witnesses evaluate cannot read
-    numeric: Optional[Callable] = None
-
-    def __post_init__(self):
-        self.emit_formula = functools.cache(self.emit_formula)
+    def __init__(self, name: str, input_dim: int, param_dim: int,
+                 emit_formula: Callable, linear: Optional[Callable] = None,
+                 numeric: Optional[Callable] = None):
+        self.name = name
+        self.input_dim = input_dim
+        self.param_dim = param_dim
+        self.emit_formula = functools.cache(emit_formula)  # () -> fm.Formula
+        # params -> (w, b) when the class is {x : w.x >= b}; enables
+        # reach_margin
+        self.linear = linear
+        # (params, x) -> bool when the formula has witnesses evaluate cannot
+        # read
+        self.numeric = numeric
 
     def formula(self) -> fm.Formula:
         return self.emit_formula()
@@ -279,7 +291,6 @@ def sigmoid_network(widths: Sequence[int]) -> HypothesisFamily:
 # Neighborhood systems
 
 
-@dataclass
 class NeighborhoodSystem:
     """A map x -> N_x with membership test, emitter and sampler.
 
@@ -291,22 +302,25 @@ class NeighborhoodSystem:
     the system has none.
     """
 
-    name: str
-    dim: int
-    contains: Optional[Callable] = None  # (x, y) -> bool
-    emit_formula: Optional[Callable] = None  # () -> fm.Formula
-    # (X, rng, budget) -> (draws [m, budget, l], keep broadcasting to
-    # [m, budget]): a call's draws are shared by its m points, and keep[i, j]
-    # says whether draw j of point i lies in N_x
-    sample: Optional[Callable] = None
-    kind: str = "generic"
-    p: Optional[object] = None
-    radius: Optional[object] = None
-
-    def __post_init__(self):
-        if self.contains is None:
+    def __init__(self, name: str, dim: int,
+                 contains: Optional[Callable] = None,
+                 emit_formula: Optional[Callable] = None,
+                 sample: Optional[Callable] = None, kind: str = "generic",
+                 p: Optional[object] = None, radius: Optional[object] = None):
+        self.name = name
+        self.dim = dim
+        self.emit_formula = emit_formula  # () -> fm.Formula
+        if contains is None:
             f = self.formula()
-            self.contains = lambda x, y: _holds(f, merge(x=(*x, *y)))
+            contains = lambda x, y: _holds(f, merge(x=(*x, *y)))
+        self.contains = contains  # (x, y) -> bool
+        # (X, rng, budget) -> (draws [m, budget, l], keep broadcasting to
+        # [m, budget]): a call's draws are shared by its m points, and
+        # keep[i, j] says whether draw j of point i lies in N_x
+        self.sample = sample
+        self.kind = kind
+        self.p = p
+        self.radius = radius
 
     def formula(self) -> fm.Formula:
         if self.emit_formula is None:
@@ -327,6 +341,7 @@ def _holds(f: fm.Formula, sigma):
     are kept by term object (f owns them for the whole call): a tree's node
     polynomial serves both tests of the node."""
     if sigma.is_exact():
+        from .solve import eval_qf
         return eval_qf(f, sigma, mode="exact")
     import numpy as np
     shape = np.broadcast_shapes(*{np.shape(v) for v in (*sigma.x, *sigma.a)})
@@ -620,6 +635,7 @@ def emd_value(x, y, ground: Sequence) -> Fraction:
         raise FamilyError("mass vector dimension mismatch")
     if any(v < 0 for v in (*xv, *yv)) or sum(xv) != sum(yv):
         raise FamilyError("transport needs equal-mass nonnegative vectors")
+    from .solve import LinConstraint, lp_solve
     cells = [(i, j) for i in range(l) for j in range(l)]
     # one variable per cell (i, j); row k sums the mass leaving x_k, row
     # l + k the mass reaching y_k
@@ -867,7 +883,8 @@ def _from_spec(builders: dict, kind: str, spec: str):
     kw = _parse_kwargs(body)
     if name not in builders:
         raise FamilyError(f"unknown {kind} {name!r}")
-    unknown = set(kw) - set(inspect.signature(builders[name]).parameters)
+    code = builders[name].__code__
+    unknown = set(kw) - set(code.co_varnames[:code.co_argcount])
     if unknown:
         raise FamilyError(f"bad {kind} spec {spec!r}: unknown key(s) "
                           f"{', '.join(sorted(unknown))}")

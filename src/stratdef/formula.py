@@ -18,15 +18,27 @@ and trees are rebuilt only by ``map_term`` (terms, bottom-up) and
 ``map_vars``, ``rename_witnesses`` and the graph-form rewrite are built.
 Walks that only read use the ``subterms`` / ``subformulas`` iterators.
 
-Everything here is pure syntax; evaluation lives in :mod:`stratdef.solve`.
+The value of a formula is defined here once, next to ``map_atoms``:
+``eval_term`` folds a term over an ``Assignment`` of the blocks in any
+domain with + and * (floats, Fractions, certified enclosures, float
+arrays), ``_compare`` is the one relation table, and ``_fold`` combines
+atom values through Not/And/Or.  :mod:`stratdef.solve` reads formulas
+exactly, as float margins and as rows through them, and
+:mod:`stratdef.families` elementwise on float arrays, so a command that
+only labels points never loads the solvers.
+
+Nodes and records are plain classes: a node is slotted, immutable, and
+equal and hashed by its class and the field tuple ``_key`` that its own
+``__init__`` stores once; records are NamedTuples.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import UsageError
 
@@ -50,53 +62,110 @@ class ParseError(FormulaError):
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
-    block: str
-    index: int
+class _Node:
+    """A syntax node: immutable, equal and hashed by its class and the tuple
+    _key of its _fields, and shown with its fields named, as
+    Var(block='x', index=0).  Each node's own __init__ stores the fields and
+    _key once, through the slots' setters (_setters): a loop over the fields
+    or object.__setattr__ would make building a node slower."""
 
-    def __post_init__(self):
-        if self.block not in BLOCKS:
-            raise FormulaError(f"unknown block {self.block!r}")
-        if self.index < 0:
+    __slots__ = ("_key",)
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + ", ".join(
+            f"{name}={v!r}" for name, v in zip(self._fields, self._key)) + ")"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+def _setters(cls) -> tuple:
+    """The setter of each field slot of cls, in _fields order."""
+    return tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+
+_set_key = _Node._key.__set__
+
+
+class Var(_Node):
+    __slots__ = _fields = ("block", "index")
+
+    def __init__(self, block: str, index: int):
+        if block not in BLOCKS:
+            raise FormulaError(f"unknown block {block!r}")
+        if index < 0:
             raise FormulaError("negative variable index")
+        _var_block(self, block)
+        _var_index(self, index)
+        _set_key(self, (block, index))
 
     def __str__(self):
         return f"{self.block}{self.index}"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+class Const(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        _const_value(self, value)
+        _set_key(self, (value,))
 
     def __str__(self):
         v = self.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(_Node):
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        _sum_terms(self, terms)
+        _set_key(self, (terms,))
 
     def __str__(self):
         return "(+ " + " ".join(map(str, self.terms)) + ")"
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(_Node):
+    __slots__ = _fields = ("factors",)
+
+    def __init__(self, factors: tuple):
+        _product_factors(self, factors)
+        _set_key(self, (factors,))
 
     def __str__(self):
         return "(* " + " ".join(map(str, self.factors)) + ")"
 
 
-@dataclass(frozen=True)
-class Exp:
-    arg: "Term"
+class Exp(_Node):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: "Term"):
+        _exp_arg(self, arg)
+        _set_key(self, (arg,))
 
     def __str__(self):
         return f"(exp {self.arg})"
 
+
+_var_block, _var_index = _setters(Var)
+(_const_value,), (_sum_terms,), (_product_factors,), (_exp_arg,) = \
+    map(_setters, (Const, Sum, Product, Exp))
 
 Term = Union[Var, Const, Sum, Product, Exp]
 
@@ -140,62 +209,83 @@ def sub(l: Term, r: Term) -> Term:
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
 
-@dataclass(frozen=True)
-class Compare:
-    lhs: Term
-    rel: str
-    rhs: Term
+class Compare(_Node):
+    __slots__ = _fields = ("lhs", "rel", "rhs")
 
-    def __post_init__(self):
-        if self.rel not in RELATIONS:
-            raise FormulaError(f"unknown relation {self.rel!r}")
+    def __init__(self, lhs: Term, rel: str, rhs: Term):
+        if rel not in RELATIONS:
+            raise FormulaError(f"unknown relation {rel!r}")
+        _compare_lhs(self, lhs)
+        _compare_rel(self, rel)
+        _compare_rhs(self, rhs)
+        _set_key(self, (lhs, rel, rhs))
 
     def __str__(self):
         return f"({self.rel} {self.lhs} {self.rhs})"
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(_Node):
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: "Formula"):
+        _not_body(self, body)
+        _set_key(self, (body,))
 
     def __str__(self):
         return f"(not {self.body})"
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple
+class _Junction(_Node):
+    """And or Or (its _op) of parts."""
+
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _junction_parts(self, parts)
+        _set_key(self, (parts,))
 
     def __str__(self):
-        return "(and" + "".join(" " + str(p) for p in self.parts) + ")"
+        return f"({self._op}" + "".join(" " + str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple
-
-    def __str__(self):
-        return "(or" + "".join(" " + str(p) for p in self.parts) + ")"
+class And(_Junction):
+    __slots__ = ()
+    _op = "and"
 
 
-@dataclass(frozen=True)
-class Exists:
-    indices: tuple  # w-block indices
-    body: "Formula"
+class Or(_Junction):
+    __slots__ = ()
+    _op = "or"
+
+
+class _Quantifier(_Node):
+    """Exists or ForAll (its _op) of the w-block indices over body."""
+
+    __slots__ = _fields = ("indices", "body")
+
+    def __init__(self, indices: tuple, body: "Formula"):
+        _quantifier_indices(self, indices)
+        _quantifier_body(self, body)
+        _set_key(self, (indices, body))
 
     def __str__(self):
         vs = " ".join(f"w{i}" for i in self.indices)
-        return f"(exists ({vs}) {self.body})"
+        return f"({self._op} ({vs}) {self.body})"
 
 
-@dataclass(frozen=True)
-class ForAll:
-    indices: tuple
-    body: "Formula"
+class Exists(_Quantifier):
+    __slots__ = ()
+    _op = "exists"
 
-    def __str__(self):
-        vs = " ".join(f"w{i}" for i in self.indices)
-        return f"(forall ({vs}) {self.body})"
+
+class ForAll(_Quantifier):
+    __slots__ = ()
+    _op = "forall"
+
+
+_compare_lhs, _compare_rel, _compare_rhs = _setters(Compare)
+(_not_body,), (_junction_parts,) = map(_setters, (Not, _Junction))
+_quantifier_indices, _quantifier_body = _setters(_Quantifier)
 
 
 Formula = Union[Compare, Not, And, Or, Exists, ForAll]
@@ -363,6 +453,99 @@ def rename_witnesses(f: Formula, mapping: dict) -> Formula:
     """Rename w-variable indices throughout (bound and free occurrences)."""
     return map_vars(f, lambda v: Var("w", mapping[v.index])
                     if v.block == "w" and v.index in mapping else v)
+
+
+# ---------------------------------------------------------------------------
+# Values: one fold of terms and one of formulas
+
+
+def _solve_error(msg: str) -> Exception:
+    """A failed reading of values is solve's SolveError (a verification
+    failure), loaded only when a reading fails."""
+    from .solve import SolveError
+    return SolveError(msg)
+
+
+class Assignment(NamedTuple):
+    """Per-block value vectors. Values are Fractions (exact path) or floats."""
+
+    x: tuple = ()
+    a: tuple = ()
+    w: tuple = ()
+
+    def lookup(self, v: Var):
+        vec = getattr(self, v.block)
+        if v.index >= len(vec):
+            raise _solve_error(f"assignment does not cover {v}")
+        return vec[v.index]
+
+    def with_w(self, w: Sequence) -> "Assignment":
+        return Assignment(self.x, self.a, tuple(w))
+
+    def is_exact(self) -> bool:
+        return all(isinstance(v, (Fraction, int))
+                   for v in (*self.x, *self.a, *self.w))
+
+
+def merge(x: Sequence = (), a: Sequence = (), w: Sequence = ()) -> Assignment:
+    return Assignment(tuple(x), tuple(a), tuple(w))
+
+
+def eval_term(t: Term, sigma: Assignment, lift: Callable, exp: Callable):
+    """Value of a term in the domain that `lift` maps variable values and
+    rational constants into; the domain's own + and * combine subterms and
+    `exp` is its exponential.  Floats, Fractions, RatIntervals and numpy
+    arrays all read terms through this fold.  Dispatch is on the exact node
+    type."""
+    kind = type(t)
+    if kind is Var:
+        return lift(sigma.lookup(t))
+    if kind is Const:
+        return lift(t.value)
+    if kind is Sum:
+        terms = iter(t.terms)
+        out = eval_term(next(terms), sigma, lift, exp)
+        for s in terms:
+            out = out + eval_term(s, sigma, lift, exp)
+        return out
+    if kind is Product:
+        factors = iter(t.factors)
+        out = eval_term(next(factors), sigma, lift, exp)
+        for s in factors:
+            out = out * eval_term(s, sigma, lift, exp)
+        return out
+    return exp(eval_term(t.arg, sigma, lift, exp))
+
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+
+
+def _compare(d, rel: str, rhs=0) -> bool:
+    """d rel rhs: an exact difference or its sign against 0, or two float
+    arrays elementwise."""
+    return _RELATIONS[rel](d, rhs)
+
+
+def _require_qf(f: Formula) -> None:
+    if classify_fragment(f) != QUANTIFIER_FREE:
+        raise _solve_error("eval_qf requires a quantifier-free formula")
+
+
+def _fold(g: Formula, atom: Callable, array=None):
+    """g from atom(at) per atom: a bool, or a bool array when array is
+    np.bool_.  Not a nested closure: its cycle would keep arrays alive."""
+    if isinstance(g, Compare):
+        return atom(g)
+    if isinstance(g, Not):
+        v = _fold(g.body, atom, array)
+        return ~v if array else not v
+    conj = isinstance(g, And)
+    parts = (_fold(p, atom, array) for p in g.parts)
+    if array:
+        return functools.reduce(operator.and_ if conj else operator.or_,
+                                parts, array(conj))
+    return all(parts) if conj else any(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +724,7 @@ def classify_fragment(f: Formula) -> str:
 # Graph form
 
 
-@dataclass(frozen=True)
-class WitnessDef:
+class WitnessDef(NamedTuple):
     """Definition of a graph-form witness: either a polynomial term over
     earlier variables (kind='term') or the exp of another variable
     (kind='exp', with source the argument variable)."""
@@ -553,8 +735,7 @@ class WitnessDef:
     source: Optional[Var] = None
 
 
-@dataclass(frozen=True)
-class GraphForm:
+class GraphForm(NamedTuple):
     """Result of to_graph_form: an equivalent existential formula whose
     atoms are polynomial comparisons and exp-graph atoms only, plus the
     completion recipe for the witnesses it introduced."""
@@ -629,8 +810,7 @@ def to_graph_form(f: Formula) -> GraphForm:
 # Complexity (format / degree)
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     format: int      # free-tuple arity (l + k) + witnesses + exp-atoms
     degree: int      # sum of polynomial total degrees + exp-atoms
     input_dim: int   # l

@@ -14,8 +14,7 @@ labeled approximate-ERM accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +32,7 @@ M_CAP = 1 << 14
 EPS_MIN = 20 / M_CAP  # the least eps whose ceil(20/eps) held-out points fit
 
 
-@dataclass
-class DataSet:
+class DataSet(NamedTuple):
     points: tuple              # ((x vector, label), ...)
     target_params: tuple
 
@@ -45,8 +43,7 @@ class DataSet:
         return np.asarray([row[1] for row in self.points], dtype=bool)
 
 
-@dataclass
-class ErmResult:
+class ErmResult(NamedTuple):
     params: tuple
     empirical_error: float
     budget_spent: int
@@ -160,8 +157,7 @@ def heldout_error(family: HypothesisFamily, neigh: NeighborhoodSystem,
     return err, halfwidth
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     eps: float
     m_hat: int
     product: float            # m_hat * eps
@@ -169,8 +165,7 @@ class SweepRow:
     zero_error_rate: float    # fraction of trials with zero empirical error
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: tuple
     slope: Optional[float]    # fitted slope of m_hat*eps against log2(1/eps)
 

@@ -1,8 +1,10 @@
 """Deciding and approximating formula semantics.
 
 Terms are read by two folds over the term grammar (variables, rational
-constants, +, *, exp): ``eval_term`` values a term in floats, Fractions,
-certified ``RatInterval`` enclosures or float arrays, and ``affine`` reads
+constants, +, *, exp): ``formula.eval_term`` values a term in floats,
+Fractions or certified ``RatInterval`` enclosures (the value of a formula,
+with its relation table ``_compare`` and Boolean fold ``_fold``, is
+defined in :mod:`stratdef.formula` and imported here), and ``affine`` reads
 a term as coefficients over chosen unknowns plus a constant.  The float
 reading of a rational beyond float range is +-inf.  The margin emitter
 ``_margin`` reads a formula as a float, or writes the part that depends on
@@ -14,8 +16,9 @@ layers, from exact to heuristic, use them:
   refinement, an exp-graph atom u = exp(v) being a comparison like any
   other), or as the float witness-search margin: a
   formula holds when its ``_violation`` is at most ``FLOAT_TOL``, one
-  absolute tolerance for every atom.  ``families`` owns the elementwise
-  reading on float arrays, folding atoms with the same ``_fold``.
+  absolute tolerance for every atom.  ``families`` reads formulas
+  elementwise on float arrays through ``formula``'s fold alone, and loads
+  this module only for exact rational input and the earth-mover cost.
 * ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
   (``linear_system_from_formula`` compiles them with ``affine``), the linear
   fragment of one-block quantifier elimination.  Rows are pruned to
@@ -49,17 +52,18 @@ layers, from exact to heuristic, use them:
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
-the same rows), ``_compare`` the only relation table, ``LinConstraint.make``
-the only normalization of >= and >, ``_atom_row`` the only reading of an
-atom as a row, ``_combine`` the only row combination (FM substitution and
-pairing), ``_prune`` the only normalization and pruning of FM rows,
-``_integer_row`` the only reading of rows or values as integers over one
-denominator, and ``_pivot`` and ``_price`` the only tableau pivot and
-objective pricing of the simplex.  Both apply ``_eliminate`` to rows of
-integers over one denominator, so Bland's rule picks the pivots a tableau
-of Fractions would.  The simplex reads a row at the scale it is given,
-pricing its phase-1 artificial at that scale, so rescaling a row can
-change Bland's phase-1 path and the vertex it returns.
+the same rows), ``formula._compare`` the only relation table,
+``LinConstraint.make`` the only normalization of >= and >, ``_atom_row``
+the only reading of an atom as a row, ``_combine`` the only row
+combination (FM substitution and pairing), ``_prune`` the only
+normalization and pruning of FM rows, ``_integer_row`` the only reading of
+rows or values as integers over one denominator, and ``_pivot`` and
+``_price`` the only tableau pivot and objective pricing of the simplex.
+Both apply ``_eliminate`` to rows of integers over one denominator, so
+Bland's rule picks the pivots a tableau of Fractions would.  The simplex
+reads a row at the scale it is given, pricing its phase-1 artificial at
+that scale, so rescaling a row can change Bland's phase-1 path and the
+vertex it returns.
 """
 
 from __future__ import annotations
@@ -71,11 +75,12 @@ import math
 import operator
 import re
 import types
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import VerificationFailure, formula as fm
+from .formula import (_RELATIONS, Assignment, _compare, _fold, _require_qf,
+                      eval_term, merge)
 from .intervals import (DEFAULT_MAX_BITS, RatInterval, UndecidedComparison,
                         certified_sign, exp_interval)
 # unused here: perfbench/spans.py patches this name on this module, and a
@@ -115,63 +120,7 @@ class SolveError(VerificationFailure):
 
 
 # ---------------------------------------------------------------------------
-# Assignments
-
-
-@dataclass
-class Assignment:
-    """Per-block value vectors. Values are Fractions (exact path) or floats."""
-
-    x: tuple = ()
-    a: tuple = ()
-    w: tuple = ()
-
-    def lookup(self, v: fm.Var):
-        vec = getattr(self, v.block)
-        if v.index >= len(vec):
-            raise SolveError(f"assignment does not cover {v}")
-        return vec[v.index]
-
-    def with_w(self, w: Sequence) -> "Assignment":
-        return Assignment(self.x, self.a, tuple(w))
-
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int))
-                   for v in (*self.x, *self.a, *self.w))
-
-
-def merge(x: Sequence = (), a: Sequence = (), w: Sequence = ()) -> Assignment:
-    return Assignment(tuple(x), tuple(a), tuple(w))
-
-
-# ---------------------------------------------------------------------------
-# Term evaluation: one value fold and one affine fold over the term grammar
-
-
-def eval_term(t: fm.Term, sigma: Assignment, lift: Callable, exp: Callable):
-    """Value of a term in the domain that `lift` maps variable values and
-    rational constants into; the domain's own + and * combine subterms and
-    `exp` is its exponential.  Floats, Fractions, RatIntervals and numpy
-    arrays all read terms through this fold.  Dispatch is on the exact node
-    type."""
-    kind = type(t)
-    if kind is fm.Var:
-        return lift(sigma.lookup(t))
-    if kind is fm.Const:
-        return lift(t.value)
-    if kind is fm.Sum:
-        terms = iter(t.terms)
-        out = eval_term(next(terms), sigma, lift, exp)
-        for s in terms:
-            out = out + eval_term(s, sigma, lift, exp)
-        return out
-    if kind is fm.Product:
-        factors = iter(t.factors)
-        out = eval_term(next(factors), sigma, lift, exp)
-        for s in factors:
-            out = out * eval_term(s, sigma, lift, exp)
-        return out
-    return exp(eval_term(t.arg, sigma, lift, exp))
+# Term evaluation: formula's value fold in floats, and one affine fold
 
 
 def eval_term_float(t: fm.Term, sigma: Assignment) -> float:
@@ -223,16 +172,6 @@ def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable,
             co = [k2 * v for v in co]
         const = const * k2
     return co, const
-
-
-_RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
-              ">=": operator.ge, ">": operator.gt}
-
-
-def _compare(d, rel: str, rhs=0) -> bool:
-    """d rel rhs: an exact difference or its sign against 0, or two float
-    arrays elementwise."""
-    return _RELATIONS[rel](d, rhs)
 
 
 def _exact_atom(at: fm.Compare, sigma: Assignment, max_bits: int) -> bool:
@@ -365,27 +304,6 @@ def _violation(f: fm.Formula, sigma: Assignment) -> float:
     return _margin(f, sigma, {})
 
 
-def _fold(g: fm.Formula, atom: Callable, array=None):
-    """g from atom(at) per atom: a bool, or a bool array when array is
-    np.bool_.  Not a nested closure: its cycle would keep arrays alive."""
-    if isinstance(g, fm.Compare):
-        return atom(g)
-    if isinstance(g, fm.Not):
-        v = _fold(g.body, atom, array)
-        return ~v if array else not v
-    conj = isinstance(g, fm.And)
-    parts = (_fold(p, atom, array) for p in g.parts)
-    if array:
-        return functools.reduce(operator.and_ if conj else operator.or_,
-                                parts, array(conj))
-    return all(parts) if conj else any(parts)
-
-
-def _require_qf(f: fm.Formula) -> None:
-    if fm.classify_fragment(f) != fm.QUANTIFIER_FREE:
-        raise SolveError("eval_qf requires a quantifier-free formula")
-
-
 def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
             max_bits: int = DEFAULT_MAX_BITS):
     """Evaluate a quantifier-free formula.
@@ -440,8 +358,7 @@ class LinConstraint(NamedTuple):
         return LinConstraint(coeffs, rel, rhs)
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Rows over named variables.  A system that fm_eliminate returns also
     carries its `steps`: one dict of counters per eliminated variable."""
 
@@ -630,8 +547,7 @@ def linear_system_from_formula(f: fm.Formula,
 # Exact rational LP (simplex, Bland's rule)
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str  # optimal | infeasible | unbounded
     value: Optional[Fraction] = None
     point: Optional[tuple] = None
@@ -751,8 +667,7 @@ def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
 # Witness search
 
 
-@dataclass
-class WitnessResult:
+class WitnessResult(NamedTuple):
     found: bool
     witness: Optional[tuple] = None
     margin: Optional[float] = None

@@ -16,8 +16,7 @@ on the graph forms of the input and output formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import UsageError, formula as fm
 
@@ -26,8 +25,7 @@ class TransformError(UsageError):
     pass
 
 
-@dataclass
-class StrategicClassSpec:
+class StrategicClassSpec(NamedTuple):
     """A strategic classifier: its formula and complexity accounting."""
 
     transformed: fm.Formula

@@ -326,15 +326,30 @@ def _tighter(new, old, sign) -> bool:
     return diff > 0 or (diff == 0 and new[2])
 
 
-def system_holds_at(sys: LinearSystem, point: dict) -> bool:
-    """Whether every row of sys holds at point, each row read as its own
-    Fraction sum against its rhs."""
+def system_holds(sys: LinearSystem):
+    """The test whether every row of sys holds, as a predicate of a point
+    (a dict of ints or Fractions by variable), in integers.
+
+    Each row is scaled to integer coefficients once, here.  The predicate
+    puts a point's values over one denominator den, so a row co.v (rel) rhs
+    reads co.nums (rel) den*rhs, with nums = den*v."""
+    rows = []
     for c in sys.constraints:
-        s = sum(Fraction(a) * Fraction(point[v])
-                for a, v in zip(c.coeffs, sys.variables)) - c.rhs
-        if not {"<": s < 0, "<=": s <= 0, "=": s == 0}[c.rel]:
-            return False
-    return True
+        vals = [Fraction(x) for x in (*c.coeffs, c.rhs)]
+        scale = math.lcm(*(x.denominator for x in vals))
+        *co, rhs = (x.numerator * (scale // x.denominator) for x in vals)
+        rows.append((co, {"<": int.__lt__, "<=": int.__le__,
+                          "=": int.__eq__}[c.rel], rhs))
+    names = sys.variables
+
+    def holds(point: dict) -> bool:
+        vals = [point[v] for v in names]
+        den = math.lcm(*(x.denominator for x in vals))
+        nums = [x.numerator * (den // x.denominator) for x in vals]
+        return all(rel(sum(a * n for a, n in zip(co, nums)), rhs * den)
+                   for co, rel, rhs in rows)
+
+    return holds
 
 
 # ---------------------------------------------------------------------------

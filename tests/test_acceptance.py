@@ -28,7 +28,7 @@ from stratdef.intervals import in_open_interval, sqrt2_enclosure, \
 from helpers import (
     feasible_with_one_witness,
     np_eval_formula,
-    system_holds_at,
+    system_holds,
 )
 from test_transform import _random_existential_pair
 
@@ -248,10 +248,11 @@ def test_criterion_07_fm_oracle():
         proj = solve.fm_eliminate(sys_in, [drop])
         rest = [v for v in names if v != drop]
         feasible = feasible_with_one_witness(sys_in, drop)
+        holds = system_holds(proj)
         for combo in itertools.product(grid, repeat=len(rest)):
             point = dict(zip(rest, combo))
             want = feasible(point)
-            if want != system_holds_at(proj, point):
+            if want != holds(point):
                 ok = False
             points_checked += 1
         if not ok:

@@ -418,25 +418,50 @@ _KINDS = (("fixed", []), ("all-radii", ["--s", "1/3", "--t", 40]),
     (_write_files({"h.sexp": "(>= x0 a0)", "n.sexp": _BALL}),
      ["transform", "--hypothesis", "h.sexp", "--neighborhood", "n.sexp",
       "--out", "o.json"], "transform", {"constructions", "solve"}),
+    # a registry spec reads the formula of families, which loads no solver
+    (None, ["transform", "--hypothesis", "halfspace:l=2", "--neighborhood",
+            "lp:l=2,p=2,r=1/2", "--out", "o.json"], "families",
+     {"constructions", "solve", "capacity", "learn"}),
+    (None, ["growth", "--family", "threshold", "--m", 4, "--trials", 1,
+            "--param-draws", 10, "--csv", "g.csv"], "capacity",
+     {"constructions", "solve", "transform"}),
+    (None, ["learn", "--family", "halfspace:l=2", "--neighborhood",
+            "lp:l=2,p=2,r=1/2", "--eps", "0.5", "--trials", 1, "--budget",
+            10, "--csv", "l.csv"], "learn",
+     {"constructions", "solve", "transform"}),
 ], ids=["fixed", "all-radii", "partition", "frac", "shatter", "fm-elim",
-        "transform-files"])
+        "transform-files", "transform-registry", "growth", "learn"])
 def test_cold_commands_load_only_their_modules(tmp_path, setup, argv, loads,
                                                skips):
-    # a command imports the modules it runs, when it runs, and no others
+    # a command imports the modules it runs, when it runs, and no others;
+    # none loads dataclasses
     if setup is not None:
         setup(tmp_path)
     code = ("import sys\n"
             "from stratdef.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
+            "print('dataclasses' in sys.modules)\n"
             "print(*(m.partition('.')[2] for m in sys.modules\n"
             "        if m.startswith('stratdef.')))\n")
     proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           env=_cold_env(), cwd=tmp_path, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
+    *_, dataclasses, modules = proc.stdout.splitlines()
+    loaded = set(modules.split())
     assert loads in loaded, loaded
     assert not loaded & skips, sorted(loaded & skips)
+    assert dataclasses == "False"
+
+
+def test_families_reads_solve_names_when_first_read():
+    # families binds no name of solve when it loads; reading one of them
+    # gives solve's own object, which a tracer can patch under either module
+    from stratdef import solve
+    for name in ("lp_solve", "eval_qf", "LinConstraint"):
+        assert getattr(families, name) is getattr(solve, name)
+    with pytest.raises(AttributeError):
+        families.witness_search
 
 
 def test_exact_commands_load_no_numpy(tmp_path):

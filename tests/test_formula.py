@@ -55,6 +55,43 @@ def test_parse_errors_carry_position():
     assert exc.value.line == 1
 
 
+def test_nodes_are_frozen_values():
+    # equal fields give equal nodes with equal hashes, the hash of the field
+    # tuple; nodes of two classes never compare equal
+    p = fm.parse("(and (<= x0 1) (>= (+ x1 (* 2 a0)) (exp x2)))").parts
+    assert fm.Var("x", 0) == fm.x(0) and fm.Var("x", 0) != fm.Var("x", 1)
+    assert hash(fm.Var("x", 0)) == hash(("x", 0))
+    assert fm.And(p) == fm.And(tuple(p)) and hash(fm.And(p)) == hash((p,))
+    assert fm.And(p) != fm.Or(p) and fm.Sum(p) != fm.Product(p)
+    assert fm.Exists((0,), fm.And(p)) != fm.ForAll((0,), fm.And(p))
+    assert len({fm.Var("x", 0), fm.x(0), fm.Var("a", 0)}) == 2
+    assert fm.Const(Fraction(1)) != Fraction(1)
+    # no field can be set or deleted
+    for node, name in ((fm.x(0), "index"), (fm.And(p), "parts"),
+                       (fm.Compare(fm.x(0), "<", fm.x(1)), "rel"),
+                       (fm.Exists((0,), fm.And(p)), "body")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert repr(fm.Var("x", 0)) == "Var(block='x', index=0)"
+    assert repr(fm.parse("(< x0 1/2)")) == (
+        "Compare(lhs=Var(block='x', index=0), rel='<', "
+        "rhs=Const(value=Fraction(1, 2)))")
+    assert repr(fm.Exists((0,), p[0])) == (
+        f"Exists(indices=(0,), body={p[0]!r})")
+    with pytest.raises(fm.FormulaError):
+        fm.Var("q", 0)
+    with pytest.raises(fm.FormulaError):
+        fm.Var("x", -1)
+    with pytest.raises(fm.FormulaError):
+        fm.Compare(fm.x(0), "!=", fm.x(1))
+    # a value the assignment lacks is a verification failure, not a usage
+    # error
+    with pytest.raises(solve.SolveError):
+        solve.merge(x=(1,)).lookup(fm.x(3))
+
+
 
 # texts over parentheses, token characters and the whitespace that str.split
 # and str.splitlines treat differently from "\n" (U+200B is not whitespace)
