@@ -297,9 +297,10 @@ class NeighborhoodSystem:
     The formula, which a system that is not definable lacks, is over a
     doubled x block: coordinates 0..dim-1 are the source point,
     dim..2*dim-1 the target.  Without a contains of its own, membership
-    reads that formula.  radius is the constant radius of every N_x (0 for
-    the identity) and p the exponent of an l_p ball; either is None where
-    the system has none.
+    reads that formula, built on the first membership test: the label
+    paths that read a closed form never build it.  radius is the constant
+    radius of every N_x (0 for the identity) and p the exponent of an l_p
+    ball; either is None where the system has none.
     """
 
     def __init__(self, name: str, dim: int,
@@ -311,8 +312,10 @@ class NeighborhoodSystem:
         self.dim = dim
         self.emit_formula = emit_formula  # () -> fm.Formula
         if contains is None:
-            f = self.formula()
-            contains = lambda x, y: _holds(f, merge(x=(*x, *y)))
+            if emit_formula is None:
+                self.formula()  # raises: nothing decides membership
+            f = functools.cache(emit_formula)
+            contains = lambda x, y: _holds(f(), merge(x=(*x, *y)))
         self.contains = contains  # (x, y) -> bool
         # (X, rng, budget) -> (draws [m, budget, l], keep broadcasting to
         # [m, budget]): a call's draws are shared by its m points, and

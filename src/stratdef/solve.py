@@ -32,18 +32,23 @@ layers, from exact to heuristic, use them:
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
   ``_walk`` goes depth first over the disjunct choices, every literal on a
   witness, definitions included, a row of ``lp_solve``, and prunes a prefix
-  whose rows are infeasible, in at most ``SOLVE_BUDGET`` exact reads;
-  definitions solved in floats only propose witnesses, and the rest go to a
-  fixed search (``SEARCH_GRID`` points per axis of ``SEARCH_BOX``,
-  ``SEARCH_RESTARTS`` seeded random starts, both made once per dimension by
-  ``_starts``, and ``REFINE_STEPS`` steps of scipy's Nelder-Mead, a loop that
-  ``_loop`` emits once per dimension, its vertices tuples sorted stably by
-  margin and its trial points tuple displays, so that it answers alike on
-  every CPU) on the float margin, specialized once per query by ``_margin``,
-  which folds every subterm free of the searched witnesses before the search
-  starts and emits the rest as a kernel, one statement per operation;
-  ``_kernel`` caches its compiled code by its source, which holds no value,
-  so the queries on one formula share it.  Sound when it reports a witness
+  whose rows are infeasible, in at most ``SOLVE_BUDGET`` exact reads; the
+  rest go to a fixed search over the base witnesses alone, those no
+  definition fixes, chosen once per body by ``_completion`` (for a
+  strategic transform, the target point less any coordinate a definition
+  fixes): ``SEARCH_GRID`` points per axis of ``SEARCH_BOX``,
+  ``SEARCH_RESTARTS`` seeded random starts, both made once per dimension
+  by ``_starts``, and ``REFINE_STEPS`` steps of scipy's Nelder-Mead, a
+  loop that ``_loop`` emits once per dimension, its vertices tuples sorted
+  stably by margin and its trial points tuple displays, so that it answers
+  alike on every CPU.  They read the float margin,
+  specialized once per query by ``_margin``, which folds every subterm free
+  of the searched witnesses before the search starts and emits the rest as
+  a kernel, one statement per operation, that completes every other
+  witness from its definition (an exp graph read either way, an equality
+  affine in it; ``_complete`` plans where each is read); ``_kernel`` caches
+  its compiled code by its source, which holds no value, so the queries on
+  one formula share it.  Sound when it reports a witness
   (its margin on the formula as given, not on its NNF, is within
   ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a not_found is a
   refutation without a margin, which rests only on exact readings of the
@@ -89,7 +94,7 @@ from .intervals import exp_enclosure
 
 FLOAT_TOL = 1e-9
 # witness search: the most exact reads (forks and leaves) of the walk, the
-# box every free witness is searched in, grid points per axis, seeded
+# box every base witness is searched in, grid points per axis, seeded
 # random starts and Nelder-Mead iterations per refined start
 SOLVE_BUDGET = 256
 SEARCH_BOX = (-8, 8)
@@ -127,15 +132,14 @@ def eval_term_float(t: fm.Term, sigma: Assignment) -> float:
     return eval_term(t, sigma, _float, _safe_exp)
 
 
-def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable,
-           exp: Optional[Callable] = None):
+def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable):
     """(coefficients over the unknowns, constant) of a term affine in them,
-    or None when it is not.  `unknown` maps each unknown Var to its column;
-    `value` reads every other variable and `lift` maps values and constants
-    into the coefficient domain.  An exp subterm free of unknowns is valued
-    with `exp`; without `exp` every exp subterm makes the term non-affine.
-    Coefficients are read off structurally: a finite-difference slope
-    drowns in rounding when the constant is huge."""
+    or None when it is not (every exp subterm makes it non-affine).
+    `unknown` maps each unknown Var to its column; `value` reads every
+    other variable and `lift` maps values and constants into the
+    coefficient domain.  Coefficients are read off structurally: a
+    finite-difference slope drowns in rounding when the constant is
+    huge."""
     kind = type(t)
     if kind is fm.Var:
         co = [lift(0)] * len(unknown)
@@ -147,13 +151,10 @@ def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable,
     if kind is fm.Const:
         return [lift(0)] * len(unknown), lift(t.value)
     if kind is fm.Exp:
-        arg = None if exp is None else affine(t.arg, unknown, value, lift, exp)
-        if arg is None or any(arg[0]):
-            return None
-        return arg[0], exp(arg[1])
+        return None
     parts = []
     for s in (t.terms if kind is fm.Sum else t.factors):
-        part = affine(s, unknown, value, lift, exp)
+        part = affine(s, unknown, value, lift)
         if part is None:
             return None
         parts.append(part)
@@ -197,14 +198,17 @@ _ATOM_SOURCE = {"=": "abs({0}) if {0} == {0} else inf",
                 "<": "{0} if {0} > zero else zero if {0} == {0} else inf",
                 ">": "-{0} if {0} < zero else zero if {0} == {0} else inf"}
 _ATOM_SOURCE.update({"<=": _ATOM_SOURCE["<"], ">=": _ATOM_SOURCE[">"]})
-_KERNEL_GLOBALS = {"inf": math.inf, "zero": 0.0}
+_KERNEL_GLOBALS = {"inf": math.inf, "zero": 0.0, "nan": math.nan,
+                   "log": math.log}
 
 
 @functools.cache
-def _atom_margin(rel: str) -> Callable:
-    """_ATOM_SOURCE[rel] as a function of d, compiled on first use: at
-    import it would grow the memory of every command."""
-    return eval("lambda d: " + _ATOM_SOURCE[rel].format("d"),
+def _inline(source: str, arity: int) -> Callable:
+    """A kernel source of {0}..{arity-1} as a function of values, which the
+    margin emitter calls where every argument is one, compiled on first
+    use: at import it would grow the memory of every command."""
+    names = [f"a{k}" for k in range(arity)]
+    return eval(f"lambda {', '.join(names)}: " + source.format(*names),
                 dict(_KERNEL_GLOBALS))
 
 
@@ -212,15 +216,24 @@ def _not_margin(m: float) -> float:
     return 0.0 if m > FLOAT_TOL else 1.0
 
 
-# a body has one source per set of free witnesses; witness-mix's 11 pairs
-# have at most 11, and a 2,700-statement kernel holds about 0.5 MB
+# the sources of a completed witness (see _Define) from its num {0} and den
+# {1}, and of its margin term from its value {0}
+_DEFINE = {"log": "log({0}) if {0} > zero else nan",
+           "quotient": "{0} / {1} if {1} else nan"}
+_DEFINED_MARGIN = "zero if {0} == {0} else inf"
+
+
+# a body has one source, for the one base _completion picks; witness-mix's
+# 11 pairs have at most 11, and a 2,700-statement kernel holds about 0.5 MB
 @functools.lru_cache(maxsize=16)
 def _kernel(source: str) -> types.CodeType:
     """The code of the one function that source defines."""
-    return compile(source, "<margin>", "exec").co_consts[0]
+    return next(c for c in compile(source, "<margin>", "exec").co_consts
+                if isinstance(c, types.CodeType))
 
 
-def _margin(f: fm.Formula, sigma: Assignment, free: dict):
+def _margin(f: fm.Formula, sigma: Assignment, free: dict,
+            size: Optional[int] = None):
     """The margin of f (see _violation) specialized to sigma: its float
     when no free witness occurs in f, else a function that reads it at a
     list w of free witness values, free mapping each free witness Var to
@@ -231,8 +244,17 @@ def _margin(f: fm.Formula, sigma: Assignment, free: dict):
     _violation's bits at every point.  Its source holds only generated
     names, positions in w and fixed operators: every folded float and every
     helper it calls is one of its globals, so the queries on one body with
-    the same free witnesses share one compiled code object."""
+    the same free witnesses share one compiled code object.
+
+    With size, f is a completion plan (see _complete) over the witnesses
+    0..size-1, free its base: each _Define part assigns its witness, which
+    adds no margin term but inf when the value is nan, and after an Or the
+    witnesses every branch assigned are taken from the first branch of
+    least margin.  The function is then always returned, and read(w, True)
+    is (margin, the witness vector: base values, completed ones, 0.0 for
+    the rest)."""
     lines, env = [], dict(_KERNEL_GLOBALS)
+    known = {v: f"w[{k}]" for v, k in free.items()}
 
     def name(v) -> str:
         """v when it is source, else the name of a new global holding v."""
@@ -243,53 +265,91 @@ def _margin(f: fm.Formula, sigma: Assignment, free: dict):
 
     def put(fn, *args, source=None):
         """fn(*args) now when every argument is a value, else the name of a
-        new statement: source formatted with their names, or a call of fn."""
+        new statement: source formatted with their names, or a call of fn.
+        Without fn, source is also read as the function of values."""
         if not any(isinstance(v, str) for v in args):
-            return fn(*args)
+            return (fn or _inline(source, len(args)))(*args)
         args = list(map(name, args))
         lines.append(f"    v{len(lines)} = " + (
             source.format(*args) if source
             else f"{name(fn)}({', '.join(args)})"))
         return f"v{len(lines) - 1}"
 
-    def term(t: fm.Term):
-        if not (free and any(v in free for v in fm.term_vars(t))):
+    def term(t: fm.Term, known: dict):
+        if not (known and any(v in known for v in fm.term_vars(t))):
             return eval_term_float(t, sigma)
         kind = type(t)
         if kind is fm.Var:
-            return f"w[{free[t]}]"
+            return known[t]
         if kind is fm.Exp:
-            return put(_safe_exp, term(t.arg))
+            return put(_safe_exp, term(t.arg, known))
         op, source = (operator.add, "{} + {}") if kind is fm.Sum else \
             (operator.mul, "{} * {}")
-        return functools.reduce(lambda u, v: put(op, u, v, source=source),
-                                map(term, t.terms if kind is fm.Sum else
-                                    t.factors))
+        return functools.reduce(
+            lambda u, v: put(op, u, v, source=source),
+            (term(s, known) for s in (t.terms if kind is fm.Sum else
+                                      t.factors)))
 
-    def margin(g: fm.Formula):
+    def margin(g, known: dict):
         if isinstance(g, fm.Compare):
-            d = put(operator.sub, term(g.lhs), term(g.rhs), source="{} - {}")
-            return put(_atom_margin(g.rel), d, source=_ATOM_SOURCE[g.rel])
+            d = put(operator.sub, term(g.lhs, known), term(g.rhs, known),
+                    source="{} - {}")
+            return put(None, d, source=_ATOM_SOURCE[g.rel])
+        if isinstance(g, _Define):
+            v = term(g.num, known)
+            if g.how in _DEFINE:
+                v = put(None, v, *([term(g.den, known)] if g.den else []),
+                        source=_DEFINE[g.how])
+            known[g.var] = v
+            return put(None, v, source=_DEFINED_MARGIN) \
+                if g.how in _DEFINE else 0.0
         if isinstance(g, fm.Not):
-            return put(_not_margin, margin(g.body))
+            return put(_not_margin, margin(g.body, known))
         if not isinstance(g, (fm.And, fm.Or)):
             raise SolveError("quantifier inside a quantifier-free reading")
-        pick = max if isinstance(g, fm.And) else min
-        parts = [margin(p) for p in g.parts]
+        conj = isinstance(g, fm.And)
+        # an Or's branches complete witnesses each for itself
+        scopes = [known if conj or size is None else dict(known)
+                  for _ in g.parts]
+        parts = [margin(p, s) for p, s in zip(g.parts, scopes)]
+        pick = max if conj else min
         reads = [p for p in parts if isinstance(p, str)]
         values = [p for p in parts if not isinstance(p, str)]
         if not reads:
-            return pick(values, default=0.0 if pick is max else 1.0)
-        # a margin is never nan, -0.0 or negative, so max and min read margins
-        # in any order, starting from 0.0 and inf respectively
-        start = pick(values, default=0.0 if pick is max else math.inf)
-        return put(pick, start, *reads)
-
-    out = margin(f)
-    if not isinstance(out, str):
+            out = pick(values, default=0.0 if conj else 1.0)
+        else:
+            # a margin is never nan, -0.0 or negative, so max and min read
+            # margins in any order, starting from 0.0 and inf respectively
+            out = put(pick, pick(values, default=0.0 if conj else math.inf),
+                      *reads)
+        if not conj and size is not None and scopes:
+            # branch i's margin and value are arguments 2i+1 and 2i+2
+            k = len(scopes)
+            first_least = "".join(f"{{{2 * i + 2}}} if {{{2 * i + 1}}} == "
+                                  "{0} else " for i in range(k - 1)) + \
+                f"{{{2 * k}}}"
+            for v in sorted(set.intersection(*(s.keys() - known.keys()
+                                               for s in scopes)),
+                            key=lambda v: v.index):
+                known[v] = put(None, out, *(u for m, s in zip(parts, scopes)
+                                            for u in (m, s[v])),
+                               source=first_least)
         return out
-    source = "def read(w):\n" + "\n".join(lines) + f"\n    return {out}\n"
-    return types.FunctionType(_kernel(source), env)
+
+    out = margin(f, known)
+    if size is None:
+        if not isinstance(out, str):
+            return out
+        source = "def read(w):\n" + "\n".join(lines) + \
+            f"\n    return {out}\n"
+        return types.FunctionType(_kernel(source), env)
+    out = name(out)
+    vector = "".join(name(known.get(fm.Var("w", i), 0.0)) + ", "
+                     for i in range(size))
+    source = ("def read(w, full=False):\n" + "".join(l + "\n" for l in lines)
+              + f"    if full:\n        return {out}, ({vector})\n"
+              f"    return {out}\n")
+    return types.FunctionType(_kernel(source), env, None, (False,))
 
 
 def _violation(f: fm.Formula, sigma: Assignment) -> float:
@@ -691,66 +751,172 @@ def _nnf(f: fm.Formula, positive: bool = True) -> fm.Formula:
     raise SolveError("quantifier inside witness-search body")
 
 
-def _conjunctive_atoms(f: fm.Formula):
-    """Atoms that hold in every model of f (top-level conjunction spine)."""
-    if isinstance(f, fm.Compare):
-        yield f
-    elif isinstance(f, fm.And):
-        for p in f.parts:
-            yield from _conjunctive_atoms(p)
+class _Define(NamedTuple):
+    """A literal of a completion plan read as the definition of its one
+    unresolved witness var: var = num ('term'), num / den ('quotient', nan
+    where den is 0) or log(num) ('log', nan where num <= 0)."""
+
+    var: fm.Var
+    num: fm.Term
+    den: Optional[fm.Term]
+    how: str
 
 
-def _propagate_definitions(body: fm.Formula, sigma: Assignment,
-                           unknown: set) -> dict:
-    """Resolve witnesses that are forced by definitional equalities
-    (w = term over known variables, or w = exp(known w))."""
-    values: dict = {}
+_ONE = fm.const(1)
 
-    def known(v: fm.Var) -> bool:
-        if v.block != "w":
-            return True
-        return v.index in values or v.index not in unknown
 
-    def value(v: fm.Var) -> float:
-        if v.block == "w" and v.index in values:
-            return values[v.index]
-        return float(sigma.lookup(v))
+def _add(terms: list):
+    """The sum of terms, _ONE standing for 1 and None (no terms) for 0."""
+    return fm.add(*terms) if terms else None
 
-    changed = True
-    while changed:
-        changed = False
-        for at in _conjunctive_atoms(body):
-            graph = fm.exp_graph(at)
-            if graph:
-                u, v = graph
-                if u.block == "w" and u.index in unknown \
-                        and u.index not in values and known(v):
-                    values[u.index] = _safe_exp(value(v))
-                    changed = True
-                elif v.block == "w" and v.index in unknown \
-                        and v.index not in values and known(u):
-                    # invert the graph atom: v = log(u) when u > 0
-                    uval = value(u)
-                    if uval > 0:
-                        values[v.index] = math.log(uval)
-                        changed = True
-                continue
-            if at.rel != "=":
-                continue
-            pending = {v.index for v in (*fm.term_vars(at.lhs),
-                                         *fm.term_vars(at.rhs))
-                       if v.block == "w" and v.index in unknown
-                       and v.index not in values}
-            if len(pending) != 1:
-                continue
-            wi = pending.pop()
-            # solve equalities that are affine in the one remaining unknown
-            part = affine(fm.sub(at.lhs, at.rhs), {fm.Var("w", wi): 0},
-                          value, _float, _safe_exp)
-            if part is not None and part[0][0] != 0.0:
-                values[wi] = -part[1] / part[0][0]
-                changed = True
-    return values
+
+def _minus(u, v):
+    """u - v for terms, each None for 0."""
+    return u if v is None else fm.neg(v) if u is None else fm.sub(u, v)
+
+
+def _linear(t: fm.Term, var: fm.Var):
+    """(c, k) with t = c*var + k, each a term or None for 0 (c is _ONE where
+    var stands alone), read off structurally as `affine` reads
+    coefficients; None when t is not affine in var: var under exp, or in
+    two factors of a product."""
+    if var not in fm.term_vars(t):
+        return None, t
+    kind = type(t)
+    if kind is fm.Var:
+        return _ONE, None
+    if kind is fm.Exp:
+        return None
+    parts = [_linear(s, var) for s in (t.terms if kind is fm.Sum else
+                                       t.factors)]
+    if None in parts:
+        return None
+    if kind is fm.Sum:
+        return (_add([c for c, _ in parts if c is not None]),
+                _add([k for _, k in parts if k is not None]))
+    hits = [i for i, (c, _) in enumerate(parts) if c is not None]
+    if len(hits) > 1:
+        return None  # var in two factors
+    (c, k), rest = parts[hits[0]], [k for c, k in parts if c is None]
+    return (fm.mul(*rest) if c is _ONE and rest else fm.mul(c, *rest),
+            k and fm.mul(k, *rest))
+
+
+def _definition(lit: fm.Compare, resolved) -> Optional[_Define]:
+    """The definition an equality gives of its one witness outside
+    resolved: an exp graph u = exp(v) read either way (exp or log), or an
+    equality affine in that witness, solved as w = -k/c."""
+    if lit.rel != "=":
+        return None
+    pending = {v for v in fm.atom_vars(lit) if v.block == "w"} - resolved
+    if len(pending) != 1:
+        return None
+    (var,) = pending
+    graph = fm.exp_graph(lit)
+    if graph and graph[1] == var != graph[0]:
+        return _Define(var, graph[0], None, "log")
+    left, right = _linear(lit.lhs, var), _linear(lit.rhs, var)
+    if left is None or right is None:
+        return None
+    c, k = _minus(left[0], right[0]), _minus(right[1], left[1]) or \
+        fm.const(0)
+    if c is None:
+        return None
+    return _Define(var, k, None, "term") if c is _ONE else \
+        _Define(var, k, c, "quotient")
+
+
+def _complete(g: fm.Formula, resolved: frozenset, memo: dict) -> tuple:
+    """(plan, defined, missing) of an NNF formula g when the witnesses in
+    resolved have values: plan is g with nested Ands inlined, an And's one
+    Or of literals that may define a witness distributed over the And, and
+    an And's definitions (_Define) and the Ors that define witnesses each
+    read as soon as what it reads is resolved, the rest after; defined the
+    witnesses it resolves (an Or those every branch resolves), and missing
+    those it reads before they are resolved.  memo holds each plan by node
+    and resolved set (and the node, so its id stays unique)."""
+    key = id(g), resolved
+    if key not in memo:
+        if isinstance(g, fm.Or):
+            outs = [_complete(p, resolved, memo) for p in g.parts]
+            memo[key] = g, (fm.Or(tuple(p for p, _, _ in outs)),
+                            frozenset.intersection(*(d for _, d, _ in outs))
+                            if outs else frozenset(),
+                            frozenset().union(*(m for *_, m in outs)))
+        else:
+            memo[key] = g, _complete_and(
+                g.parts if isinstance(g, fm.And) else (g,), resolved, memo)
+    return memo[key][1]
+
+
+def _complete_and(parts: Sequence, resolved: frozenset, memo: dict) -> tuple:
+    """_complete of the conjunction of parts."""
+    flat, stack = [], list(reversed(parts))
+    while stack:
+        p = stack.pop()
+        if isinstance(p, fm.And):
+            stack.extend(reversed(p.parts))
+        else:
+            flat.append(p)
+    choices = [k for k, p in enumerate(flat) if isinstance(p, fm.Or) and all(
+        isinstance(q, fm.Compare) for q in p.parts) and any(
+        q.rel == "=" and any(v.block == "w" and v not in resolved
+                             for v in fm.atom_vars(q)) for q in p.parts)]
+    if len(choices) == 1:
+        k = choices[0]
+        return _complete(fm.Or(tuple(fm.And((*flat[:k], q, *flat[k + 1:]))
+                                     for q in flat[k].parts)), resolved, memo)
+    known, order, rest, progress = set(resolved), [], flat, True
+    while progress:
+        progress, later = False, []
+        for p in rest:
+            if isinstance(p, fm.Compare):
+                step = _definition(p, known)
+                new = step and {step.var}
+            else:
+                step, new, missing = _complete(p, frozenset(known), memo)
+                new = not missing and new
+            if new:
+                order.append(step)
+                known |= new
+                progress = True
+            else:
+                later.append(p)
+        rest = later
+    missing = set()
+    for p in rest:
+        if isinstance(p, fm.Compare):
+            order.append(p)
+            missing |= {v for v in fm.atom_vars(p) if v.block == "w"} - known
+        else:
+            step, new, m = _complete(p, frozenset(known), memo)
+            order.append(step)
+            known |= new
+            missing |= m
+    return fm.And(tuple(order)), frozenset(known - resolved), \
+        frozenset(missing)
+
+
+@functools.lru_cache(maxsize=16)
+def _completion(matrix: fm.Formula, indices: tuple) -> tuple:
+    """(base, plan) of a matrix over the witnesses indices, once per matrix:
+    the base, the witnesses witness search searches, grows from none by the
+    highest-index witness not yet resolved until the plan of the NNF body
+    (_complete) resolves every other one before it is read.  A matrix
+    without definitions keeps every witness in the base and is its own
+    plan."""
+    body, ws = _nnf(matrix), sorted({fm.Var("w", i) for i in indices},
+                                     key=lambda v: v.index)
+    base = set()
+    while True:
+        plan, defined, missing = _complete(body, frozenset(base), {})
+        pending = [v for v in ws
+                   if v not in base and (v not in defined or v in missing)]
+        if not pending:
+            break
+        base.add(pending[-1])
+    return tuple(v.index for v in ws if v in base), \
+        matrix if len(base) == len(ws) else plan
 
 
 def _strict_feasible_point(rows: Sequence[LinConstraint], n_rem: int):
@@ -814,7 +980,7 @@ def _read_literal(lit: fm.Formula, sigma: Assignment,
     if cols.keys().isdisjoint(fm.atom_vars(lit)):
         return _violation(lit, sigma) <= FLOAT_TOL or \
             not _exactly_false(lit, exact)
-    # affine without exp reads an exp atom as no row
+    # affine reads an exp atom as no row
     return None if exact is None else _atom_row(lit, cols, exact.lookup)
 
 
@@ -844,12 +1010,9 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
     at its last fork (inf before the first): an And pushes its parts, a literal
     joins the literals, an Or forks in order.  _decide reads each leaf and
     prunes each fork reached with new literals that it reads unsat, each
-    literal read once, when first needed.  At an unknown leaf, whose literals
-    the rows cannot read, the definitions among them are propagated in floats,
-    and the vector they force is the leaf's point when it holds every witness
-    the literals read.  The first leaf point that passes the matrix is the
-    witness, all leaves unsat a refutation; None when one is unknown or past
-    SOLVE_BUDGET reads."""
+    literal read once, when first needed.  The first leaf point that passes
+    the matrix is the witness, all leaves unsat a refutation; None when one
+    is unknown (its literals are no rows) or past SOLVE_BUDGET reads."""
     idx = sorted(unknown)
     cols = {fm.Var("w", i): j for j, i in enumerate(idx)}
     readings = {}  # by id: the literals are the body's, alive throughout
@@ -877,12 +1040,6 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
             if wv is False:
                 continue
             if not todo:
-                if wv is None:
-                    forced = _propagate_definitions(fm.And(lits), sigma,
-                                                    unknown)
-                    if forced.keys() >= {v.index for lit in lits for v in
-                                         fm.atom_vars(lit) if v.block == "w"}:
-                        wv = _witness_vector(size, forced)
                 res = wv and _accept(matrix, sigma, wv)
                 if res and res.found:
                     return res
@@ -986,7 +1143,7 @@ def _nelder_mead(read: Callable, start: Sequence) -> tuple:
 @functools.lru_cache(maxsize=16)
 def _starts(n: int) -> tuple:
     """The grid points (when there are at most 4096) and the
-    SEARCH_RESTARTS seeded random starts of a search over n free
+    SEARCH_RESTARTS seeded random starts of a search over n base
     witnesses, which depend on n alone."""
     import numpy as np
     lo, hi = SEARCH_BOX
@@ -1005,15 +1162,19 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
 
     Layered: the exact walk decides the linear fragment, every literal on
     a witness, definitions included, a row of the rational simplex;
-    otherwise the witnesses that no definition forces in floats are
-    searched on a grid with random restarts and Nelder-Mead refinement of
-    the max-violation margin, every point read by one call of the kernel
-    that _margin emits for this query, its compiled code shared with the
-    queries on the same matrix and free witnesses.  A
-    returned witness always re-verifies under the float eval_qf of the
-    matrix as given, not of its NNF (soundness); a not_found with margin
-    None is a refutation that rests only on exact readings, one with a
-    margin is inconclusive.
+    otherwise only the base witnesses, those no definition fixes (for a
+    strategic transform the target point, less any coordinate a definition
+    such as sum(y) = 1 fixes), are searched, from the inputs as the target
+    point, on a grid with random restarts and with Nelder-Mead refinement
+    of the max-violation margin.  Every point is
+    read by one call of the kernel that _margin emits for this query,
+    which completes the other witnesses from their definitions (exp graphs
+    read either way, equalities affine in their witness) and is shared
+    with the queries on the same matrix.  A returned witness always
+    re-verifies under the float eval_qf of the matrix as given, not of its
+    NNF (soundness); a not_found with margin None is a refutation that
+    rests only on exact readings, one with a margin is inconclusive, the
+    margin of the matrix at the best completed point.
     """
     if fm.classify_fragment(f) == fm.GENERAL:
         raise SolveError("witness_search requires an existential formula")
@@ -1032,48 +1193,48 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
         return res if res.found or not _exactly_false(matrix, exact) else \
             WitnessResult(False)
     size = max(indices) + 1
-    unknown = set(indices)
-
-    res = _walk(matrix, body, sigma0, exact, unknown, size)
+    res = _walk(matrix, body, sigma0, exact, set(indices), size)
     if res is not None:
         return res
 
-    forced = _propagate_definitions(body, sigma0, unknown)
-    free = sorted(unknown - set(forced))
+    # x and a are fixed from here on: every grid point, restart and
+    # Nelder-Mead step reads one specialized margin of the base witnesses,
+    # which completes the others, and a point passes on the matrix itself
+    base, plan = _completion(matrix, tuple(indices))
+    read = _margin(plan, sigma0, {fm.Var("w", i): k for k, i in
+                                  enumerate(base)}, size)
 
-    def vector(vec) -> tuple:
-        return _witness_vector(size, {**forced, **dict(zip(free, vec))})
+    def accept(point) -> WitnessResult:
+        return _accept(matrix, sigma0, read(point, True)[1])
 
-    if not free:
-        return _accept(matrix, sigma0, vector(()))
-    # x, a and the forced witnesses are fixed from here on: every grid
-    # point, restart and Nelder-Mead step reads one specialized margin
-    read = _margin(matrix, sigma0.with_w(vector(())),
-                   {fm.Var("w", i): k for k, i in enumerate(free)})
-    margin = read if callable(read) else lambda w: read
-
-    # seed with the input coordinates cycled across the free slots: for
-    # strategic transforms the witness block is a nearby point, and staying
-    # put is often already feasible
+    if not base:
+        return accept(())
+    # seed witness j with input coordinate j - size + len(x), the inputs
+    # cycled: a strategic transform's target point is its last len(x)
+    # witnesses, and staying put is often already feasible
     pool = [*sigma0.x, *sigma0.a] or [0.0]
-    candidates = [tuple(pool[i % len(pool)] for i in range(len(free))),
-                  *_starts(len(free))]
+    shift = len(sigma0.x) - size
+    candidates = [tuple(pool[(i + shift) % len(pool)] for i in base),
+                  *_starts(len(base))]
     scored = []
     for cand in candidates:
-        mval = margin(cand)
+        mval = read(cand)
         if mval <= FLOAT_TOL:
-            return WitnessResult(True, vector(cand), mval)
+            out = accept(cand)
+            if out.found:
+                return out
         scored.append((mval, cand))
     scored.sort(key=lambda t: t[0])
-    best_m = scored[0][0]
+    best = scored[0]
     # local refinement from the most promising starts
     for mval, cand in scored[:4]:
         if mval == math.inf:
             break  # Nelder-Mead would read inf - inf from here on
-        point, fun = _nelder_mead(margin, cand)
-        best_m = min(best_m, fun)
+        point, fun = _nelder_mead(read, cand)
+        if fun < best[0]:
+            best = fun, point
         if fun <= FLOAT_TOL:
-            out = _accept(matrix, sigma0, vector(point))
+            out = accept(point)
             if out.found:
                 return out
-    return WitnessResult(False, None, best_m)
+    return accept(best[1])

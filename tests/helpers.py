@@ -636,11 +636,16 @@ def ref_in_gauss_kl_ball(x, y, r) -> bool:
 
 
 def ref_in_kl_ball(x, y, r) -> bool:
-    """KL(x || y) = sum over x_i > 0 of x_i log(x_i / y_i) <= r; a y_i = 0
-    where x_i > 0 makes the divergence infinite."""
+    """KL(x || y) <= r (see kl_divergence)."""
+    return kl_divergence(x, y) <= r
+
+
+def kl_divergence(x, y) -> float:
+    """KL(x || y) = sum over x_i > 0 of x_i log(x_i / y_i); a y_i <= 0
+    where x_i > 0 makes it infinite."""
     if any(u > 0 and v <= 0 for u, v in zip(x, y)):
-        return False
-    return sum(u * math.log(u / v) for u, v in zip(x, y) if u > 0) <= r
+        return math.inf
+    return sum(u * math.log(u / v) for u, v in zip(x, y) if u > 0)
 
 
 def ref_sigmoid_net(params, x, widths) -> bool:
@@ -658,6 +663,74 @@ def ref_sigmoid_net(params, x, widths) -> bool:
         # exp(-v) overflows below v = -709: the logistic limit is 0
         z = [0.0 if v < -700 else 1.0 / (1.0 + math.exp(-v)) for v in r]
     return r[-1] >= 0
+
+
+def ref_sigmoid_net_output(params, X, widths) -> np.ndarray:
+    """The output neuron's affine input in ref_sigmoid_net's network at
+    each row of X, on float arrays."""
+    z, pos = list(np.asarray(X, dtype=float).T), 0
+    for prev, d in zip(widths[:-1], widths[1:]):
+        r = []
+        for _ in range(d):
+            r.append(sum(params[pos + s] * v for s, v in enumerate(z)) +
+                     params[pos + prev])
+            pos += prev + 1
+        z = [1.0 / (1.0 + np.exp(-v)) for v in r]
+    return r[-1]
+
+
+# ---------------------------------------------------------------------------
+# Best responses of a classifier over a neighborhood: the largest margin a
+# point of N_x reaches, in closed form or sampled (a sampled margin is
+# reached by a sampled point, so it is at most the true one)
+
+
+def ref_halfspace_lp_margin(params, x, p, r) -> float:
+    """max of w.y - b over the closed l_p ball of radius r around x, for the
+    halfspace w.y >= b (params w then b): w.x + r ||w||_q - b with
+    1/p + 1/q = 1 (Hoelder's inequality is tight)."""
+    l = len(x)
+    w, b = params[:l], params[l]
+    q = p / (p - 1)
+    return sum(u * v for u, v in zip(w, x)) + \
+        r * sum(abs(u) ** q for u in w) ** (1 / q) - b
+
+
+def ref_halfspace_kl_margin(params, x, r, draws: int = 20000,
+                            seed: int = 0) -> float:
+    """max of w.y - b over the KL ball {y on the simplex: KL(x || y) <= r}
+    around a point x of the open simplex, sampled: along `draws` random
+    directions d with sum(d) = 0, y = x + s d at the largest s (40
+    bisection steps) with every y_i > 0 and KL(x || y) <= r, which is where
+    the linear w.y peaks on the ray when it rises along it (KL is convex in
+    y)."""
+    l = len(x)
+    w, b = np.asarray(params[:l], dtype=float), params[l]
+    x = np.asarray(x, dtype=float)
+    d = np.random.default_rng(seed).normal(size=(draws, l))
+    d -= d.mean(axis=1, keepdims=True)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+
+    def inside(s):
+        # a y_i <= 0 reads nan or inf here, and fails the test
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(x / (x + s[:, None] * d)) @ x <= r
+
+    lo, hi = np.zeros(draws), np.full(draws, 2.0)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        ok = inside(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    best = (x + lo[:, None] * d) @ w
+    return float(max(best.max(), x @ w)) - b
+
+
+def ref_net_linf_margin(params, x, r, widths, per_axis: int = 141) -> float:
+    """max of ref_sigmoid_net_output over the box [x - r, x + r]^2, sampled
+    on a grid of per_axis points per axis (corners included)."""
+    u, v = np.meshgrid(*(np.linspace(c - r, c + r, per_axis) for c in x))
+    return float(ref_sigmoid_net_output(
+        params, np.column_stack([u.ravel(), v.ravel()]), widths).max())
 
 
 # ---------------------------------------------------------------------------

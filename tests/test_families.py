@@ -647,6 +647,30 @@ def test_make_neighborhood(desc, kind, dim):
     assert n.kind == kind and n.dim == dim
 
 
+def test_neighborhood_formula_is_built_on_first_membership_test(
+        monkeypatch):
+    # a system whose membership reads its formula builds the formula on the
+    # first test and once, not when it is made: a label path that reads a
+    # closed form never needs it
+    conjunctions = []
+
+    def conj(*parts):
+        conjunctions.append(len(parts))
+        return fm.And(parts)
+
+    monkeypatch.setattr(fm, "conj", conj)
+    n = make_neighborhood("linf:l=3,r=1")
+    assert conjunctions == []
+    assert n.contains([0.0, 0.5, 1.0], [1.0, -0.5, 0.0])
+    assert not n.contains([0.0, 0.5, 1.0], [1.0, -0.5, -1.0625])
+    assert conjunctions == [6]
+    # a usage error is still raised when the system is made
+    with pytest.raises(FamilyError):
+        make_neighborhood("linf:l=3,r=-1")
+    with pytest.raises(FamilyError):
+        fam.NeighborhoodSystem("no-membership", 1)
+
+
 def test_registry_rejects_unknown():
     with pytest.raises(FamilyError):
         make_family("nope")
