@@ -144,10 +144,13 @@ def growth_series(label_fn: Callable, point_sampler: Callable,
         labels = np.asarray(label_fn(theta, points))
         for j, m in enumerate(m_values):
             rows = np.packbits(labels[:, :m], axis=1)
-            # distinct rows by sorting: np.unique imports numpy.ma (0.6 MB)
-            rows = rows[np.lexsort(rows.T)]
-            counts[j] = max(counts[j],
-                            1 + int((rows[1:] != rows[:-1]).any(1).sum()))
+            # distinct rows by sorting them in place, each row one void
+            # element, and comparing neighbours: np.unique imports
+            # numpy.ma (0.6 MB), and a sorted copy and a 2-D comparison
+            # would each hold as much memory as the rows
+            rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+            rows.sort()
+            counts[j] = max(counts[j], 1 + int((rows[1:] != rows[:-1]).sum()))
     slope = None
     if len(m_values) >= 2 and all(c > 0 for c in counts):
         xs = np.log2(np.asarray(m_values, dtype=float))

@@ -29,7 +29,8 @@ only labels points never loads the solvers.
 
 Nodes and records are plain classes: a node is slotted, immutable, and
 equal and hashed by its class and the field tuple ``_key`` that its own
-``__init__`` stores once; records are NamedTuples.
+``__init__`` stores once (the hash is kept once computed); records are
+NamedTuples.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ class _Node:
     _key of its _fields, and shown with its fields named, as
     Var(block='x', index=0).  Each node's own __init__ stores the fields and
     _key once, through the slots' setters (_setters): a loop over the fields
-    or object.__setattr__ would make building a node slower."""
+    or object.__setattr__ would make building a node slower.  The hash of
+    _key is kept in the slot _hash on first use, so that a cache keyed on a
+    formula does not rehash the tree at every lookup."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
     _fields = ()
 
     def __setattr__(self, name, value=None):
@@ -84,7 +87,11 @@ class _Node:
         return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, hash(self._key))
+            return self._hash
 
     def __repr__(self):
         return type(self).__name__ + "(" + ", ".join(
@@ -99,7 +106,7 @@ def _setters(cls) -> tuple:
     return tuple(getattr(cls, name).__set__ for name in cls._fields)
 
 
-_set_key = _Node._key.__set__
+_set_key, _set_hash = _Node._key.__set__, _Node._hash.__set__
 
 
 class Var(_Node):

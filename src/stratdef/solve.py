@@ -7,8 +7,9 @@ with its relation table ``_compare`` and Boolean fold ``_fold``, is
 defined in :mod:`stratdef.formula` and imported here), and ``affine`` reads
 a term as coefficients over chosen unknowns plus a constant.  The float
 reading of a rational beyond float range is +-inf.  The margin emitter
-``_margin`` reads a formula as a float, or writes the part that depends on
-the searched witnesses as one straight-line function of them.  Four
+``_margin`` reads a formula as a float, or writes it once as a kernel of
+two straight-line functions, one of the inputs and one of the searched
+witnesses.  Four
 layers, from exact to heuristic, use them:
 
 * ``eval_qf`` -- quantifier-free evaluation, exactly or as a float margin:
@@ -20,7 +21,7 @@ layers, from exact to heuristic, use them:
   elementwise on float arrays through ``formula``'s fold alone, and loads
   this module only for exact rational input and the earth-mover cost.
 * ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
-  (``linear_system_from_formula`` compiles them with ``affine``), the linear
+  (``linear_system_from_formula`` reads them with ``_atom_row``), the linear
   fragment of one-block quantifier elimination.  Rows are pruned to
   primitive integer coefficient tuples with a Fraction rhs, each with its
   history (the input inequalities it was combined from), and pairing skips
@@ -41,25 +42,29 @@ layers, from exact to heuristic, use them:
   by ``_starts``, and ``REFINE_STEPS`` steps of scipy's Nelder-Mead, a
   loop that ``_loop`` emits once per dimension, its vertices tuples sorted
   stably by margin and its trial points tuple displays, so that it answers
-  alike on every CPU.  They read the float margin,
-  specialized once per query by ``_margin``, which folds every subterm free
-  of the searched witnesses before the search starts and emits the rest as
-  a kernel, one statement per operation, that completes every other
-  witness from its definition (an exp graph read either way, an equality
-  affine in it; ``_complete`` plans where each is read); ``_kernel`` caches
-  its compiled code by its source, which holds no value, so the queries on
-  one formula share it.  Sound when it reports a witness
+  alike on every CPU.  Everything that does not read the query's x and a
+  is prepared once per formula by ``_prepared``: the NNF body, a row
+  template per literal, the base, and two margin kernels, one that
+  completes every other witness from its definition (an exp graph read
+  either way, an equality affine in it; ``_complete`` plans where each is
+  read) for the search and one over every witness that accepts a point.
+  A query only binds its inputs: it evaluates the templates it needs at
+  the rational inputs, and each kernel's prologue folds the subterms on x
+  and a once.  Sound when it reports a witness
   (its margin on the formula as given, not on its NNF, is within
   ``FLOAT_TOL``, so it re-verifies under the float eval_qf); a not_found is a
   refutation without a margin, which rests only on exact readings of the
   inputs as given, not their floats: simplex rows, and witness-free literals
-  that read False exactly (see ``_read_literal``).
+  that read False exactly (see ``_decide``).
 
 The exact linear layers share one row layer: ``LinConstraint`` is the only
 row (Fourier-Motzkin rows carry their history in it, and the simplex reads
 the same rows), ``formula._compare`` the only relation table,
-``LinConstraint.make`` the only normalization of >= and >, ``_atom_row``
-the only reading of an atom as a row, ``_combine`` the only row
+``_oriented`` the only normalization of >= and > (``LinConstraint.make``
+applies it to values, ``_template`` once per atom to polynomials in the
+inputs), ``_template`` with ``_row`` the only reading of an atom as a row
+(``_atom_row``; witness search evaluates each prepared template at the
+rational inputs, into ints and Fractions), ``_combine`` the only row
 combination (FM substitution and pairing), ``_prune`` the only
 normalization and pruning of FM rows, ``_integer_row`` the only reading of
 rows or values as integers over one denominator, and ``_pivot`` and
@@ -79,7 +84,6 @@ import itertools
 import math
 import operator
 import re
-import types
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -223,37 +227,29 @@ _DEFINE = {"log": "log({0}) if {0} > zero else nan",
 _DEFINED_MARGIN = "zero if {0} == {0} else inf"
 
 
-# a body has one source, for the one base _completion picks; witness-mix's
-# 11 pairs have at most 11, and a 2,700-statement kernel holds about 0.5 MB
-@functools.lru_cache(maxsize=16)
-def _kernel(source: str) -> types.CodeType:
-    """The code of the one function that source defines."""
-    return next(c for c in compile(source, "<margin>", "exec").co_consts
-                if isinstance(c, types.CodeType))
-
-
-def _margin(f: fm.Formula, sigma: Assignment, free: dict,
-            size: Optional[int] = None):
-    """The margin of f (see _violation) specialized to sigma: its float
-    when no free witness occurs in f, else a function that reads it at a
-    list w of free witness values, free mapping each free witness Var to
-    its position there (sigma's values at the free witnesses are never
-    read).  Every subterm free of them is folded once, here, as _violation
-    folds it, and the rest is emitted as one straight-line function, a
-    statement per operation in _violation's order, so that it returns
-    _violation's bits at every point.  Its source holds only generated
-    names, positions in w and fixed operators: every folded float and every
-    helper it calls is one of its globals, so the queries on one body with
-    the same free witnesses share one compiled code object.
+def _margin(f: fm.Formula, free: dict, size: Optional[int] = None,
+            sigma: Optional[Assignment] = None):
+    """The margin of f (see _violation): with sigma, its float there (f
+    reading no free witness); else bind(x, a, w=()), a kernel emitted and
+    compiled once.  bind runs the prologue, every operation on the value
+    blocks alone (w holding any witness that is not free), once per query,
+    and returns read(w), the operations on the free witnesses at a list w
+    of their values, free mapping each free witness Var to its position
+    there.  Operations on constants alone are folded here.  Both are
+    straight-line code, a statement per operation in _violation's order,
+    so read returns _violation's bits at every point: a margin is never
+    nan, -0.0 or negative, so an And or Or may take its prologue parts
+    before its read parts.  The source holds only generated names,
+    positions in the blocks and fixed operators: every folded float and
+    every helper it calls is one of its globals.
 
     With size, f is a completion plan (see _complete) over the witnesses
     0..size-1, free its base: each _Define part assigns its witness, which
     adds no margin term but inf when the value is nan, and after an Or the
     witnesses every branch assigned are taken from the first branch of
-    least margin.  The function is then always returned, and read(w, True)
-    is (margin, the witness vector: base values, completed ones, 0.0 for
-    the rest)."""
-    lines, env = [], dict(_KERNEL_GLOBALS)
+    least margin.  read(w, True) is then (margin, the witness vector: base
+    values, completed ones, 0.0 for the rest)."""
+    pro, lines, env, inputs = [], [], dict(_KERNEL_GLOBALS), {}
     known = {v: f"w[{k}]" for v, k in free.items()}
 
     def name(v) -> str:
@@ -265,22 +261,33 @@ def _margin(f: fm.Formula, sigma: Assignment, free: dict,
 
     def put(fn, *args, source=None):
         """fn(*args) now when every argument is a value, else the name of a
-        new statement: source formatted with their names, or a call of fn.
-        Without fn, source is also read as the function of values."""
+        new statement, in read when an argument is (p for prologue, v for
+        read): source formatted with their names, or a call of fn.  Without
+        fn, source is also read as the function of values."""
         if not any(isinstance(v, str) for v in args):
             return (fn or _inline(source, len(args)))(*args)
+        stage = "v" if any(isinstance(v, str) and v[0] in "vw"
+                           for v in args) else "p"
+        out = lines if stage == "v" else pro
         args = list(map(name, args))
-        lines.append(f"    v{len(lines)} = " + (
+        out.append(f"{stage}{len(out)} = " + (
             source.format(*args) if source
             else f"{name(fn)}({', '.join(args)})"))
-        return f"v{len(lines) - 1}"
+        return f"{stage}{len(out) - 1}"
 
     def term(t: fm.Term, known: dict):
-        if not (known and any(v in known for v in fm.term_vars(t))):
+        if sigma is not None:
             return eval_term_float(t, sigma)
         kind = type(t)
+        if kind is fm.Const:
+            return _float(t.value)
         if kind is fm.Var:
-            return known[t]
+            if t in known:
+                return known[t]
+            if t not in inputs:
+                inputs[t] = f"p{len(pro)}"
+                pro.append(f"p{len(pro)} = {t.block}[{t.index}]")
+            return inputs[t]
         if kind is fm.Exp:
             return put(_safe_exp, term(t.arg, known))
         op, source = (operator.add, "{} + {}") if kind is fm.Sum else \
@@ -313,15 +320,14 @@ def _margin(f: fm.Formula, sigma: Assignment, free: dict,
                   for _ in g.parts]
         parts = [margin(p, s) for p, s in zip(g.parts, scopes)]
         pick = max if conj else min
-        reads = [p for p in parts if isinstance(p, str)]
-        values = [p for p in parts if not isinstance(p, str)]
-        if not reads:
-            out = pick(values, default=0.0 if conj else 1.0)
-        else:
-            # a margin is never nan, -0.0 or negative, so max and min read
-            # margins in any order, starting from 0.0 and inf respectively
-            out = put(pick, pick(values, default=0.0 if conj else math.inf),
-                      *reads)
+        # a margin is never nan, -0.0 or negative, so max and min read
+        # margins in any order, starting from 0.0 and inf respectively
+        out = pick((p for p in parts if not isinstance(p, str)),
+                   default=0.0 if conj else math.inf if parts else 1.0)
+        for stage in "pv":
+            reads = [p for p in parts if isinstance(p, str) and p[0] == stage]
+            if reads:
+                out = put(pick, out, *reads)
         if not conj and size is not None and scopes:
             # branch i's margin and value are arguments 2i+1 and 2i+2
             k = len(scopes)
@@ -337,19 +343,20 @@ def _margin(f: fm.Formula, sigma: Assignment, free: dict,
         return out
 
     out = margin(f, known)
-    if size is None:
-        if not isinstance(out, str):
-            return out
-        source = "def read(w):\n" + "\n".join(lines) + \
-            f"\n    return {out}\n"
-        return types.FunctionType(_kernel(source), env)
+    if sigma is not None:
+        return out
     out = name(out)
-    vector = "".join(name(known.get(fm.Var("w", i), 0.0)) + ", "
-                     for i in range(size))
-    source = ("def read(w, full=False):\n" + "".join(l + "\n" for l in lines)
-              + f"    if full:\n        return {out}, ({vector})\n"
-              f"    return {out}\n")
-    return types.FunctionType(_kernel(source), env, None, (False,))
+    tail = [f"return {out}"]
+    if size is not None:
+        vector = "".join(name(known.get(fm.Var("w", i), 0.0)) + ", "
+                         for i in range(size))
+        tail[:0] = [f"if full:\n            return {out}, ({vector})"]
+    source = "def bind(x, a, w=()):\n" + "".join(
+        f"    {l}\n" for l in pro) + \
+        f"    def read(w{'' if size is None else ', full=False'}):\n" + \
+        "".join(f"        {l}\n" for l in lines + tail) + "    return read\n"
+    exec(compile(source, "<margin>", "exec"), env)
+    return env["bind"]
 
 
 def _violation(f: fm.Formula, sigma: Assignment) -> float:
@@ -360,8 +367,9 @@ def _violation(f: fm.Formula, sigma: Assignment) -> float:
     and >=, inf for a nan d (inf - inf).  And takes the largest margin (0
     for no parts), Or the smallest (1 for no parts), and Not reads 0 when
     its body's margin exceeds FLOAT_TOL and 1 otherwise.  Witness search
-    reads the same margin through _margin, specialized once per query."""
-    return _margin(f, sigma, {})
+    reads the same margin through the kernels _margin emits once per
+    formula."""
+    return _margin(f, {}, sigma=sigma)
 
 
 def eval_qf(f: fm.Formula, sigma: Assignment, mode: str,
@@ -410,12 +418,16 @@ class LinConstraint(NamedTuple):
         >= and > are normalized to <= and < by negation."""
         if rel not in _RELATIONS:
             raise SolveError(f"unknown relation {rel!r}")
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        rhs = Fraction(rhs)
-        if rel in (">=", ">"):
-            return LinConstraint(tuple(-c for c in coeffs),
-                                 rel.replace(">", "<"), -rhs)
-        return LinConstraint(coeffs, rel, rhs)
+        return LinConstraint(*_oriented(map(Fraction, coeffs), rel,
+                                        Fraction(rhs)))
+
+
+def _oriented(coeffs, rel: str, rhs) -> tuple:
+    """(coeffs, rel, rhs) of coeffs . v (rel) rhs, with >= and > turned into
+    <= and < by negating both sides."""
+    if rel in (">=", ">"):
+        return tuple(-c for c in coeffs), rel.replace(">", "<"), -rhs
+    return tuple(coeffs), rel, rhs
 
 
 class LinearSystem(NamedTuple):
@@ -459,16 +471,85 @@ class LinearSystem(NamedTuple):
         return True
 
 
+class _Poly(dict):
+    """A polynomial in the variables that are not unknowns, the coefficient
+    domain of a row template: {monomial: coefficient}, a monomial a tuple
+    of Vars sorted by key.  `affine` reads it as it reads a value, true
+    when a coefficient is nonzero: so a term is affine when it is at every
+    value of those variables.  A monomial whose coefficient cancels is
+    kept, so that the row reads every variable `affine` would read."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return any(self.values())
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for m, c in other.items():
+            out[m] = out.get(m, 0) + c
+        return out
+
+    def __neg__(self):
+        return _Poly({m: -c for m, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = _Poly()
+        for (m, c), (n, d) in itertools.product(self.items(), other.items()):
+            m = tuple(sorted(m + n, key=operator.attrgetter("_key")))
+            out[m] = out.get(m, 0) + c * d
+        return out
+
+
+def _template(at: fm.Compare, unknown: dict) -> Optional[tuple]:
+    """The row template of an atom over the unknowns (columns as in
+    `affine`): (coefficients, rel, rhs) with >= and > already negated, each
+    coefficient and rhs a tuple of terms (c, vars), c an int or a Fraction;
+    None when a side is not affine in the unknowns."""
+    def lift(v):
+        return v if isinstance(v, _Poly) else _Poly({(): v})
+
+    left, right = (affine(t, unknown, lambda v: _Poly({(v,): 1}), lift)
+                   for t in (at.lhs, at.rhs))
+    if left is None or right is None:
+        return None
+    coeffs, rel, rhs = _oriented([u - v for u, v in zip(left[0], right[0])],
+                                 at.rel, right[1] - left[1])
+
+    def terms(p: _Poly) -> tuple:
+        return tuple((c.numerator if c.denominator == 1 else c, m)
+                     for m, c in p.items() if c or m)
+    return tuple(map(terms, coeffs)), rel, terms(rhs)
+
+
+def _value(terms: tuple, value: Callable):
+    """The sum of a template's terms with value(v) for each variable v: an
+    int, or a Fraction built only where a term multiplies or adds one."""
+    out = 0
+    for c, vs in terms:
+        for v in vs:
+            c = value(v) if c == 1 else c * value(v)
+        out = out + c if out else c
+    return out
+
+
+def _row(template: tuple, value: Callable) -> LinConstraint:
+    """The row of a template (see _template) at value."""
+    coeffs, rel, rhs = template
+    return LinConstraint(tuple(_value(c, value) for c in coeffs), rel,
+                         _value(rhs, value))
+
+
 def _atom_row(at: fm.Compare, unknown: dict,
               value: Callable) -> Optional[LinConstraint]:
     """The atom lhs rel rhs as a normalized row over the unknowns (columns
-    as in `affine`), or None when a side is not affine in them."""
-    left = affine(at.lhs, unknown, value, Fraction)
-    right = affine(at.rhs, unknown, value, Fraction)
-    if left is None or right is None:
-        return None
-    return LinConstraint.make([u - v for u, v in zip(left[0], right[0])],
-                              at.rel, right[1] - left[1])
+    as in `affine`), its other variables read by value; None when a side is
+    not affine in the unknowns."""
+    template = _template(at, unknown)
+    return None if template is None else _row(template, value)
 
 
 def _combine(c: LinConstraint, d: LinConstraint, j: int,
@@ -482,7 +563,8 @@ def _combine(c: LinConstraint, d: LinConstraint, j: int,
         m, n = -m, -n
     coeffs = tuple(m * u + n * v for u, v in zip(c.coeffs, d.coeffs))
     rhs = m * c.rhs + n * d.rhs
-    return LinConstraint(coeffs, rel, rhs if any(coeffs) else rhs / m,
+    return LinConstraint(coeffs, rel,
+                         rhs if any(coeffs) else Fraction(rhs, m),
                          c.history | d.history)
 
 
@@ -897,10 +979,9 @@ def _complete_and(parts: Sequence, resolved: frozenset, memo: dict) -> tuple:
         frozenset(missing)
 
 
-@functools.lru_cache(maxsize=16)
 def _completion(matrix: fm.Formula, indices: tuple) -> tuple:
-    """(base, plan) of a matrix over the witnesses indices, once per matrix:
-    the base, the witnesses witness search searches, grows from none by the
+    """(base, plan) of a matrix over the witnesses indices: the base, the
+    witnesses witness search searches, grows from none by the
     highest-index witness not yet resolved until the plan of the NNF body
     (_complete) resolves every other one before it is read.  A matrix
     without definitions keeps every witness in the base and is its own
@@ -948,13 +1029,42 @@ def _witness_vector(size: int, values: dict) -> tuple:
     return tuple(_float(values.get(i, 0.0)) for i in range(size))
 
 
-def _accept(matrix: fm.Formula, sigma: Assignment,
-            wv: tuple) -> WitnessResult:
-    """The witness wv of matrix when its margin is within FLOAT_TOL, else an
-    inconclusive not_found; either way with the margin of matrix at wv."""
-    m = _violation(matrix, sigma.with_w(wv))
-    return WitnessResult(True, wv, m) if m <= FLOAT_TOL else \
-        WitnessResult(False, None, m)
+class _Prepared(NamedTuple):
+    """What witness search reads of an existential formula that does not
+    depend on the query (see _prepared)."""
+
+    matrix: fm.Formula
+    body: fm.Formula  # the NNF of the matrix
+    idx: list  # the witness indices, sorted: the simplex's columns
+    size: int
+    cover: tuple  # the x and a values the matrix reads
+    rows: dict  # by id of a body literal: True, a row template or None
+    accept: Callable  # the kernel (bind) of the matrix over every witness
+    base: tuple
+    search: Callable  # the kernel of the base's completion plan
+
+
+@functools.lru_cache(maxsize=16)
+def _prepared(f: fm.Formula) -> _Prepared:
+    """Witness search's reading of f, once per formula: its NNF body, each
+    body literal's reading (True on no witness, else its row template over
+    the witness columns, None when it has none), the base and plan of
+    _completion, and two margin kernels, one over every witness that
+    accepts a point and one over the base that the search reads."""
+    if fm.classify_fragment(f) == fm.GENERAL:
+        raise SolveError("witness_search requires an existential formula")
+    indices, matrix = fm.split_exists(f)
+    body, idx = _nnf(matrix), sorted(set(indices))
+    cols = {fm.Var("w", i): j for j, i in enumerate(idx)}
+    size = max(idx, default=-1) + 1
+    base, plan = _completion(matrix, tuple(idx))
+    return _Prepared(
+        matrix, body, idx, size,
+        tuple(fm.max_index(matrix, b) + 1 for b in "xa"),
+        {id(lit): cols.keys().isdisjoint(fm.atom_vars(lit)) or
+         _template(lit, cols) for lit in fm.formula_atoms(body)},
+        _margin(matrix, {fm.Var("w", i): i for i in range(size)}), base,
+        _margin(plan, {fm.Var("w", i): k for k, i in enumerate(base)}, size))
 
 
 def _exactly_false(f: fm.Formula, exact: Optional[Assignment]) -> bool:
@@ -970,60 +1080,58 @@ def _exactly_false(f: fm.Formula, exact: Optional[Assignment]) -> bool:
         return False
 
 
-def _read_literal(lit: fm.Formula, sigma: Assignment,
-                  exact: Optional[Assignment], cols: dict):
-    """How _decide reads an NNF literal: one on no witness is True or False
-    by its float margin, False only when also False exactly at the rational
-    inputs; any other, a definition included, is its row over the witness
-    columns cols at the rational inputs, or None when it is not affine in
-    them (an exp atom on one, a product of two) or an input is inf or nan."""
-    if cols.keys().isdisjoint(fm.atom_vars(lit)):
-        return _violation(lit, sigma) <= FLOAT_TOL or \
-            not _exactly_false(lit, exact)
-    # affine reads an exp atom as no row
-    return None if exact is None else _atom_row(lit, cols, exact.lookup)
-
-
-def _decide(readings, idx: list, size: int):
-    """The conjunction of NNF literals with the _read_literal readings
-    given, in order, over the witnesses idx: False (unsat) at a False
-    literal or when the rows of the rational simplex are infeasible, None
-    (unknown) at a literal that is no row, else the simplex's witness
-    vector.  So no refutation rests on a float."""
-    rows = []
-    for r in readings:
-        if r is False or r is None:
-            return r
-        if r is not True:
-            rows.append(r)
-    point = _strict_feasible_point(rows, len(idx))
+def _decide(lits: tuple, read: Callable, prep: _Prepared,
+            exact: Optional[Assignment]):
+    """The conjunction of NNF literals, in order: False (unsat) at a
+    literal on no witness that reads False (by its float margin, and then
+    exactly at the rational inputs exact) or when the rows of the other
+    literals are infeasible for the rational simplex, None (unknown) at a
+    literal with no row (an exp atom on a witness, a product of two) or
+    any other when an input is inf or nan (exact is None), else the
+    simplex's witness vector.  So no refutation rests on a float.  Which
+    literals have rows is fixed per formula, so a leaf that reaches one
+    with none reads only the literals on no witness before it; read(lit)
+    is a literal's reading, its bool or row."""
+    kinds = [prep.rows[id(lit)] for lit in lits]
+    stop = next((k for k, t in enumerate(kinds) if t is None or
+                 exact is None and t is not True), None)
+    if any(t is True and not read(lit) for lit, t in zip(lits[:stop], kinds)):
+        return False
+    if stop is not None:
+        return None
+    point = _strict_feasible_point(
+        [read(lit) for lit, t in zip(lits, kinds) if t is not True],
+        len(prep.idx))
     if point is None:
         return False
-    return _witness_vector(size, dict(zip(idx, point)))
+    return _witness_vector(prep.size, dict(zip(prep.idx, point)))
 
 
-def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
-          exact: Optional[Assignment], unknown: set, size: int):
+def _walk(prep: _Prepared, sigma: Assignment, exact: Optional[Assignment],
+          accept: Callable):
     """Decide the matrix by a depth-first walk over the disjunct choices of its
     NNF body (DPLL(T): Nieuwenhuis, Oliveras & Tinelli, JACM 2006).  A path
     holds its conjuncts to visit (the next last), its literals and their count
     at its last fork (inf before the first): an And pushes its parts, a literal
     joins the literals, an Or forks in order.  _decide reads each leaf and
     prunes each fork reached with new literals that it reads unsat, each
-    literal read once, when first needed.  The first leaf point that passes
-    the matrix is the witness, all leaves unsat a refutation; None when one
-    is unknown (its literals are no rows) or past SOLVE_BUDGET reads."""
-    idx = sorted(unknown)
-    cols = {fm.Var("w", i): j for j, i in enumerate(idx)}
+    literal read once, when first needed.  The first leaf point that accept
+    passes is the witness, all leaves unsat a refutation; None when one is
+    unknown (its literals are no rows) or past SOLVE_BUDGET reads."""
     readings = {}  # by id: the literals are the body's, alive throughout
 
     def read(lit: fm.Formula):
         if id(lit) not in readings:
-            readings[id(lit)] = _read_literal(lit, sigma, exact, cols)
+            t = prep.rows[id(lit)]
+            if t is True:
+                readings[id(lit)] = _violation(lit, sigma) <= FLOAT_TOL or \
+                    not _exactly_false(lit, exact)
+            else:
+                readings[id(lit)] = _row(t, exact.lookup)
         return readings[id(lit)]
 
     budget, complete = SOLVE_BUDGET, True
-    stack = [((body,), (), math.inf)]
+    stack = [((prep.body,), (), math.inf)]
     while stack:
         todo, lits, at_fork = stack.pop()
         while todo and not isinstance(todo[-1], fm.Or):
@@ -1036,11 +1144,11 @@ def _walk(matrix: fm.Formula, body: fm.Formula, sigma: Assignment,
             budget -= 1
             if budget < 0:
                 return None
-            wv = _decide(map(read, lits), idx, size)
+            wv = _decide(lits, read, prep, exact)
             if wv is False:
                 continue
             if not todo:
-                res = wv and _accept(matrix, sigma, wv)
+                res = wv and accept(wv)
                 if res and res.found:
                     return res
                 complete = False
@@ -1166,61 +1274,73 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     strategic transform the target point, less any coordinate a definition
     such as sum(y) = 1 fixes), are searched, from the inputs as the target
     point, on a grid with random restarts and with Nelder-Mead refinement
-    of the max-violation margin.  Every point is
-    read by one call of the kernel that _margin emits for this query,
-    which completes the other witnesses from their definitions (exp graphs
-    read either way, equalities affine in their witness) and is shared
-    with the queries on the same matrix.  A returned witness always
-    re-verifies under the float eval_qf of the matrix as given, not of its
-    NNF (soundness); a not_found with margin None is a refutation that
+    of the max-violation margin.  All that does not read x and a is
+    prepared once per formula (_prepared): the NNF body, a row template
+    per literal, the base, and the margin kernels, each emitted and
+    compiled once.  A query binds its inputs: each template is evaluated
+    at the rational inputs, and each kernel's prologue folds the subterms
+    on x and a alone once.  Every point of the search is read by one call
+    of the search kernel, which completes the other witnesses from their
+    definitions (exp graphs read either way, equalities affine in their
+    witness).  A returned witness always re-verifies under the float
+    eval_qf of the matrix as given, not of its NNF (soundness), read by
+    the accept kernel; a not_found with margin None is a refutation that
     rests only on exact readings, one with a margin is inconclusive, the
     margin of the matrix at the best completed point.
     """
-    if fm.classify_fragment(f) == fm.GENERAL:
-        raise SolveError("witness_search requires an existential formula")
-    indices, matrix = fm.split_exists(f)
+    prep = _prepared(f)
     inputs = (tuple(x_vals), tuple(a_vals))
+    for vals, n, block in zip(inputs, prep.cover, "xa"):
+        if len(vals) < n:
+            raise SolveError(f"assignment does not cover {block}{n - 1}")
     sigma0 = Assignment(*(tuple(map(_float, v)) for v in inputs))
     try:
         exact = merge(*(map(Fraction, v) for v in inputs))
     except (OverflowError, ValueError):  # an inf or nan input
         exact = None
-    # the NNF body gives the walk its forks and the definitions; a witness
-    # is accepted on the matrix, where a negated = or <= fails at equality
-    body = _nnf(matrix)
-    if not indices:
-        res = _accept(matrix, sigma0, ())
-        return res if res.found or not _exactly_false(matrix, exact) else \
-            WitnessResult(False)
-    size = max(indices) + 1
-    res = _walk(matrix, body, sigma0, exact, set(indices), size)
+    check = None
+
+    def accept(wv: tuple) -> WitnessResult:
+        """The witness wv when the matrix's margin there is within
+        FLOAT_TOL, else an inconclusive not_found; either way with that
+        margin.  A witness is accepted on the matrix, where a negated = or
+        <= fails at equality."""
+        nonlocal check
+        check = check or prep.accept(sigma0.x, sigma0.a)
+        m = check(wv)
+        return WitnessResult(True, wv, m) if m <= FLOAT_TOL else \
+            WitnessResult(False, None, m)
+
+    if not prep.idx:
+        res = accept(())
+        return res if res.found or not _exactly_false(prep.matrix, exact) \
+            else WitnessResult(False)
+    res = _walk(prep, sigma0, exact, accept)
     if res is not None:
         return res
 
-    # x and a are fixed from here on: every grid point, restart and
-    # Nelder-Mead step reads one specialized margin of the base witnesses,
-    # which completes the others, and a point passes on the matrix itself
-    base, plan = _completion(matrix, tuple(indices))
-    read = _margin(plan, sigma0, {fm.Var("w", i): k for k, i in
-                                  enumerate(base)}, size)
+    # every grid point, restart and Nelder-Mead step reads the search
+    # kernel at the base witnesses, which completes the others, and a point
+    # passes on the matrix itself
+    base, read = prep.base, prep.search(sigma0.x, sigma0.a)
 
-    def accept(point) -> WitnessResult:
-        return _accept(matrix, sigma0, read(point, True)[1])
+    def accept_point(point) -> WitnessResult:
+        return accept(read(point, True)[1])
 
     if not base:
-        return accept(())
+        return accept_point(())
     # seed witness j with input coordinate j - size + len(x), the inputs
     # cycled: a strategic transform's target point is its last len(x)
     # witnesses, and staying put is often already feasible
     pool = [*sigma0.x, *sigma0.a] or [0.0]
-    shift = len(sigma0.x) - size
+    shift = len(sigma0.x) - prep.size
     candidates = [tuple(pool[(i + shift) % len(pool)] for i in base),
                   *_starts(len(base))]
     scored = []
     for cand in candidates:
         mval = read(cand)
         if mval <= FLOAT_TOL:
-            out = accept(cand)
+            out = accept_point(cand)
             if out.found:
                 return out
         scored.append((mval, cand))
@@ -1234,7 +1354,7 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
         if fun < best[0]:
             best = fun, point
         if fun <= FLOAT_TOL:
-            out = accept(point)
+            out = accept_point(point)
             if out.found:
                 return out
-    return accept(best[1])
+    return accept_point(best[1])

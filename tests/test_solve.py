@@ -1243,13 +1243,13 @@ def _assert_margin_matches_reference(body, rng: random.Random, n: int):
         want = ref_margin(body, env).hex()
         sigma = Assignment(env["x"], env["a"], env["w"])
         assert solve._violation(body, sigma).hex() == want, (body, env)
-        # the specialized margin never reads sigma at a free witness
-        hidden = sigma.with_w([math.nan if i in free else v
-                               for i, v in enumerate(env["w"])])
-        read = solve._margin(body, hidden,
-                             {fm.Var("w", i): k for k, i in enumerate(free)})
-        vals = [env["w"][i] for i in free]
-        got = read(vals) if callable(read) else read
+        # the kernel's prologue never reads the free witnesses, which read
+        # gets instead
+        bind = solve._margin(body, {fm.Var("w", i): k
+                                    for k, i in enumerate(free)})
+        read = bind(sigma.x, sigma.a, [math.nan if i in free else v
+                                       for i, v in enumerate(env["w"])])
+        got = read([env["w"][i] for i in free])
         assert got.hex() == want, (body, env, free)
 
 
@@ -1326,43 +1326,127 @@ _DEFINED_BODIES = (
 
 
 def test_margin_kernel_is_shared_and_holds_no_values(monkeypatch):
-    kernels, margin = [], solve._margin
+    emitted, margin, template = [], solve._margin, solve._template
 
-    def spy(f, sigma, free, size=None):
-        read = margin(f, sigma, free, size)
-        if size is not None:
-            kernels.append((read, sigma, free))
-        return read
+    def spy(f, free, size=None, sigma=None):
+        if sigma is None:
+            emitted.append(size)
+        return margin(f, free, size, sigma)
+
+    def template_spy(at, cols):
+        emitted.append("row")
+        return template(at, cols)
 
     monkeypatch.setattr(solve, "_margin", spy)
+    monkeypatch.setattr(solve, "_template", template_spy)
+    solve._prepared.cache_clear()
     for ws, text, reads, base in _DEFINED_BODIES:
         f = fm.parse(f"(exists ({ws}) {text})")
         matrix = fm.split_exists(f)[1]
         reads = fm.split_exists(fm.parse(f"(exists ({ws}) {reads})"))[1]
-        kernels.clear()
-        for x, a in (([0.5], [1.5]), ([-0.25], [3.0])):
-            witness_search(f, x, a)
-        (r1, s1, free), (r2, s2, _) = kernels
-        assert (s1.x, s1.a) != (s2.x, s2.a) and s1.w == ()
-        assert sorted(v.index for v in free) == list(base)
+        emitted.clear()
+        queries = (([0.5], [1.5]), ([-0.25], [3.0]))
+        witness_search(f, *queries[0])
+        prepared = len(emitted)
+        witness_search(f, *queries[1])
+        # both queries went past the walk; the search kernel, the accept
+        # kernel and the row templates were made once, for the first
+        prep = solve._prepared(f)
+        assert len(emitted) == prepared
+        assert [e for e in emitted if e != "row"] == [None, len(ws.split())]
+        assert emitted.count("row") == sum(t is not True
+                                           for t in prep.rows.values())
+        assert prep.base == base
+        (s1, r1), (s2, r2) = [(Assignment(tuple(x), tuple(a)),
+                               prep.search(tuple(x), tuple(a)))
+                              for x, a in queries]
         assert r1.__code__ is r2.__code__
-        # no value and no formula text: only generated names and fixed
-        # helpers
-        assert not any(isinstance(c, float) for c in r1.__code__.co_consts)
-        assert all(n in ("inf", "zero", "nan", "log", "abs") or
-                   n[0] == "g" and n[1:].isdigit()
-                   for n in r1.__code__.co_names)
+        # no value and no formula text in bind or read: only generated
+        # names and fixed helpers
+        for code in (prep.search.__code__, r1.__code__):
+            assert not any(isinstance(c, float) for c in code.co_consts)
+            assert all(n in ("inf", "zero", "nan", "log", "abs") or
+                       n[0] == "g" and n[1:].isdigit()
+                       for n in code.co_names)
         rng = random.Random(2)
         for _ in range(20):
-            vals = [rng.uniform(-2, 2) for _ in free]
+            vals = [rng.uniform(-2, 2) for _ in base]
             w1, w2 = r1(vals, True)[1], r2(vals, True)[1]
             assert w1 != w2  # the completed witnesses read x and a
             for read, sigma, w in ((r1, s1, w1), (r2, s2, w2)):
                 m = read(vals)
-                assert [w[v.index] for v in free] == vals
+                assert [w[i] for i in base] == vals
                 # the definitions add no margin, and hold at the completed
                 # point
                 assert m.hex() == \
                     solve._violation(reads, sigma.with_w(w)).hex()
                 assert m <= solve._violation(matrix, sigma.with_w(w)) <= \
                     max(m, 1e-12)
+                # the accept kernel reads the matrix as _violation does
+                check = prep.accept(sigma.x, sigma.a)
+                assert check(w).hex() == \
+                    solve._violation(matrix, sigma.with_w(w)).hex()
+
+
+def _affine_row(at: fm.Compare, cols: dict, value) -> LinConstraint:
+    """The reference reading of an atom as a row: `affine` in Fractions at
+    the inputs, normalized by LinConstraint.make."""
+    left, right = (solve.affine(t, cols, value, Fraction)
+                   for t in (at.lhs, at.rhs))
+    if left is None or right is None:
+        return None
+    return LinConstraint.make([u - v for u, v in zip(left[0], right[0])],
+                              at.rel, right[1] - left[1])
+
+
+def _assert_rows_match_affine(body, rng: random.Random, n: int):
+    idx = sorted({v.index for at in fm.formula_atoms(body)
+                  for v in fm.atom_vars(at) if v.block == "w"})
+    cols = {fm.Var("w", i): j for j, i in enumerate(idx)}
+    templates = [(at, solve._template(at, cols))
+                 for at in fm.formula_atoms(body)]
+    # nonzero inputs: affine reads a product as affine where a coefficient
+    # vanishes at the inputs, a template only where it vanishes at all
+    values = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                       rng.choice((1, 3, 7, 2 ** 20, 2 ** 52)))
+              for _ in range(40)]
+    for _ in range(n):
+        exact = Assignment(*(tuple(rng.choice(values) for _ in range(
+            1 + fm.max_index(body, b))) for b in "xa"))
+        for at, template in templates:
+            want = _affine_row(at, cols, exact.lookup)
+            got = None if template is None else \
+                solve._row(template, exact.lookup)
+            assert got == want and got == solve._atom_row(at, cols,
+                                                          exact.lookup)
+            if got is not None:
+                # ints and Fractions: the simplex reads the same integer row
+                assert {type(v) for v in (*got.coeffs, got.rhs)} <= \
+                    {int, Fraction}
+                assert solve._integer_row([*got.coeffs, got.rhs]) == \
+                    solve._integer_row([*want.coeffs, want.rhs])
+
+
+def test_row_templates_read_atoms_as_affine_does_on_registry_bodies():
+    rng = random.Random(39)
+    # every witness-mix pair; the depth-10 tree is left out, as in the
+    # margin test: its 1,023-node reference reads take seconds
+    for fam, neigh in dict.fromkeys((q[0], q[1]) for q in _PINNED_QUERIES
+                                    if "depth=10" not in q[0]):
+        _assert_rows_match_affine(_transform_body(fam, neigh), rng, 20)
+
+
+@pytest.mark.parametrize("text", [
+    "(>= (+ (* 2 w0) x0) (* a0 3))",
+    "(> (* a1 (+ w0 (* -1/3 w1))) (+ x0 1/2))",
+    "(= (+ (+ w0 (+ x0 w1)) (+ a0 (+ 1 w0))) (* 5/2 x1))",
+    "(<= (* x0 x0 w1 x1) (* x1 a0 x1))",
+    "(< (+ w0 (* -1 w0) x0) (* 7 (+ a0 (* -1 a0))))",
+    f"(< (* {_HUGE} x0 w0) (+ w1 -{_HUGE}))",
+    # not affine in the witnesses: no row
+    "(<= (* w0 a0 w1) x0)",
+    "(= w1 (exp w0))",
+])
+def test_row_templates_read_hand_written_atoms_as_affine_does(text):
+    body = fm.split_exists(fm.parse(f"(exists (w0 w1) {text})"))[1]
+    _assert_rows_match_affine(body, random.Random(text), 50)
