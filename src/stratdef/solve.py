@@ -1,16 +1,15 @@
 """Deciding and approximating formula semantics.
 
-Terms are read by two folds over the term grammar (variables, rational
-constants, +, *, exp): ``formula.eval_term`` values a term in floats,
-Fractions or certified ``RatInterval`` enclosures (the value of a formula,
-with its relation table ``_compare`` and Boolean fold ``_fold``, is
-defined in :mod:`stratdef.formula` and imported here), and ``affine`` reads
-a term as coefficients over chosen unknowns plus a constant.  The float
-reading of a rational beyond float range is +-inf.  The margin emitter
-``_margin`` reads a formula as a float, or writes it once as a kernel of
-two straight-line functions, one of the inputs and one of the searched
-witnesses.  Four
-layers, from exact to heuristic, use them:
+Terms are read by one fold over the term grammar (variables, rational
+constants, +, *, exp), ``formula.eval_term``: it values a term in floats,
+Fractions or certified ``RatInterval`` enclosures, or reads it as a
+polynomial, a ``_Poly`` (the value of a formula, with its relation table
+``_compare`` and Boolean fold ``_fold``, is defined in
+:mod:`stratdef.formula` and imported here).  The float reading of a
+rational beyond float range is +-inf.  The margin emitter ``_margin``
+reads a formula as a float, or writes it once as a kernel of two
+straight-line functions, one of the inputs and one of the searched
+witnesses.  Four layers, from exact to heuristic, use them:
 
 * ``eval_qf`` -- quantifier-free evaluation, exactly or as a float margin:
   exact rational (no tolerance; exp handled by certified enclosure
@@ -20,15 +19,15 @@ layers, from exact to heuristic, use them:
   absolute tolerance for every atom.  ``families`` reads formulas
   elementwise on float arrays through ``formula``'s fold alone, and loads
   this module only for exact rational input and the earth-mover cost.
-* ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems
-  (``linear_system_from_formula`` reads them with ``_atom_row``), the linear
-  fragment of one-block quantifier elimination.  Rows are pruned to
-  primitive integer coefficient tuples with a Fraction rhs, each with its
-  history (the input inequalities it was combined from), and pairing skips
-  the pairs that Chernikov's history rule proves redundant (Chernikov 1965;
-  Imbert's first acceleration theorem, PPCP 1993).  The output defines the
-  exact projection; ``is_trivially_infeasible`` reports a contradiction row
-  in it, so True proves the input empty and False proves nothing.
+* ``fm_eliminate`` -- exact Fourier-Motzkin projection for linear systems,
+  the linear fragment of one-block quantifier elimination.  Rows are
+  pruned to primitive integer coefficient tuples with a Fraction rhs, each
+  with its history (the input inequalities it was combined from), and
+  pairing skips the pairs that Chernikov's history rule proves redundant
+  (Chernikov 1965; Imbert's first acceleration theorem, PPCP 1993).  The
+  output defines the exact projection; ``is_trivially_infeasible`` reports
+  a contradiction row in it, so True proves the input empty and False
+  proves nothing.
 * ``lp_solve`` -- exact rational simplex with Bland's rule over v >= 0.
 * ``witness_search`` -- numerical instantiation of existential quantifiers:
   ``_walk`` goes depth first over the disjunct choices, every literal on a
@@ -43,11 +42,12 @@ layers, from exact to heuristic, use them:
   loop that ``_loop`` emits once per dimension, its vertices tuples sorted
   stably by margin and its trial points tuple displays, so that it answers
   alike on every CPU.  Everything that does not read the query's x and a
-  is prepared once per formula by ``_prepared``: the NNF body, a row
-  template per literal, the base, and two margin kernels, one that
-  completes every other witness from its definition (an exp graph read
-  either way, an equality affine in it; ``_complete`` plans where each is
-  read) for the search and one over every witness that accepts a point.
+  is prepared once per formula: by ``_prepared`` the NNF body, a row
+  template per literal and the margin kernel over every witness that
+  accepts a point, and by ``_search_kernel``, when a query first gets past
+  the walk, the base and the margin kernel that completes every other
+  witness from its definition (an exp graph read either way, an equality
+  affine in it; ``_complete`` plans where each is read) for the search.
   A query only binds its inputs: it evaluates the templates it needs at
   the rational inputs, and each kernel's prologue folds the subterms on x
   and a once.  Sound when it reports a witness
@@ -62,18 +62,18 @@ row (Fourier-Motzkin rows carry their history in it, and the simplex reads
 the same rows), ``formula._compare`` the only relation table,
 ``_oriented`` the only normalization of >= and > (``LinConstraint.make``
 applies it to values, ``_template`` once per atom to polynomials in the
-inputs), ``_template`` with ``_row`` the only reading of an atom as a row
-(``_atom_row``; witness search evaluates each prepared template at the
-rational inputs, into ints and Fractions), ``_combine`` the only row
-combination (FM substitution and pairing), ``_prune`` the only
-normalization and pruning of FM rows, ``_integer_row`` the only reading of
-rows or values as integers over one denominator, and ``_pivot`` and
-``_price`` the only tableau pivot and objective pricing of the simplex.
-Both apply ``_eliminate`` to rows of integers over one denominator, so
-Bland's rule picks the pivots a tableau of Fractions would.  The simplex
-reads a row at the scale it is given, pricing its phase-1 artificial at
-that scale, so rescaling a row can change Bland's phase-1 path and the
-vertex it returns.
+inputs), ``_template`` the one reading of an atom as a row, through the
+value fold into a ``_Poly`` (witness search evaluates each prepared
+template at the rational inputs with ``_row``, into ints and Fractions),
+``_combine`` the only row combination (FM substitution and pairing),
+``_prune`` the only normalization and pruning of FM rows, ``_integer_row``
+the only reading of rows or values as integers over one denominator, and
+``_pivot`` and ``_price`` the only tableau pivot and objective pricing of
+the simplex.  Both apply ``_eliminate`` to rows of integers over one
+denominator, so Bland's rule picks the pivots a tableau of Fractions
+would.  The simplex reads a row at the scale it is given, pricing its
+phase-1 artificial at that scale, so rescaling a row can change Bland's
+phase-1 path and the vertex it returns.
 """
 
 from __future__ import annotations
@@ -129,54 +129,11 @@ class SolveError(VerificationFailure):
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation: formula's value fold in floats, and one affine fold
+# Term evaluation: formula's value fold in floats
 
 
 def eval_term_float(t: fm.Term, sigma: Assignment) -> float:
     return eval_term(t, sigma, _float, _safe_exp)
-
-
-def affine(t: fm.Term, unknown: dict, value: Callable, lift: Callable):
-    """(coefficients over the unknowns, constant) of a term affine in them,
-    or None when it is not (every exp subterm makes it non-affine).
-    `unknown` maps each unknown Var to its column; `value` reads every
-    other variable and `lift` maps values and constants into the
-    coefficient domain.  Coefficients are read off structurally: a
-    finite-difference slope drowns in rounding when the constant is
-    huge."""
-    kind = type(t)
-    if kind is fm.Var:
-        co = [lift(0)] * len(unknown)
-        col = unknown.get(t)
-        if col is None:
-            return co, lift(value(t))
-        co[col] = lift(1)
-        return co, lift(0)
-    if kind is fm.Const:
-        return [lift(0)] * len(unknown), lift(t.value)
-    if kind is fm.Exp:
-        return None
-    parts = []
-    for s in (t.terms if kind is fm.Sum else t.factors):
-        part = affine(s, unknown, value, lift)
-        if part is None:
-            return None
-        parts.append(part)
-    co, const = parts[0]
-    if kind is fm.Sum:
-        for c2, k2 in parts[1:]:
-            co = [u + v for u, v in zip(co, c2)]
-            const = const + k2
-        return co, const
-    for c2, k2 in parts[1:]:
-        if any(c2):
-            if any(co):
-                return None  # product of two non-constant factors
-            co = [const * v for v in c2]
-        else:
-            co = [k2 * v for v in co]
-        const = const * k2
-    return co, const
 
 
 def _exact_atom(at: fm.Compare, sigma: Assignment, max_bits: int) -> bool:
@@ -455,34 +412,23 @@ class LinearSystem(NamedTuple):
         return any(not any(c.coeffs) and not _compare(-c.rhs, c.rel)
                    for c in self.constraints)
 
-    def satisfied_by(self, values: Sequence) -> bool:
-        """Whether every row holds at values (ints or Fractions), one per
-        variable, decided in integers: the values and each row are read
-        over one positive denominator by `_integer_row`."""
-        if len(values) != len(self.variables):
-            raise SolveError(f"{len(values)} values for "
-                             f"{len(self.variables)} variables")
-        nums, den = _integer_row(values)
-        for c in self.constraints:
-            *co, rhs = _integer_row([*c.coeffs, c.rhs])[0]
-            if not _compare(sum(map(operator.mul, co, nums)) - rhs * den,
-                            c.rel):
-                return False
-        return True
-
 
 class _Poly(dict):
-    """A polynomial in the variables that are not unknowns, the coefficient
-    domain of a row template: {monomial: coefficient}, a monomial a tuple
-    of Vars sorted by key.  `affine` reads it as it reads a value, true
-    when a coefficient is nonzero: so a term is affine when it is at every
-    value of those variables.  A monomial whose coefficient cancels is
-    kept, so that the row reads every variable `affine` would read."""
+    """A polynomial over the term variables: {monomial: coefficient}, a
+    monomial a tuple of Vars sorted by key.  formula's value fold reads a
+    term as one with the class itself as the assignment: `lookup` lifts
+    each variable to its own monomial, `lift` each constant to a constant
+    polynomial."""
 
     __slots__ = ()
 
-    def __bool__(self):
-        return any(self.values())
+    @staticmethod
+    def lookup(v: fm.Var) -> "_Poly":
+        return _Poly({(v,): 1})
+
+    @staticmethod
+    def lift(v) -> "_Poly":
+        return v if type(v) is _Poly else _Poly({(): v})
 
     def __add__(self, other):
         out = _Poly(self)
@@ -505,23 +451,35 @@ class _Poly(dict):
 
 
 def _template(at: fm.Compare, unknown: dict) -> Optional[tuple]:
-    """The row template of an atom over the unknowns (columns as in
-    `affine`): (coefficients, rel, rhs) with >= and > already negated, each
-    coefficient and rhs a tuple of terms (c, vars), c an int or a Fraction;
-    None when a side is not affine in the unknowns."""
-    def lift(v):
-        return v if isinstance(v, _Poly) else _Poly({(): v})
-
-    left, right = (affine(t, unknown, lambda v: _Poly({(v,): 1}), lift)
-                   for t in (at.lhs, at.rhs))
-    if left is None or right is None:
+    """The row template of an atom over the unknowns, unknown mapping each
+    unknown Var to its column: (coefficients, rel, rhs) with >= and >
+    already negated, each coefficient and rhs a tuple of terms (c, vars), c
+    a nonzero int or Fraction.  The one reading of an atom as a row: the
+    value fold reads lhs - rhs as a _Poly, whose monomials with no unknown
+    factor go to the rhs and those with one to that unknown's coefficient.
+    None when a side has an exp, or a monomial of nonzero coefficient two
+    unknown factors."""
+    if fm.term_has_exp(at.lhs) or fm.term_has_exp(at.rhs):
         return None
-    coeffs, rel, rhs = _oriented([u - v for u, v in zip(left[0], right[0])],
-                                 at.rel, right[1] - left[1])
+    diff = eval_term(at.lhs, _Poly, _Poly.lift, None) - \
+        eval_term(at.rhs, _Poly, _Poly.lift, None)
+    coeffs, rhs = [_Poly() for _ in unknown], _Poly()
+    for m, c in diff.items():
+        if not c:
+            continue
+        hits = [k for k, v in enumerate(m) if v in unknown]
+        if len(hits) > 1:
+            return None
+        if hits:
+            k = hits[0]
+            coeffs[unknown[m[k]]][m[:k] + m[k + 1:]] = c
+        else:
+            rhs[m] = -c
+    coeffs, rel, rhs = _oriented(coeffs, at.rel, rhs)
 
     def terms(p: _Poly) -> tuple:
         return tuple((c.numerator if c.denominator == 1 else c, m)
-                     for m, c in p.items() if c or m)
+                     for m, c in p.items())
     return tuple(map(terms, coeffs)), rel, terms(rhs)
 
 
@@ -541,15 +499,6 @@ def _row(template: tuple, value: Callable) -> LinConstraint:
     coeffs, rel, rhs = template
     return LinConstraint(tuple(_value(c, value) for c in coeffs), rel,
                          _value(rhs, value))
-
-
-def _atom_row(at: fm.Compare, unknown: dict,
-              value: Callable) -> Optional[LinConstraint]:
-    """The atom lhs rel rhs as a normalized row over the unknowns (columns
-    as in `affine`), its other variables read by value; None when a side is
-    not affine in the unknowns."""
-    template = _template(at, unknown)
-    return None if template is None else _row(template, value)
 
 
 def _combine(c: LinConstraint, d: LinConstraint, j: int,
@@ -663,28 +612,6 @@ def fm_eliminate(sys: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
                         tuple(steps))
 
 
-def linear_system_from_formula(f: fm.Formula,
-                               variables: Sequence[fm.Var]) -> LinearSystem:
-    """Conjunction of linear atoms -> LinearSystem (helper for the linear
-    fragment; rejects disjunction, negation and nonlinear atoms)."""
-    idx = {v: i for i, v in enumerate(variables)}
-    rows = []
-
-    def undeclared(v: fm.Var):
-        raise SolveError(f"variable {v} not declared")
-
-    for g in fm.subformulas(f):  # pre-order: an And before its parts
-        if isinstance(g, fm.And):
-            continue
-        if not isinstance(g, fm.Compare):
-            raise SolveError("only conjunctions of linear atoms are supported")
-        row = _atom_row(g, idx, undeclared)
-        if row is None:
-            raise SolveError("nonlinear atom encountered")
-        rows.append(row)
-    return LinearSystem(tuple(str(v) for v in variables), rows)
-
-
 # ---------------------------------------------------------------------------
 # Exact rational LP (simplex, Bland's rule)
 
@@ -742,13 +669,16 @@ def _simplex(tableau: list, basis: list, n_cols: int) -> str:
         enter = next((j for j in range(n_cols) if cost[j] < 0), None)
         if enter is None:
             return "optimal"
-        # Bland: among minimal ratios (a row's denominator cancels) choose
-        # the row whose basic variable has the smallest index
-        ratios = [(Fraction(t[-1], t[enter]), basis[i], i)
-                  for i, (t, _) in enumerate(tableau[:m]) if t[enter] > 0]
-        if not ratios:
+        # Bland: of the rows of least ratio t[-1] / t[enter], compared by
+        # cross-multiplying, the one whose basic variable is the smallest
+        best = u = None
+        for i, (t, _) in enumerate(tableau[:m]):
+            if t[enter] > 0 and (u is None or (t[-1] * u[enter], basis[i]) <
+                                 (u[-1] * t[enter], basis[best])):
+                best, u = i, t
+        if u is None:
             return "unbounded"
-        _pivot(tableau, basis, min(ratios)[2], enter)
+        _pivot(tableau, basis, best, enter)
 
 
 def lp_solve(objective: Sequence, rows: Sequence[LinConstraint]) -> LPResult:
@@ -859,9 +789,10 @@ def _minus(u, v):
 
 def _linear(t: fm.Term, var: fm.Var):
     """(c, k) with t = c*var + k, each a term or None for 0 (c is _ONE where
-    var stands alone), read off structurally as `affine` reads
-    coefficients; None when t is not affine in var: var under exp, or in
-    two factors of a product."""
+    var stands alone), read off structurally; None when t is not affine in
+    var: var under exp, or in two factors of a product.  c and k keep t's
+    term structure, not a _Poly's expanded monomials, since they fix the
+    float operations of the margin kernel that completes var."""
     if var not in fm.term_vars(t):
         return None, t
     kind = type(t)
@@ -1040,31 +971,37 @@ class _Prepared(NamedTuple):
     cover: tuple  # the x and a values the matrix reads
     rows: dict  # by id of a body literal: True, a row template or None
     accept: Callable  # the kernel (bind) of the matrix over every witness
-    base: tuple
-    search: Callable  # the kernel of the base's completion plan
 
 
 @functools.lru_cache(maxsize=16)
 def _prepared(f: fm.Formula) -> _Prepared:
     """Witness search's reading of f, once per formula: its NNF body, each
     body literal's reading (True on no witness, else its row template over
-    the witness columns, None when it has none), the base and plan of
-    _completion, and two margin kernels, one over every witness that
-    accepts a point and one over the base that the search reads."""
+    the witness columns, None when it has none), and the margin kernel over
+    every witness that accepts a point."""
     if fm.classify_fragment(f) == fm.GENERAL:
         raise SolveError("witness_search requires an existential formula")
     indices, matrix = fm.split_exists(f)
     body, idx = _nnf(matrix), sorted(set(indices))
     cols = {fm.Var("w", i): j for j, i in enumerate(idx)}
     size = max(idx, default=-1) + 1
-    base, plan = _completion(matrix, tuple(idx))
     return _Prepared(
         matrix, body, idx, size,
         tuple(fm.max_index(matrix, b) + 1 for b in "xa"),
         {id(lit): cols.keys().isdisjoint(fm.atom_vars(lit)) or
          _template(lit, cols) for lit in fm.formula_atoms(body)},
-        _margin(matrix, {fm.Var("w", i): i for i in range(size)}), base,
-        _margin(plan, {fm.Var("w", i): k for k, i in enumerate(base)}, size))
+        _margin(matrix, {fm.Var("w", i): i for i in range(size)}))
+
+
+@functools.lru_cache(maxsize=16)
+def _search_kernel(f: fm.Formula) -> tuple:
+    """(base, kernel) of the search over f, once per formula and only once
+    a query gets past the exact walk: the base of _completion and the
+    margin kernel of its plan over the base."""
+    prep = _prepared(f)
+    base, plan = _completion(prep.matrix, tuple(prep.idx))
+    return base, _margin(plan, {fm.Var("w", i): k
+                                for k, i in enumerate(base)}, prep.size)
 
 
 def _exactly_false(f: fm.Formula, exact: Optional[Assignment]) -> bool:
@@ -1275,16 +1212,17 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     such as sum(y) = 1 fixes), are searched, from the inputs as the target
     point, on a grid with random restarts and with Nelder-Mead refinement
     of the max-violation margin.  All that does not read x and a is
-    prepared once per formula (_prepared): the NNF body, a row template
-    per literal, the base, and the margin kernels, each emitted and
-    compiled once.  A query binds its inputs: each template is evaluated
-    at the rational inputs, and each kernel's prologue folds the subterms
-    on x and a alone once.  Every point of the search is read by one call
-    of the search kernel, which completes the other witnesses from their
-    definitions (exp graphs read either way, equalities affine in their
-    witness).  A returned witness always re-verifies under the float
-    eval_qf of the matrix as given, not of its NNF (soundness), read by
-    the accept kernel; a not_found with margin None is a refutation that
+    prepared once per formula: the NNF body, a row template per literal and
+    the accept kernel by _prepared, and the base and search kernel by
+    _search_kernel when a query first gets past the walk, each kernel
+    emitted and compiled once.  A query binds its inputs: each template is
+    evaluated at the rational inputs, and each kernel's prologue folds the
+    subterms on x and a alone once.  Every point of the search is read by
+    one call of the search kernel, which completes the other witnesses
+    from their definitions (exp graphs read either way, equalities affine
+    in their witness).  A returned witness always re-verifies under the
+    float eval_qf of the matrix as given, not of its NNF (soundness), read
+    by the accept kernel; a not_found with margin None is a refutation that
     rests only on exact readings, one with a margin is inconclusive, the
     margin of the matrix at the best completed point.
     """
@@ -1322,7 +1260,8 @@ def witness_search(f: fm.Formula, x_vals: Sequence,
     # every grid point, restart and Nelder-Mead step reads the search
     # kernel at the base witnesses, which completes the others, and a point
     # passes on the matrix itself
-    base, read = prep.base, prep.search(sigma0.x, sigma0.a)
+    base, search = _search_kernel(f)
+    read = search(sigma0.x, sigma0.a)
 
     def accept_point(point) -> WitnessResult:
         return accept(read(point, True)[1])

@@ -353,6 +353,55 @@ def system_holds(sys: LinearSystem):
 
 
 # ---------------------------------------------------------------------------
+# An atom as a row over its witnesses, by exact evaluation
+
+
+def ref_exact_term(t, env) -> Fraction:
+    """A term without exp in Fractions, env mapping each block to a
+    sequence of values."""
+    if isinstance(t, fm.Var):
+        return Fraction(env[t.block][t.index])
+    if isinstance(t, fm.Const):
+        return Fraction(t.value)
+    if isinstance(t, fm.Sum):
+        return sum((ref_exact_term(s, env) for s in t.terms), Fraction(0))
+    if isinstance(t, fm.Product):
+        return math.prod(ref_exact_term(s, env) for s in t.factors)
+    raise AssertionError("exp in an exact polynomial reading")
+
+
+def ref_atom_row(at, witnesses, env, rng):
+    """The row (coeffs, rel, rhs) that the atom at reads as over the
+    witness Vars at the inputs env (its x and a blocks): coeffs . w (rel)
+    rhs, with > and >= read as < and <= by negating both sides.  The
+    coefficients are read off lhs - rhs evaluated exactly at w = 0 and at
+    each unit point, and the row must reproduce it at len(witnesses) + 2
+    random rational witness points too; None when the atom has an exp or
+    lhs - rhs is not affine in the witnesses at env."""
+    if any(isinstance(s, fm.Exp) for side in (at.lhs, at.rhs)
+           for s in fm.subterms(side)):
+        return None
+    size = 1 + max((v.index for v in witnesses), default=-1)
+
+    def diff(w: dict) -> Fraction:
+        point = {**env, "w": [w.get(i, 0) for i in range(size)]}
+        sign = -1 if at.rel in (">", ">=") else 1
+        return sign * (ref_exact_term(at.lhs, point) -
+                       ref_exact_term(at.rhs, point))
+
+    rhs = -diff({})
+    coeffs = [diff({v.index: 1}) + rhs for v in witnesses]
+    for _ in range(len(witnesses) + 2):
+        w = {v.index: Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                               rng.choice((1, 3, 7, 2 ** 20)))
+             for v in witnesses}
+        if diff(w) != sum(c * w[v.index]
+                          for c, v in zip(coeffs, witnesses)) - rhs:
+            return None
+    return coeffs, at.rel.replace(">", "<"), rhs
+
+
+# ---------------------------------------------------------------------------
 # Plain Fourier-Motzkin projection: every upper bound with every lower bound
 
 

@@ -6,7 +6,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import random
 import subprocess
@@ -28,7 +27,6 @@ from stratdef.solve import (
     LinearSystem,
     eval_qf,
     fm_eliminate,
-    linear_system_from_formula,
     lp_solve,
     merge,
     witness_search,
@@ -38,6 +36,7 @@ from helpers import (
     feasible_with_one_witness,
     kl_divergence,
     lp_by_vertex_enumeration,
+    ref_atom_row,
     ref_fm_eliminate,
     ref_halfspace_kl_margin,
     ref_halfspace_lp_margin,
@@ -357,8 +356,9 @@ def test_fm_eliminate_known_projection():
     )
     out = fm_eliminate(sys, ["y"])
     assert out.variables == ("x",)
-    assert out.satisfied_by([Fraction(1)])
-    assert not out.satisfied_by([Fraction(11, 10)])
+    holds = system_holds(out)
+    assert holds({"x": Fraction(1)})
+    assert not holds({"x": Fraction(11, 10)})
 
 
 def test_fm_equality_substitution():
@@ -367,11 +367,11 @@ def test_fm_equality_substitution():
         ("x", "y"),
         [((1, -2), "=", 0), ((0, -1), "<=", -1), ((1, 0), "<=", 3)],
     )
-    out = fm_eliminate(sys, ["y"])
-    assert out.satisfied_by([Fraction(2)])
-    assert out.satisfied_by([Fraction(3)])
-    assert not out.satisfied_by([Fraction(19, 10)])
-    assert not out.satisfied_by([Fraction(31, 10)])
+    holds = system_holds(fm_eliminate(sys, ["y"]))
+    assert holds({"x": Fraction(2)})
+    assert holds({"x": Fraction(3)})
+    assert not holds({"x": Fraction(19, 10)})
+    assert not holds({"x": Fraction(31, 10)})
     # x - y = 0 substituted into 2x - 2y = 0 leaves 0 = 0, a tautology
     sys = LinearSystem.make(
         ("x", "y"),
@@ -407,10 +407,10 @@ def test_fm_detects_infeasibility():
 def test_fm_strict_relations_propagate():
     sys = LinearSystem.make(
         ("x", "y"), [((1, 1), "<", 1), ((1, -1), "<=", 0)])
-    out = fm_eliminate(sys, ["y"])
+    holds = system_holds(fm_eliminate(sys, ["y"]))
     # combination 2x < 1 must stay strict
-    assert out.satisfied_by([Fraction(49, 100)])
-    assert not out.satisfied_by([Fraction(1, 2)])
+    assert holds({"x": Fraction(49, 100)})
+    assert not holds({"x": Fraction(1, 2)})
 
 
 def _random_system(rng: random.Random, n_vars: int, n_rows: int,
@@ -448,11 +448,10 @@ def test_fm_single_elimination_matches_oracle_on_grid():
         proj = fm_eliminate(sys, [gone])
         kept = proj.variables
         feasible = feasible_with_one_witness(sys, gone)
-        import itertools
+        holds = system_holds(proj)
         for pt in itertools.product(grid, repeat=len(kept)):
-            want = feasible(dict(zip(kept, pt)))
-            got = proj.satisfied_by(pt)
-            assert got == want, (trial, sys, pt)
+            point = dict(zip(kept, pt))
+            assert holds(point) == feasible(point), (trial, sys, pt)
 
 
 def test_fm_sequential_elimination_consistent():
@@ -463,8 +462,9 @@ def test_fm_sequential_elimination_consistent():
         sys = _random_system(rng, 3, rng.randint(2, 5))
         both = fm_eliminate(sys, ["v1", "v2"])
         seq = fm_eliminate(fm_eliminate(sys, ["v1"]), ["v2"])
+        holds_both, holds_seq = system_holds(both), system_holds(seq)
         for x in grid:
-            assert both.satisfied_by([x]) == seq.satisfied_by([x])
+            assert holds_both({"v0": x}) == holds_seq({"v0": x})
 
 
 def _rows(sys: LinearSystem) -> list:
@@ -529,70 +529,6 @@ def test_fm_history_rule_shrinks_benchmark_shaped_system():
         ("paired", 144, 0)
     assert second["skipped"] > second["pairs"]
     assert second["rows"] == len(out.constraints)
-
-
-def test_satisfied_by_refuses_wrong_length():
-    sys = LinearSystem.make(["x", "y"], [((1, 1), "<=", 1)])
-    assert sys.satisfied_by([0, 1])
-    # one value too few (y would be dropped) and one too many (99 ignored)
-    for values in ([5], [0, 0, 99]):
-        with pytest.raises(solve.SolveError):
-            sys.satisfied_by(values)
-
-
-def test_satisfied_by_matches_fraction_arithmetic():
-    # rows with non-integral coefficients, rhs and values, zero rows among
-    # them, under all five relations, a third of them at equality: each
-    # row alone and the whole system hold as sum(c * v) rel rhs does
-    rng = random.Random(33)
-    ops = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
-           ">=": operator.ge, ">": operator.gt}
-
-    def rational():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-
-    answers = set()
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        values = [rational() for _ in range(n)]
-        rows = []
-        for _ in range(rng.randint(1, 3)):
-            coeffs = [0] * n if rng.random() < 0.15 else \
-                [rational() for _ in range(n)]
-            lhs = sum(c * v for c, v in zip(coeffs, values))
-            rhs = lhs + rng.choice((0, rational(), rational()))
-            rows.append((coeffs, rng.choice(list(ops)), rhs))
-        names = [f"v{i}" for i in range(n)]
-        holds = [ops[rel](sum(c * v for c, v in zip(coeffs, values)), rhs)
-                 for coeffs, rel, rhs in rows]
-        for row, want in zip(rows, holds):
-            assert LinearSystem.make(names, [row]).satisfied_by(values) \
-                == want, (row, values)
-            answers.add((row[1], want))
-        assert LinearSystem.make(names, rows).satisfied_by(values) == \
-            all(holds), (rows, values)
-    assert answers == {(rel, b) for rel in ops for b in (True, False)}
-
-
-def test_linear_system_from_formula():
-    f = fm.parse("(and (<= (+ x0 x1) 1) (< (- x0 x1) 0))")
-    sys = linear_system_from_formula(f, [fm.x(0), fm.x(1)])
-    assert sys.satisfied_by([Fraction(0), Fraction(1, 2)])
-    assert not sys.satisfied_by([Fraction(1), Fraction(1)])
-    # a constant inside a factor that carries the variable: 2*x0 <= -6
-    for text in ("(<= (* 2 (+ x0 3)) 0)", "(<= (* (+ x0 3) 2) 0)"):
-        row, = linear_system_from_formula(fm.parse(text), [fm.x(0)]).constraints
-        assert (row.coeffs, row.rel, row.rhs) == ((Fraction(2),), "<=",
-                                                  Fraction(-6))
-    # > and >= are normalized to < and <= by negation
-    for text, want in (("(> x0 -3)", ((-1, 0), "<", 3)),
-                       ("(>= (* 2 x1) x0)", ((1, -2), "<=", 0))):
-        row, = linear_system_from_formula(fm.parse(text),
-                                          [fm.x(0), fm.x(1)]).constraints
-        assert (row.coeffs, row.rel, row.rhs) == want, text
-    with pytest.raises(solve.SolveError):
-        linear_system_from_formula(fm.parse("(or (<= x0 0) (<= x1 0))"),
-                                   [fm.x(0), fm.x(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -1340,6 +1276,7 @@ def test_margin_kernel_is_shared_and_holds_no_values(monkeypatch):
     monkeypatch.setattr(solve, "_margin", spy)
     monkeypatch.setattr(solve, "_template", template_spy)
     solve._prepared.cache_clear()
+    solve._search_kernel.cache_clear()
     for ws, text, reads, base in _DEFINED_BODIES:
         f = fm.parse(f"(exists ({ws}) {text})")
         matrix = fm.split_exists(f)[1]
@@ -1351,19 +1288,19 @@ def test_margin_kernel_is_shared_and_holds_no_values(monkeypatch):
         witness_search(f, *queries[1])
         # both queries went past the walk; the search kernel, the accept
         # kernel and the row templates were made once, for the first
-        prep = solve._prepared(f)
+        prep, (got_base, search) = solve._prepared(f), solve._search_kernel(f)
         assert len(emitted) == prepared
         assert [e for e in emitted if e != "row"] == [None, len(ws.split())]
         assert emitted.count("row") == sum(t is not True
                                            for t in prep.rows.values())
-        assert prep.base == base
+        assert got_base == base
         (s1, r1), (s2, r2) = [(Assignment(tuple(x), tuple(a)),
-                               prep.search(tuple(x), tuple(a)))
+                               search(tuple(x), tuple(a)))
                               for x, a in queries]
         assert r1.__code__ is r2.__code__
         # no value and no formula text in bind or read: only generated
         # names and fixed helpers
-        for code in (prep.search.__code__, r1.__code__):
+        for code in (search.__code__, r1.__code__):
             assert not any(isinstance(c, float) for c in code.co_consts)
             assert all(n in ("inf", "zero", "nan", "log", "abs") or
                        n[0] == "g" and n[1:].isdigit()
@@ -1388,43 +1325,36 @@ def test_margin_kernel_is_shared_and_holds_no_values(monkeypatch):
                     solve._violation(matrix, sigma.with_w(w)).hex()
 
 
-def _affine_row(at: fm.Compare, cols: dict, value) -> LinConstraint:
-    """The reference reading of an atom as a row: `affine` in Fractions at
-    the inputs, normalized by LinConstraint.make."""
-    left, right = (solve.affine(t, cols, value, Fraction)
-                   for t in (at.lhs, at.rhs))
-    if left is None or right is None:
-        return None
-    return LinConstraint.make([u - v for u, v in zip(left[0], right[0])],
-                              at.rel, right[1] - left[1])
-
-
-def _assert_rows_match_affine(body, rng: random.Random, n: int):
+def _assert_rows_match_reference(body, rng: random.Random, n: int):
+    """Every atom's template, at n random nonzero rational inputs, is the
+    row ref_atom_row reads off the atom by exact evaluation, or has none
+    where that reads none."""
     idx = sorted({v.index for at in fm.formula_atoms(body)
                   for v in fm.atom_vars(at) if v.block == "w"})
     cols = {fm.Var("w", i): j for j, i in enumerate(idx)}
     templates = [(at, solve._template(at, cols))
                  for at in fm.formula_atoms(body)]
-    # nonzero inputs: affine reads a product as affine where a coefficient
-    # vanishes at the inputs, a template only where it vanishes at all
+    # nonzero inputs: the reference reads a product as affine where a
+    # coefficient vanishes at the inputs, a template only where it vanishes
+    # at all
     values = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
                        rng.choice((1, 3, 7, 2 ** 20, 2 ** 52)))
               for _ in range(40)]
     for _ in range(n):
         exact = Assignment(*(tuple(rng.choice(values) for _ in range(
             1 + fm.max_index(body, b))) for b in "xa"))
+        env = {"x": exact.x, "a": exact.a}
         for at, template in templates:
-            want = _affine_row(at, cols, exact.lookup)
-            got = None if template is None else \
-                solve._row(template, exact.lookup)
-            assert got == want and got == solve._atom_row(at, cols,
-                                                          exact.lookup)
-            if got is not None:
-                # ints and Fractions: the simplex reads the same integer row
-                assert {type(v) for v in (*got.coeffs, got.rhs)} <= \
-                    {int, Fraction}
-                assert solve._integer_row([*got.coeffs, got.rhs]) == \
-                    solve._integer_row([*want.coeffs, want.rhs])
+            want = ref_atom_row(at, list(cols), env, rng)
+            if template is None:
+                assert want is None, at
+                continue
+            got = solve._row(template, exact.lookup)
+            assert (list(got.coeffs), got.rel, got.rhs) == want, at
+            # ints and Fractions: the simplex reads them as integers
+            assert {type(v) for v in (*got.coeffs, got.rhs)} <= \
+                {int, Fraction}
+    return templates
 
 
 def test_row_templates_read_atoms_as_affine_does_on_registry_bodies():
@@ -1433,7 +1363,11 @@ def test_row_templates_read_atoms_as_affine_does_on_registry_bodies():
     # margin test: its 1,023-node reference reads take seconds
     for fam, neigh in dict.fromkeys((q[0], q[1]) for q in _PINNED_QUERIES
                                     if "depth=10" not in q[0]):
-        _assert_rows_match_affine(_transform_body(fam, neigh), rng, 20)
+        _assert_rows_match_reference(_transform_body(fam, neigh), rng, 20)
+
+
+# the atoms with no row: an exp, and a product of two witnesses
+_NO_ROW = ("(<= (* w0 a0 w1) x0)", "(= w1 (exp w0))")
 
 
 @pytest.mark.parametrize("text", [
@@ -1443,10 +1377,18 @@ def test_row_templates_read_atoms_as_affine_does_on_registry_bodies():
     "(<= (* x0 x0 w1 x1) (* x1 a0 x1))",
     "(< (+ w0 (* -1 w0) x0) (* 7 (+ a0 (* -1 a0))))",
     f"(< (* {_HUGE} x0 w0) (+ w1 -{_HUGE}))",
-    # not affine in the witnesses: no row
-    "(<= (* w0 a0 w1) x0)",
-    "(= w1 (exp w0))",
+    # a constant inside a factor that carries the witness: 2*w0 <= -6
+    "(<= (* 2 (+ w0 3)) 0)",
+    "(<= (* (+ w0 3) 2) 0)",
+    # > and >= negated into < and <=
+    "(> w0 -3)",
+    "(>= (* 2 w1) w0)",
+    # a product of two witnesses that cancels across factors: a row
+    "(<= (+ (* w0 (+ w1 x0)) (* -1 w1 w0)) a0)",
+    *_NO_ROW,
 ])
 def test_row_templates_read_hand_written_atoms_as_affine_does(text):
     body = fm.split_exists(fm.parse(f"(exists (w0 w1) {text})"))[1]
-    _assert_rows_match_affine(body, random.Random(text), 50)
+    (_, template), = _assert_rows_match_reference(body, random.Random(text),
+                                                  50)
+    assert (template is None) == (text in _NO_ROW)
